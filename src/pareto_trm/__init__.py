@@ -7,7 +7,6 @@ from .problem import (
     EvaluationDatabase,
     FeasibleSet,
     MOProblem,
-    evaluate,
     project_to_box,
     scale_to_unit,
     unscale_from_unit,
@@ -29,7 +28,6 @@ __all__ = [
     "SurrogateBundle",
     "TestProblemSpec",
     "build_bundle",
-    "evaluate",
     "make_problem",
     "omega_of_gradients",
     "project_to_box",

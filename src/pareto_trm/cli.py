@@ -217,7 +217,8 @@ def _aggregate(report_paths) -> tuple[list[dict], dict]:
     groups: dict = {}
     for path in sorted(str(p) for p in report_paths):
         try:
-            data = RunReport.from_json(path)
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             continue
@@ -289,13 +290,12 @@ def cmd_campaign(args) -> int:
         config = _load_campaign_config(args.config)
         jobs = _campaign_jobs(config)
         for job in jobs:
-            _resolve_model(job["model"])
-            _resolve_step(job["step"])
+            _algo_config(job["algo"], job["model"], job["step"])
             if job["problem"].upper() not in PROBLEM_NAMES:
                 raise KeyError(f"unknown problem {job['problem']!r}")
             if job["pattern"] and job["pattern"] not in PATTERNS:
                 raise KeyError(f"unknown pattern {job['pattern']!r}")
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         return _usage_error(str(exc))
     outdir = Path(config["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)

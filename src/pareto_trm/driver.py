@@ -1,5 +1,5 @@
-"""Main trust-region loop: build/improve models, criticality control, step
-dispatch, acceptance ratio, iterate/radius updates, stopping, and reporting.
+"""Main trust-region loop: model builds, criticality control, step dispatch,
+acceptance ratio, iterate/radius updates, stopping, and reporting.
 
 The loop works on the unit-scaled problem throughout; reports translate the
 final iterate back to original coordinates. Validation mode (on by default)
@@ -22,21 +22,16 @@ from .errors import (
     BacktrackExhausted,
     BudgetExhausted,
     DegenerateDenominator,
-    DegenerateGeometry,
     InfeasiblePoint,
     ObjectiveFailure,
     ParetoTRMError,
 )
 from .problem import EvaluationDatabase, MOProblem, project_to_box
 from .steps import StepConfig, compute_step, zero_step
-from .surrogates import (
-    IMPROVEMENT_CAP_FACTOR,
-    ModelSpec,
-    build_bundle,
-    improve_model,
-)
+from .surrogates import ModelSpec, build_bundle
 
 SUCCESSFUL = "successful"
+# the paper's fourth class; never assigned, because every bundle is fully linear
 MODEL_IMPROVING = "model-improving"
 ACCEPTABLE = "acceptable"
 INACCEPTABLE = "inacceptable"
@@ -101,7 +96,6 @@ class TrustRegionState:
     t: int
     f_current: np.ndarray
     phi_current: float
-    last_was_model_improving: bool = False
 
 
 @dataclass
@@ -149,11 +143,6 @@ class RunReport:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
-    @staticmethod
-    def from_json(path) -> dict:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-
     def iterations_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -191,11 +180,9 @@ def compute_rho(f_center, f_trial, m_center, m_trial, step_is_zero: bool, mode: 
     return float((np.max(f_center) - np.max(f_trial)) / den)
 
 
-def classify_iteration(rho: float, fully_linear: bool, cfg: AlgoConfig) -> str:
+def classify_iteration(rho: float, cfg: AlgoConfig) -> str:
     if rho >= cfg.nu_pp:
         return SUCCESSFUL
-    if not fully_linear:
-        return MODEL_IMPROVING
     if rho >= cfg.nu_p:
         return ACCEPTABLE
     return INACCEPTABLE
@@ -217,9 +204,7 @@ def update_state(
         if f_trial is not None:
             f_cur = np.asarray(f_trial, dtype=float)
             phi_cur = float(np.max(f_cur))
-    if classification == MODEL_IMPROVING:
-        pass  # radius unchanged
-    elif classification == SUCCESSFUL:
+    if classification == SUCCESSFUL:
         delta = min(cfg.gamma_up * delta, cfg.delta_ub)
     elif rho < cfg.nu_p:
         delta = cfg.gamma_downdown * delta
@@ -231,7 +216,6 @@ def update_state(
         t=state.t + 1,
         f_current=f_cur,
         phi_current=phi_cur,
-        last_was_model_improving=(classification == MODEL_IMPROVING),
     )
 
 
@@ -246,8 +230,8 @@ def criticality_routine(
     """Shrink-and-certify loop: Delta_j = alpha^(j-1) Delta_* until
     Delta_j <= mu * omega~_m, then Delta = min(max(Delta_j, beta omega~_m), Delta_*).
 
-    Returns (bundle, delta, crit, loops, cap_hit). Every returned bundle is
-    fully linear; cap_hit means the loop budget ran out (criticality stop).
+    Returns (bundle, delta, crit, loops, cap_hit); cap_hit means the loop
+    budget ran out (criticality stop).
     """
     fss = prob.feasible.scaled()
     delta_star = delta
@@ -258,12 +242,6 @@ def criticality_routine(
         j += 1
         d_j = (cfg.crit_alpha ** (j - 1)) * delta_star
         bundle = build_bundle(prob, db, cfg.models, x, d_j, cfg.delta_ub, seed)
-        for _ in range(5):
-            if bundle.fully_linear:
-                break
-            bundle = improve_model(bundle, prob, db, cfg.models, cfg.delta_ub, seed)
-        if not bundle.fully_linear:
-            raise DegenerateGeometry("criticality routine could not certify the models")
         crit = omega_of_gradients(bundle.gradients(x), x, fss)
         if d_j <= cfg.mu * crit.omega_clamped:
             cap = False
@@ -371,10 +349,7 @@ def run(
         f_current=f0,
         phi_current=float(np.max(f0)),
     )
-    bundle = None
     crit: Optional[CriticalityResult] = None
-    improving_streak = 0
-    streak_cap = IMPROVEMENT_CAP_FACTOR * (prob.n_vars + 1)
 
     while True:
         if state.t >= cfg.max_iters:
@@ -383,27 +358,11 @@ def run(
         delta_before = state.delta
         crit_loops = 0
         try:
-            if (
-                state.last_was_model_improving
-                and bundle is not None
-                and not bundle.fully_linear
-                and improving_streak <= streak_cap
-            ):
-                bundle = improve_model(bundle, prob, db, cfg.models, cfg.delta_ub, seed)
-            else:
-                if state.last_was_model_improving and improving_streak > streak_cap:
-                    anomalies.append(
-                        f"t={state.t}: model-improving streak cap hit, forced rebuild"
-                    )
-                bundle = build_bundle(
-                    prob, db, cfg.models, state.x, state.delta, cfg.delta_ub, seed
-                )
+            bundle = build_bundle(prob, db, cfg.models, state.x, state.delta, cfg.delta_ub, seed)
             crit = omega_of_gradients(bundle.gradients(state.x), state.x, fss)
 
             # criticality step
-            if crit.omega_clamped < cfg.eps_crit and (
-                not bundle.fully_linear or state.delta > cfg.mu * crit.omega_clamped
-            ):
+            if crit.omega_clamped < cfg.eps_crit and state.delta > cfg.mu * crit.omega_clamped:
                 new_bundle, new_delta, new_crit, crit_loops, cap = criticality_routine(
                     prob, db, cfg, state.x, state.delta, seed
                 )
@@ -414,16 +373,14 @@ def run(
                     records.append(
                         IterationRecord(
                             t=state.t,
-                            classification=classify_iteration(
-                                0.0, bundle.fully_linear if bundle else False, cfg
-                            ),
+                            classification=classify_iteration(0.0, cfg),
                             rho=0.0,
                             omega_m_clamped=crit.omega_clamped,
                             delta_before=delta_before,
                             delta_after=state.delta,
                             step_norm=0.0,
                             expensive_evals_cum=_expensive_count(db),
-                            fully_linear=bundle.fully_linear if bundle else False,
+                            fully_linear=bundle.fully_linear,
                             criticality_loops=crit_loops,
                         )
                     )
@@ -478,8 +435,7 @@ def run(
                 anomalies.append(f"t={state.t}: {exc}")
                 rho = -np.inf
 
-        classification = classify_iteration(rho, bundle.fully_linear, cfg)
-        improving_streak = improving_streak + 1 if classification == MODEL_IMPROVING else 0
+        classification = classify_iteration(rho, cfg)
 
         # validation-mode invariants
         if cfg.validate:

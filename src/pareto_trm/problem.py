@@ -238,14 +238,6 @@ class EvaluationDatabase:
         order = inside[np.argsort(dist[inside], kind="stable")]
         return [(self._scaled[i].copy(), self.values[i].copy()) for i in order]
 
-    def remaining_budget(self) -> Optional[int]:
-        if self.max_expensive is None:
-            return None
-        exp = self.problem.expensive_mask
-        if not np.any(exp):
-            return None
-        return int(self.max_expensive - self.eval_counts[exp].max())
-
     def to_csv(self, path) -> None:
         """Dump sites (original coordinates) and values: x_1..x_n, f_1..f_k."""
         n, k = self.problem.n_vars, self.problem.n_objs
@@ -258,7 +250,7 @@ class EvaluationDatabase:
 
     @classmethod
     def from_csv(cls, path, problem: MOProblem) -> "EvaluationDatabase":
-        """Rebuild a database from a CSV dump; values are trusted, not re-evaluated."""
+        """Rebuild a database from a CSV dump; values are checked, not re-evaluated."""
         db = cls(problem)
         n, k = problem.n_vars, problem.n_objs
         with open(path, newline="", encoding="utf-8") as fh:
@@ -267,8 +259,12 @@ class EvaluationDatabase:
             if len(header) != n + k:
                 raise DimensionMismatch("CSV column count does not match the problem")
             for row in reader:
+                if len(row) != n + k:
+                    raise DimensionMismatch(f"CSV row {row!r} has {len(row)} fields, need {n + k}")
                 site = np.array([float(v) for v in row[:n]])
                 vals = np.array([float(v) for v in row[n:]])
+                if not np.all(np.isfinite(vals)):
+                    raise ObjectiveFailure(f"CSV values at {site!r} are not finite", site=site)
                 if not problem.feasible.contains(site):
                     raise InfeasiblePoint(f"CSV site {site!r} is infeasible")
                 db.sites.append(site)
@@ -277,9 +273,3 @@ class EvaluationDatabase:
                 db.eval_counts[problem.expensive_mask] += 1
         return db
 
-
-def evaluate(db: EvaluationDatabase, prob: MOProblem, x) -> np.ndarray:
-    """Functional form of :meth:`EvaluationDatabase.evaluate`."""
-    if db.problem is not prob:
-        raise ValueError("database belongs to a different problem")
-    return db.evaluate(x)

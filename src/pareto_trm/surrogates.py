@@ -5,10 +5,12 @@ assembled in trust-region-local coordinates t = (u - center) / (theta1 * Delta)
 so conditioning does not degrade as the radius shrinks; shape parameters are
 rescaled accordingly so the model in u-space is unchanged.
 
-Full linearity is certified structurally: an affinely independent point set
+Every model is fully linear as built: an affinely independent point set
 (pivot threshold) inside the theta1-enlarged region for RBF, a Lambda-poised
-set for Lagrange models. The O(Delta^2)/O(Delta) error decay this buys is
-checked empirically in the test suite.
+set for Lagrange models (a repair that hits its swap cap raises
+PoisednessRepairStalled), and FD-Taylor and exact wrappers by definition. The
+O(Delta^2)/O(Delta) error decay this buys is checked empirically in the test
+suite.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .errors import (
     DegenerateGeometry,
     DimensionMismatch,
+    PoisednessRepairStalled,
     SingularMatrix,
 )
 from .linalg import (
@@ -214,6 +217,8 @@ class ExactCheapModel:
 class PolyModel:
     """Polynomial model of degree <= 2 in local coordinates t = (u - center)/R."""
 
+    fully_linear = True
+
     def __init__(
         self,
         center,
@@ -222,9 +227,7 @@ class PolyModel:
         g_local,
         H_local,
         degree: int,
-        fully_linear: bool = True,
         geometry_score: float = 0.0,
-        machine=None,
         training_sites=None,
         kind: str = "lagrange",
     ):
@@ -234,9 +237,7 @@ class PolyModel:
         self.g_local = np.asarray(g_local, dtype=float)
         self.H_local = np.asarray(H_local, dtype=float)
         self.degree = degree
-        self.fully_linear = fully_linear
         self.geometry_score = geometry_score
-        self.machine = machine
         self.training_sites = (
             np.empty((0, self.center.size)) if training_sites is None else np.asarray(training_sites)
         )
@@ -288,6 +289,7 @@ class RBFModel:
     """Radial basis surrogate with polynomial tail, in local coordinates."""
 
     kind = "rbf"
+    fully_linear = True
 
     def __init__(
         self,
@@ -300,7 +302,6 @@ class RBFModel:
         kernel: str,
         alpha_local: float,
         alpha_user: float,
-        fully_linear: bool = True,
         geometry_score: float = 0.0,
         training_sites=None,
     ):
@@ -313,7 +314,6 @@ class RBFModel:
         self.kernel = kernel
         self.alpha_local = float(alpha_local)
         self.alpha_user = float(alpha_user)
-        self.fully_linear = fully_linear
         self.geometry_score = geometry_score
         self.training_sites = (
             np.empty((0, self.center.size)) if training_sites is None else np.asarray(training_sites)
@@ -462,9 +462,7 @@ class _LagrangeMachine:
         self.seed = seed
         self.L = np.eye(self.p)
         self.sites: list[np.ndarray] = []
-        self.pivots: list[float] = []
         self.log_volume = 0.0
-        self.certified = False
 
     def _row_value_fn(self, i):
         row = self.L[i].copy()
@@ -493,7 +491,6 @@ class _LagrangeMachine:
         mask = np.arange(self.p) != i
         self.L[mask] -= np.outer(vals[mask], self.L[i])
         self.log_volume += math.log(abs(pivot))
-        return abs(pivot)
 
     def select(self, db_sites: Sequence[np.ndarray]):
         """Greedy pivoted site selection; center first, database points preferred."""
@@ -504,7 +501,7 @@ class _LagrangeMachine:
         ]
         grid = self._candidate_grid()
         self.sites = [self.center.copy()]
-        self.pivots = [self._normalize_and_sweep(0, self.center)]
+        self._normalize_and_sweep(0, self.center)
         for i in range(1, self.p):
             value, grad = self._row_value_fn(i)
             site = None
@@ -527,7 +524,7 @@ class _LagrangeMachine:
                     )
                 site = cand
             self.sites.append(site)
-            self.pivots.append(self._normalize_and_sweep(i, site))
+            self._normalize_and_sweep(i, site)
 
     def _candidate_grid(self) -> np.ndarray:
         pts = self.lo + halton(120, self.n, offset=300 + self.seed) * (self.hi - self.lo)
@@ -598,7 +595,7 @@ class _LagrangeMachine:
             out[int(i)] = (X[best * m + pos].copy(), float(pair_vals[best]))
         return out
 
-    def repair(self, max_swaps: int, db_sites: Optional[Sequence[np.ndarray]] = None) -> tuple[bool, int]:
+    def repair(self, max_swaps: int, db_sites: Optional[Sequence[np.ndarray]] = None) -> None:
         """Maximizer-swap repair until max |l_i| <= Lambda everywhere.
 
         Each sweep bounds all basis polynomials on a fixed candidate grid with
@@ -607,6 +604,8 @@ class _LagrangeMachine:
         recycled as the swap target whenever they also exceed Lambda (the
         volume still grows by more than Lambda per swap), so repair rarely
         demands fresh expensive evaluations along a well-sampled trajectory.
+        Raises PoisednessRepairStalled if the set still needs a swap after
+        max_swaps of them.
         """
         grid = self._candidate_grid()
         pool = (
@@ -616,14 +615,13 @@ class _LagrangeMachine:
         )
         lam_gate = self.lam * (1.0 + 1e-9)
         swaps = 0
-        while swaps < max_swaps:
+        while True:
             pts = np.vstack([grid, pool, np.vstack(self.sites)])
             V = np.abs(self.lagrange_values(pts))
             col_max = V.max(axis=0)
             suspects = np.flatnonzero(col_max > 0.8 * self.lam)
             if suspects.size == 0:
-                self.certified = True
-                return True, swaps
+                return
             # hunt among the worst few first; polish the rest only to certify
             order = suspects[np.argsort(-col_max[suspects], kind="stable")]
             worst_i, worst_mag, worst_pt = -1, lam_gate, None
@@ -637,8 +635,11 @@ class _LagrangeMachine:
                     if mag > worst_mag:
                         worst_i, worst_mag, worst_pt = int(i), mag, point
             if worst_i < 0:
-                self.certified = True
-                return True, swaps
+                return
+            if swaps >= max_swaps:
+                raise PoisednessRepairStalled(
+                    f"Lambda-poisedness repair still failing after {max_swaps} swaps"
+                )
             if pool.size:
                 db_vals = V[len(grid): len(grid) + len(pool), worst_i]
                 cand = int(np.argmax(db_vals))
@@ -647,9 +648,8 @@ class _LagrangeMachine:
                 ):
                     worst_pt = pool[cand]
             self.sites[worst_i] = worst_pt
-            self.pivots[worst_i] = self._normalize_and_sweep(worst_i, worst_pt)
+            self._normalize_and_sweep(worst_i, worst_pt)
             swaps += 1
-        return False, swaps
 
     def lagrange_values(self, U) -> np.ndarray:
         T = (np.atleast_2d(np.asarray(U, dtype=float)) - self.center) / self.R
@@ -665,9 +665,7 @@ class _LagrangeMachine:
             g,
             H,
             self.degree,
-            fully_linear=self.certified,
             geometry_score=self.log_volume,
-            machine=self,
             training_sites=np.vstack(self.sites),
         )
 
@@ -808,7 +806,6 @@ def build_rbf(
         spec.kernel,
         alpha_local,
         alpha_user,
-        fully_linear=True,
         geometry_score=float(np.log(np.maximum(pivots, 1e-300)).sum()),
         training_sites=np.vstack(used),
     )
@@ -858,19 +855,18 @@ def build_lagrange(
     radius: float,
     fs: FeasibleSet,
     seed: int = 0,
-    max_repair: Optional[int] = None,
 ) -> PolyModel:
     """Poised-set Lagrange model with Lambda-poisedness repair.
 
     Degree-2 builds with n >= 6 use the precomputed finite-difference stencil
     fitted into the region (the repair loop is skipped); smaller problems run
-    greedy pivoting plus repair with a 10p swap cap.
+    greedy pivoting plus repair with a 10p swap cap, past which the build
+    raises PoisednessRepairStalled.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
     R1 = spec.theta1 * radius
     lo1, hi1 = _region_box(center, R1, fs)
-    p = poly_basis_size(n, spec.degree)
 
     if spec.degree == 2 and n >= 6:
         try:
@@ -882,7 +878,6 @@ def build_lagrange(
             c0, g, H = _coeffs_to_quadratic(coeffs, n, 2)
             return PolyModel(
                 center, R1, c0, g, H, 2,
-                fully_linear=True,
                 geometry_score=0.0,
                 training_sites=np.vstack(sites),
             )
@@ -892,8 +887,7 @@ def build_lagrange(
     machine = _LagrangeMachine(n, spec.degree, center, R1, lo1, hi1, spec.lambda_poised, seed)
     region_sites = [s for s, _ in db.query_ball(center, R1)]
     machine.select(region_sites)
-    cap = 10 * p if max_repair is None else max_repair
-    machine.repair(cap, db_sites=region_sites)
+    machine.repair(10 * machine.p, db_sites=region_sites)
     fvals = np.array([db.evaluate_scaled(s)[obj_index] for s in machine.sites])
     return machine.fit(fvals)
 
@@ -924,7 +918,6 @@ def build_taylor_fd(
     g = fd_gradient(scalar, center, h, lo, hi)
     return PolyModel(
         center, 1.0, f0, g, np.zeros((n, n)), 1,
-        fully_linear=True,
         geometry_score=0.0,
         training_sites=np.vstack(sites),
         kind="taylor-fd1",
@@ -1032,61 +1025,4 @@ def build_bundle(
         radius=radius,
         training_sites=np.vstack(sites) if sites else np.empty((0, prob.n_vars)),
         new_sites=len(db) - before,
-    )
-
-
-IMPROVEMENT_CAP_FACTOR = 3  # M = 3 (n + 1) repair actions per objective
-
-
-def improve_model(
-    bundle: SurrogateBundle,
-    prob: MOProblem,
-    db: EvaluationDatabase,
-    specs,
-    delta_ub: float,
-    seed: int = 0,
-) -> SurrogateBundle:
-    """One bounded repair pass on a not-fully-linear bundle.
-
-    Lagrange models continue their Lambda repair (the log-volume score strictly
-    increases per swap); anything else is rebuilt certified. Raises ValueError
-    if the bundle is already fully linear (caller contract).
-    """
-    if bundle.fully_linear:
-        raise ValueError("bundle is already fully linear")
-    fs = prob.feasible.scaled()
-    specs = _normalize_specs(specs, prob)
-    cap = IMPROVEMENT_CAP_FACTOR * (prob.n_vars + 1)
-    before = len(db)
-    models = []
-    for idx, model in enumerate(bundle.models):
-        if model.fully_linear:
-            models.append(model)
-            continue
-        machine = getattr(model, "machine", None)
-        if machine is not None:
-            machine.repair(cap)
-            fvals = np.array([db.evaluate_scaled(s)[idx] for s in machine.sites])
-            models.append(machine.fit(fvals))
-        else:
-            spec = specs[idx]
-            if spec.kind == "rbf":
-                models.append(
-                    build_rbf(idx, db, spec, bundle.center, bundle.radius, delta_ub, fs, seed)
-                )
-            else:
-                models.append(
-                    build_lagrange(idx, db, spec, bundle.center, bundle.radius, fs, seed)
-                )
-    sites = [m.training_sites for m in models if len(m.training_sites)]
-    return SurrogateBundle(
-        models=models,
-        fully_linear=all(m.fully_linear for m in models),
-        hessian_bound=hessian_bound(
-            models, bundle.center, bundle.radius, fs, c=prob.n_objs, seed=seed
-        ),
-        center=bundle.center,
-        radius=bundle.radius,
-        training_sites=np.vstack(sites) if sites else np.empty((0, prob.n_vars)),
-        new_sites=bundle.new_sites + (len(db) - before),
     )

@@ -1,0 +1,44 @@
+"""The benchmark in perfbench/ reaches into the package by name; these checks
+fail fast when a rename or deletion in src/ would break it. They read
+perfbench/ but neither modify it nor run the benchmark."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _package_imports():
+    """(module, name) for every `from pareto_trm... import name` in perfbench/."""
+    out = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pareto_trm"):
+                out.update((node.module, alias.name) for alias in node.names)
+    return out
+
+
+def test_traced_sites_exist():
+    tracing = _load_tracing()
+    assert tracing.SITES
+    for owner, attr, name in tracing.SITES:
+        # the tracer wraps owner.__dict__[attr], so the name must live on the owner itself
+        assert attr in vars(owner), f"{name}: {owner.__name__}.{attr} is gone"
+
+
+def test_imported_names_exist():
+    imports = _package_imports()
+    for label in ("SUCCESSFUL", "ACCEPTABLE", "INACCEPTABLE", "MODEL_IMPROVING"):
+        assert ("pareto_trm.driver", label) in imports
+    for module_name, name in sorted(imports):
+        module = importlib.import_module(module_name)
+        assert hasattr(module, name), f"perfbench imports {module_name}.{name}, which is gone"

@@ -1,9 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
 from pareto_trm.cli import main
-from pareto_trm.driver import RunReport
 
 
 def test_run_smoke(tmp_path, capsys):
@@ -20,7 +20,7 @@ def test_run_smoke(tmp_path, capsys):
     assert (out / "db.csv").is_file()
     line = capsys.readouterr().out.strip()
     assert "stop=" in line and "evals=" in line
-    data = RunReport.from_json(out / "report.json")
+    data = json.loads((out / "report.json").read_text())
     assert data["schema"] == 1
     assert data["meta"]["model"] == "rbf-cubic"
 
@@ -46,7 +46,7 @@ def test_run_zero_budget_reports_budget_stop(tmp_path):
         ]
     )
     assert code == 0
-    data = RunReport.from_json(out / "report.json")
+    data = json.loads((out / "report.json").read_text())
     assert data["stop_reason"] == "budget-exhausted"
 
 
@@ -60,7 +60,7 @@ def test_run_explicit_x0(tmp_path):
         ]
     )
     assert code == 0
-    data = RunReport.from_json(out / "report.json")
+    data = json.loads((out / "report.json").read_text())
     np.testing.assert_allclose(data["x0"], [0.5, 0.5, 0.5])
 
 
@@ -186,9 +186,20 @@ def test_campaign_rejects_bad_schema(tmp_path, capsys):
     assert main(["campaign", "--config", str(cfgfile)]) == 1
 
 
-def test_campaign_rejects_unknown_step(tmp_path):
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"steps": ["warp-drive"]},
+        {"algo": {"max_iter": 20}},
+        {"algo": {"step": {"max_backtrack": 3}}},
+        {"algo": {"mu": -1.0}},
+    ],
+    ids=["unknown-step", "algo-typo", "step-typo", "algo-invalid"],
+)
+def test_campaign_rejects_bad_cell(tmp_path, patch):
     cfgfile = tmp_path / "bad.json"
     cfg = _campaign_config(tmp_path, tmp_path / "x")
-    cfg["steps"] = ["warp-drive"]
+    cfg.update(patch)
     cfgfile.write_text(json.dumps(cfg))
     assert main(["campaign", "--config", str(cfgfile)]) == 1
+    assert not (tmp_path / "x").exists()

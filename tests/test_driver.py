@@ -60,23 +60,19 @@ class TestClassify:
         self.cfg = AlgoConfig(nu_p=0.1, nu_pp=0.4)
 
     def test_successful(self):
-        assert classify_iteration(0.5, True, self.cfg) == SUCCESSFUL
-
-    def test_model_improving(self):
-        assert classify_iteration(0.2, False, self.cfg) == MODEL_IMPROVING
+        assert classify_iteration(0.5, self.cfg) == SUCCESSFUL
 
     def test_inacceptable(self):
-        assert classify_iteration(0.05, True, self.cfg) == INACCEPTABLE
+        assert classify_iteration(0.05, self.cfg) == INACCEPTABLE
 
     def test_acceptable_band(self):
-        assert classify_iteration(0.2, True, self.cfg) == ACCEPTABLE
+        assert classify_iteration(0.2, self.cfg) == ACCEPTABLE
 
     def test_every_rho_maps_to_exactly_one_class(self, rng):
         for _ in range(200):
             rho = float(rng.uniform(-2, 2))
-            fl = bool(rng.integers(0, 2))
-            cls = classify_iteration(rho, fl, self.cfg)
-            assert cls in (SUCCESSFUL, MODEL_IMPROVING, ACCEPTABLE, INACCEPTABLE)
+            cls = classify_iteration(rho, self.cfg)
+            assert cls in (SUCCESSFUL, ACCEPTABLE, INACCEPTABLE)
 
 
 def _state(delta, t=0):
@@ -105,12 +101,6 @@ class TestUpdateState:
         new = update_state(_state(0.1), ACCEPTABLE, 0.2, np.ones(2), np.array([0.9]), self.cfg)
         assert new.delta == pytest.approx(0.075)
         np.testing.assert_array_equal(new.x, np.ones(2))
-
-    def test_model_improving_keeps_radius_and_iterate(self):
-        new = update_state(_state(0.1), MODEL_IMPROVING, 0.2, np.ones(2), None, self.cfg)
-        assert new.delta == pytest.approx(0.1)
-        np.testing.assert_array_equal(new.x, np.zeros(2))
-        assert new.last_was_model_improving
 
 
 class TestCheckStopping:
@@ -267,15 +257,14 @@ class TestRunInvariants:
         assert rep.violations["radius_cap"] == 0
 
     def test_model_improving_streak_bound(self):
+        # every model is certified when built, so no iteration is model-improving
         prob = make_problem(TestProblemSpec("ZDT1", 3))
         cfg = AlgoConfig(models=MODEL_SPECS["lagrange-2"], max_iters=40)
         rep = run(prob, cfg, np.full(3, 0.7), seed=2)
-        cap = 3 * (prob.n_vars + 1)
-        streak = best = 0
+        assert rep.iterations
         for rec in rep.iterations:
-            streak = streak + 1 if rec["classification"] == MODEL_IMPROVING else 0
-            best = max(best, streak)
-        assert best <= cap
+            assert rec["fully_linear"] is True
+            assert rec["classification"] != MODEL_IMPROVING
 
     def test_expensive_counts_respect_budget(self):
         prob = make_problem(TestProblemSpec("ZDT2", 4))
@@ -290,9 +279,7 @@ class TestRunInvariants:
         cfg = AlgoConfig(models=MODEL_SPECS["taylor-fd1"], max_iters=30)
         rep = run(prob, cfg, np.full(3, 0.5), seed=0)
         for rec in rep.iterations:
-            assert rec["classification"] in (
-                SUCCESSFUL, MODEL_IMPROVING, ACCEPTABLE, INACCEPTABLE
-            )
+            assert rec["classification"] in (SUCCESSFUL, ACCEPTABLE, INACCEPTABLE)
 
     def test_sufficient_decrease_never_violated(self):
         for model in ("rbf-cubic", "lagrange-1", "taylor-fd1"):
@@ -347,20 +334,6 @@ class TestOtherRegimesAndSteps:
         assert sum(rep.violations.values()) == 0
         for site in db.sites:
             assert prob.feasible.contains(site)
-
-    def test_improve_rebuilds_non_lagrange_models(self):
-        # models without a repair machine get rebuilt certified
-        from pareto_trm.surrogates import build_bundle, improve_model
-
-        prob = make_problem(TestProblemSpec("ZDT1", 2))
-        db = EvaluationDatabase(prob)
-        bundle = build_bundle(
-            prob, db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.1, 0.5
-        )
-        bundle.models[1].fully_linear = False  # simulate a decertified model
-        bundle.fully_linear = False
-        improved = improve_model(bundle, prob, db, MODEL_SPECS["rbf-cubic"], 0.5)
-        assert improved.fully_linear
 
 
 class TestDeterminism:

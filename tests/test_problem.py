@@ -11,7 +11,6 @@ from pareto_trm.problem import (
     EvaluationDatabase,
     FeasibleSet,
     MOProblem,
-    evaluate,
     project_to_box,
     scale_to_unit,
     unscale_from_unit,
@@ -93,7 +92,7 @@ def _t6():
 def test_evaluate_t6_value():
     prob = _t6()
     db = EvaluationDatabase(prob)
-    np.testing.assert_allclose(evaluate(db, prob, [1.0, 0.0]), [1.0, 1.0])
+    np.testing.assert_allclose(db.evaluate([1.0, 0.0]), [1.0, 1.0])
 
 
 def test_evaluate_cache_hit_keeps_counts():
@@ -197,3 +196,17 @@ def test_csv_roundtrip(tmp_path):
     before = loaded.eval_counts.copy()
     loaded.evaluate([1.0, 0.0])
     np.testing.assert_array_equal(loaded.eval_counts, before)
+
+
+def test_csv_rejects_short_row(tmp_path):
+    path = tmp_path / "db.csv"
+    path.write_text("x_1,x_2,f_1,f_2\n1.0,0.0\n")
+    with pytest.raises(DimensionMismatch):
+        EvaluationDatabase.from_csv(path, _t6())
+
+
+def test_csv_rejects_non_finite_value(tmp_path):
+    path = tmp_path / "db.csv"
+    path.write_text("x_1,x_2,f_1,f_2\n1.0,0.0,nan,1.0\n")
+    with pytest.raises(ObjectiveFailure):
+        EvaluationDatabase.from_csv(path, _t6())

@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
-from pareto_trm.errors import BudgetExhausted
+from pareto_trm.errors import BudgetExhausted, PoisednessRepairStalled
 from pareto_trm.linalg import halton
 from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
 from pareto_trm.surrogates import (
     MODEL_SPECS,
     ModelSpec,
-    SurrogateBundle,
+    _LagrangeMachine,
+    _region_box,
     adaptive_shape,
     build_bundle,
     build_lagrange,
     build_rbf,
     build_taylor_fd,
     hessian_bound,
-    improve_model,
     kernel_value,
     model_debug_json,
     poly_basis_size,
@@ -24,6 +24,16 @@ from pareto_trm.surrogates import (
 def scalar_problem(fn, n, box=None, expensive=True, name="scalar"):
     fs = FeasibleSet.box(*box) if box else FeasibleSet.unconstrained()
     return MOProblem(n, 1, [fn], np.array([expensive]), fs, name=name)
+
+
+def lagrange_machine(spec, center, radius, fs, seed=0):
+    """The repair machine build_lagrange runs on B(center; theta1 * radius)."""
+    center = np.asarray(center, dtype=float)
+    R1 = spec.theta1 * radius
+    lo, hi = _region_box(center, R1, fs)
+    return _LagrangeMachine(
+        center.size, spec.degree, center, R1, lo, hi, spec.lambda_poised, seed
+    )
 
 
 def test_kernel_table_values():
@@ -140,15 +150,12 @@ class TestRBF:
 
 class TestLagrange:
     def test_kronecker_property_degree1(self):
-        prob = scalar_problem(lambda x: float(x[0]), 1, box=([0.0], [1.0]))
-        db = EvaluationDatabase(prob)
-        db.evaluate([0.0])
-        db.evaluate([1.0])
-        model = build_lagrange(
-            0, db, MODEL_SPECS["lagrange-1"], np.array([0.0]), 0.5,
-            prob.feasible.scaled(), 0,
+        db_sites = [np.array([0.0]), np.array([1.0])]
+        machine = lagrange_machine(
+            MODEL_SPECS["lagrange-1"], [0.0], 0.5, FeasibleSet.box([0.0], [1.0])
         )
-        machine = model.machine
+        machine.select(db_sites)
+        machine.repair(10 * machine.p, db_sites=db_sites)
         sites = np.vstack(machine.sites)
         L = machine.lagrange_values(sites)
         np.testing.assert_allclose(L, np.eye(len(machine.sites)), atol=1e-9)
@@ -166,21 +173,35 @@ class TestLagrange:
         np.testing.assert_allclose(model.values(xs), xs[:, 0] ** 2, atol=1e-8)
 
     def test_lambda_certificate_by_dense_sampling(self):
-        prob = scalar_problem(
-            lambda x: float(np.sin(3 * x[0]) + x[1] ** 2), 2, box=([0, 0], [1, 1])
-        )
-        db = EvaluationDatabase(prob)
         spec = MODEL_SPECS["lagrange-2"]
-        center = np.array([0.5, 0.5])
-        model = build_lagrange(0, db, spec, center, 0.1, prob.feasible.scaled(), 0)
-        assert model.fully_linear
-        machine = model.machine
+        fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
+        machine = lagrange_machine(spec, [0.5, 0.5], 0.1, fs)
+        machine.select([])
+        machine.repair(10 * machine.p, db_sites=[])
         xs = np.linspace(machine.lo[0], machine.hi[0], 80)
         ys = np.linspace(machine.lo[1], machine.hi[1], 80)
         A, B = np.meshgrid(xs, ys, indexing="ij")
         grid = np.column_stack([A.ravel(), B.ravel()])
         L = machine.lagrange_values(grid)
         assert np.max(np.abs(L)) <= spec.lambda_poised * 1.05
+
+    def test_repair_cap_raises_stalled(self):
+        spec = MODEL_SPECS["lagrange-2"]
+        fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
+        # database points huddled near the center: the greedy selection takes
+        # them and is far from Lambda-poised, so a zero swap cap must raise
+        huddle = [
+            np.array([0.5, 0.5]) + 0.02 * np.array(v)
+            for v in ((1, 0), (0, 1), (1, 1), (-1, 0), (0, -1))
+        ]
+        machine = lagrange_machine(spec, [0.5, 0.5], 0.1, fs)
+        machine.select(huddle)
+        with pytest.raises(PoisednessRepairStalled):
+            machine.repair(0, db_sites=huddle)
+        # the selection from an empty database is already Lambda-poised
+        machine = lagrange_machine(spec, [0.5, 0.5], 0.1, fs)
+        machine.select([])
+        machine.repair(0, db_sites=[])
 
     def test_interpolation_at_sites(self):
         prob = scalar_problem(
@@ -294,42 +315,6 @@ class TestHessianBound:
             np.linalg.norm(model.hessian(np.array([a, b]))) for a in xs for b in xs
         )
         assert bound >= worst * 0.999
-
-
-class TestImprove:
-    def _stalled_model(self):
-        prob = scalar_problem(
-            lambda x: float(np.sin(3 * x[0]) + x[1] ** 2), 2, box=([0, 0], [1, 1])
-        )
-        db = EvaluationDatabase(prob)
-        model = build_lagrange(
-            0, db, MODEL_SPECS["lagrange-2"], np.array([0.5, 0.5]), 0.1,
-            prob.feasible.scaled(), 0, max_repair=0,
-        )
-        bundle = SurrogateBundle(
-            models=[model],
-            fully_linear=model.fully_linear,
-            hessian_bound=1.0,
-            center=np.array([0.5, 0.5]),
-            radius=0.1,
-            training_sites=model.training_sites,
-            new_sites=len(db),
-        )
-        return prob, db, bundle
-
-    def test_improve_requires_not_fully_linear(self):
-        prob, db, bundle = self._stalled_model()
-        assert not bundle.fully_linear
-        improved = improve_model(bundle, prob, db, MODEL_SPECS["lagrange-2"], 0.5)
-        assert improved.fully_linear
-        with pytest.raises(ValueError):
-            improve_model(improved, prob, db, MODEL_SPECS["lagrange-2"], 0.5)
-
-    def test_improve_increases_score_or_certifies(self):
-        prob, db, bundle = self._stalled_model()
-        score = bundle.models[0].geometry_score
-        improved = improve_model(bundle, prob, db, MODEL_SPECS["lagrange-2"], 0.5)
-        assert improved.fully_linear or improved.models[0].geometry_score > score
 
 
 def test_all_cheap_bundle_is_free():
