@@ -291,11 +291,10 @@ def cmd_campaign(args) -> int:
         jobs = _campaign_jobs(config)
         for job in jobs:
             _algo_config(job["algo"], job["model"], job["step"])
-            if job["problem"].upper() not in PROBLEM_NAMES:
-                raise KeyError(f"unknown problem {job['problem']!r}")
-            if job["pattern"] and job["pattern"] not in PATTERNS:
-                raise KeyError(f"unknown pattern {job['pattern']!r}")
-    except (KeyError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+            make_problem(TestProblemSpec(job["problem"], job["n"], job["pattern"]))
+    except (
+        KeyError, ValueError, TypeError, OSError, json.JSONDecodeError, ParetoTRMError
+    ) as exc:
         return _usage_error(str(exc))
     outdir = Path(config["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)

@@ -279,40 +279,3 @@ def box_multistart_minimize(
     best = int(np.argmin(F))
     return X[best].copy(), float(F[best])
 
-
-def maximize_abs_over_box(
-    value_fn: Callable[[np.ndarray], np.ndarray],
-    grad_fn: Callable[[np.ndarray], np.ndarray],
-    degree: int,
-    lo,
-    hi,
-    n_starts: int = 12,
-    seed: int = 0,
-    include: Optional[np.ndarray] = None,
-    max_iters: int = 120,
-) -> tuple[np.ndarray, float]:
-    """Approximate argmax of |p| over a box for a polynomial of degree <= 2.
-
-    Degree <= 1 with n <= 16 is exact (vertex enumeration); otherwise the best
-    of multistart descent on +p and -p is returned.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    n = lo.size
-    if degree <= 1 and n <= 16:
-        bits = np.array(np.meshgrid(*[[0, 1]] * n, indexing="ij")).reshape(n, -1).T
-        verts = np.where(bits.astype(bool), hi, lo)
-        vals = value_fn(verts)
-        best = int(np.argmax(np.abs(vals)))
-        return verts[best].copy(), float(abs(vals[best]))
-    x_lo, v_lo = box_multistart_minimize(
-        value_fn, grad_fn, lo, hi, n_starts, seed, max_iters=max_iters, include=include
-    )
-    neg_val = lambda X: -value_fn(X)
-    neg_grad = lambda X: -grad_fn(X)
-    x_hi, v_hi = box_multistart_minimize(
-        neg_val, neg_grad, lo, hi, n_starts, seed, max_iters=max_iters, include=include
-    )
-    if abs(v_lo) >= abs(v_hi):
-        return x_lo, float(abs(v_lo))
-    return x_hi, float(abs(v_hi))

@@ -261,8 +261,16 @@ class EvaluationDatabase:
             for row in reader:
                 if len(row) != n + k:
                     raise DimensionMismatch(f"CSV row {row!r} has {len(row)} fields, need {n + k}")
-                site = np.array([float(v) for v in row[:n]])
-                vals = np.array([float(v) for v in row[n:]])
+                try:
+                    site = np.array([float(v) for v in row[:n]])
+                except ValueError:
+                    raise InfeasiblePoint(f"CSV row {row!r} has a non-numeric site field") from None
+                try:
+                    vals = np.array([float(v) for v in row[n:]])
+                except ValueError:
+                    raise ObjectiveFailure(
+                        f"CSV row {row!r} has a non-numeric value field", site=site
+                    ) from None
                 if not np.all(np.isfinite(vals)):
                     raise ObjectiveFailure(f"CSV values at {site!r} are not finite", site=site)
                 if not problem.feasible.contains(site):

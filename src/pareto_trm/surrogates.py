@@ -6,11 +6,12 @@ so conditioning does not degrade as the radius shrinks; shape parameters are
 rescaled accordingly so the model in u-space is unchanged.
 
 Every model is fully linear as built: an affinely independent point set
-(pivot threshold) inside the theta1-enlarged region for RBF, a Lambda-poised
-set for Lagrange models (a repair that hits its swap cap raises
-PoisednessRepairStalled), and FD-Taylor and exact wrappers by definition. The
-O(Delta^2)/O(Delta) error decay this buys is checked empirically in the test
-suite.
+(pivot threshold) inside the theta1-enlarged region for RBF, the box-fitted
+finite-difference stencil for quadratic Lagrange models, a Lambda-poised set
+for linear ones (|l_i| is bounded exactly at box vertices; a repair that hits
+its swap cap raises PoisednessRepairStalled), and FD-Taylor and exact wrappers
+by definition. The O(Delta^2)/O(Delta) error decay this buys is checked
+empirically in the test suite.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from .errors import (
     PoisednessRepairStalled,
     SingularMatrix,
 )
-from .linalg import (
-    fd_gradient,
-    halton,
-    maximize_abs_over_box,
-    solve_linear,
-)
+from .linalg import fd_gradient, halton, solve_linear
 from .problem import EvaluationDatabase, FeasibleSet, MOProblem
 
 PIVOT_THRESHOLD = 1e-4
@@ -56,7 +52,7 @@ class ModelSpec:
     alpha_hi: float = 1e3
     theta1: float = 2.0
     theta2: float = 5.0
-    lambda_poised: float = 1.5
+    lambda_poised: float = 1.5  # lagrange degree 1 only
     max_extra_points: Optional[int] = None
     fd_step: float = 1e-2  # taylor, relative to the radius
 
@@ -398,10 +394,6 @@ def model_debug_json(model) -> str:
 # polynomial basis helpers
 
 
-def poly_basis_size(n: int, degree: int) -> int:
-    return n + 1 if degree == 1 else (n + 1) * (n + 2) // 2
-
-
 _TRIU_CACHE: dict = {}
 
 
@@ -426,64 +418,61 @@ def _basis_eval(T: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _coeffs_to_quadratic(a: np.ndarray, n: int, degree: int):
+def _coeffs_to_quadratic(a: np.ndarray, n: int):
     c0 = float(a[0])
     g = np.array(a[1: n + 1], dtype=float)
     H = np.zeros((n, n))
-    if degree == 2:
-        pos = n + 1
-        for i in range(n):
-            for j in range(i, n):
-                if i == j:
-                    H[i, i] = 2.0 * a[pos]
-                else:
-                    H[i, j] = H[j, i] = a[pos]
-                pos += 1
+    pos = n + 1
+    for i in range(n):
+        for j in range(i, n):
+            if i == j:
+                H[i, i] = 2.0 * a[pos]
+            else:
+                H[i, j] = H[j, i] = a[pos]
+            pos += 1
     return c0, g, H
 
 
 class _LagrangeMachine:
-    """Poised-set selection and Lambda-poisedness repair for one region.
+    """Poised-set selection and Lambda-poisedness repair for a linear model.
 
-    Keeps the Lagrange basis as coefficient rows over the monomial basis in
-    local coordinates. log_volume (sum of log-pivots) strictly increases with
-    every repair swap, which is the finiteness certificate.
+    Keeps the Lagrange basis as coefficient rows (c, g) over [1, t] in local
+    coordinates. A linear polynomial peaks in absolute value at a vertex of
+    the region box, so max |l_i| is exact and costs one pass over the rows.
+    log_volume (sum of log-pivots) strictly increases with every repair swap,
+    which is the finiteness certificate.
     """
 
-    def __init__(self, n, degree, center, local_scale, box_lo, box_hi, lam, seed=0):
+    def __init__(self, n, center, local_scale, box_lo, box_hi, lam):
         self.n = n
-        self.degree = degree
-        self.p = poly_basis_size(n, degree)
+        self.p = n + 1
         self.center = np.asarray(center, dtype=float)
         self.R = float(local_scale)
         self.lo = np.asarray(box_lo, dtype=float)
         self.hi = np.asarray(box_hi, dtype=float)
         self.lam = float(lam)
-        self.seed = seed
         self.L = np.eye(self.p)
         self.sites: list[np.ndarray] = []
         self.log_volume = 0.0
 
-    def _row_value_fn(self, i):
-        row = self.L[i].copy()
+    def box_peaks(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """For each row (c, g): the region-box vertex where |c + g.t| peaks, and the peak.
 
-        def value(U):
-            T = (np.atleast_2d(np.asarray(U, dtype=float)) - self.center) / self.R
-            return _basis_eval(T, self.degree) @ row
-
-        def grad(U):
-            T = (np.atleast_2d(np.asarray(U, dtype=float)) - self.center) / self.R
-            _, g, H = _coeffs_to_quadratic(row, self.n, self.degree)
-            G = np.tile(g, (T.shape[0], 1))
-            if self.degree == 2:
-                G = G + T @ H
-            return G / self.R
-
-        return value, grad
+        The maximizing vertex takes hi where g_i > 0, the minimizing one hi
+        where g_i < 0; both take lo elsewhere. Coordinates come straight from
+        the box, so every returned site lies exactly inside it.
+        """
+        rows = np.atleast_2d(rows)
+        G = rows[:, 1:]
+        verts = np.stack([np.where(G > 0, self.hi, self.lo), np.where(G < 0, self.hi, self.lo)])
+        vals = np.abs(rows[:, 0] + np.einsum("kmn,mn->km", (verts - self.center) / self.R, G))
+        pick = (vals[1] > vals[0]).astype(int)
+        idx = np.arange(rows.shape[0])
+        return verts[pick, idx], vals[pick, idx]
 
     def _normalize_and_sweep(self, i, site):
         t = ((np.asarray(site, dtype=float) - self.center) / self.R)[None, :]
-        vals = self.L @ _basis_eval(t, self.degree)[0]  # every row at the site
+        vals = self.L @ _basis_eval(t, 1)[0]  # every row at the site
         pivot = float(vals[i])
         if abs(pivot) < 1e-14:
             raise DegenerateGeometry("zero pivot during Lagrange sweep")
@@ -499,115 +488,36 @@ class _LagrangeMachine:
             for s in db_sites
             if np.max(np.abs(np.asarray(s) - self.center)) > 1e-12
         ]
-        grid = self._candidate_grid()
         self.sites = [self.center.copy()]
         self._normalize_and_sweep(0, self.center)
         for i in range(1, self.p):
-            value, grad = self._row_value_fn(i)
             site = None
             if pool:
-                vals = np.abs(value(np.vstack(pool)))
+                vals = np.abs(self.lagrange_values(np.vstack(pool))[:, i])
                 best = int(np.argmax(vals))
                 if vals[best] >= PIVOT_THRESHOLD:
                     site = pool.pop(best)
             if site is None:
-                grid_vals = np.abs(value(grid))
-                warm = grid[int(np.argmax(grid_vals))]
-                cand, mag = maximize_abs_over_box(
-                    value, grad, self.degree, self.lo, self.hi,
-                    n_starts=2, seed=self.seed + i, include=warm[None, :],
-                    max_iters=50,
-                )
-                if mag < PIVOT_THRESHOLD:
+                verts, mags = self.box_peaks(self.L[i])
+                if mags[0] < PIVOT_THRESHOLD:
                     raise DegenerateGeometry(
                         "cannot complete a poised set inside the region"
                     )
-                site = cand
+                site = verts[0]
             self.sites.append(site)
             self._normalize_and_sweep(i, site)
 
-    def _candidate_grid(self) -> np.ndarray:
-        pts = self.lo + halton(120, self.n, offset=300 + self.seed) * (self.hi - self.lo)
-        if self.n <= 10:
-            bits = (
-                np.array(np.meshgrid(*[[0, 1]] * self.n, indexing="ij"))
-                .reshape(self.n, -1)
-                .T
-            )
-            verts = np.where(bits.astype(bool), self.hi, self.lo)
-            pts = np.vstack([pts, verts])
-        return pts
-
-    def _polish_rows(self, indices, starts, iters: int = 40):
-        """Batched projected ascent of |l_i| for the given rows (both signs).
-
-        One PGD run handles every (row, sign) pair as an independent batch row;
-        returns per-index (point, magnitude).
-        """
-        idx = np.asarray(indices, dtype=int)
-        m = idx.size
-        rows = self.L[idx]
-        quads = [_coeffs_to_quadratic(r, self.n, self.degree) for r in rows]
-        G = np.vstack([q[1] for q in quads])
-        H = np.stack([q[2] for q in quads]) if self.degree == 2 else None
-        signs = np.concatenate([np.ones(m), -np.ones(m)])
-        Brows = np.vstack([rows, rows])
-
-        def value(X):
-            T = (X - self.center) / self.R
-            return signs * np.einsum("ij,ij->i", _basis_eval(T, self.degree), Brows)
-
-        def grad(X):
-            T = (X - self.center) / self.R
-            Gr = np.vstack([G, G])
-            if H is not None:
-                HT = np.einsum("kij,kj->ki", np.vstack([H, H]), T)
-                Gr = Gr + HT
-            return signs[:, None] * Gr / self.R
-
-        X = np.vstack([starts, starts])
-        step = np.full(2 * m, 1.0)
-        F = value(X)
-        for _ in range(iters):
-            Gr = grad(X)
-            moved = False
-            trial = step.copy()
-            accept = np.zeros(2 * m, dtype=bool)
-            for _bt in range(20):
-                cand = np.clip(X + trial[:, None] * Gr, self.lo, self.hi)
-                Fc = value(cand)
-                dec = np.einsum("ij,ij->i", Gr, cand - X)
-                ok = (~accept) & (Fc >= F + 1e-4 * dec) & (Fc > F)
-                if np.any(ok):
-                    X[ok], F[ok] = cand[ok], Fc[ok]
-                    step[ok] = trial[ok] * 2.0
-                    accept |= ok
-                    moved = True
-                if np.all(accept):
-                    break
-                trial = np.where(accept, trial, trial / 2.0)
-            if not moved:
-                break
-        out = {}
-        for pos, i in enumerate(idx):
-            pair_vals = np.array([F[pos], F[m + pos]])
-            best = int(np.argmax(pair_vals))
-            out[int(i)] = (X[best * m + pos].copy(), float(pair_vals[best]))
-        return out
-
     def repair(self, max_swaps: int, db_sites: Optional[Sequence[np.ndarray]] = None) -> None:
-        """Maximizer-swap repair until max |l_i| <= Lambda everywhere.
+        """Maximizer-swap repair until max |l_i| <= Lambda over the region box.
 
-        Each sweep bounds all basis polynomials on a fixed candidate grid with
-        one matrix product; columns that might exceed Lambda get a batched
-        local polish, and the worst offender is swapped. Database points are
-        recycled as the swap target whenever they also exceed Lambda (the
-        volume still grows by more than Lambda per swap), so repair rarely
-        demands fresh expensive evaluations along a well-sampled trajectory.
-        Raises PoisednessRepairStalled if the set still needs a swap after
-        max_swaps of them.
+        Each sweep bounds every basis polynomial exactly at its peak vertex and
+        swaps out the worst one. Database points are recycled as the swap
+        target whenever they also exceed Lambda (the volume still grows by more
+        than Lambda per swap), so repair rarely demands fresh expensive
+        evaluations along a well-sampled trajectory. Raises
+        PoisednessRepairStalled if the set still needs a swap after max_swaps
+        of them.
         """
-        grid = self._candidate_grid()
         pool = (
             np.vstack([np.asarray(s, dtype=float) for s in db_sites])
             if db_sites is not None and len(db_sites)
@@ -616,55 +526,39 @@ class _LagrangeMachine:
         lam_gate = self.lam * (1.0 + 1e-9)
         swaps = 0
         while True:
-            pts = np.vstack([grid, pool, np.vstack(self.sites)])
-            V = np.abs(self.lagrange_values(pts))
-            col_max = V.max(axis=0)
-            suspects = np.flatnonzero(col_max > 0.8 * self.lam)
-            if suspects.size == 0:
-                return
-            # hunt among the worst few first; polish the rest only to certify
-            order = suspects[np.argsort(-col_max[suspects], kind="stable")]
-            worst_i, worst_mag, worst_pt = -1, lam_gate, None
-            for tier in (order[:5], order[5:]):
-                if tier.size == 0 or worst_i >= 0:
-                    continue
-                starts = pts[np.argmax(V[:, tier], axis=0)]
-                polished = self._polish_rows(tier, starts)
-                for i in tier:
-                    point, mag = polished[int(i)]
-                    if mag > worst_mag:
-                        worst_i, worst_mag, worst_pt = int(i), mag, point
-            if worst_i < 0:
+            verts, mags = self.box_peaks(self.L)
+            worst = int(np.argmax(mags))
+            if mags[worst] <= lam_gate:
                 return
             if swaps >= max_swaps:
                 raise PoisednessRepairStalled(
                     f"Lambda-poisedness repair still failing after {max_swaps} swaps"
                 )
+            site = verts[worst]
             if pool.size:
-                db_vals = V[len(grid): len(grid) + len(pool), worst_i]
+                db_vals = np.abs(self.lagrange_values(pool)[:, worst])
                 cand = int(np.argmax(db_vals))
                 if db_vals[cand] > lam_gate and not any(
                     np.max(np.abs(pool[cand] - s)) <= 1e-12 for s in self.sites
                 ):
-                    worst_pt = pool[cand]
-            self.sites[worst_i] = worst_pt
-            self._normalize_and_sweep(worst_i, worst_pt)
+                    site = pool[cand]
+            self.sites[worst] = site
+            self._normalize_and_sweep(worst, site)
             swaps += 1
 
     def lagrange_values(self, U) -> np.ndarray:
         T = (np.atleast_2d(np.asarray(U, dtype=float)) - self.center) / self.R
-        return _basis_eval(T, self.degree) @ self.L.T
+        return _basis_eval(T, 1) @ self.L.T
 
     def fit(self, fvals: np.ndarray) -> PolyModel:
         coeffs = fvals @ self.L
-        c0, g, H = _coeffs_to_quadratic(coeffs, self.n, self.degree)
         return PolyModel(
             self.center,
             self.R,
-            c0,
-            g,
-            H,
-            self.degree,
+            coeffs[0],
+            coeffs[1:],
+            np.zeros((self.n, self.n)),
+            1,
             geometry_score=self.log_volume,
             training_sites=np.vstack(self.sites),
         )
@@ -734,7 +628,6 @@ def build_rbf(
     radius: float,
     delta_ub: float,
     fs: FeasibleSet,
-    seed: int = 0,
 ) -> RBFModel:
     """Select sites, solve the saddle interpolation system, return the model."""
     center = np.asarray(center, dtype=float)
@@ -854,37 +747,34 @@ def build_lagrange(
     center,
     radius: float,
     fs: FeasibleSet,
-    seed: int = 0,
 ) -> PolyModel:
-    """Poised-set Lagrange model with Lambda-poisedness repair.
+    """Lagrange interpolation model on the theta1-enlarged region.
 
-    Degree-2 builds with n >= 6 use the precomputed finite-difference stencil
-    fitted into the region (the repair loop is skipped); smaller problems run
-    greedy pivoting plus repair with a 10p swap cap, past which the build
-    raises PoisednessRepairStalled.
+    Degree 2 interpolates on the finite-difference stencil fitted into the
+    region box. Degree 1 selects a poised set greedily, database points
+    first, and repairs it until every basis polynomial is bounded by Lambda
+    over the region box, with a 10p swap cap past which the build raises
+    PoisednessRepairStalled.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
     R1 = spec.theta1 * radius
     lo1, hi1 = _region_box(center, R1, fs)
 
-    if spec.degree == 2 and n >= 6:
-        try:
-            sites = _stencil_sites(center, R1, lo1, hi1)
-            T = (np.vstack(sites) - center) / R1
-            M = _basis_eval(T, 2)
-            fvals = np.array([db.evaluate_scaled(s)[obj_index] for s in sites])
-            coeffs = solve_linear(M, fvals)
-            c0, g, H = _coeffs_to_quadratic(coeffs, n, 2)
-            return PolyModel(
-                center, R1, c0, g, H, 2,
-                geometry_score=0.0,
-                training_sites=np.vstack(sites),
-            )
-        except SingularMatrix:
-            pass  # fall through to the pivoting path
+    if spec.degree == 2:
+        sites = _stencil_sites(center, R1, lo1, hi1)
+        T = (np.vstack(sites) - center) / R1
+        M = _basis_eval(T, 2)
+        fvals = np.array([db.evaluate_scaled(s)[obj_index] for s in sites])
+        coeffs = solve_linear(M, fvals)
+        c0, g, H = _coeffs_to_quadratic(coeffs, n)
+        return PolyModel(
+            center, R1, c0, g, H, 2,
+            geometry_score=0.0,
+            training_sites=np.vstack(sites),
+        )
 
-    machine = _LagrangeMachine(n, spec.degree, center, R1, lo1, hi1, spec.lambda_poised, seed)
+    machine = _LagrangeMachine(n, center, R1, lo1, hi1, spec.lambda_poised)
     region_sites = [s for s, _ in db.query_ball(center, R1)]
     machine.select(region_sites)
     machine.repair(10 * machine.p, db_sites=region_sites)
@@ -1009,9 +899,9 @@ def build_bundle(
             continue
         spec = specs[idx]
         if spec.kind == "rbf":
-            models.append(build_rbf(idx, db, spec, center, radius, delta_ub, fs, seed))
+            models.append(build_rbf(idx, db, spec, center, radius, delta_ub, fs))
         elif spec.kind == "lagrange":
-            models.append(build_lagrange(idx, db, spec, center, radius, fs, seed))
+            models.append(build_lagrange(idx, db, spec, center, radius, fs))
         elif spec.kind == "taylor-fd1":
             models.append(build_taylor_fd(idx, db, spec, center, radius, fs))
         else:

@@ -193,8 +193,9 @@ def test_campaign_rejects_bad_schema(tmp_path, capsys):
         {"algo": {"max_iter": 20}},
         {"algo": {"step": {"max_backtrack": 3}}},
         {"algo": {"mu": -1.0}},
+        {"problems": ["ZDT1"], "n_values": [1]},
     ],
-    ids=["unknown-step", "algo-typo", "step-typo", "algo-invalid"],
+    ids=["unknown-step", "algo-typo", "step-typo", "algo-invalid", "zdt-n1"],
 )
 def test_campaign_rejects_bad_cell(tmp_path, patch):
     cfgfile = tmp_path / "bad.json"

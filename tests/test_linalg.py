@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import lp_grid_oracle, lp_vertex_oracle
 
@@ -8,10 +10,10 @@ from pareto_trm.linalg import (
     LPProblem,
     box_multistart_minimize,
     halton,
-    maximize_abs_over_box,
     solve_descent_lp,
     solve_linear,
 )
+from pareto_trm.surrogates import _LagrangeMachine
 
 
 class TestSolveLinear:
@@ -172,28 +174,37 @@ class TestMultistart:
         assert v <= val(starts).min() + 1e-12
 
 
-class TestMaximizeAbs:
-    def test_linear_on_box(self):
-        val = lambda X: X[:, 0]
-        grad = lambda X: np.column_stack([np.ones(len(X)), np.zeros(len(X))])
-        x, v = maximize_abs_over_box(val, grad, 1, -np.ones(2), np.ones(2))
-        assert v == pytest.approx(1.0)
-        assert abs(x[0]) == pytest.approx(1.0)
+@st.composite
+def linear_rows_on_clipped_box(draw):
+    """Random Lagrange-style rows (c, g) and a region box clipped by [0, 1]^n faces."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 4))
+    coef = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    rows = np.array(draw(st.lists(
+        st.lists(coef, min_size=n + 1, max_size=n + 1), min_size=m, max_size=m
+    )))
+    center = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    scale = draw(st.floats(0.05, 1.0))
+    lo = np.maximum(center - scale, 0.0)
+    hi = np.minimum(center + scale, 1.0)
+    return rows, center, scale, lo, hi
 
-    def test_constant(self):
-        val = lambda X: np.full(len(X), 3.0)
-        grad = lambda X: np.zeros_like(X)
-        _, v = maximize_abs_over_box(val, grad, 0, np.zeros(2), np.ones(2))
-        assert v == pytest.approx(3.0)
 
-    def test_quadratic_grid_oracle(self):
-        val = lambda X: X[:, 0] ** 2 - X[:, 1]
-        grad = lambda X: np.column_stack([2 * X[:, 0], -np.ones(len(X))])
-        _, v = maximize_abs_over_box(val, grad, 2, -np.ones(2), np.ones(2), seed=5)
-        xs = np.linspace(-1, 1, 2001)
-        A, B = np.meshgrid(xs, xs, indexing="ij")
-        grid_max = np.max(np.abs(A**2 - B))
-        assert v == pytest.approx(grid_max, abs=1e-4)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(linear_rows_on_clipped_box())
+def test_linear_box_peaks_match_vertex_enumeration(case):
+    rows, center, scale, lo, hi = case
+    n = center.size
+    machine = _LagrangeMachine(n, center, scale, lo, hi, 1.5)
+    verts, peaks = machine.box_peaks(rows)
+    bits = np.array(np.meshgrid(*[[0, 1]] * n, indexing="ij")).reshape(n, -1).T
+    T = (np.where(bits.astype(bool), hi, lo) - center) / scale
+    brute = np.abs(rows[:, :1].T + T @ rows[:, 1:].T).max(axis=0)
+    np.testing.assert_allclose(peaks, brute, rtol=1e-12, atol=1e-12)
+    # each peak is attained at a vertex whose coordinates are the box's own
+    assert np.all((verts == lo) | (verts == hi))
+    at_verts = np.abs(rows[:, 0] + np.einsum("mn,mn->m", (verts - center) / scale, rows[:, 1:]))
+    np.testing.assert_allclose(at_verts, peaks, rtol=1e-12, atol=1e-12)
 
 
 def test_halton_deterministic_and_in_range():

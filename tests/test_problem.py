@@ -210,3 +210,15 @@ def test_csv_rejects_non_finite_value(tmp_path):
     path.write_text("x_1,x_2,f_1,f_2\n1.0,0.0,nan,1.0\n")
     with pytest.raises(ObjectiveFailure):
         EvaluationDatabase.from_csv(path, _t6())
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [("1.0,abc,1.0,1.0", InfeasiblePoint), ("1.0,0.0,1.0,abc", ObjectiveFailure)],
+    ids=["site", "value"],
+)
+def test_csv_rejects_non_numeric_field(tmp_path, row, error):
+    path = tmp_path / "db.csv"
+    path.write_text(f"x_1,x_2,f_1,f_2\n{row}\n")
+    with pytest.raises(error, match="non-numeric"):
+        EvaluationDatabase.from_csv(path, _t6())

@@ -17,7 +17,6 @@ from pareto_trm.surrogates import (
     hessian_bound,
     kernel_value,
     model_debug_json,
-    poly_basis_size,
 )
 
 
@@ -26,14 +25,26 @@ def scalar_problem(fn, n, box=None, expensive=True, name="scalar"):
     return MOProblem(n, 1, [fn], np.array([expensive]), fs, name=name)
 
 
-def lagrange_machine(spec, center, radius, fs, seed=0):
-    """The repair machine build_lagrange runs on B(center; theta1 * radius)."""
+def lagrange_machine(spec, center, radius, fs):
+    """The degree-1 machine build_lagrange runs on B(center; theta1 * radius)."""
     center = np.asarray(center, dtype=float)
     R1 = spec.theta1 * radius
     lo, hi = _region_box(center, R1, fs)
-    return _LagrangeMachine(
-        center.size, spec.degree, center, R1, lo, hi, spec.lambda_poised, seed
-    )
+    return _LagrangeMachine(center.size, center, R1, lo, hi, spec.lambda_poised)
+
+
+def lagrange_basis_max_on_vertices(model, lo, hi):
+    """max |l_i| over the box [lo, hi] for a linear model's training sites.
+
+    The basis comes from inverting the [1, t] site matrix; a linear polynomial
+    peaks at a vertex, so enumerating all 2^n vertices gives the exact maximum.
+    """
+    n = lo.size
+    sites = (model.training_sites - model.center) / model.R
+    coeffs = np.linalg.inv(np.column_stack([np.ones(len(sites)), sites]))
+    bits = np.array(np.meshgrid(*[[0, 1]] * n, indexing="ij")).reshape(n, -1).T
+    T = (np.where(bits.astype(bool), hi, lo) - model.center) / model.R
+    return float(np.max(np.abs(np.column_stack([np.ones(len(T)), T]) @ coeffs)))
 
 
 def test_kernel_table_values():
@@ -63,7 +74,7 @@ class TestRBF:
         prob = scalar_problem(lambda x: 3.0 * x[0] + 1.0, 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
         spec = MODEL_SPECS["rbf-cubic"]
-        model = build_rbf(0, db, spec, np.array([0.5]), 0.25, 0.5, prob.feasible.scaled(), 0)
+        model = build_rbf(0, db, spec, np.array([0.5]), 0.25, 0.5, prob.feasible.scaled())
         xs = np.linspace(0.0, 1.0, 21)[:, None]
         np.testing.assert_allclose(model.values(xs), 3.0 * xs[:, 0] + 1.0, atol=1e-8)
         assert np.max(np.abs(model.coeffs)) <= 1e-8  # kernel part vanishes
@@ -79,7 +90,7 @@ class TestRBF:
             db.evaluate(z)
         spec = MODEL_SPECS["rbf-cubic"]
         center = np.array([0.5, 0.5])
-        model = build_rbf(0, db, spec, center, 0.2, 0.5, prob.feasible.scaled(), 0)
+        model = build_rbf(0, db, spec, center, 0.2, 0.5, prob.feasible.scaled())
         for site in model.training_sites:
             f = db.evaluate(site)[0]
             assert abs(model.value(site) - f) <= 1e-7 * (1 + abs(f))
@@ -112,7 +123,7 @@ class TestRBF:
         for name in ("rbf-cubic", "rbf-multiquadric", "rbf-gaussian"):
             model = build_rbf(
                 0, db, MODEL_SPECS[name], np.array([0.4, 0.6]), 0.2, 0.5,
-                prob.feasible.scaled(), 0,
+                prob.feasible.scaled(),
             )
             u = np.array([0.45, 0.55])
             h = 1e-6
@@ -132,7 +143,7 @@ class TestRBF:
             db.evaluate([x0 - 0.0, 0.0] if x0 else [0.0, 0.0])
         model = build_rbf(
             0, db, MODEL_SPECS["rbf-cubic"], np.zeros(2), 0.2, 0.5,
-            prob.feasible.scaled(), 0,
+            prob.feasible.scaled(),
         )
         T = model.training_sites
         spans = T[1:] - T[0]
@@ -144,7 +155,7 @@ class TestRBF:
         with pytest.raises(BudgetExhausted):
             build_rbf(
                 0, db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.1, 0.5,
-                prob.feasible.scaled(), 0,
+                prob.feasible.scaled(),
             )
 
 
@@ -167,26 +178,28 @@ class TestLagrange:
             db.evaluate([v])
         model = build_lagrange(
             0, db, MODEL_SPECS["lagrange-2"], np.array([0.5]), 0.3,
-            prob.feasible.scaled(), 0,
+            prob.feasible.scaled(),
         )
         xs = np.linspace(0, 1, 31)[:, None]
         np.testing.assert_allclose(model.values(xs), xs[:, 0] ** 2, atol=1e-8)
 
     def test_lambda_certificate_by_dense_sampling(self):
-        spec = MODEL_SPECS["lagrange-2"]
+        spec = MODEL_SPECS["lagrange-1"]
         fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
+        # a poorly poised database forces repair swaps before the set certifies
+        huddle = [np.array([0.5, 0.5]) + 0.02 * np.array(v) for v in ((1, 0), (0, 1))]
         machine = lagrange_machine(spec, [0.5, 0.5], 0.1, fs)
-        machine.select([])
-        machine.repair(10 * machine.p, db_sites=[])
+        machine.select(huddle)
+        machine.repair(10 * machine.p, db_sites=huddle)
         xs = np.linspace(machine.lo[0], machine.hi[0], 80)
         ys = np.linspace(machine.lo[1], machine.hi[1], 80)
         A, B = np.meshgrid(xs, ys, indexing="ij")
         grid = np.column_stack([A.ravel(), B.ravel()])
         L = machine.lagrange_values(grid)
-        assert np.max(np.abs(L)) <= spec.lambda_poised * 1.05
+        assert np.max(np.abs(L)) <= spec.lambda_poised * (1 + 1e-9)
 
     def test_repair_cap_raises_stalled(self):
-        spec = MODEL_SPECS["lagrange-2"]
+        spec = MODEL_SPECS["lagrange-1"]
         fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
         # database points huddled near the center: the greedy selection takes
         # them and is far from Lambda-poised, so a zero swap cap must raise
@@ -198,10 +211,25 @@ class TestLagrange:
         machine.select(huddle)
         with pytest.raises(PoisednessRepairStalled):
             machine.repair(0, db_sites=huddle)
-        # the selection from an empty database is already Lambda-poised
-        machine = lagrange_machine(spec, [0.5, 0.5], 0.1, fs)
-        machine.select([])
-        machine.repair(0, db_sites=[])
+        # the default cap certifies the same selection
+        machine.repair(10 * machine.p, db_sites=huddle)
+        _, peaks = machine.box_peaks(machine.L)
+        assert np.max(peaks) <= spec.lambda_poised * (1 + 1e-9)
+
+    def test_lambda_certificate_exact_in_high_dimension(self):
+        n = 12
+        spec = MODEL_SPECS["lagrange-1"]
+        prob = scalar_problem(
+            lambda x: float(np.sum(x**2)), n, box=(np.zeros(n), np.ones(n))
+        )
+        db = EvaluationDatabase(prob)
+        center = np.full(n, 0.5)
+        for z in np.clip(center + 0.2 * (2 * halton(30, n, offset=11) - 1), 0, 1):
+            db.evaluate(z)
+        fs = prob.feasible.scaled()
+        model = build_lagrange(0, db, spec, center, 0.1, fs)
+        lo, hi = _region_box(center, spec.theta1 * 0.1, fs)
+        assert lagrange_basis_max_on_vertices(model, lo, hi) <= spec.lambda_poised * (1 + 1e-9)
 
     def test_interpolation_at_sites(self):
         prob = scalar_problem(
@@ -210,26 +238,44 @@ class TestLagrange:
         db = EvaluationDatabase(prob)
         model = build_lagrange(
             0, db, MODEL_SPECS["lagrange-2"], np.array([0.3, 0.7]), 0.15,
-            prob.feasible.scaled(), 0,
+            prob.feasible.scaled(),
         )
         for site in model.training_sites:
             f = db.evaluate(site)[0]
             assert abs(model.value(site) - f) <= 1e-7 * (1 + abs(f))
 
-    def test_stencil_path_for_large_n(self):
-        n = 6
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_stencil_path(self, n):
         prob = scalar_problem(
             lambda x: float(np.sum(x**2)), n, box=(np.zeros(n), np.ones(n))
         )
         db = EvaluationDatabase(prob)
         model = build_lagrange(
             0, db, MODEL_SPECS["lagrange-2"], np.full(n, 0.5), 0.1,
-            prob.feasible.scaled(), 0,
+            prob.feasible.scaled(),
         )
         assert model.fully_linear
-        assert len(model.training_sites) == poly_basis_size(n, 2)
+        assert len(model.training_sites) == (n + 1) * (n + 2) // 2
         pts = 0.4 + 0.2 * halton(20, n, offset=3)
         np.testing.assert_allclose(model.values(pts), np.sum(pts**2, axis=1), atol=1e-7)
+
+    def test_stencil_near_face(self):
+        # the center sits 2e-8 above a lower face: the stencil stays two-sided
+        # there, so the system is badly conditioned but must still solve
+        n = 3
+        quad = lambda x: float(x[0] ** 2 + 2.0 * x[0] * x[1] - x[2] + 0.5 * x[1] ** 2)
+        prob = scalar_problem(quad, n, box=(np.zeros(n), np.ones(n)))
+        db = EvaluationDatabase(prob)
+        center = np.array([2e-8, 0.5, 0.5])
+        model = build_lagrange(
+            0, db, MODEL_SPECS["lagrange-2"], center, 0.1, prob.feasible.scaled()
+        )
+        assert len(model.training_sites) == (n + 1) * (n + 2) // 2
+        assert all(prob.feasible.contains(s) for s in model.training_sites)
+        pts = np.clip(center + 0.2 * (2 * halton(20, n, offset=5) - 1), 0.0, 1.0)
+        np.testing.assert_allclose(
+            model.values(pts), [quad(p) for p in pts], atol=1e-6
+        )
 
     def test_evaluation_count_matches_new_sites(self):
         prob = scalar_problem(lambda x: float(x[0] * x[1]), 2, box=([0, 0], [1, 1]))
@@ -237,7 +283,7 @@ class TestLagrange:
         before = len(db)
         model = build_lagrange(
             0, db, MODEL_SPECS["lagrange-2"], np.array([0.5, 0.5]), 0.1,
-            prob.feasible.scaled(), 0,
+            prob.feasible.scaled(),
         )
         assert len(db) - before == len(model.training_sites)
         assert db.eval_counts[0] == len(model.training_sites)
@@ -306,7 +352,7 @@ class TestHessianBound:
             db.evaluate(z)
         model = build_rbf(
             0, db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.2, 0.5,
-            prob.feasible.scaled(), 0,
+            prob.feasible.scaled(),
         )
         lo, hi = np.array([0.3, 0.3]), np.array([0.7, 0.7])
         bound = model.hessian_norm_bound(lo, hi, model.training_sites)
@@ -345,7 +391,7 @@ def test_model_debug_json_golden(tmp_path):
     db = EvaluationDatabase(prob)
     model = build_rbf(
         0, db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.1, 0.5,
-        prob.feasible.scaled(), 0,
+        prob.feasible.scaled(),
     )
     dump = model_debug_json(model)
     golden = (
