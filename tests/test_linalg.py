@@ -174,6 +174,22 @@ class TestMultistart:
         assert v <= val(starts).min() + 1e-12
 
 
+class TestMaximizeAbs:
+    """max |linear| over a box, as the Lagrange machine's vertex helper computes it."""
+
+    def test_linear_on_box(self):
+        machine = _LagrangeMachine(2, np.zeros(2), 1.0, -np.ones(2), np.ones(2), 1.5)
+        verts, peaks = machine.box_peaks(np.array([[0.0, 1.0, 0.0]]))  # l(x) = x0
+        assert peaks[0] == pytest.approx(1.0)
+        assert abs(verts[0, 0]) == pytest.approx(1.0)
+
+    def test_constant(self):
+        machine = _LagrangeMachine(2, np.full(2, 0.5), 0.5, np.zeros(2), np.ones(2), 1.5)
+        verts, peaks = machine.box_peaks(np.array([[3.0, 0.0, 0.0]]))  # l(x) = 3
+        assert peaks[0] == pytest.approx(3.0)
+        assert np.all((verts >= 0.0) & (verts <= 1.0))
+
+
 @st.composite
 def linear_rows_on_clipped_box(draw):
     """Random Lagrange-style rows (c, g) and a region box clipped by [0, 1]^n faces."""
