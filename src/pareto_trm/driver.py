@@ -2,10 +2,10 @@
 acceptance ratio, iterate/radius updates, stopping, and reporting.
 
 The loop works on the unit-scaled problem throughout; reports translate the
-final iterate back to original coordinates. Validation mode (on by default)
-checks the per-iteration invariants - sufficient-decrease certificate,
-feasibility, radius cap, Phi monotonicity over accepted moves - and records
-violations in the report instead of aborting.
+final iterate back to original coordinates. Every iteration checks the
+invariants - sufficient-decrease certificate, feasibility, radius cap, Phi
+monotonicity over accepted moves - and records violations in the report
+instead of aborting.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .problem import EvaluationDatabase, MOProblem, project_to_box
 from .steps import StepConfig, compute_step, zero_step
-from .surrogates import ModelSpec, build_bundle
+from .surrogates import ModelSpec, SurrogateBundle, build_bundle
 
 SUCCESSFUL = "successful"
 # the paper's fourth class; never assigned, because every bundle is fully linear
@@ -66,11 +66,8 @@ class AlgoConfig:
     delta_crit: float = 1e-3
     eps_rel: float = 1e-8
     step: StepConfig = field(default_factory=StepConfig)
-    models: object = None  # ModelSpec or list per objective
+    models: Optional[ModelSpec] = None  # one spec for every expensive objective
     compute_true_omega: bool = False
-    final_true_omega: bool = True
-    true_omega_fd_step: float = 1e-6
-    validate: bool = True
 
     def __post_init__(self):
         if not (self.mu > self.beta_c > 0):
@@ -87,6 +84,10 @@ class AlgoConfig:
             raise ValueError("acceptance must be 'standard' or 'strict'")
         if self.eps_crit < 0:
             raise ValueError("eps_crit must be nonnegative")
+        if self.n_loops < 1:
+            raise ValueError("n_loops must be at least 1")
+        if self.models is not None and not isinstance(self.models, ModelSpec):
+            raise ValueError("models must be one ModelSpec for every expensive objective")
 
 
 @dataclass
@@ -161,10 +162,8 @@ class RunReport:
                 )
 
 
-def compute_rho(f_center, f_trial, m_center, m_trial, step_is_zero: bool, mode: str) -> float:
-    """Actual-over-predicted reduction; min over objectives in strict mode."""
-    if step_is_zero:
-        return 0.0
+def compute_rho(f_center, f_trial, m_center, m_trial, mode: str) -> float:
+    """Actual-over-predicted reduction of a nonzero step; min over objectives in strict mode."""
     f_center = np.asarray(f_center, dtype=float)
     f_trial = np.asarray(f_trial, dtype=float)
     m_center = np.asarray(m_center, dtype=float)
@@ -226,29 +225,29 @@ def criticality_routine(
     x: np.ndarray,
     delta: float,
     seed: int,
+    bundle: SurrogateBundle,
+    crit: CriticalityResult,
 ):
     """Shrink-and-certify loop: Delta_j = alpha^(j-1) Delta_* until
     Delta_j <= mu * omega~_m, then Delta = min(max(Delta_j, beta omega~_m), Delta_*).
 
-    Returns (bundle, delta, crit, loops, cap_hit); cap_hit means the loop
-    budget ran out (criticality stop).
+    The fully linear bundle and its criticality on B(x; Delta_*) are loop 1;
+    later loops rebuild on the shrunk radius. Returns (bundle, delta, crit,
+    loops, cap_hit); cap_hit means the loop budget ran out (criticality stop).
     """
     fss = prob.feasible.scaled()
     delta_star = delta
-    if cfg.n_loops == 0:
-        return None, delta, None, 0, True
-    j = 0
-    while True:
+    d_j = delta_star
+    j = 1
+    cap = False
+    while d_j > cfg.mu * crit.omega_clamped:
+        if j >= cfg.n_loops:
+            cap = True
+            break
         j += 1
         d_j = (cfg.crit_alpha ** (j - 1)) * delta_star
         bundle = build_bundle(prob, db, cfg.models, x, d_j, cfg.delta_ub, seed)
         crit = omega_of_gradients(bundle.gradients(x), x, fss)
-        if d_j <= cfg.mu * crit.omega_clamped:
-            cap = False
-            break
-        if j >= cfg.n_loops:
-            cap = True
-            break
     delta_out = min(max(d_j, cfg.beta_c * crit.omega_clamped), delta_star)
     return bundle, delta_out, crit, j, cap
 
@@ -270,22 +269,6 @@ def check_stopping(state: TrustRegionState, step_norm: Optional[float], cfg: Alg
 def _expensive_count(db: EvaluationDatabase) -> int:
     exp = db.problem.expensive_mask
     return int(db.eval_counts[exp].max()) if np.any(exp) else 0
-
-
-def _config_dict(cfg: AlgoConfig, models) -> dict:
-    out = {
-        k: v
-        for k, v in asdict(cfg).items()
-        if k not in ("models", "step") and not callable(v)
-    }
-    out["step"] = asdict(cfg.step)
-    if isinstance(models, ModelSpec):
-        out["models"] = asdict(models)
-    elif isinstance(models, (list, tuple)):
-        out["models"] = [None if m is None else asdict(m) for m in models]
-    else:
-        out["models"] = None
-    return out
 
 
 def run(
@@ -338,7 +321,7 @@ def run(
             diagnostic_evals=0,
             anomalies=[str(exc)],
             violations=violations,
-            config=_config_dict(cfg, cfg.models),
+            config=asdict(cfg),
             x0=[float(v) for v in x0],
         )
 
@@ -363,12 +346,9 @@ def run(
 
             # criticality step
             if crit.omega_clamped < cfg.eps_crit and state.delta > cfg.mu * crit.omega_clamped:
-                new_bundle, new_delta, new_crit, crit_loops, cap = criticality_routine(
-                    prob, db, cfg, state.x, state.delta, seed
+                bundle, state.delta, crit, crit_loops, cap = criticality_routine(
+                    prob, db, cfg, state.x, state.delta, seed, bundle, crit
                 )
-                if new_bundle is not None:
-                    bundle, crit = new_bundle, new_crit
-                    state.delta = new_delta
                 if cap:
                     records.append(
                         IterationRecord(
@@ -411,8 +391,7 @@ def run(
             min_r_ratio = step_res.r_ratio if min_r_ratio is None else min(min_r_ratio, step_res.r_ratio)
 
         # evaluate the trial point and the acceptance ratio
-        step_is_zero = step_res.is_zero
-        if step_is_zero:
+        if step_res.is_zero:
             f_trial = state.f_current
             rho = 0.0
         else:
@@ -428,39 +407,36 @@ def run(
             m_center = bundle.values(state.x)
             m_trial = bundle.values(step_res.trial)
             try:
-                rho = compute_rho(
-                    state.f_current, f_trial, m_center, m_trial, False, cfg.acceptance
-                )
+                rho = compute_rho(state.f_current, f_trial, m_center, m_trial, cfg.acceptance)
             except DegenerateDenominator as exc:
                 anomalies.append(f"t={state.t}: {exc}")
                 rho = -np.inf
 
         classification = classify_iteration(rho, cfg)
 
-        # validation-mode invariants
-        if cfg.validate:
-            if not step_is_zero:
-                lhs, rhs = step_res.certificate_lhs, step_res.certificate_rhs
-                if lhs + tol * (1 + abs(lhs)) < rhs:
-                    violations["sufficient_decrease"] += 1
-            if not fss.contains(project_to_box(step_res.trial, fss)):
-                violations["feasibility"] += 1
-            if np.max(np.abs(step_res.trial - state.x)) > state.delta * (1 + 1e-9) + 1e-15:
-                violations["feasibility"] += 1
-            if state.delta > cfg.delta_ub * (1 + 1e-12):
-                violations["radius_cap"] += 1
-            if classification in (SUCCESSFUL, ACCEPTABLE) and not step_is_zero:
-                if cfg.acceptance == "strict":
-                    if np.any(f_trial > state.f_current + tol * (1 + np.abs(state.f_current))):
-                        violations["monotonicity"] += 1
-                elif np.max(f_trial) > state.phi_current + tol * (1 + abs(state.phi_current)):
+        # runtime invariants
+        if not step_res.is_zero:
+            lhs, rhs = step_res.certificate_lhs, step_res.certificate_rhs
+            if lhs + tol * (1 + abs(lhs)) < rhs:
+                violations["sufficient_decrease"] += 1
+        if not fss.contains(project_to_box(step_res.trial, fss)):
+            violations["feasibility"] += 1
+        if np.max(np.abs(step_res.trial - state.x)) > state.delta * (1 + 1e-9) + 1e-15:
+            violations["feasibility"] += 1
+        if state.delta > cfg.delta_ub * (1 + 1e-12):
+            violations["radius_cap"] += 1
+        if classification in (SUCCESSFUL, ACCEPTABLE) and not step_res.is_zero:
+            if cfg.acceptance == "strict":
+                if np.any(f_trial > state.f_current + tol * (1 + np.abs(state.f_current))):
                     violations["monotonicity"] += 1
+            elif np.max(f_trial) > state.phi_current + tol * (1 + abs(state.phi_current)):
+                violations["monotonicity"] += 1
 
         omega_true_val = None
         if cfg.compute_true_omega:
             try:
                 omega_true_val = true_omega(
-                    prob, prob.unscale(state.x), cfg.true_omega_fd_step, diag_counter
+                    prob, prob.unscale(state.x), counter=diag_counter
                 ).omega_clamped
             except ObjectiveFailure:
                 omega_true_val = 0.0
@@ -491,17 +467,13 @@ def run(
 
     final_omega_m = crit.omega_clamped if crit is not None else float("nan")
     final_x = prob.unscale(state.x)
-    final_true = None
     nondiff = False
-    if cfg.final_true_omega:
-        try:
-            final_true = true_omega(
-                prob, final_x, cfg.true_omega_fd_step, diag_counter
-            ).omega_clamped
-        except ObjectiveFailure:
-            final_true, nondiff = 0.0, True
-        except ParetoTRMError:
-            final_true = None
+    try:
+        final_true = true_omega(prob, final_x, counter=diag_counter).omega_clamped
+    except ObjectiveFailure:
+        final_true, nondiff = 0.0, True
+    except ParetoTRMError:
+        final_true = None
 
     return RunReport(
         problem_name=prob.name,
@@ -520,6 +492,6 @@ def run(
         anomalies=anomalies,
         violations=violations,
         min_r_ratio=min_r_ratio,
-        config=_config_dict(cfg, cfg.models),
+        config=asdict(cfg),
         x0=[float(v) for v in x0],
     )

@@ -42,7 +42,7 @@ class BudgetExhausted(ParetoTRMError):
 
 
 class BacktrackExhausted(ParetoTRMError):
-    """Armijo backtracking used up max_backtracks without satisfying the condition."""
+    """Armijo backtracking used up its steps.MAX_BACKTRACKS halvings without success."""
 
 
 class ZeroDirection(ParetoTRMError):

@@ -14,11 +14,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, LPFailure, SingularMatrix
 
-_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-    151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
-)
+
+def _first_primes(count: int) -> list[int]:
+    """The first `count` primes, by trial division."""
+    primes: list[int] = []
+    cand = 2
+    while len(primes) < count:
+        if all(cand % p for p in primes if p * p <= cand):
+            primes.append(cand)
+        cand += 1
+    return primes
 
 
 def _radical_inverse(i: int, base: int) -> float:
@@ -32,11 +37,8 @@ def _radical_inverse(i: int, base: int) -> float:
 
 def halton(count: int, dim: int, offset: int = 0) -> np.ndarray:
     """Deterministic low-discrepancy points in (0,1)^dim, shifted by `offset`."""
-    if dim > len(_PRIMES):
-        raise DimensionMismatch(f"halton supports dim <= {len(_PRIMES)}")
     out = np.empty((count, dim))
-    for j in range(dim):
-        base = _PRIMES[j]
+    for j, base in enumerate(_first_primes(dim)):
         out[:, j] = [_radical_inverse(offset + i + 1, base) for i in range(count)]
     return out
 

@@ -250,8 +250,13 @@ class EvaluationDatabase:
 
     @classmethod
     def from_csv(cls, path, problem: MOProblem) -> "EvaluationDatabase":
-        """Rebuild a database from a CSV dump; values are checked, not re-evaluated."""
+        """Rebuild a database from a CSV dump; values are checked, not re-evaluated.
+
+        A site may appear once: a row whose site matches an earlier row within
+        CACHE_TOL raises ObjectiveFailure naming both rows.
+        """
         db = cls(problem)
+        loaded = []
         n, k = problem.n_vars, problem.n_objs
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -275,9 +280,16 @@ class EvaluationDatabase:
                     raise ObjectiveFailure(f"CSV values at {site!r} are not finite", site=site)
                 if not problem.feasible.contains(site):
                     raise InfeasiblePoint(f"CSV site {site!r} is infeasible")
+                z = problem.scale(site)
+                dup = db._find(z)
+                if dup is not None:
+                    raise ObjectiveFailure(
+                        f"CSV row {row!r} repeats the site of row {loaded[dup]!r}", site=site
+                    )
+                loaded.append(row)
                 db.sites.append(site)
                 db.values.append(vals)
-                db._scaled = np.vstack([db._scaled, problem.scale(site)[None, :]])
+                db._scaled = np.vstack([db._scaled, z[None, :]])
                 db.eval_counts[problem.expensive_mask] += 1
         return db
 

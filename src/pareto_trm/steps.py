@@ -26,6 +26,8 @@ from .problem import FeasibleSet, project_to_box
 from .surrogates import SurrogateBundle
 
 STEP_METHODS = ("modified-pc", "strict-pc", "pascoletti-serafini", "exact-pc")
+MAX_BACKTRACKS = 30  # Armijo halvings before BacktrackExhausted
+GRID_POINTS = 64  # exact-pc ray grid before the golden-section refine
 
 
 @dataclass(frozen=True)
@@ -33,9 +35,6 @@ class StepConfig:
     method: str = "strict-pc"
     armijo_a: float = 0.1
     armijo_b: float = 0.5
-    max_backtracks: int = 30
-    ps_starts: int = 0  # 0 = 10 + n
-    grid_points: int = 64
 
     def __post_init__(self):
         if self.method not in STEP_METHODS:
@@ -120,7 +119,7 @@ def _backtrack(
     unit = d / nd
     m_center = bundle.values(center)
     phi_center = float(np.max(m_center))
-    for j in range(cfg.max_backtracks + 1):
+    for j in range(MAX_BACKTRACKS + 1):
         t = (cfg.armijo_b**j) * sigma
         trial = project_to_box(center + t * unit, fs)
         m_trial = bundle.values(trial)
@@ -141,7 +140,7 @@ def _backtrack(
                 certificate_lhs=lhs,
                 certificate_rhs=certificate_rhs(crit, bundle, radius, cfg),
             )
-    raise BacktrackExhausted(f"no Armijo step within {cfg.max_backtracks} halvings")
+    raise BacktrackExhausted(f"no Armijo step within {MAX_BACKTRACKS} halvings")
 
 
 def modified_pareto_cauchy(bundle, center, radius, crit, cfg, fs) -> StepResult:
@@ -167,7 +166,7 @@ def _sigma_box_exit(center, d, fs: FeasibleSet) -> float:
 
 
 def exact_pareto_cauchy(
-    bundle, center, radius, crit, fs, grid_points: int = 64, cfg: Optional[StepConfig] = None
+    bundle, center, radius, crit, fs, cfg: Optional[StepConfig] = None
 ) -> StepResult:
     """Best point along the steepest-descent ray: grid + golden-section refine."""
     cfg = cfg or StepConfig()
@@ -177,12 +176,12 @@ def exact_pareto_cauchy(
     d = crit.direction
     nd = float(np.max(np.abs(d)))
     sigma_max = min(radius / nd, _sigma_box_exit(center, d, fs))
-    sigmas = np.linspace(0.0, sigma_max, grid_points)
+    sigmas = np.linspace(0.0, sigma_max, GRID_POINTS)
     pts = center[None, :] + sigmas[:, None] * d[None, :]
     phis = bundle.phi_many(pts)
     best = int(np.argmin(phis))
     lo = sigmas[max(best - 1, 0)]
-    hi = sigmas[min(best + 1, grid_points - 1)]
+    hi = sigmas[min(best + 1, GRID_POINTS - 1)]
     gold = 0.5 * (np.sqrt(5.0) - 1.0)
     a_, b_ = lo, hi
     c_ = b_ - gold * (b_ - a_)
@@ -219,11 +218,9 @@ def exact_pareto_cauchy(
     )
 
 
-def local_ideal_point(bundle, center, radius, fs: FeasibleSet, starts: int = 0) -> np.ndarray:
+def local_ideal_point(bundle, center, radius, fs: FeasibleSet) -> np.ndarray:
     """Componentwise minimum of each model over the trust region (not all of X)."""
     center = np.asarray(center, dtype=float)
-    n = center.size
-    starts = starts or (10 + n)
     lo = center - radius
     hi = center + radius
     if fs.is_box:
@@ -233,7 +230,7 @@ def local_ideal_point(bundle, center, radius, fs: FeasibleSet, starts: int = 0) 
     for idx, model in enumerate(bundle.models):
         _, val = box_multistart_minimize(
             model.values, model.gradients, lo, hi,
-            n_starts=starts, seed=idx, max_iters=150, include=center[None, :],
+            n_starts=10 + center.size, seed=idx, max_iters=150, include=center[None, :],
         )
         ideal[idx] = min(val, model.value(center))
     return ideal
@@ -248,8 +245,7 @@ def pascoletti_serafini(bundle, center, radius, crit, fs, cfg: StepConfig) -> St
     strict Pareto-Cauchy step.
     """
     center = np.asarray(center, dtype=float)
-    n = center.size
-    ideal = local_ideal_point(bundle, center, radius, fs, cfg.ps_starts)
+    ideal = local_ideal_point(bundle, center, radius, fs)
     m_center = bundle.values(center)
     r = np.maximum(m_center - ideal, 0.0)
     r_max = float(np.max(r))
@@ -289,10 +285,9 @@ def pascoletti_serafini(bundle, center, radius, crit, fs, cfg: StepConfig) -> St
 
         return value, grad
 
-    starts = cfg.ps_starts or (10 + n)
     v1, g1 = make_smooth(1e-2)
     x_best, _ = box_multistart_minimize(
-        v1, g1, lo, hi, n_starts=starts, seed=7, max_iters=150, include=center[None, :]
+        v1, g1, lo, hi, n_starts=10 + center.size, seed=7, max_iters=150, include=center[None, :]
     )
     v2, g2 = make_smooth(1e-4)
     x_best, _ = box_multistart_minimize(
@@ -330,5 +325,5 @@ def compute_step(bundle, center, radius, crit, cfg: StepConfig, fs: FeasibleSet)
     if cfg.method == "strict-pc":
         return strict_pareto_cauchy(bundle, center, radius, crit, cfg, fs)
     if cfg.method == "exact-pc":
-        return exact_pareto_cauchy(bundle, center, radius, crit, fs, cfg.grid_points, cfg)
+        return exact_pareto_cauchy(bundle, center, radius, crit, fs, cfg)
     return pascoletti_serafini(bundle, center, radius, crit, fs, cfg)

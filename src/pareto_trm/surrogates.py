@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import (
     DegenerateGeometry,
-    DimensionMismatch,
     PoisednessRepairStalled,
     SingularMatrix,
 )
@@ -33,18 +32,18 @@ from .linalg import fd_gradient, halton, solve_linear
 from .problem import EvaluationDatabase, FeasibleSet, MOProblem
 
 PIVOT_THRESHOLD = 1e-4
+TAYLOR_FD_STEP = 1e-2  # FD-Taylor difference step, relative to the radius
 KERNELS = ("cubic", "multiquadric", "gaussian")
-KINDS = ("exact-cheap", "taylor-fd1", "lagrange", "rbf")
+KINDS = ("taylor-fd1", "lagrange", "rbf")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """How to build the surrogate for one (expensive) objective."""
+    """How to build the surrogate of every expensive objective."""
 
     kind: str = "rbf"
     degree: int = 1  # lagrange only
-    kernel: str = "cubic"  # rbf only
-    tail_degree: int = 1  # rbf polynomial tail
+    kernel: str = "cubic"  # rbf only, always with a linear polynomial tail
     shape_mode: str = "fixed"  # rbf: fixed | adaptive
     alpha: float = 1.0
     c_alpha: float = 20.0
@@ -53,8 +52,6 @@ class ModelSpec:
     theta1: float = 2.0
     theta2: float = 5.0
     lambda_poised: float = 1.5  # lagrange degree 1 only
-    max_extra_points: Optional[int] = None
-    fd_step: float = 1e-2  # taylor, relative to the radius
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -64,10 +61,6 @@ class ModelSpec:
         if self.kind == "rbf":
             if self.kernel not in KERNELS:
                 raise ValueError(f"unknown kernel {self.kernel!r}")
-            if self.tail_degree not in (0, 1):
-                raise ValueError("tail degree must be 0 or 1")
-            if self.kernel == "cubic" and self.tail_degree != 1:
-                raise ValueError("the cubic kernel (c.p.d. order 2) needs a linear tail")
             if self.shape_mode not in ("fixed", "adaptive"):
                 raise ValueError("shape_mode must be 'fixed' or 'adaptive'")
         if self.lambda_poised <= 1.0:
@@ -77,15 +70,11 @@ class ModelSpec:
 
 
 MODEL_SPECS = {
-    "rbf-cubic": ModelSpec(kind="rbf", kernel="cubic", tail_degree=1),
-    "rbf-multiquadric": ModelSpec(kind="rbf", kernel="multiquadric", tail_degree=1),
-    "rbf-gaussian": ModelSpec(kind="rbf", kernel="gaussian", tail_degree=1),
-    "rbf-multiquadric-adaptive": ModelSpec(
-        kind="rbf", kernel="multiquadric", tail_degree=1, shape_mode="adaptive"
-    ),
-    "rbf-gaussian-adaptive": ModelSpec(
-        kind="rbf", kernel="gaussian", tail_degree=1, shape_mode="adaptive"
-    ),
+    "rbf-cubic": ModelSpec(kind="rbf", kernel="cubic"),
+    "rbf-multiquadric": ModelSpec(kind="rbf", kernel="multiquadric"),
+    "rbf-gaussian": ModelSpec(kind="rbf", kernel="gaussian"),
+    "rbf-multiquadric-adaptive": ModelSpec(kind="rbf", kernel="multiquadric", shape_mode="adaptive"),
+    "rbf-gaussian-adaptive": ModelSpec(kind="rbf", kernel="gaussian", shape_mode="adaptive"),
     "lagrange-1": ModelSpec(kind="lagrange", degree=1),
     "lagrange-2": ModelSpec(kind="lagrange", degree=2),
     "taylor-fd1": ModelSpec(kind="taylor-fd1"),
@@ -148,10 +137,9 @@ class ExactCheapModel:
     fully_linear = True
     geometry_score = float("inf")
 
-    def __init__(self, prob: MOProblem, index: int, fd_step: float = 1e-7):
+    def __init__(self, prob: MOProblem, index: int):
         self.prob = prob
         self.index = index
-        self.fd_step = fd_step
         self._fn = prob.objectives[index]
         self._cb = prob.gradient_callbacks[index]
         fs = prob.feasible
@@ -176,7 +164,7 @@ class ExactCheapModel:
         if self._cb is not None:
             g = np.asarray(self._cb(self.prob.unscale(u)), dtype=float)
             return g * self._width if self._width is not None else g
-        return fd_gradient(self._scalar, u, self.fd_step, self._lo, self._hi)
+        return fd_gradient(self._scalar, u, 1e-7, self._lo, self._hi)
 
     def gradients(self, U) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -636,11 +624,8 @@ def build_rbf(
     lo1, hi1 = _region_box(center, R1, fs)
     sites, pivots = _affine_set(db, center, R1, lo1, hi1)
 
-    if spec.max_extra_points is not None:
-        max_extra = spec.max_extra_points
-    else:
-        total_cap = (n + 1) * (n + 2) // 2 if n <= 10 else 2 * n + 1
-        max_extra = max(0, total_cap - (n + 1))
+    total_cap = (n + 1) * (n + 2) // 2 if n <= 10 else 2 * n + 1
+    max_extra = max(0, total_cap - (n + 1))
     extras = []
     for site, _ in db.query_ball(center, spec.theta2 * delta_ub):
         if len(extras) >= max_extra:
@@ -669,10 +654,9 @@ def build_rbf(
             )
         )
         Phi = kernel_value(spec.kernel, r, alpha_local)
-        p = 1 + (n if spec.tail_degree == 1 else 0)
+        p = n + 1
         P = np.ones((p, N))
-        if spec.tail_degree == 1:
-            P[1:, :] = T.T
+        P[1:, :] = T.T
         M = np.zeros((N + p, N + p))
         M[:N, :N] = Phi
         M[:N, N:] = P.T
@@ -687,15 +671,13 @@ def build_rbf(
     except SingularMatrix:
         T, coeffs, lam = assemble(sites)  # extras made the system degenerate
         used = sites
-    tail_c0 = float(lam[0])
-    tail_g = lam[1:] if spec.tail_degree == 1 else np.zeros(n)
     return RBFModel(
         center,
         R1,
         T,
         coeffs,
-        tail_c0,
-        tail_g,
+        float(lam[0]),
+        lam[1:],
         spec.kernel,
         alpha_local,
         alpha_user,
@@ -793,7 +775,7 @@ def build_taylor_fd(
     """Linear Taylor model from central differences; one-sided at box faces."""
     center = np.asarray(center, dtype=float)
     n = center.size
-    h = spec.fd_step * max(radius, 1e-8)
+    h = TAYLOR_FD_STEP * max(radius, 1e-8)
     fss = fs
     lo = fss.lower if fss.is_box else np.full(n, -np.inf)
     hi = fss.upper if fss.is_box else np.full(n, np.inf)
@@ -857,26 +839,10 @@ def hessian_bound(models, center, radius, fs: FeasibleSet, c: float, seed: int =
     return float(max(worst, 1.01 / c))
 
 
-def _normalize_specs(specs, prob: MOProblem) -> list[Optional[ModelSpec]]:
-    if isinstance(specs, ModelSpec) or specs is None:
-        specs = [specs] * prob.n_objs
-    if len(specs) != prob.n_objs:
-        raise DimensionMismatch("need one ModelSpec per objective")
-    out = []
-    for idx, spec in enumerate(specs):
-        if prob.expensive_mask[idx]:
-            if spec is None:
-                raise ValueError(f"objective {idx} is expensive and needs a ModelSpec")
-            if spec.kind == "exact-cheap":
-                raise ValueError("exact-cheap cannot model an expensive objective")
-        out.append(spec)
-    return out
-
-
 def build_bundle(
     prob: MOProblem,
     db: EvaluationDatabase,
-    specs,
+    spec: Optional[ModelSpec],
     center,
     radius: float,
     delta_ub: float,
@@ -884,28 +850,25 @@ def build_bundle(
 ) -> SurrogateBundle:
     """Construct the per-objective surrogates on B(center; radius).
 
-    Cheap objectives are wrapped exactly; expensive ones dispatch on their
-    ModelSpec. Expensive evaluations stay inside X intersect the
-    theta2-enlarged region and are all routed through the database.
+    Cheap objectives are wrapped exactly; every expensive one is built from
+    the one ModelSpec, which is None only when no objective is expensive.
+    Expensive evaluations stay inside X intersect the theta2-enlarged region
+    and are all routed through the database.
     """
     center = np.asarray(center, dtype=float)
     fs = prob.feasible.scaled()
-    specs = _normalize_specs(specs, prob)
     before = len(db)
     models = []
     for idx in range(prob.n_objs):
         if not prob.expensive_mask[idx]:
             models.append(ExactCheapModel(prob, idx))
             continue
-        spec = specs[idx]
         if spec.kind == "rbf":
             models.append(build_rbf(idx, db, spec, center, radius, delta_ub, fs))
         elif spec.kind == "lagrange":
             models.append(build_lagrange(idx, db, spec, center, radius, fs))
-        elif spec.kind == "taylor-fd1":
-            models.append(build_taylor_fd(idx, db, spec, center, radius, fs))
         else:
-            raise ValueError(f"cannot build kind {spec.kind!r} for an expensive objective")
+            models.append(build_taylor_fd(idx, db, spec, center, radius, fs))
     sites = [m.training_sites for m in models if len(m.training_sites)]
     return SurrogateBundle(
         models=models,

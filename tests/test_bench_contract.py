@@ -1,18 +1,21 @@
 """The benchmark in perfbench/ reaches into the package by name; these checks
 fail fast when a rename or deletion in src/ would break it. They read
-perfbench/ but neither modify it nor run the benchmark."""
+perfbench/ and build its run matrices, but neither modify it nor run the
+benchmark."""
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it runs
     spec.loader.exec_module(module)
     return module
 
@@ -28,7 +31,7 @@ def _package_imports():
 
 
 def test_traced_sites_exist():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     assert tracing.SITES
     for owner, attr, name in tracing.SITES:
         # the tracer wraps owner.__dict__[attr], so the name must live on the owner itself
@@ -42,3 +45,11 @@ def test_imported_names_exist():
     for module_name, name in sorted(imports):
         module = importlib.import_module(module_name)
         assert hasattr(module, name), f"perfbench imports {module_name}.{name}, which is gone"
+
+
+def test_workloads_build():
+    # every cell's problem, AlgoConfig and StepConfig must still construct
+    workloads = _load("workloads")
+    for name in workloads.WORKLOADS:
+        jobs = workloads.build_jobs(name, 0)
+        assert len(jobs) == sum(cell.starts for cell in workloads.WORKLOADS[name])

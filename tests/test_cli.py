@@ -194,8 +194,13 @@ def test_campaign_rejects_bad_schema(tmp_path, capsys):
         {"algo": {"step": {"max_backtrack": 3}}},
         {"algo": {"mu": -1.0}},
         {"problems": ["ZDT1"], "n_values": [1]},
+        {"algo": {"validate": True}},
+        {"algo": {"step": {"max_backtracks": 30}}},
     ],
-    ids=["unknown-step", "algo-typo", "step-typo", "algo-invalid", "zdt-n1"],
+    ids=[
+        "unknown-step", "algo-typo", "step-typo", "algo-invalid", "zdt-n1",
+        "removed-algo-option", "removed-step-option",
+    ],
 )
 def test_campaign_rejects_bad_cell(tmp_path, patch):
     cfgfile = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import segment_distance, two_quadratics
 
+from pareto_trm.criticality import omega_of_gradients
 from pareto_trm.driver import (
     ACCEPTABLE,
     INACCEPTABLE,
@@ -26,33 +27,28 @@ from pareto_trm.driver import (
 from pareto_trm.errors import DegenerateDenominator, InfeasiblePoint
 from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
 from pareto_trm.steps import StepConfig
-from pareto_trm.surrogates import MODEL_SPECS
+from pareto_trm.surrogates import MODEL_SPECS, build_bundle
 from pareto_trm.testbed import TestProblemSpec, make_problem
 
 
 class TestComputeRho:
     def test_exact_model_gives_one(self):
-        rho = compute_rho([1.0, 2.0], [0.5, 1.0], [1.0, 2.0], [0.5, 1.0], False, "standard")
+        rho = compute_rho([1.0, 2.0], [0.5, 1.0], [1.0, 2.0], [0.5, 1.0], "standard")
         assert rho == pytest.approx(1.0)
 
-    def test_zero_step_gives_zero(self):
-        assert compute_rho([1.0], [1.0], [1.0], [1.0], True, "standard") == 0.0
-
     def test_ratio_arithmetic(self):
-        rho = compute_rho([1.0], [0.5], [1.0], [0.75], False, "standard")
+        rho = compute_rho([1.0], [0.5], [1.0], [0.75], "standard")
         assert rho == pytest.approx(2.0)
 
     def test_strict_takes_min_ratio(self):
-        rho = compute_rho(
-            [1.0, 1.0], [0.5, 0.9], [1.0, 1.0], [0.5, 0.5], False, "strict"
-        )
+        rho = compute_rho([1.0, 1.0], [0.5, 0.9], [1.0, 1.0], [0.5, 0.5], "strict")
         assert rho == pytest.approx(0.2)
 
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateDenominator):
-            compute_rho([1.0], [0.9], [1.0], [1.0], False, "standard")
+            compute_rho([1.0], [0.9], [1.0], [1.0], "standard")
         with pytest.raises(DegenerateDenominator):
-            compute_rho([1.0, 1.0], [0.9, 0.9], [1.0, 1.0], [0.5, 1.0], False, "strict")
+            compute_rho([1.0, 1.0], [0.9, 0.9], [1.0, 1.0], [0.5, 1.0], "strict")
 
 
 class TestClassify:
@@ -122,23 +118,35 @@ class TestCheckStopping:
         assert check_stopping(_state(0.1, t=1), 0.05, cfg, 100, 100) == STOP_BUDGET
 
 
+def _entry_bundle(prob, db, cfg, x, delta):
+    """The bundle and criticality an iteration builds on B(x; delta) before the routine."""
+    bundle = build_bundle(prob, db, cfg.models, x, delta, cfg.delta_ub, 0)
+    return bundle, omega_of_gradients(bundle.gradients(x), x, prob.feasible.scaled())
+
+
 class TestCriticalityRoutine:
     def test_single_pass_arithmetic(self):
-        # omega~ = 0.01, mu = 2000: first certification suffices; delta stays 0.1
+        # omega~ = 0.01, mu = 2000: the entry bundle already certifies; delta stays 0.1
         prob = MOProblem(
             1,
             1,
             [lambda x: 0.01 * float(x[0])],
-            np.array([False]),
+            np.array([True]),
             FeasibleSet.unconstrained(),
-            [lambda x: np.array([0.01])],
         )
         db = EvaluationDatabase(prob)
-        cfg = AlgoConfig(models=None)
+        cfg = AlgoConfig(models=MODEL_SPECS["taylor-fd1"])
+        x = np.zeros(1)
+        bundle0, crit0 = _entry_bundle(prob, db, cfg, x, 0.1)
+        evaluated = len(db)
+        assert evaluated > 0
         bundle, delta, crit, loops, cap = criticality_routine(
-            prob, db, cfg, np.zeros(1), 0.1, 0
+            prob, db, cfg, x, 0.1, 0, bundle0, crit0
         )
         assert loops == 1 and not cap
+        # loop 1 is the entry bundle itself: no rebuild, no evaluation
+        assert bundle is bundle0 and crit is crit0
+        assert len(db) == evaluated
         assert crit.omega_clamped == pytest.approx(0.01)
         assert delta == pytest.approx(0.1)
         assert bundle.fully_linear
@@ -154,18 +162,21 @@ class TestCriticalityRoutine:
         )
         db = EvaluationDatabase(prob)
         cfg = AlgoConfig(models=None, n_loops=4)
-        _, _, crit, loops, cap = criticality_routine(prob, db, cfg, np.zeros(1), 0.1, 0)
+        x = np.zeros(1)
+        bundle0, crit0 = _entry_bundle(prob, db, cfg, x, 0.1)
+        bundle, _, crit, loops, cap = criticality_routine(
+            prob, db, cfg, x, 0.1, 0, bundle0, crit0
+        )
         assert cap and loops == 4
+        # loops 2..4 rebuild on the shrinking radii; the last one is alpha^3 * 0.1
+        assert bundle is not bundle0
+        assert bundle.radius == pytest.approx(0.5**3 * 0.1)
         assert crit.omega_clamped == pytest.approx(0.0)
 
-    def test_zero_loop_budget_stops_immediately(self):
-        prob = two_quadratics([0.0], [0.0])
-        db = EvaluationDatabase(prob)
-        cfg = AlgoConfig(models=None, n_loops=0)
-        bundle, delta, crit, loops, cap = criticality_routine(
-            prob, db, cfg, np.zeros(1), 0.1, 0
-        )
-        assert cap and loops == 0 and bundle is None
+    def test_zero_loop_budget_rejected(self):
+        # the entry bundle counts as loop 1, so a budget below one loop is meaningless
+        with pytest.raises(ValueError, match="n_loops"):
+            AlgoConfig(n_loops=0)
 
 
 class TestRunT6:
@@ -384,3 +395,21 @@ def test_critical_start_emits_zero_step_and_stops():
     assert rep.stop_reason == STOP_CRITICALITY_LOOP_CAP
     assert rep.final_omega_m_clamped == pytest.approx(0.0, abs=1e-12)
     assert all(rec["step_norm"] == 0.0 for rec in rep.iterations)
+
+
+def test_models_takes_one_spec():
+    # the per-objective list form is gone: every expensive objective shares one spec
+    spec = MODEL_SPECS["rbf-cubic"]
+    with pytest.raises(ValueError, match="one ModelSpec"):
+        AlgoConfig(models=[None, spec])
+
+
+def test_runs_beyond_fifty_variables():
+    # hessian_bound samples Halton points in every dimension on every build
+    prob = make_problem(TestProblemSpec("ZDT1", 60))
+    cfg = AlgoConfig(
+        models=MODEL_SPECS["taylor-fd1"], step=StepConfig(method="modified-pc"), max_iters=1
+    )
+    rep = run(prob, cfg, np.full(60, 0.5), seed=0)
+    assert not rep.stop_reason.startswith("error:"), rep.anomalies
+    assert len(rep.iterations) == 1

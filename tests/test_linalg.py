@@ -228,3 +228,12 @@ def test_halton_deterministic_and_in_range():
     b = halton(50, 3, offset=7)
     np.testing.assert_array_equal(a, b)
     assert np.all(a > 0) and np.all(a < 1)
+
+
+def test_halton_beyond_fifty_dimensions():
+    # bases are the first dim primes, so widening a sequence keeps its leading columns
+    wide = halton(8, 60)
+    np.testing.assert_array_equal(wide[:, :50], halton(8, 50))
+    assert np.all(wide > 0) and np.all(wide < 1)
+    # base 281 is the 60th prime: the first point's last coordinate is 1/281
+    assert wide[0, -1] == 1.0 / 281

@@ -205,6 +205,20 @@ def test_csv_rejects_short_row(tmp_path):
         EvaluationDatabase.from_csv(path, _t6())
 
 
+@pytest.mark.parametrize(
+    "second", ["1.0,0.0,1.0,1.0", "1.0,0.0,2.0,1.0"], ids=["identical", "conflicting"]
+)
+def test_csv_rejects_repeated_site(tmp_path, second):
+    path = tmp_path / "db.csv"
+    path.write_text(f"x_1,x_2,f_1,f_2\n1.0,0.0,1.0,1.0\n{second}\n")
+    with pytest.raises(ObjectiveFailure, match="repeats the site") as info:
+        EvaluationDatabase.from_csv(path, _t6())
+    assert np.array_equal(info.value.site, [1.0, 0.0])
+    message = str(info.value)
+    assert repr(second.split(",")) in message
+    assert repr("1.0,0.0,1.0,1.0".split(",")) in message
+
+
 def test_csv_rejects_non_finite_value(tmp_path):
     path = tmp_path / "db.csv"
     path.write_text("x_1,x_2,f_1,f_2\n1.0,0.0,nan,1.0\n")

@@ -196,7 +196,7 @@ class TestExactPC:
         center = np.array([1.0])
         bundle = make_bundle([m1, m2], center, 1.0)
         crit = crit_at(bundle, center)
-        res = exact_pareto_cauchy(bundle, center, 1.0, crit, UNC, grid_points=64)
+        res = exact_pareto_cauchy(bundle, center, 1.0, crit, UNC)
         d = crit.direction
         sigmas = np.linspace(0, 1.0 / np.max(np.abs(d)), 100001)
         pts = center[None, :] + sigmas[:, None] * d[None, :]

@@ -59,11 +59,6 @@ def test_adaptive_shape():
     assert adaptive_shape(1e-9, 20.0, 1e-2, 1e3) == pytest.approx(1e3)
 
 
-def test_cubic_kernel_requires_linear_tail():
-    with pytest.raises(ValueError):
-        ModelSpec(kind="rbf", kernel="cubic", tail_degree=0)
-
-
 def test_lambda_must_exceed_one():
     with pytest.raises(ValueError):
         ModelSpec(kind="lagrange", lambda_poised=1.0)
