@@ -148,7 +148,7 @@ def _campaign_job(job: dict) -> dict:
     db = EvaluationDatabase(prob)
     try:
         rep = run(prob, cfg, x0, seed=job["seed"], db=db)
-    except ParetoTRMError as exc:
+    except Exception as exc:  # one failing cell must not discard the others
         return {"id": job["id"], "error": f"{type(exc).__name__}: {exc}"}
     rep.meta = {
         "problem": prob.name,

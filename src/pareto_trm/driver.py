@@ -279,7 +279,9 @@ def run(
 
     Errors inside the loop convert into stop reasons; the partial report is
     always returned. Passing a database lets the caller inspect or export the
-    evaluated sites afterwards; its budget field is overwritten.
+    evaluated sites afterwards; its budget field is overwritten. `seed` only
+    shifts the Halton sample of the model Hessian bound, which is computed
+    when a step's sufficient-decrease certificate first needs it.
     """
     x0 = np.asarray(x0, dtype=float)
     if not prob.feasible.contains(x0):

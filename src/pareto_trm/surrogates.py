@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -130,8 +131,28 @@ def _region_box(center, radius, fs: FeasibleSet):
     return lo, hi
 
 
+# Stencil coordinates per batch in ExactCheapModel.hessian_norm_bound: the
+# whole 25-point sample up to n = 12, fewer points beyond, so the transient
+# arrays stay near 64 KiB instead of growing as 25 n^2 (3 MiB at n = 40).
+STENCIL_BATCH = 8192
+
+
+def _axis_stencil(Z, V) -> np.ndarray:
+    """(m, n, n) array whose [k, i] is row k of Z with coordinate i set to V[k, i]."""
+    return np.where(np.eye(Z.shape[1], dtype=bool), V[:, :, None], Z[:, None, :])
+
+
 class ExactCheapModel:
-    """Wraps a cheap objective as its own model (gradient callback or FD)."""
+    """Wraps a cheap objective as its own model (gradient callback or FD).
+
+    Every evaluation takes a batch of scaled points: the batch is unscaled in
+    one array expression and the objective or its gradient callback is called
+    once per row, so a batch gives the same bits as its rows one at a time.
+    Without a callback, gradients follow fd_gradient's rule (step 1e-7,
+    one-sided at the box faces). The curvature bound differences these
+    gradients over a +-1e-5 stencil, built for a batch of sample points at a
+    time.
+    """
 
     kind = "exact-cheap"
     fully_linear = True
@@ -149,50 +170,79 @@ class ExactCheapModel:
         self._hi = fss.upper if fss.is_box else np.full(prob.n_vars, np.inf)
         self.training_sites = np.empty((0, prob.n_vars))
 
-    def _scalar(self, u):
-        return float(self._fn(self.prob.unscale(np.asarray(u, dtype=float))))
+    def _unscaled(self, U) -> np.ndarray:
+        """prob.unscale of every row of U, as a fresh array."""
+        if self._width is None:
+            return U.copy()
+        return self.prob.feasible.lower + U * self._width
 
     def values(self, U) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        return np.array([self._scalar(u) for u in U])
+        return np.array([float(self._fn(x)) for x in self._unscaled(U)])
 
     def value(self, u) -> float:
-        return self._scalar(u)
-
-    def gradient(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self._cb is not None:
-            g = np.asarray(self._cb(self.prob.unscale(u)), dtype=float)
-            return g * self._width if self._width is not None else g
-        return fd_gradient(self._scalar, u, 1e-7, self._lo, self._hi)
+        return float(self.values(u)[0])
 
     def gradients(self, U) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        return np.vstack([self.gradient(u) for u in U])
+        if self._cb is None:
+            return self._fd_gradients(U)
+        G = np.array([np.asarray(self._cb(x), dtype=float) for x in self._unscaled(U)])
+        G = G.reshape(U.shape)
+        return G * self._width if self._width is not None else G
 
-    def hessian(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        n = u.size
-        h = 1e-5
-        H = np.empty((n, n))
-        for i in range(n):
-            up = min(u[i] + h, self._hi[i])
-            dn = max(u[i] - h, self._lo[i])
-            up_pt, dn_pt = u.copy(), u.copy()
-            up_pt[i], dn_pt[i] = up, dn
-            span = up - dn
-            if span <= 0:
-                H[i] = 0.0
-                continue
-            H[i] = (self.gradient(up_pt) - self.gradient(dn_pt)) / span
-        return 0.5 * (H + H.T)
+    def gradient(self, u) -> np.ndarray:
+        return self.gradients(u)[0]
+
+    def _fd_gradients(self, Z) -> np.ndarray:
+        """fd_gradient's rule at every row of Z: central differences, one-sided
+        at a face against one shared f(z) per row, zero where the stencil is flat."""
+        m, n = Z.shape
+        h = 1e-7
+        up = np.minimum(Z + h, self._hi)
+        dn = np.maximum(Z - h, self._lo)
+        live = ~(up - dn <= 0)  # not `> 0`: a NaN span is differenced, not zeroed
+        go_up = live & (up > Z)
+        central = go_up & (dn < Z)
+        go_dn = live & ~go_up
+        up_only = go_up & ~central
+        f_up, f_dn, f0 = np.zeros((m, n)), np.zeros((m, n)), np.zeros((m, n))
+        f_up[go_up] = self.values(_axis_stencil(Z, up)[go_up])
+        take_dn = central | go_dn
+        f_dn[take_dn] = self.values(_axis_stencil(Z, dn)[take_dn])
+        need_f0 = np.any(up_only | go_dn, axis=1)
+        f0[need_f0] = self.values(Z[need_f0])[:, None]
+        G = np.zeros((m, n))
+        G[central] = (f_up[central] - f_dn[central]) / (up[central] - dn[central])
+        G[up_only] = (f_up[up_only] - f0[up_only]) / (up[up_only] - Z[up_only])
+        G[go_dn] = (f_dn[go_dn] - f0[go_dn]) / (dn[go_dn] - Z[go_dn])
+        return G
 
     def hessian_norm_bound(self, lo, hi, extra=None, seed=0) -> float:
+        """1.1 x the largest Frobenius norm of the symmetrized difference Hessian
+        (g(u + h e_i) - g(u - h e_i)) / span_i over the sample points, with the
+        +-h stencil clipped into the feasible box and flat rows set to zero."""
         pts = lo + halton(25, lo.size, offset=17 + seed) * (hi - lo)
         if extra is not None and len(extra):
             pts = np.vstack([pts, extra])
-        worst = max(float(np.linalg.norm(self.hessian(p))) for p in pts)
-        return 1.1 * worst
+        n = pts.shape[1]
+        h = 1e-5
+        up = np.minimum(pts + h, self._hi)
+        dn = np.maximum(pts - h, self._lo)
+        span = up - dn
+        live = ~(span <= 0)  # not `> 0`: a NaN span is differenced, not zeroed
+        per_batch = max(1, STENCIL_BATCH // (2 * n * n))
+        norms = []
+        for k in range(0, len(pts), per_batch):
+            b = slice(k, k + per_batch)
+            P_up = _axis_stencil(pts[b], up[b])[live[b]]
+            P_dn = _axis_stencil(pts[b], dn[b])[live[b]]
+            G = self.gradients(np.concatenate([P_up, P_dn]))
+            H = np.zeros((len(pts[b]), n, n))
+            H[live[b]] = (G[: len(P_up)] - G[len(P_up):]) / span[b][live[b]][:, None]
+            H = 0.5 * (H + H.transpose(0, 2, 1))
+            norms.extend(float(np.linalg.norm(H_p)) for H_p in H)
+        return 1.1 * max(norms)
 
     def debug_dict(self) -> dict:
         return {"kind": self.kind, "objective": self.index}
@@ -798,19 +848,32 @@ def build_taylor_fd(
 
 @dataclass
 class SurrogateBundle:
-    """k model functions valid on one trust region, plus certificates."""
+    """k model functions valid on one trust region, plus certificates.
+
+    The curvature bound H enters only the sufficient-decrease certificate of a
+    step, so it is computed on the first read of `hessian_bound` and cached:
+    criticality-loop rebuilds and bundles that never reach a step never pay
+    for it. `fs` is the scaled feasible set and `seed` shifts the bound's
+    Halton sample.
+    """
 
     models: list
     fully_linear: bool
-    hessian_bound: float
     center: np.ndarray
     radius: float
     training_sites: np.ndarray
     new_sites: int
+    fs: FeasibleSet
+    seed: int = 0
     k: int = field(default=0)
 
     def __post_init__(self):
         self.k = len(self.models)
+
+    @cached_property
+    def hessian_bound(self) -> float:
+        # the module-level function, looked up at call time so it can be wrapped
+        return hessian_bound(self.models, self.center, self.radius, self.fs, c=self.k, seed=self.seed)
 
     def values(self, u) -> np.ndarray:
         return np.array([m.value(u) for m in self.models])
@@ -873,9 +936,10 @@ def build_bundle(
     return SurrogateBundle(
         models=models,
         fully_linear=all(m.fully_linear for m in models),
-        hessian_bound=hessian_bound(models, center, radius, fs, c=prob.n_objs, seed=seed),
         center=center,
         radius=radius,
         training_sites=np.vstack(sites) if sites else np.empty((0, prob.n_vars)),
         new_sites=len(db) - before,
+        fs=fs,
+        seed=seed,
     )

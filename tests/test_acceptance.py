@@ -27,7 +27,7 @@ from pareto_trm.criticality import omega_of_gradients
 from pareto_trm.linalg import LPProblem, box_multistart_minimize, halton, solve_descent_lp
 from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
 from pareto_trm.steps import StepConfig as SC, pascoletti_serafini
-from pareto_trm.surrogates import PolyModel, SurrogateBundle, build_lagrange, build_rbf, hessian_bound
+from pareto_trm.surrogates import PolyModel, SurrogateBundle, build_lagrange, build_rbf
 from pareto_trm.testbed import FIRST_CHEAP
 
 ALL_REPORTS = []  # every run performed by this module, for criterion 7
@@ -278,11 +278,11 @@ def _bundle(models, center, radius):
     return SurrogateBundle(
         models=models,
         fully_linear=True,
-        hessian_bound=hessian_bound(models, center, radius, fs, c=len(models)),
         center=center,
         radius=radius,
         training_sites=np.empty((0, center.size)),
         new_sites=0,
+        fs=fs,
     )
 
 

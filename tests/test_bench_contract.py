@@ -1,13 +1,17 @@
 """The benchmark in perfbench/ reaches into the package by name; these checks
 fail fast when a rename or deletion in src/ would break it. They read
-perfbench/ and build its run matrices, but neither modify it nor run the
-benchmark."""
+perfbench/, build its run matrices and trace one short run, but neither
+modify it nor run the benchmark."""
 
 import ast
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from pareto_trm import AlgoConfig, MODEL_SPECS, TestProblemSpec, make_problem, run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,3 +57,18 @@ def test_workloads_build():
     for name in workloads.WORKLOADS:
         jobs = workloads.build_jobs(name, 0)
         assert len(jobs) == sum(cell.starts for cell in workloads.WORKLOADS[name])
+
+
+def test_tracer_times_the_lazy_curvature_bound():
+    # the bound is computed inside the step, through the module-level name the
+    # tracer swaps for its wrapper; a reference captured at import would bypass it
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    prob = make_problem(TestProblemSpec("ZDT1", 3))
+    with tracer.installed():
+        run(prob, AlgoConfig(models=MODEL_SPECS["rbf-cubic"], max_iters=3), np.full(3, 0.6))
+    assert tracer.summary()["surrogates.hessian_bound"]["calls"] > 0
+    layers = [tracing.LAYERS[i] for i in tracer.layer]
+    parents = {layers[tracer.parent[i]] for i, name in enumerate(layers)
+               if name == "surrogates.hessian_bound"}
+    assert parents == {"steps.compute_step"}

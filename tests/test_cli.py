@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pareto_trm import cli
 from pareto_trm.cli import main
 
 
@@ -100,6 +101,28 @@ def test_campaign_and_summary(tmp_path, capsys):
         assert 0.0 <= solved <= 1.0
         # any run that built an interpolation model used at least n+1 sites
         assert float(fields[4]) >= 3 + 1
+
+
+def test_campaign_records_unexpected_cell_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("PARETO_TRM_THREADS", "1")
+    real_run = cli.run
+
+    def run_or_raise(prob, cfg, x0, seed=0, db=None):
+        if cfg.models.kind == "lagrange":
+            raise RuntimeError("cell blew up")
+        return real_run(prob, cfg, x0, seed=seed, db=db)
+
+    monkeypatch.setattr(cli, "run", run_or_raise)
+    cfgfile = tmp_path / "camp.json"
+    outdir = tmp_path / "camp-out"
+    cfgfile.write_text(json.dumps(_campaign_config(tmp_path, outdir, n_starts=1)))
+    assert main(["campaign", "--config", str(cfgfile)]) == 0
+    failures = json.loads((outdir / "failures.json").read_text())
+    assert failures == [
+        {"id": "ZDT1-n3-lagrange-1-steepest-s0", "error": "RuntimeError: cell blew up"}
+    ]
+    summary = (outdir / "summary.csv").read_text().splitlines()
+    assert len(summary) == 2 and summary[1].startswith("ZDT1,3,rbf-cubic,steepest,")
 
 
 def test_campaign_process_pool_matches_serial(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import segment_distance, two_quadratics
 
+from pareto_trm import driver, steps, surrogates
 from pareto_trm.criticality import omega_of_gradients
 from pareto_trm.driver import (
     ACCEPTABLE,
@@ -25,9 +26,10 @@ from pareto_trm.driver import (
     update_state,
 )
 from pareto_trm.errors import DegenerateDenominator, InfeasiblePoint
+from pareto_trm.linalg import halton
 from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
 from pareto_trm.steps import StepConfig
-from pareto_trm.surrogates import MODEL_SPECS, build_bundle
+from pareto_trm.surrogates import MODEL_SPECS, build_bundle, hessian_bound
 from pareto_trm.testbed import TestProblemSpec, make_problem
 
 
@@ -405,7 +407,7 @@ def test_models_takes_one_spec():
 
 
 def test_runs_beyond_fifty_variables():
-    # hessian_bound samples Halton points in every dimension on every build
+    # the step's curvature bound samples Halton points in all 60 dimensions
     prob = make_problem(TestProblemSpec("ZDT1", 60))
     cfg = AlgoConfig(
         models=MODEL_SPECS["taylor-fd1"], step=StepConfig(method="modified-pc"), max_iters=1
@@ -413,3 +415,60 @@ def test_runs_beyond_fifty_variables():
     rep = run(prob, cfg, np.full(60, 0.5), seed=0)
     assert not rep.stop_reason.startswith("error:"), rep.anomalies
     assert len(rep.iterations) == 1
+
+
+def _zdt1_recorded_run():
+    """ZDT1 n=5 rbf-cubic from the first bench start point: its criticality
+    loop rebuilds bundles that never reach a step."""
+    prob = make_problem(TestProblemSpec("ZDT1", 5))
+    cfg = AlgoConfig(
+        models=MODEL_SPECS["rbf-cubic"], step=StepConfig(method="modified-pc"), max_iters=15
+    )
+    return prob, cfg, 0.1 + 0.8 * halton(1, 5)[0]
+
+
+def test_lazy_bound_matches_eager_bound(monkeypatch):
+    prob, cfg, x0 = _zdt1_recorded_run()
+    built = []  # (bundle, the bound computed eagerly at build time)
+
+    def build_and_bound(prob, db, spec, center, radius, delta_ub, seed=0):
+        bundle = build_bundle(prob, db, spec, center, radius, delta_ub, seed)
+        eager = hessian_bound(
+            bundle.models, center, radius, prob.feasible.scaled(), c=prob.n_objs, seed=seed
+        )
+        built.append((bundle, eager))
+        return bundle
+
+    monkeypatch.setattr(driver, "build_bundle", build_and_bound)
+    run(prob, cfg, x0, seed=0)
+    stepped = [(b, eager) for b, eager in built if "hessian_bound" in vars(b)]
+    assert 0 < len(stepped) < len(built)
+    for bundle, eager in stepped:
+        assert bundle.hessian_bound == eager
+
+
+def test_bound_computed_once_per_bundle_that_reaches_a_step(monkeypatch):
+    calls = []
+    real_bound, real_rhs = surrogates.hessian_bound, steps.certificate_rhs
+
+    def counted_bound(*args, **kwargs):
+        calls.append(1)
+        return real_bound(*args, **kwargs)
+
+    certified = []
+
+    def recorded_rhs(crit, bundle, radius, cfg):
+        certified.append(bundle)
+        return real_rhs(crit, bundle, radius, cfg)
+
+    monkeypatch.setattr(surrogates, "hessian_bound", counted_bound)
+    monkeypatch.setattr(steps, "certificate_rhs", recorded_rhs)
+    prob, cfg, x0 = _zdt1_recorded_run()
+    run(prob, cfg, x0, seed=0)
+    assert calls and len(calls) == len({id(b) for b in certified})
+
+    # a run that stops at the criticality test never computes the bound
+    calls.clear()
+    rep = run(two_quadratics([0.0, 0.0], [0.0, 0.0]), AlgoConfig(models=None, n_loops=3), [0.0, 0.0])
+    assert rep.stop_reason == STOP_CRITICALITY_LOOP_CAP
+    assert calls == []

@@ -15,7 +15,7 @@ from pareto_trm.steps import (
     strict_pareto_cauchy,
     sufficient_decrease_kappa,
 )
-from pareto_trm.surrogates import PolyModel, SurrogateBundle, hessian_bound
+from pareto_trm.surrogates import PolyModel, SurrogateBundle
 
 UNC = FeasibleSet.unconstrained()
 
@@ -34,11 +34,11 @@ def make_bundle(models, center, radius, fs=UNC):
     return SurrogateBundle(
         models=models,
         fully_linear=True,
-        hessian_bound=hessian_bound(models, center, radius, fs, c=len(models)),
         center=center,
         radius=radius,
         training_sites=np.empty((0, center.size)),
         new_sites=0,
+        fs=fs,
     )
 
 

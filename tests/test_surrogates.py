@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pareto_trm.errors import BudgetExhausted, PoisednessRepairStalled
-from pareto_trm.linalg import halton
+from pareto_trm.linalg import fd_gradient, halton
 from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
 from pareto_trm.surrogates import (
     MODEL_SPECS,
+    ExactCheapModel,
     ModelSpec,
     _LagrangeMachine,
     _region_box,
@@ -18,6 +23,7 @@ from pareto_trm.surrogates import (
     kernel_value,
     model_debug_json,
 )
+from pareto_trm.testbed import FIRST_CHEAP, FIRST_EXPENSIVE, TestProblemSpec, make_problem
 
 
 def scalar_problem(fn, n, box=None, expensive=True, name="scalar"):
@@ -356,6 +362,77 @@ class TestHessianBound:
             np.linalg.norm(model.hessian(np.array([a, b]))) for a in xs for b in xs
         )
         assert bound >= worst * 0.999
+
+
+def row_loop_gradient(prob, idx, u):
+    """Scaled-space gradient of a cheap objective at one point of the unit box:
+    its callback, or fd_gradient over one objective call per stencil point."""
+    width = prob.feasible.width()
+    cb = prob.gradient_callbacks[idx]
+    if cb is not None:
+        return np.asarray(cb(prob.unscale(u)), dtype=float) * width
+    fn = prob.objectives[idx]
+    n = u.size
+    return fd_gradient(lambda z: float(fn(prob.unscale(z))), u, 1e-7, np.zeros(n), np.ones(n))
+
+
+def row_loop_hessian(prob, idx, u):
+    """Symmetrized difference Hessian at u, one stencil row and one gradient at
+    a time, with the +-1e-5 stencil clipped into the unit box."""
+    n = u.size
+    h = 1e-5
+    H = np.empty((n, n))
+    for i in range(n):
+        up = min(u[i] + h, 1.0)
+        dn = max(u[i] - h, 0.0)
+        up_pt, dn_pt = u.copy(), u.copy()
+        up_pt[i], dn_pt[i] = up, dn
+        span = up - dn
+        if span <= 0:
+            H[i] = 0.0
+            continue
+        H[i] = (row_loop_gradient(prob, idx, up_pt) - row_loop_gradient(prob, idx, dn_pt)) / span
+    return 0.5 * (H + H.T)
+
+
+# (problem, n, pattern): every cheap objective wraps a gradient callback except DTLZ6's
+CHEAP_OBJECTIVES = [
+    ("ZDT1", 5, FIRST_CHEAP),
+    ("T6", 2, FIRST_CHEAP),
+    ("T6", 2, FIRST_EXPENSIVE),
+    ("DTLZ1", 6, FIRST_CHEAP),
+    ("DTLZ1", 16, FIRST_CHEAP),  # past n = 12 the sample spans several stencil batches
+    ("DTLZ6", 3, FIRST_CHEAP),
+    ("DTLZ6", 6, FIRST_CHEAP),
+]
+
+
+@st.composite
+def cheap_model_boxes(draw):
+    """A cheap objective and a region box that may touch a face or be flat."""
+    name, n, pattern = draw(st.sampled_from(CHEAP_OBJECTIVES))
+    prob = make_problem(TestProblemSpec(name, n, pattern))
+    coord = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    center = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    radius = 10.0 ** draw(st.floats(-8.0, math.log10(0.3)))
+    lo, hi = _region_box(center, radius, prob.feasible.scaled())
+    flat = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    lo = np.where(flat, hi, lo)  # zero-width sides: lo_i = hi_i
+    return prob, lo, hi, draw(st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cheap_model_boxes())
+def test_cheap_model_matches_row_loop_bit_for_bit(case):
+    prob, lo, hi, seed = case
+    idx = int(np.flatnonzero(~prob.expensive_mask)[0])
+    model = ExactCheapModel(prob, idx)
+    pts = lo + halton(25, lo.size, offset=17 + seed) * (hi - lo)
+    fn = prob.objectives[idx]
+    assert np.array_equal(model.values(pts), [float(fn(prob.unscale(p))) for p in pts])
+    assert np.array_equal(model.gradients(pts), [row_loop_gradient(prob, idx, p) for p in pts])
+    worst = max(float(np.linalg.norm(row_loop_hessian(prob, idx, p))) for p in pts)
+    assert model.hessian_norm_bound(lo, hi, seed=seed) == 1.1 * worst
 
 
 def test_all_cheap_bundle_is_free():
