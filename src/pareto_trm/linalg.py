@@ -8,6 +8,7 @@ functions of their inputs and safe to call from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,10 +37,19 @@ def _radical_inverse(i: int, base: int) -> float:
 
 
 def halton(count: int, dim: int, offset: int = 0) -> np.ndarray:
-    """Deterministic low-discrepancy points in (0,1)^dim, shifted by `offset`."""
+    """Deterministic low-discrepancy points in (0,1)^dim, shifted by `offset`.
+
+    The result is cached and shared between callers, so it is read-only.
+    """
+    return _halton(int(count), int(dim), int(offset))
+
+
+@lru_cache(maxsize=64)
+def _halton(count: int, dim: int, offset: int) -> np.ndarray:
     out = np.empty((count, dim))
     for j, base in enumerate(_first_primes(dim)):
         out[:, j] = [_radical_inverse(offset + i + 1, base) for i in range(count)]
+    out.flags.writeable = False
     return out
 
 

@@ -9,6 +9,8 @@ original coordinates and dedupes / searches in scaled coordinates.
 from __future__ import annotations
 
 import csv
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -173,7 +175,9 @@ class EvaluationDatabase:
 
     Single writer; read-only queries may run concurrently. Sites are kept in
     original coordinates with a parallel scaled copy used for cache hits and
-    ball queries.
+    ball queries. The scaled copy lives in a capacity-doubling buffer, and
+    cache lookups bisect a sorted index of the keys w.z instead of scanning
+    every row.
     """
 
     def __init__(self, problem: MOProblem, max_expensive: Optional[int] = None):
@@ -182,26 +186,80 @@ class EvaluationDatabase:
         self.sites: list[np.ndarray] = []
         self.values: list[np.ndarray] = []
         self.eval_counts = np.zeros(problem.n_objs, dtype=int)
-        self._scaled = np.empty((0, problem.n_vars))
+        n = problem.n_vars
+        self._buffer = np.empty((8, n))
+        # distinct weights in [1, 2) (a Weyl sequence), so sites that differ in
+        # one coordinate, like a finite-difference stencil, get distinct keys
+        self._weights = 1.0 + np.modf(np.arange(1, n + 1) * (math.sqrt(5.0) - 1.0) / 2.0)[0]
+        self._slack = (1.0 + np.finfo(float).eps) * float(self._weights.sum()) * CACHE_TOL
+        self._gamma = (n + 2) * np.finfo(float).eps
+        self._keys: list[float] = []  # ascending
+        self._rows: list[int] = []  # the row of each key
 
     def __len__(self) -> int:
         return len(self.sites)
 
+    @property
+    def _scaled(self) -> np.ndarray:
+        return self._buffer[: len(self.sites)]
+
     def _find(self, z: np.ndarray) -> Optional[int]:
-        if len(self.sites) == 0:
-            return None
-        dist = np.max(np.abs(self._scaled - z), axis=1)
-        hits = np.flatnonzero(dist <= CACHE_TOL)
-        return int(hits[0]) if hits.size else None
+        """Smallest row index with max|z_row - z| <= CACHE_TOL, or None.
+
+        A match has |w.z_row - w.z| <= slack = |w|_1 CACHE_TOL (times 1 + eps
+        for the rounded difference), and each computed key lies within
+        gamma w.|z_*| of its exact value (gamma = (n + 2) eps bounds the error
+        of an n-term dot product in any order), where w.|z_row| <= w.|z| +
+        slack. Twice that sum covers the rounding of the radius and of the
+        window ends, so the window holds every row the linear scan matches.
+        """
+        key = float(self._weights @ z)
+        radius = 2.0 * (
+            self._slack + self._gamma * (2.0 * float(self._weights @ np.abs(z)) + self._slack)
+        )
+        lo, hi = key - radius, key + radius
+        if math.isfinite(lo) and math.isfinite(hi):
+            rows = sorted(self._rows[bisect_left(self._keys, lo) : bisect_right(self._keys, hi)])
+        else:  # overflow: only a full scan is sure to see every match
+            rows = range(len(self.sites))
+        for i in rows:
+            if np.abs(self._buffer[i] - z).max() <= CACHE_TOL:
+                return i
+        return None
+
+    def _insert(self, x: np.ndarray, z: np.ndarray, vals: np.ndarray) -> None:
+        m = len(self.sites)
+        if m == self._buffer.shape[0]:
+            grown = np.empty((2 * m, z.size))
+            grown[:m] = self._buffer
+            self._buffer = grown
+        self._buffer[m] = z
+        key = float(self._weights @ z)
+        # a key that overflows stays out of the index: any site that matches
+        # it overflows the query window too, and that query scans every row
+        if math.isfinite(key):
+            pos = bisect_right(self._keys, key)
+            self._keys.insert(pos, key)
+            self._rows.insert(pos, m)
+        self.eval_counts[self.problem.expensive_mask] += 1
+        self.values.append(vals)
+        # last: a concurrent reader sees the row once its value and buffer row exist
+        self.sites.append(x.copy())
+
+    def _scaled_site(self, x: np.ndarray) -> np.ndarray:
+        """The scaled copy of a finite feasible site; InfeasiblePoint otherwise."""
+        if not np.isfinite(x).all():
+            raise InfeasiblePoint(f"site {x!r} is not finite")
+        if not self.problem.feasible.contains(x):
+            raise InfeasiblePoint(f"site {x!r} violates the hard constraints")
+        return self.problem.scale(x)
 
     def evaluate(self, x) -> np.ndarray:
         """Return f(x), caching by site; counts expensive evaluations once per site."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.problem.n_vars,):
             raise DimensionMismatch(f"expected length {self.problem.n_vars}")
-        if not self.problem.feasible.contains(x):
-            raise InfeasiblePoint(f"site {x!r} violates the hard constraints")
-        z = self.problem.scale(x)
+        z = self._scaled_site(x)
         idx = self._find(z)
         if idx is not None:
             return self.values[idx].copy()
@@ -212,10 +270,7 @@ class EvaluationDatabase:
                     f"expensive budget {self.max_expensive} would be exceeded"
                 )
         vals = self.problem.evaluate_raw(x)
-        self.sites.append(x.copy())
-        self.values.append(vals)
-        self._scaled = np.vstack([self._scaled, z[None, :]])
-        self.eval_counts[exp] += 1
+        self._insert(x, z, vals)
         return vals.copy()
 
     def evaluate_scaled(self, z) -> np.ndarray:
@@ -231,12 +286,13 @@ class EvaluationDatabase:
         if radius <= 0:
             raise ValueError("radius must be positive")
         center = np.asarray(center, dtype=float)
-        if len(self.sites) == 0:
+        scaled = self._scaled
+        if len(scaled) == 0:
             return []
-        dist = np.max(np.abs(self._scaled - center), axis=1)
+        dist = np.max(np.abs(scaled - center), axis=1)
         inside = np.flatnonzero(dist <= radius)
         order = inside[np.argsort(dist[inside], kind="stable")]
-        return [(self._scaled[i].copy(), self.values[i].copy()) for i in order]
+        return [(scaled[i].copy(), self.values[i].copy()) for i in order]
 
     def to_csv(self, path) -> None:
         """Dump sites (original coordinates) and values: x_1..x_n, f_1..f_k."""
@@ -278,18 +334,13 @@ class EvaluationDatabase:
                     ) from None
                 if not np.all(np.isfinite(vals)):
                     raise ObjectiveFailure(f"CSV values at {site!r} are not finite", site=site)
-                if not problem.feasible.contains(site):
-                    raise InfeasiblePoint(f"CSV site {site!r} is infeasible")
-                z = problem.scale(site)
+                z = db._scaled_site(site)
                 dup = db._find(z)
                 if dup is not None:
                     raise ObjectiveFailure(
                         f"CSV row {row!r} repeats the site of row {loaded[dup]!r}", site=site
                     )
                 loaded.append(row)
-                db.sites.append(site)
-                db.values.append(vals)
-                db._scaled = np.vstack([db._scaled, z[None, :]])
-                db.eval_counts[problem.expensive_mask] += 1
+                db._insert(site, z, vals)
         return db
 

@@ -230,6 +230,20 @@ def test_halton_deterministic_and_in_range():
     assert np.all(a > 0) and np.all(a < 1)
 
 
+def test_halton_is_cached_and_read_only():
+    a = halton(25, 7, offset=17)
+    b = halton(25, 7, offset=17)
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
+    # numpy integers and keyword or positional forms reach the same entry
+    assert halton(np.int64(25), 7, 17) is a
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        a += 1.0
+    assert halton(25, 7, offset=17)[0, 0] == b[0, 0]
+
+
 def test_halton_beyond_fifty_dimensions():
     # bases are the first dim primes, so widening a sequence keeps its leading columns
     wide = halton(8, 60)

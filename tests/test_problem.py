@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pareto_trm.errors import (
     BudgetExhausted,
@@ -7,7 +9,9 @@ from pareto_trm.errors import (
     InfeasiblePoint,
     ObjectiveFailure,
 )
+from pareto_trm.linalg import halton
 from pareto_trm.problem import (
+    CACHE_TOL,
     EvaluationDatabase,
     FeasibleSet,
     MOProblem,
@@ -151,6 +155,108 @@ def _unit_problem(n=2):
         np.array([True]),
         FeasibleSet.unconstrained(),
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_evaluate_rejects_non_finite_site(bad):
+    # R^n holds no NaN: without the check each repeat would store and charge a new row
+    db = EvaluationDatabase(_unit_problem())
+    for _ in range(2):
+        with pytest.raises(InfeasiblePoint, match="not finite"):
+            db.evaluate([bad, 0.0])
+    assert len(db) == 0
+    np.testing.assert_array_equal(db.eval_counts, [0])
+
+
+def test_csv_rejects_non_finite_site(tmp_path):
+    path = tmp_path / "db.csv"
+    path.write_text("x_1,x_2,f_1\n0.0,0.0,0.0\nnan,0.0,1.0\n")
+    with pytest.raises(InfeasiblePoint, match="not finite"):
+        EvaluationDatabase.from_csv(path, _unit_problem())
+
+
+def _scan_oracle(Z, z):
+    """First row of Z within CACHE_TOL of z in the inf-norm: the linear scan."""
+    hits = np.flatnonzero(np.max(np.abs(Z - z), axis=1) <= CACHE_TOL)
+    return int(hits[0]) if hits.size else None
+
+
+@st.composite
+def _cache_cases(draw):
+    """Stored rows (scaled) and lookups that sit on, near and just off them."""
+    n = draw(st.integers(1, 12))
+    box = draw(st.booleans())
+    if box:
+        coord = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    else:
+        span = draw(st.sampled_from([1.0, 1e3, 1e6]))
+        coord = st.floats(-span, span)
+    point = st.lists(coord, min_size=n, max_size=n).map(np.array)
+    rows = draw(st.lists(point, min_size=1, max_size=8))
+    # an FD stencil: rows that share all coordinates but one
+    h = draw(st.sampled_from([1e-7, 1e-12, 0.5 * CACHE_TOL, 3 * CACHE_TOL]))
+    center = rows[0]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2 * n)):
+        e = np.zeros(n)
+        e[i] = h
+        rows += [center + e, center - e]
+    # a cluster: several rows within tolerance of one query, the smallest index wins
+    query = draw(point)
+    for frac in draw(st.lists(st.sampled_from([-0.9, -0.5, 0.0, 0.5, 0.9]), max_size=4)):
+        rows.insert(draw(st.integers(0, len(rows))), query + frac * CACHE_TOL)
+    queries = [query]
+    for row in rows:
+        queries.append(row)  # exact repeat
+        for delta in (0.5 * CACHE_TOL, -0.5 * CACHE_TOL, 2 * CACHE_TOL, -2 * CACHE_TOL):
+            i = draw(st.integers(0, n - 1))
+            moved = row.copy()
+            moved[i] += delta
+            queries += [moved, row + delta]
+    return n, box, rows, queries
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_cache_cases())
+def test_indexed_find_matches_linear_scan(case):
+    n, box, rows, queries = case
+    fs = FeasibleSet.box(np.zeros(n), np.ones(n)) if box else FeasibleSet.unconstrained()
+    prob = MOProblem(n, 1, [lambda x: 0.0], np.array([True]), fs)
+    db = EvaluationDatabase(prob)
+    for z in rows:  # stored as given, repeats included: the index must rank them
+        db._insert(z, z, np.zeros(1))
+    Z = np.array(rows)
+    for z in queries:
+        assert db._find(z) == _scan_oracle(Z, z)
+
+
+def test_indexed_find_near_overflow():
+    # keys of sites this large overflow; such rows must still be found
+    prob = MOProblem(2, 1, [lambda x: 0.0], np.array([True]), FeasibleSet.unconstrained())
+    db = EvaluationDatabase(prob)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in ([1e308, 1e308], [-1e308, 1e308], [1.0, 0.0]):
+            db.evaluate(x)
+        for i, x in enumerate(([1e308, 1e308], [-1e308, 1e308], [1.0, 0.0])):
+            assert db._find(np.array(x)) == i
+    assert len(db) == 3
+
+
+def test_buffer_keeps_rows_across_growth():
+    n = 3
+    prob = MOProblem(
+        n, 1, [lambda x: float(np.sum(x))], np.array([True]),
+        FeasibleSet.box(np.zeros(n), np.full(n, 2.0)),
+    )
+    db = EvaluationDatabase(prob)
+    sites = 0.05 + 1.9 * halton(200, n, offset=3)
+    for k, x in enumerate(sites):
+        db.evaluate(x)
+        np.testing.assert_array_equal(db._scaled, sites[: k + 1] / 2.0)
+    assert len(db) == 200
+    for k, x in enumerate(sites):  # every row is still a cache hit at its own index
+        assert db._find(x / 2.0) == k
+        db.evaluate(x)
+    np.testing.assert_array_equal(db.eval_counts, [200])
 
 
 def test_query_ball_empty():
