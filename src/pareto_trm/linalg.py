@@ -53,16 +53,17 @@ def _halton(count: int, dim: int, offset: int) -> np.ndarray:
     return out
 
 
-def fd_gradient(fn, z, h, lo, hi, counter: Optional[dict] = None) -> np.ndarray:
+def fd_gradient(fn, z, h, lo, hi, counter: Optional[dict] = None, f0=None) -> np.ndarray:
     """Central-difference gradient with one-sided stencils at active box faces.
 
-    fn is a scalar function of one point; stencil points are clipped into
-    [lo, hi] so hard constraints are never violated.
+    fn maps one point to a scalar, or to a vector when f0 = fn(z) is passed:
+    the result then has one row per coordinate, of f0's shape, and every
+    component gets the bits of its own scalar difference. Stencil points are
+    clipped into [lo, hi] so hard constraints are never violated.
     """
     z = np.asarray(z, dtype=float)
     n = z.size
-    g = np.empty(n)
-    f0 = None
+    g = np.zeros((n,) + np.shape(f0))
 
     def tick(k: int):
         if counter is not None:
@@ -72,7 +73,6 @@ def fd_gradient(fn, z, h, lo, hi, counter: Optional[dict] = None) -> np.ndarray:
         up = min(z[i] + h, hi[i])
         dn = max(z[i] - h, lo[i])
         if up - dn <= 0:
-            g[i] = 0.0
             continue
         zp, zm = z.copy(), z.copy()
         zp[i], zm[i] = up, dn
@@ -90,17 +90,22 @@ def fd_gradient(fn, z, h, lo, hi, counter: Optional[dict] = None) -> np.ndarray:
 
 
 def solve_linear(A, b) -> np.ndarray:
-    """Solve Ax = b by Gaussian elimination with partial pivoting."""
+    """Solve Ax = b by Gaussian elimination with partial pivoting.
+
+    b is one right-hand side (n,) or k of them as the columns of (n, k); each
+    column is back-substituted on its own, so it gets the bits of a solve
+    with that column alone.
+    """
     A = np.array(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch("A must be square")
     n = A.shape[0]
-    if b.shape != (n,):
-        raise DimensionMismatch("b length must match A")
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise DimensionMismatch("b must have one row per row of A")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("entries must be finite")
-    M = np.hstack([A, b[:, None]])
+    M = np.hstack([A, b.reshape(n, -1)])
     piv_floor = 1e-12 * np.max(np.abs(A), initial=0.0)
     for col in range(n):
         p = col + int(np.argmax(np.abs(M[col:, col])))
@@ -110,10 +115,11 @@ def solve_linear(A, b) -> np.ndarray:
             M[[col, p]] = M[[p, col]]
         factors = M[col + 1:, col] / M[col, col]
         M[col + 1:, col:] -= factors[:, None] * M[col, col:]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (M[i, n] - M[i, i + 1: n] @ x[i + 1:]) / M[i, i]
-    return x
+    X = np.zeros((M.shape[1] - n, n))  # one contiguous row per right-hand side
+    for x, rhs in zip(X, M[:, n:].T):
+        for i in range(n - 1, -1, -1):
+            x[i] = (rhs[i] - M[i, i + 1: n] @ x[i + 1:]) / M[i, i]
+    return X.T if b.ndim == 2 else X[0]
 
 
 @dataclass(frozen=True)

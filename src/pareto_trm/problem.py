@@ -71,7 +71,7 @@ class FeasibleSet:
     def contains(self, x: np.ndarray) -> bool:
         if not self.is_box:
             return True
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        return bool((x >= self.lower).all() and (x <= self.upper).all())
 
     def scaled(self) -> "FeasibleSet":
         """The set the optimizer works in: [0,1]^n for boxes, self otherwise."""

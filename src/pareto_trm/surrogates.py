@@ -1,23 +1,27 @@
 """Fully linear surrogate bundles: RBF, Lagrange, FD-Taylor and exact wrappers.
 
 Builders work in the optimizer's scaled coordinates. Interpolation systems are
-assembled in trust-region-local coordinates t = (u - center) / (theta1 * Delta)
+assembled in trust-region-local coordinates t = (u - center) / (THETA1 * Delta)
 so conditioning does not degrade as the radius shrinks; shape parameters are
 rescaled accordingly so the model in u-space is unchanged.
 
 Every model is fully linear as built: an affinely independent point set
-(pivot threshold) inside the theta1-enlarged region for RBF, the box-fitted
+(pivot threshold) inside the THETA1-enlarged region for RBF, the box-fitted
 finite-difference stencil for quadratic Lagrange models, a Lambda-poised set
 for linear ones (|l_i| is bounded exactly at box vertices; a repair that hits
 its swap cap raises PoisednessRepairStalled), and FD-Taylor and exact wrappers
 by definition. The O(Delta^2)/O(Delta) error decay this buys is checked
 empirically in the test suite.
+
+These certificates rest on the geometry of the sites alone, so one site set
+serves every expensive objective: a builder selects the sites once, reads each
+from the database once (all k expensive values of the site) and fits the k
+models from one system with k right-hand sides.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -34,6 +38,11 @@ from .problem import EvaluationDatabase, FeasibleSet, MOProblem
 
 PIVOT_THRESHOLD = 1e-4
 TAYLOR_FD_STEP = 1e-2  # FD-Taylor difference step, relative to the radius
+THETA1 = 2.0  # sites are selected in B(center; THETA1 * radius)
+THETA2 = 5.0  # RBF extra sites come from B(center; THETA2 * delta_ub)
+LAMBDA_POISED = 1.5  # degree-1 Lagrange bound on every |l_i| over the region
+SHAPE_ALPHA = 1.0  # fixed RBF shape parameter (multiquadric, gaussian)
+C_ALPHA, ALPHA_LO, ALPHA_HI = 20.0, 1e-2, 1e3  # adaptive shape c / radius, clamped
 KERNELS = ("cubic", "multiquadric", "gaussian")
 KINDS = ("taylor-fd1", "lagrange", "rbf")
 
@@ -46,13 +55,6 @@ class ModelSpec:
     degree: int = 1  # lagrange only
     kernel: str = "cubic"  # rbf only, always with a linear polynomial tail
     shape_mode: str = "fixed"  # rbf: fixed | adaptive
-    alpha: float = 1.0
-    c_alpha: float = 20.0
-    alpha_lo: float = 1e-2
-    alpha_hi: float = 1e3
-    theta1: float = 2.0
-    theta2: float = 5.0
-    lambda_poised: float = 1.5  # lagrange degree 1 only
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -64,10 +66,6 @@ class ModelSpec:
                 raise ValueError(f"unknown kernel {self.kernel!r}")
             if self.shape_mode not in ("fixed", "adaptive"):
                 raise ValueError("shape_mode must be 'fixed' or 'adaptive'")
-        if self.lambda_poised <= 1.0:
-            raise ValueError("lambda_poised must exceed 1")
-        if not (self.theta2 >= self.theta1 >= 1.0):
-            raise ValueError("need theta2 >= theta1 >= 1")
 
 
 MODEL_SPECS = {
@@ -156,7 +154,6 @@ class ExactCheapModel:
 
     kind = "exact-cheap"
     fully_linear = True
-    geometry_score = float("inf")
 
     def __init__(self, prob: MOProblem, index: int):
         self.prob = prob
@@ -261,17 +258,15 @@ class PolyModel:
         g_local,
         H_local,
         degree: int,
-        geometry_score: float = 0.0,
         training_sites=None,
         kind: str = "lagrange",
     ):
         self.center = np.asarray(center, dtype=float)
         self.R = float(local_scale)
         self.c0 = float(c0)
-        self.g_local = np.asarray(g_local, dtype=float)
+        self.g_local = np.array(g_local, dtype=float)  # a contiguous copy of a fitted column
         self.H_local = np.asarray(H_local, dtype=float)
         self.degree = degree
-        self.geometry_score = geometry_score
         self.training_sites = (
             np.empty((0, self.center.size)) if training_sites is None else np.asarray(training_sites)
         )
@@ -336,19 +331,17 @@ class RBFModel:
         kernel: str,
         alpha_local: float,
         alpha_user: float,
-        geometry_score: float = 0.0,
         training_sites=None,
     ):
         self.center = np.asarray(center, dtype=float)
         self.R = float(local_scale)
         self.T = np.atleast_2d(np.asarray(local_sites, dtype=float))
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.coeffs = np.array(coeffs, dtype=float)  # a contiguous copy of a fitted column
         self.tail_c0 = float(tail_c0)
         self.tail_g_local = np.asarray(tail_g_local, dtype=float)
         self.kernel = kernel
         self.alpha_local = float(alpha_local)
         self.alpha_user = float(alpha_user)
-        self.geometry_score = geometry_score
         self.training_sites = (
             np.empty((0, self.center.size)) if training_sites is None else np.asarray(training_sites)
         )
@@ -477,21 +470,19 @@ class _LagrangeMachine:
     Keeps the Lagrange basis as coefficient rows (c, g) over [1, t] in local
     coordinates. A linear polynomial peaks in absolute value at a vertex of
     the region box, so max |l_i| is exact and costs one pass over the rows.
-    log_volume (sum of log-pivots) strictly increases with every repair swap,
+    Every repair swap multiplies the set's volume by more than LAMBDA_POISED,
     which is the finiteness certificate.
     """
 
-    def __init__(self, n, center, local_scale, box_lo, box_hi, lam):
+    def __init__(self, n, center, local_scale, box_lo, box_hi):
         self.n = n
         self.p = n + 1
         self.center = np.asarray(center, dtype=float)
         self.R = float(local_scale)
         self.lo = np.asarray(box_lo, dtype=float)
         self.hi = np.asarray(box_hi, dtype=float)
-        self.lam = float(lam)
         self.L = np.eye(self.p)
         self.sites: list[np.ndarray] = []
-        self.log_volume = 0.0
 
     def box_peaks(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """For each row (c, g): the region-box vertex where |c + g.t| peaks, and the peak.
@@ -517,7 +508,6 @@ class _LagrangeMachine:
         self.L[i] /= pivot
         mask = np.arange(self.p) != i
         self.L[mask] -= np.outer(vals[mask], self.L[i])
-        self.log_volume += math.log(abs(pivot))
 
     def select(self, db_sites: Sequence[np.ndarray]):
         """Greedy pivoted site selection; center first, database points preferred."""
@@ -561,7 +551,7 @@ class _LagrangeMachine:
             if db_sites is not None and len(db_sites)
             else np.empty((0, self.n))
         )
-        lam_gate = self.lam * (1.0 + 1e-9)
+        lam_gate = LAMBDA_POISED * (1.0 + 1e-9)
         swaps = 0
         while True:
             verts, mags = self.box_peaks(self.L)
@@ -588,31 +578,29 @@ class _LagrangeMachine:
         T = (np.atleast_2d(np.asarray(U, dtype=float)) - self.center) / self.R
         return _basis_eval(T, 1) @ self.L.T
 
-    def fit(self, fvals: np.ndarray) -> PolyModel:
-        coeffs = fvals @ self.L
-        return PolyModel(
-            self.center,
-            self.R,
-            coeffs[0],
-            coeffs[1:],
-            np.zeros((self.n, self.n)),
-            1,
-            geometry_score=self.log_volume,
-            training_sites=np.vstack(self.sites),
-        )
+    def fit(self, F: np.ndarray) -> list[PolyModel]:
+        """One model per column of F, the (p, k) values at the sites."""
+        sites = np.vstack(self.sites)
+        out = []
+        for f in F.T.copy():  # contiguous rows: each column gets a single-RHS product
+            coeffs = f @ self.L
+            out.append(PolyModel(
+                self.center, self.R, coeffs[0], coeffs[1:], np.zeros((self.n, self.n)), 1,
+                training_sites=sites,
+            ))
+        return out
 
 
 def _affine_set(db, center, local_scale, box_lo, box_hi):
     """Affinely independent seed set of n+1 points, database points first.
 
-    Returns (sites, pivots). Fresh points walk along directions orthogonal to
-    the span so far, projected into the region box; the opposite sign is tried
-    before giving up on a direction.
+    Fresh points walk along directions orthogonal to the span so far,
+    projected into the region box; the opposite sign is tried before giving up
+    on a direction.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
     chosen = [center.copy()]
-    pivots = [1.0]
     Q = np.zeros((0, n))
 
     def residual(v):
@@ -628,7 +616,6 @@ def _affine_set(db, center, local_scale, box_lo, box_hi):
         if nr < PIVOT_THRESHOLD:
             return False
         chosen.append(point.copy())
-        pivots.append(nr)
         Q = np.vstack([Q, r / nr])
         return True
 
@@ -655,29 +642,35 @@ def _affine_set(db, center, local_scale, box_lo, box_hi):
             raise DegenerateGeometry(
                 "feasible region collapsed onto a lower-dimensional face"
             )
-    return chosen, pivots
+    return chosen
+
+
+def _read(db: EvaluationDatabase, sites) -> np.ndarray:
+    """(m, k) values of the k expensive objectives, one database read per site."""
+    exp = db.problem.expensive_indices
+    return np.array([db.evaluate_scaled(s)[exp] for s in sites])
 
 
 def build_rbf(
-    obj_index: int,
     db: EvaluationDatabase,
     spec: ModelSpec,
     center,
     radius: float,
     delta_ub: float,
     fs: FeasibleSet,
-) -> RBFModel:
-    """Select sites, solve the saddle interpolation system, return the model."""
+) -> list[RBFModel]:
+    """Select sites, solve the saddle interpolation system, return one model
+    per expensive objective."""
     center = np.asarray(center, dtype=float)
     n = center.size
-    R1 = spec.theta1 * radius
+    R1 = THETA1 * radius
     lo1, hi1 = _region_box(center, R1, fs)
-    sites, pivots = _affine_set(db, center, R1, lo1, hi1)
+    sites = _affine_set(db, center, R1, lo1, hi1)
 
     total_cap = (n + 1) * (n + 2) // 2 if n <= 10 else 2 * n + 1
     max_extra = max(0, total_cap - (n + 1))
     extras = []
-    for site, _ in db.query_ball(center, spec.theta2 * delta_ub):
+    for site, _ in db.query_ball(center, THETA2 * delta_ub):
         if len(extras) >= max_extra:
             break
         if any(np.max(np.abs(site - s)) <= 1e-12 for s in sites) or any(
@@ -689,15 +682,16 @@ def build_rbf(
     if spec.kernel == "cubic":
         alpha_user = 1.0
     elif spec.shape_mode == "adaptive":
-        alpha_user = adaptive_shape(radius, spec.c_alpha, spec.alpha_lo, spec.alpha_hi)
+        alpha_user = adaptive_shape(radius, C_ALPHA, ALPHA_LO, ALPHA_HI)
     else:
-        alpha_user = spec.alpha
+        alpha_user = SHAPE_ALPHA
     alpha_local = alpha_user * R1
+    candidates = sites + extras
+    F = _read(db, candidates)
 
-    def assemble(all_sites):
-        fvals = np.array([db.evaluate_scaled(s)[obj_index] for s in all_sites])
-        T = (np.vstack(all_sites) - center) / R1
-        N = len(all_sites)
+    def solve(N):
+        """Fit on the first N candidates: local sites and the (N + n + 1, k) solution."""
+        T = (np.vstack(candidates[:N]) - center) / R1
         r = np.sqrt(
             np.maximum(
                 np.sum((T[:, None, :] - T[None, :, :]) ** 2, axis=2), 0.0
@@ -711,29 +705,23 @@ def build_rbf(
         M[:N, :N] = Phi
         M[:N, N:] = P.T
         M[N:, :N] = P
-        rhs = np.concatenate([fvals, np.zeros(p)])
-        sol = solve_linear(M, rhs)
-        return T, sol[:N], sol[N:]
+        rhs = np.vstack([F[:N], np.zeros((p, F.shape[1]))])
+        return T, solve_linear(M, rhs)
 
     try:
-        T, coeffs, lam = assemble(sites + extras)
-        used = sites + extras
+        N = len(candidates)
+        T, sol = solve(N)
     except SingularMatrix:
-        T, coeffs, lam = assemble(sites)  # extras made the system degenerate
-        used = sites
-    return RBFModel(
-        center,
-        R1,
-        T,
-        coeffs,
-        float(lam[0]),
-        lam[1:],
-        spec.kernel,
-        alpha_local,
-        alpha_user,
-        geometry_score=float(np.log(np.maximum(pivots, 1e-300)).sum()),
-        training_sites=np.vstack(used),
-    )
+        N = len(sites)  # extras made the system degenerate
+        T, sol = solve(N)
+    training_sites = np.vstack(candidates[:N])
+    return [
+        RBFModel(
+            center, R1, T, a[:N], float(a[N]), a[N + 1:], spec.kernel, alpha_local, alpha_user,
+            training_sites=training_sites,
+        )
+        for a in sol.T
+    ]
 
 
 _STENCIL_MIN_OFFSET = 1e-8
@@ -773,14 +761,14 @@ def _stencil_sites(center, local_scale, lo, hi):
 
 
 def build_lagrange(
-    obj_index: int,
     db: EvaluationDatabase,
     spec: ModelSpec,
     center,
     radius: float,
     fs: FeasibleSet,
-) -> PolyModel:
-    """Lagrange interpolation model on the theta1-enlarged region.
+) -> list[PolyModel]:
+    """Lagrange interpolation models of every expensive objective on the
+    THETA1-enlarged region.
 
     Degree 2 interpolates on the finite-difference stencil fitted into the
     region box. Degree 1 selects a poised set greedily, database points
@@ -790,60 +778,52 @@ def build_lagrange(
     """
     center = np.asarray(center, dtype=float)
     n = center.size
-    R1 = spec.theta1 * radius
+    R1 = THETA1 * radius
     lo1, hi1 = _region_box(center, R1, fs)
 
     if spec.degree == 2:
-        sites = _stencil_sites(center, R1, lo1, hi1)
-        T = (np.vstack(sites) - center) / R1
-        M = _basis_eval(T, 2)
-        fvals = np.array([db.evaluate_scaled(s)[obj_index] for s in sites])
-        coeffs = solve_linear(M, fvals)
-        c0, g, H = _coeffs_to_quadratic(coeffs, n)
-        return PolyModel(
-            center, R1, c0, g, H, 2,
-            geometry_score=0.0,
-            training_sites=np.vstack(sites),
-        )
+        sites = np.vstack(_stencil_sites(center, R1, lo1, hi1))
+        coeffs = solve_linear(_basis_eval((sites - center) / R1, 2), _read(db, sites))
+        return [
+            PolyModel(center, R1, *_coeffs_to_quadratic(a, n), 2, training_sites=sites)
+            for a in coeffs.T
+        ]
 
-    machine = _LagrangeMachine(n, center, R1, lo1, hi1, spec.lambda_poised)
+    machine = _LagrangeMachine(n, center, R1, lo1, hi1)
     region_sites = [s for s, _ in db.query_ball(center, R1)]
     machine.select(region_sites)
     machine.repair(10 * machine.p, db_sites=region_sites)
-    fvals = np.array([db.evaluate_scaled(s)[obj_index] for s in machine.sites])
-    return machine.fit(fvals)
+    return machine.fit(_read(db, machine.sites))
 
 
 def build_taylor_fd(
-    obj_index: int,
     db: EvaluationDatabase,
     spec: ModelSpec,
     center,
     radius: float,
     fs: FeasibleSet,
-) -> PolyModel:
-    """Linear Taylor model from central differences; one-sided at box faces."""
+) -> list[PolyModel]:
+    """Linear Taylor models of every expensive objective from central
+    differences; one-sided at box faces."""
     center = np.asarray(center, dtype=float)
     n = center.size
     h = TAYLOR_FD_STEP * max(radius, 1e-8)
-    fss = fs
-    lo = fss.lower if fss.is_box else np.full(n, -np.inf)
-    hi = fss.upper if fss.is_box else np.full(n, np.inf)
-    f0 = float(db.evaluate_scaled(center)[obj_index])
+    lo = fs.lower if fs.is_box else np.full(n, -np.inf)
+    hi = fs.upper if fs.is_box else np.full(n, np.inf)
+    exp = db.problem.expensive_indices
     sites = [center.copy()]
 
-    def scalar(u):
-        u = np.asarray(u, dtype=float)
+    def read(u):
         sites.append(u.copy())
-        return float(db.evaluate_scaled(u)[obj_index])
+        return db.evaluate_scaled(u)[exp]
 
-    g = fd_gradient(scalar, center, h, lo, hi)
-    return PolyModel(
-        center, 1.0, f0, g, np.zeros((n, n)), 1,
-        geometry_score=0.0,
-        training_sites=np.vstack(sites),
-        kind="taylor-fd1",
-    )
+    f0 = db.evaluate_scaled(center)[exp]
+    G = fd_gradient(read, center, h, lo, hi, f0=f0)
+    sites = np.vstack(sites)
+    return [
+        PolyModel(center, 1.0, c0, g, np.zeros((n, n)), 1, training_sites=sites, kind="taylor-fd1")
+        for c0, g in zip(f0, G.T)
+    ]
 
 
 @dataclass
@@ -913,32 +893,35 @@ def build_bundle(
 ) -> SurrogateBundle:
     """Construct the per-objective surrogates on B(center; radius).
 
-    Cheap objectives are wrapped exactly; every expensive one is built from
-    the one ModelSpec, which is None only when no objective is expensive.
-    Expensive evaluations stay inside X intersect the theta2-enlarged region
-    and are all routed through the database.
+    Cheap objectives are wrapped exactly. The expensive ones share one site
+    set: one builder call selects it, reads every site once and fits all of
+    them from the one ModelSpec, which is None only when no objective is
+    expensive. Expensive evaluations stay inside X intersect the
+    THETA2-enlarged region and are all routed through the database.
     """
     center = np.asarray(center, dtype=float)
     fs = prob.feasible.scaled()
     before = len(db)
-    models = []
-    for idx in range(prob.n_objs):
-        if not prob.expensive_mask[idx]:
-            models.append(ExactCheapModel(prob, idx))
-            continue
-        if spec.kind == "rbf":
-            models.append(build_rbf(idx, db, spec, center, radius, delta_ub, fs))
-        elif spec.kind == "lagrange":
-            models.append(build_lagrange(idx, db, spec, center, radius, fs))
-        else:
-            models.append(build_taylor_fd(idx, db, spec, center, radius, fs))
-    sites = [m.training_sites for m in models if len(m.training_sites)]
+    # the module-level builders, looked up at call time so they can be wrapped
+    if not prob.expensive_mask.any():
+        fitted = []
+    elif spec.kind == "rbf":
+        fitted = build_rbf(db, spec, center, radius, delta_ub, fs)
+    elif spec.kind == "lagrange":
+        fitted = build_lagrange(db, spec, center, radius, fs)
+    else:
+        fitted = build_taylor_fd(db, spec, center, radius, fs)
+    expensive = iter(fitted)
+    models = [
+        next(expensive) if prob.expensive_mask[idx] else ExactCheapModel(prob, idx)
+        for idx in range(prob.n_objs)
+    ]
     return SurrogateBundle(
         models=models,
         fully_linear=all(m.fully_linear for m in models),
         center=center,
         radius=radius,
-        training_sites=np.vstack(sites) if sites else np.empty((0, prob.n_vars)),
+        training_sites=fitted[0].training_sites if fitted else np.empty((0, prob.n_vars)),
         new_sites=len(db) - before,
         fs=fs,
         seed=seed,

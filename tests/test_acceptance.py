@@ -191,9 +191,9 @@ def test_criterion_6_fully_linear_decay():
         for delta in (0.2, 0.1, 0.05):
             db = EvaluationDatabase(prob)
             if name == "rbf-cubic":
-                model = build_rbf(0, db, MODEL_SPECS[name], center, delta, 0.5, fs)
+                model = build_rbf(db, MODEL_SPECS[name], center, delta, 0.5, fs)[0]
             else:
-                model = build_lagrange(0, db, MODEL_SPECS[name], center, delta, fs)
+                model = build_lagrange(db, MODEL_SPECS[name], center, delta, fs)[0]
             assert model.fully_linear
             pts = np.clip(center + delta * offsets, 0.0, 1.0)
             errs.append(max(abs(model.value(p) - f(p)) for p in pts))

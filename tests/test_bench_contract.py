@@ -72,3 +72,22 @@ def test_tracer_times_the_lazy_curvature_bound():
     parents = {layers[tracer.parent[i]] for i, name in enumerate(layers)
                if name == "surrogates.hessian_bound"}
     assert parents == {"steps.compute_step"}
+
+
+def test_tracer_times_every_builder():
+    # build_bundle dispatches through the module-level builder names, which the
+    # tracer swaps for its wrappers; one builder call per bundle must show up
+    tracing = _load("tracing")
+    prob = make_problem(TestProblemSpec("ZDT1", 3))
+    for model, layer in (
+        ("rbf-cubic", "surrogates.build_rbf"),
+        ("lagrange-1", "surrogates.build_lagrange"),
+        ("lagrange-2", "surrogates.build_lagrange"),
+        ("taylor-fd1", "surrogates.build_taylor_fd"),
+    ):
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            run(prob, AlgoConfig(models=MODEL_SPECS[model], max_iters=2), np.full(3, 0.6))
+        summary = tracer.summary()
+        assert summary[layer]["calls"] > 0, model
+        assert summary[layer]["calls"] == summary["surrogates.build_bundle"]["calls"], model

@@ -41,6 +41,51 @@ class TestSolveLinear:
         with pytest.raises(DimensionMismatch):
             solve_linear(np.ones((2, 3)), [1.0, 1.0])
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 2, 1), ()])
+    def test_rhs_shape_mismatch(self, shape):
+        with pytest.raises(DimensionMismatch):
+            solve_linear(np.eye(2), np.ones(shape))
+
+    def test_singular_raises_for_every_rhs_shape(self):
+        A = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 1.0, 3.0]])
+        with pytest.raises(SingularMatrix) as one:
+            solve_linear(A, np.ones(3))
+        with pytest.raises(SingularMatrix) as many:
+            solve_linear(A, np.ones((3, 4)))
+        assert str(many.value) == str(one.value)
+
+
+@st.composite
+def linear_systems(draw):
+    """A square system with k right-hand sides: random dense, or an RBF-style
+    saddle matrix [[Phi, P^T], [P, 0]] whose zero block forces row swaps."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 14))
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    else:
+        d = draw(st.integers(1, 4))
+        m = draw(st.integers(d + 1, 10))
+        T = rng.uniform(-1, 1, size=(m, d))
+        P = np.column_stack([np.ones(m), T])
+        r = np.linalg.norm(T[:, None] - T[None], axis=2)
+        A = np.block([[r**3, P], [P.T, np.zeros((d + 1, d + 1))]])
+        n = m + d + 1
+    return A, rng.standard_normal((n, k))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(linear_systems())
+def test_multi_rhs_columns_match_single_solves(system):
+    # each column of a k-RHS solve carries the bits of its own single solve
+    A, B = system
+    X = solve_linear(A, B)
+    assert X.shape == B.shape
+    for j in range(B.shape[1]):
+        assert np.array_equal(X[:, j], solve_linear(A, B[:, j]))
+
 
 class TestDescentLP:
     def test_steepest_descent_1d(self):
@@ -178,13 +223,13 @@ class TestMaximizeAbs:
     """max |linear| over a box, as the Lagrange machine's vertex helper computes it."""
 
     def test_linear_on_box(self):
-        machine = _LagrangeMachine(2, np.zeros(2), 1.0, -np.ones(2), np.ones(2), 1.5)
+        machine = _LagrangeMachine(2, np.zeros(2), 1.0, -np.ones(2), np.ones(2))
         verts, peaks = machine.box_peaks(np.array([[0.0, 1.0, 0.0]]))  # l(x) = x0
         assert peaks[0] == pytest.approx(1.0)
         assert abs(verts[0, 0]) == pytest.approx(1.0)
 
     def test_constant(self):
-        machine = _LagrangeMachine(2, np.full(2, 0.5), 0.5, np.zeros(2), np.ones(2), 1.5)
+        machine = _LagrangeMachine(2, np.full(2, 0.5), 0.5, np.zeros(2), np.ones(2))
         verts, peaks = machine.box_peaks(np.array([[3.0, 0.0, 0.0]]))  # l(x) = 3
         assert peaks[0] == pytest.approx(3.0)
         assert np.all((verts >= 0.0) & (verts <= 1.0))
@@ -211,7 +256,7 @@ def linear_rows_on_clipped_box(draw):
 def test_linear_box_peaks_match_vertex_enumeration(case):
     rows, center, scale, lo, hi = case
     n = center.size
-    machine = _LagrangeMachine(n, center, scale, lo, hi, 1.5)
+    machine = _LagrangeMachine(n, center, scale, lo, hi)
     verts, peaks = machine.box_peaks(rows)
     bits = np.array(np.meshgrid(*[[0, 1]] * n, indexing="ij")).reshape(n, -1).T
     T = (np.where(bits.astype(bool), hi, lo) - center) / scale

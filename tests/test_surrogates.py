@@ -5,15 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pareto_trm.errors import BudgetExhausted, PoisednessRepairStalled
-from pareto_trm.linalg import fd_gradient, halton
+from pareto_trm.errors import BudgetExhausted, PoisednessRepairStalled, SingularMatrix
+from pareto_trm.linalg import fd_gradient, halton, solve_linear
 from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
 from pareto_trm.surrogates import (
+    ALPHA_HI,
+    ALPHA_LO,
+    C_ALPHA,
+    LAMBDA_POISED,
     MODEL_SPECS,
+    SHAPE_ALPHA,
+    TAYLOR_FD_STEP,
+    THETA1,
+    THETA2,
     ExactCheapModel,
-    ModelSpec,
+    PolyModel,
+    RBFModel,
+    _affine_set,
+    _basis_eval,
+    _coeffs_to_quadratic,
     _LagrangeMachine,
     _region_box,
+    _stencil_sites,
     adaptive_shape,
     build_bundle,
     build_lagrange,
@@ -23,7 +36,13 @@ from pareto_trm.surrogates import (
     kernel_value,
     model_debug_json,
 )
-from pareto_trm.testbed import FIRST_CHEAP, FIRST_EXPENSIVE, TestProblemSpec, make_problem
+from pareto_trm.testbed import (
+    ALL_EXPENSIVE,
+    FIRST_CHEAP,
+    FIRST_EXPENSIVE,
+    TestProblemSpec,
+    make_problem,
+)
 
 
 def scalar_problem(fn, n, box=None, expensive=True, name="scalar"):
@@ -31,12 +50,12 @@ def scalar_problem(fn, n, box=None, expensive=True, name="scalar"):
     return MOProblem(n, 1, [fn], np.array([expensive]), fs, name=name)
 
 
-def lagrange_machine(spec, center, radius, fs):
-    """The degree-1 machine build_lagrange runs on B(center; theta1 * radius)."""
+def lagrange_machine(center, radius, fs):
+    """The degree-1 machine build_lagrange runs on B(center; THETA1 * radius)."""
     center = np.asarray(center, dtype=float)
-    R1 = spec.theta1 * radius
+    R1 = THETA1 * radius
     lo, hi = _region_box(center, R1, fs)
-    return _LagrangeMachine(center.size, center, R1, lo, hi, spec.lambda_poised)
+    return _LagrangeMachine(center.size, center, R1, lo, hi)
 
 
 def lagrange_basis_max_on_vertices(model, lo, hi):
@@ -65,17 +84,12 @@ def test_adaptive_shape():
     assert adaptive_shape(1e-9, 20.0, 1e-2, 1e3) == pytest.approx(1e3)
 
 
-def test_lambda_must_exceed_one():
-    with pytest.raises(ValueError):
-        ModelSpec(kind="lagrange", lambda_poised=1.0)
-
-
 class TestRBF:
     def test_affine_reproduction(self):
         prob = scalar_problem(lambda x: 3.0 * x[0] + 1.0, 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
         spec = MODEL_SPECS["rbf-cubic"]
-        model = build_rbf(0, db, spec, np.array([0.5]), 0.25, 0.5, prob.feasible.scaled())
+        model = build_rbf(db, spec, np.array([0.5]), 0.25, 0.5, prob.feasible.scaled())[0]
         xs = np.linspace(0.0, 1.0, 21)[:, None]
         np.testing.assert_allclose(model.values(xs), 3.0 * xs[:, 0] + 1.0, atol=1e-8)
         assert np.max(np.abs(model.coeffs)) <= 1e-8  # kernel part vanishes
@@ -91,7 +105,7 @@ class TestRBF:
             db.evaluate(z)
         spec = MODEL_SPECS["rbf-cubic"]
         center = np.array([0.5, 0.5])
-        model = build_rbf(0, db, spec, center, 0.2, 0.5, prob.feasible.scaled())
+        model = build_rbf(db, spec, center, 0.2, 0.5, prob.feasible.scaled())[0]
         for site in model.training_sites:
             f = db.evaluate(site)[0]
             assert abs(model.value(site) - f) <= 1e-7 * (1 + abs(f))
@@ -123,9 +137,9 @@ class TestRBF:
             db.evaluate(z)
         for name in ("rbf-cubic", "rbf-multiquadric", "rbf-gaussian"):
             model = build_rbf(
-                0, db, MODEL_SPECS[name], np.array([0.4, 0.6]), 0.2, 0.5,
+                db, MODEL_SPECS[name], np.array([0.4, 0.6]), 0.2, 0.5,
                 prob.feasible.scaled(),
-            )
+            )[0]
             u = np.array([0.45, 0.55])
             h = 1e-6
             for i in range(2):
@@ -143,9 +157,9 @@ class TestRBF:
         for x0 in (0.0, 0.1, 0.2):
             db.evaluate([x0 - 0.0, 0.0] if x0 else [0.0, 0.0])
         model = build_rbf(
-            0, db, MODEL_SPECS["rbf-cubic"], np.zeros(2), 0.2, 0.5,
+            db, MODEL_SPECS["rbf-cubic"], np.zeros(2), 0.2, 0.5,
             prob.feasible.scaled(),
-        )
+        )[0]
         T = model.training_sites
         spans = T[1:] - T[0]
         assert np.linalg.matrix_rank(spans, tol=1e-8) == 2
@@ -155,17 +169,15 @@ class TestRBF:
         db = EvaluationDatabase(prob, max_expensive=2)
         with pytest.raises(BudgetExhausted):
             build_rbf(
-                0, db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.1, 0.5,
+                db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.1, 0.5,
                 prob.feasible.scaled(),
-            )
+            )[0]
 
 
 class TestLagrange:
     def test_kronecker_property_degree1(self):
         db_sites = [np.array([0.0]), np.array([1.0])]
-        machine = lagrange_machine(
-            MODEL_SPECS["lagrange-1"], [0.0], 0.5, FeasibleSet.box([0.0], [1.0])
-        )
+        machine = lagrange_machine([0.0], 0.5, FeasibleSet.box([0.0], [1.0]))
         machine.select(db_sites)
         machine.repair(10 * machine.p, db_sites=db_sites)
         sites = np.vstack(machine.sites)
@@ -178,18 +190,17 @@ class TestLagrange:
         for v in (0.0, 0.5, 1.0):
             db.evaluate([v])
         model = build_lagrange(
-            0, db, MODEL_SPECS["lagrange-2"], np.array([0.5]), 0.3,
+            db, MODEL_SPECS["lagrange-2"], np.array([0.5]), 0.3,
             prob.feasible.scaled(),
-        )
+        )[0]
         xs = np.linspace(0, 1, 31)[:, None]
         np.testing.assert_allclose(model.values(xs), xs[:, 0] ** 2, atol=1e-8)
 
     def test_lambda_certificate_by_dense_sampling(self):
-        spec = MODEL_SPECS["lagrange-1"]
         fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
         # a poorly poised database forces repair swaps before the set certifies
         huddle = [np.array([0.5, 0.5]) + 0.02 * np.array(v) for v in ((1, 0), (0, 1))]
-        machine = lagrange_machine(spec, [0.5, 0.5], 0.1, fs)
+        machine = lagrange_machine([0.5, 0.5], 0.1, fs)
         machine.select(huddle)
         machine.repair(10 * machine.p, db_sites=huddle)
         xs = np.linspace(machine.lo[0], machine.hi[0], 80)
@@ -197,10 +208,9 @@ class TestLagrange:
         A, B = np.meshgrid(xs, ys, indexing="ij")
         grid = np.column_stack([A.ravel(), B.ravel()])
         L = machine.lagrange_values(grid)
-        assert np.max(np.abs(L)) <= spec.lambda_poised * (1 + 1e-9)
+        assert np.max(np.abs(L)) <= LAMBDA_POISED * (1 + 1e-9)
 
     def test_repair_cap_raises_stalled(self):
-        spec = MODEL_SPECS["lagrange-1"]
         fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
         # database points huddled near the center: the greedy selection takes
         # them and is far from Lambda-poised, so a zero swap cap must raise
@@ -208,14 +218,14 @@ class TestLagrange:
             np.array([0.5, 0.5]) + 0.02 * np.array(v)
             for v in ((1, 0), (0, 1), (1, 1), (-1, 0), (0, -1))
         ]
-        machine = lagrange_machine(spec, [0.5, 0.5], 0.1, fs)
+        machine = lagrange_machine([0.5, 0.5], 0.1, fs)
         machine.select(huddle)
         with pytest.raises(PoisednessRepairStalled):
             machine.repair(0, db_sites=huddle)
         # the default cap certifies the same selection
         machine.repair(10 * machine.p, db_sites=huddle)
         _, peaks = machine.box_peaks(machine.L)
-        assert np.max(peaks) <= spec.lambda_poised * (1 + 1e-9)
+        assert np.max(peaks) <= LAMBDA_POISED * (1 + 1e-9)
 
     def test_lambda_certificate_exact_in_high_dimension(self):
         n = 12
@@ -228,9 +238,9 @@ class TestLagrange:
         for z in np.clip(center + 0.2 * (2 * halton(30, n, offset=11) - 1), 0, 1):
             db.evaluate(z)
         fs = prob.feasible.scaled()
-        model = build_lagrange(0, db, spec, center, 0.1, fs)
-        lo, hi = _region_box(center, spec.theta1 * 0.1, fs)
-        assert lagrange_basis_max_on_vertices(model, lo, hi) <= spec.lambda_poised * (1 + 1e-9)
+        model = build_lagrange(db, spec, center, 0.1, fs)[0]
+        lo, hi = _region_box(center, THETA1 * 0.1, fs)
+        assert lagrange_basis_max_on_vertices(model, lo, hi) <= LAMBDA_POISED * (1 + 1e-9)
 
     def test_interpolation_at_sites(self):
         prob = scalar_problem(
@@ -238,9 +248,9 @@ class TestLagrange:
         )
         db = EvaluationDatabase(prob)
         model = build_lagrange(
-            0, db, MODEL_SPECS["lagrange-2"], np.array([0.3, 0.7]), 0.15,
+            db, MODEL_SPECS["lagrange-2"], np.array([0.3, 0.7]), 0.15,
             prob.feasible.scaled(),
-        )
+        )[0]
         for site in model.training_sites:
             f = db.evaluate(site)[0]
             assert abs(model.value(site) - f) <= 1e-7 * (1 + abs(f))
@@ -252,9 +262,9 @@ class TestLagrange:
         )
         db = EvaluationDatabase(prob)
         model = build_lagrange(
-            0, db, MODEL_SPECS["lagrange-2"], np.full(n, 0.5), 0.1,
+            db, MODEL_SPECS["lagrange-2"], np.full(n, 0.5), 0.1,
             prob.feasible.scaled(),
-        )
+        )[0]
         assert model.fully_linear
         assert len(model.training_sites) == (n + 1) * (n + 2) // 2
         pts = 0.4 + 0.2 * halton(20, n, offset=3)
@@ -269,8 +279,8 @@ class TestLagrange:
         db = EvaluationDatabase(prob)
         center = np.array([2e-8, 0.5, 0.5])
         model = build_lagrange(
-            0, db, MODEL_SPECS["lagrange-2"], center, 0.1, prob.feasible.scaled()
-        )
+            db, MODEL_SPECS["lagrange-2"], center, 0.1, prob.feasible.scaled()
+        )[0]
         assert len(model.training_sites) == (n + 1) * (n + 2) // 2
         assert all(prob.feasible.contains(s) for s in model.training_sites)
         pts = np.clip(center + 0.2 * (2 * halton(20, n, offset=5) - 1), 0.0, 1.0)
@@ -283,9 +293,9 @@ class TestLagrange:
         db = EvaluationDatabase(prob)
         before = len(db)
         model = build_lagrange(
-            0, db, MODEL_SPECS["lagrange-2"], np.array([0.5, 0.5]), 0.1,
+            db, MODEL_SPECS["lagrange-2"], np.array([0.5, 0.5]), 0.1,
             prob.feasible.scaled(),
-        )
+        )[0]
         assert len(db) - before == len(model.training_sites)
         assert db.eval_counts[0] == len(model.training_sites)
 
@@ -295,8 +305,8 @@ class TestTaylor:
         prob = scalar_problem(lambda x: float(2 * x[0] - 1.0), 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
         model = build_taylor_fd(
-            0, db, MODEL_SPECS["taylor-fd1"], np.array([0.4]), 0.2, prob.feasible.scaled()
-        )
+            db, MODEL_SPECS["taylor-fd1"], np.array([0.4]), 0.2, prob.feasible.scaled()
+        )[0]
         xs = np.linspace(0, 1, 11)[:, None]
         np.testing.assert_allclose(model.values(xs), 2 * xs[:, 0] - 1.0, atol=1e-10)
 
@@ -304,17 +314,17 @@ class TestTaylor:
         prob = scalar_problem(lambda x: float(x[0] ** 2), 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
         model = build_taylor_fd(
-            0, db, MODEL_SPECS["taylor-fd1"], np.array([0.5]), 0.2, prob.feasible.scaled()
-        )
+            db, MODEL_SPECS["taylor-fd1"], np.array([0.5]), 0.2, prob.feasible.scaled()
+        )[0]
         assert model.gradient(np.array([0.5]))[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_one_sided_at_face_keeps_db_feasible(self):
         prob = scalar_problem(lambda x: float(x[0] + x[1]), 2, box=([0, 0], [1, 1]))
         db = EvaluationDatabase(prob)
         build_taylor_fd(
-            0, db, MODEL_SPECS["taylor-fd1"], np.array([0.0, 0.5]), 0.2,
+            db, MODEL_SPECS["taylor-fd1"], np.array([0.0, 0.5]), 0.2,
             prob.feasible.scaled(),
-        )
+        )[0]
         for site in db.sites:
             assert prob.feasible.contains(site)
 
@@ -322,8 +332,8 @@ class TestTaylor:
         prob = scalar_problem(lambda x: float(np.sum(x)), 3, box=(np.zeros(3), np.ones(3)))
         db = EvaluationDatabase(prob)
         build_taylor_fd(
-            0, db, MODEL_SPECS["taylor-fd1"], np.full(3, 0.5), 0.2, prob.feasible.scaled()
-        )
+            db, MODEL_SPECS["taylor-fd1"], np.full(3, 0.5), 0.2, prob.feasible.scaled()
+        )[0]
         assert db.eval_counts[0] == 2 * 3 + 1
 
 
@@ -332,14 +342,12 @@ class TestHessianBound:
         prob = scalar_problem(lambda x: float(x[0]), 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
         model = build_taylor_fd(
-            0, db, MODEL_SPECS["taylor-fd1"], np.array([0.5]), 0.2, prob.feasible.scaled()
-        )
+            db, MODEL_SPECS["taylor-fd1"], np.array([0.5]), 0.2, prob.feasible.scaled()
+        )[0]
         H = hessian_bound([model], np.array([0.5]), 0.2, prob.feasible.scaled(), c=2.0)
         assert H == pytest.approx(1.01 / 2.0)
 
     def test_quadratic_exact_before_clamp(self):
-        from pareto_trm.surrogates import PolyModel
-
         model = PolyModel(np.zeros(2), 1.0, 0.0, np.zeros(2), 2.0 * np.eye(2), 2)
         lo, hi = -np.ones(2), np.ones(2)
         assert model.hessian_norm_bound(lo, hi) == pytest.approx(2.0 * np.sqrt(2.0))
@@ -352,9 +360,9 @@ class TestHessianBound:
         for z in halton(9, 2, offset=23):
             db.evaluate(z)
         model = build_rbf(
-            0, db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.2, 0.5,
+            db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.2, 0.5,
             prob.feasible.scaled(),
-        )
+        )[0]
         lo, hi = np.array([0.3, 0.3]), np.array([0.7, 0.7])
         bound = model.hessian_norm_bound(lo, hi, model.training_sites)
         xs = np.linspace(0.3, 0.7, 25)
@@ -462,12 +470,173 @@ def test_model_debug_json_golden(tmp_path):
     prob = scalar_problem(lambda x: float(x[0] + 2 * x[1]), 2, box=([0, 0], [1, 1]))
     db = EvaluationDatabase(prob)
     model = build_rbf(
-        0, db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.1, 0.5,
+        db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.1, 0.5,
         prob.feasible.scaled(),
-    )
+    )[0]
     dump = model_debug_json(model)
     golden = (
         __file__.replace("test_surrogates.py", "golden/rbf_model.json")
     )
     with open(golden, encoding="utf-8") as fh:
         assert dump == fh.read()
+
+
+# --- one site set per bundle ------------------------------------------------
+
+
+def per_objective_rbf(obj_index, db, spec, center, radius, delta_ub, fs):
+    """The RBF builder as it was when every expensive objective was built on
+    its own: sites selected, read and solved once per objective."""
+    center = np.asarray(center, dtype=float)
+    n = center.size
+    R1 = THETA1 * radius
+    lo1, hi1 = _region_box(center, R1, fs)
+    sites = _affine_set(db, center, R1, lo1, hi1)
+    total_cap = (n + 1) * (n + 2) // 2 if n <= 10 else 2 * n + 1
+    extras = []
+    for site, _ in db.query_ball(center, THETA2 * delta_ub):
+        if len(extras) >= max(0, total_cap - (n + 1)):
+            break
+        if not any(np.max(np.abs(site - s)) <= 1e-12 for s in sites + extras):
+            extras.append(site)
+    if spec.kernel == "cubic":
+        alpha_user = 1.0
+    elif spec.shape_mode == "adaptive":
+        alpha_user = adaptive_shape(radius, C_ALPHA, ALPHA_LO, ALPHA_HI)
+    else:
+        alpha_user = SHAPE_ALPHA
+    alpha_local = alpha_user * R1
+
+    def assemble(all_sites):
+        fvals = np.array([db.evaluate_scaled(s)[obj_index] for s in all_sites])
+        T = (np.vstack(all_sites) - center) / R1
+        N, p = len(all_sites), n + 1
+        r = np.sqrt(np.maximum(np.sum((T[:, None, :] - T[None, :, :]) ** 2, axis=2), 0.0))
+        P = np.ones((p, N))
+        P[1:, :] = T.T
+        M = np.zeros((N + p, N + p))
+        M[:N, :N] = kernel_value(spec.kernel, r, alpha_local)
+        M[:N, N:] = P.T
+        M[N:, :N] = P
+        sol = solve_linear(M, np.concatenate([fvals, np.zeros(p)]))
+        return T, sol[:N], sol[N:]
+
+    try:
+        used = sites + extras
+        T, coeffs, lam = assemble(used)
+    except SingularMatrix:
+        used = sites
+        T, coeffs, lam = assemble(used)
+    return RBFModel(center, R1, T, coeffs, float(lam[0]), lam[1:], spec.kernel, alpha_local,
+                    alpha_user, training_sites=np.vstack(used))
+
+
+def per_objective_lagrange2(obj_index, db, spec, center, radius, fs):
+    center = np.asarray(center, dtype=float)
+    R1 = THETA1 * radius
+    lo1, hi1 = _region_box(center, R1, fs)
+    sites = _stencil_sites(center, R1, lo1, hi1)
+    M = _basis_eval((np.vstack(sites) - center) / R1, 2)
+    fvals = np.array([db.evaluate_scaled(s)[obj_index] for s in sites])
+    c0, g, H = _coeffs_to_quadratic(solve_linear(M, fvals), center.size)
+    return PolyModel(center, R1, c0, g, H, 2, training_sites=np.vstack(sites))
+
+
+def per_objective_taylor_fd(obj_index, db, spec, center, radius, fs):
+    center = np.asarray(center, dtype=float)
+    n = center.size
+    h = TAYLOR_FD_STEP * max(radius, 1e-8)
+    f0 = float(db.evaluate_scaled(center)[obj_index])
+    sites = [center.copy()]
+
+    def scalar(u):
+        sites.append(u.copy())
+        return float(db.evaluate_scaled(u)[obj_index])
+
+    g = fd_gradient(scalar, center, h, fs.lower, fs.upper)
+    return PolyModel(center, 1.0, f0, g, np.zeros((n, n)), 1,
+                     training_sites=np.vstack(sites), kind="taylor-fd1")
+
+
+def per_objective_models(prob, db, name, center, radius, delta_ub):
+    """Every expensive objective built on its own, in objective order."""
+    spec, fs = MODEL_SPECS[name], prob.feasible.scaled()
+    out = []
+    for idx in prob.expensive_indices:
+        if spec.kind == "rbf":
+            out.append(per_objective_rbf(idx, db, spec, center, radius, delta_ub, fs))
+        elif spec.kind == "lagrange":
+            out.append(per_objective_lagrange2(idx, db, spec, center, radius, fs))
+        else:
+            out.append(per_objective_taylor_fd(idx, db, spec, center, radius, fs))
+    return out
+
+
+def first_occurrences(rows):
+    keep = []
+    for r in rows:
+        if not any(np.array_equal(r, k) for k in keep):
+            keep.append(r)
+    return np.vstack(keep)
+
+
+def seeded_database(prob, center, count=12):
+    """A database holding `count` Halton sites around a scaled center."""
+    db = EvaluationDatabase(prob)
+    n = prob.n_vars
+    for z in np.clip(center + 0.3 * (2 * halton(count, n, offset=3) - 1), 0.0, 1.0):
+        db.evaluate_scaled(z)
+    return db
+
+
+# all-expensive problems; each center in scaled coordinates, the second on a face
+SHARED_SITE_CASES = [
+    ("T6", 2, np.array([0.4, 0.6])),
+    ("T6", 2, np.array([0.0, 0.3])),
+    ("DTLZ6", 12, np.full(12, 0.45)),
+    ("DTLZ6", 12, np.concatenate([[0.6, 0.5, 0.4], np.zeros(9)])),
+]
+SHARED_SITE_MODELS = ["rbf-cubic", "rbf-gaussian-adaptive", "lagrange-1", "lagrange-2", "taylor-fd1"]
+
+
+@pytest.mark.parametrize("model", SHARED_SITE_MODELS)
+@pytest.mark.parametrize("case", range(len(SHARED_SITE_CASES)))
+def test_bundle_shares_sites_and_reads_each_once(case, model):
+    name, n, center = SHARED_SITE_CASES[case]
+    prob = make_problem(TestProblemSpec(name, n, ALL_EXPENSIVE))
+    db = seeded_database(prob, center)
+    reads = []
+    read_scaled = db.evaluate_scaled
+
+    def logged_read(z):
+        reads.append(tuple(np.asarray(z, dtype=float)))
+        return read_scaled(z)
+
+    db.evaluate_scaled = logged_read
+    bundle = build_bundle(prob, db, MODEL_SPECS[model], center, 0.05, 0.5)
+    assert all(m.training_sites is bundle.training_sites for m in bundle.models)
+    assert len(reads) == len(set(reads)), "a site was read twice"
+    assert set(reads) == {tuple(s) for s in bundle.training_sites}
+
+
+@pytest.mark.parametrize("model", ["lagrange-2", "taylor-fd1", "rbf-cubic", "rbf-gaussian-adaptive"])
+@pytest.mark.parametrize("case", range(len(SHARED_SITE_CASES)))
+def test_bundle_matches_per_objective_builds(case, model):
+    name, n, center = SHARED_SITE_CASES[case]
+    prob = make_problem(TestProblemSpec(name, n, ALL_EXPENSIVE))
+    db_old, db_new = seeded_database(prob, center), seeded_database(prob, center)
+    old = per_objective_models(prob, db_old, model, center, 0.05, 0.5)
+    new = build_bundle(prob, db_new, MODEL_SPECS[model], center, 0.05, 0.5).models
+    # the shared build evaluates the same new sites in the same order
+    assert np.array_equal(np.vstack(db_old.sites), np.vstack(db_new.sites))
+    assert np.array_equal(np.vstack(db_old.values), np.vstack(db_new.values))
+    exact = range(1) if model.startswith("rbf") else range(len(old))
+    for j in exact:
+        a, b = old[j].debug_dict(), new[j].debug_dict()
+        # a one-sided FD stencil read the center twice; the shared build reads it once
+        a["training_sites"] = first_occurrences(old[j].training_sites).tolist()
+        assert a == b, f"objective {j} differs"
+    for o, m in zip(old, new):  # RBF objectives past the first see their sites permuted
+        assert {tuple(s) for s in o.training_sites} == {tuple(s) for s in m.training_sites}
+        pts = np.clip(center + 0.1 * (2 * halton(20, n, offset=9) - 1), 0.0, 1.0)
+        np.testing.assert_allclose(m.values(pts), o.values(pts), rtol=1e-8, atol=1e-10)
