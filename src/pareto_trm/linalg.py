@@ -254,9 +254,11 @@ def box_multistart_minimize(
 ) -> tuple[np.ndarray, float]:
     """Projected-gradient descent with Armijo backtracking from Halton starts.
 
-    value_fn / grad_fn must accept batches: (m, n) -> (m,) and (m, n) -> (m, n).
-    Deterministic for fixed inputs; per-run objective sequences are
-    non-increasing. Returns the best point found and its value.
+    value_fn / grad_fn must accept batches: (m, n) -> (m,) and (m, n) -> (m, n),
+    and grad_fn must be pure: it is called once per accepted iterate, and that
+    gradient serves both the stop test and the next iteration. Deterministic
+    for fixed inputs; per-run objective sequences are non-increasing. Returns
+    the best point found and its value.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -266,9 +268,9 @@ def box_multistart_minimize(
         extra = np.atleast_2d(np.asarray(include, dtype=float))
         X = np.vstack([np.clip(extra, lo, hi), X])
     F = value_fn(X)
+    Gr = grad_fn(X)
     step = np.ones(X.shape[0])
     for _ in range(max_iters):
-        Gr = grad_fn(X)
         moved = False
         trial_step = step.copy()
         Xn, Fn = X, F
@@ -291,7 +293,8 @@ def box_multistart_minimize(
         if not moved:
             break
         X, F = Xn, Fn
-        proj_grad = np.max(np.abs(X - np.clip(X - grad_fn(X), lo, hi)), axis=1)
+        Gr = grad_fn(X)  # for the stop test and the next iteration
+        proj_grad = np.max(np.abs(X - np.clip(X - Gr, lo, hi)), axis=1)
         if np.all(proj_grad <= gtol):
             break
     best = int(np.argmin(F))

@@ -119,6 +119,14 @@ class MOProblem:
     objectives are scalar evaluators f_l(x) -> float over the original
     coordinates. gradient_callbacks[l], when given, must belong to a cheap
     objective and return the gradient in original coordinates.
+
+    batch_objectives[l], when given, evaluates f_l at every row of an (m, n)
+    array of original-coordinate points and returns the (m,) values;
+    batch_gradients[l], allowed on cheap objectives only, returns the (m, n)
+    gradients in original coordinates. The exact cheap-objective model calls
+    them once per batch instead of calling the scalar functions once per row,
+    so each must give the bits of its scalar counterpart (objectives[l],
+    gradient_callbacks[l]); the database always calls the scalar functions.
     """
 
     n_vars: int
@@ -128,6 +136,8 @@ class MOProblem:
     feasible: FeasibleSet
     gradient_callbacks: Optional[Sequence[Optional[Callable]]] = None
     name: str = ""
+    batch_objectives: Optional[Sequence[Optional[Callable]]] = None
+    batch_gradients: Optional[Sequence[Optional[Callable]]] = None
 
     def __post_init__(self):
         self.expensive_mask = np.asarray(self.expensive_mask, dtype=bool)
@@ -139,13 +149,15 @@ class MOProblem:
             raise DimensionMismatch("expensive_mask must have length n_objs")
         if self.feasible.is_box and self.feasible.lower.size != self.n_vars:
             raise DimensionMismatch("feasible set dimension mismatch")
-        if self.gradient_callbacks is None:
-            self.gradient_callbacks = [None] * self.n_objs
-        if len(self.gradient_callbacks) != self.n_objs:
-            raise DimensionMismatch("need one gradient slot per objective")
-        for idx, cb in enumerate(self.gradient_callbacks):
-            if cb is not None and self.expensive_mask[idx]:
-                raise ValueError("gradient callbacks are only allowed on cheap objectives")
+        for attr in ("gradient_callbacks", "batch_objectives", "batch_gradients"):
+            if getattr(self, attr) is None:
+                setattr(self, attr, [None] * self.n_objs)
+            if len(getattr(self, attr)) != self.n_objs:
+                raise DimensionMismatch(f"{attr} needs one entry per objective")
+        for attr in ("gradient_callbacks", "batch_gradients"):
+            entries = zip(getattr(self, attr), self.expensive_mask)
+            if any(cb is not None and expensive for cb, expensive in entries):
+                raise ValueError(f"{attr} are only allowed on cheap objectives")
 
     @property
     def expensive_indices(self) -> np.ndarray:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     DegenerateGeometry,
+    DimensionMismatch,
     PoisednessRepairStalled,
     SingularMatrix,
 )
@@ -143,11 +144,13 @@ def _axis_stencil(Z, V) -> np.ndarray:
 class ExactCheapModel:
     """Wraps a cheap objective as its own model (gradient callback or FD).
 
-    Every evaluation takes a batch of scaled points: the batch is unscaled in
-    one array expression and the objective or its gradient callback is called
-    once per row, so a batch gives the same bits as its rows one at a time.
-    Without a callback, gradients follow fd_gradient's rule (step 1e-7,
-    one-sided at the box faces). The curvature bound differences these
+    Every evaluation takes a batch of scaled points, unscaled in one array
+    expression. The problem's batch evaluator of the objective (or of its
+    gradient) is called once for the whole batch; without one, the scalar
+    objective or gradient callback is called once per row. Either way a batch
+    gives the same bits as its rows one at a time. Without a gradient
+    callback, gradients follow fd_gradient's rule (step 1e-7, one-sided at the
+    box faces) over batched values. The curvature bound differences these
     gradients over a +-1e-5 stencil, built for a batch of sample points at a
     time.
     """
@@ -160,6 +163,8 @@ class ExactCheapModel:
         self.index = index
         self._fn = prob.objectives[index]
         self._cb = prob.gradient_callbacks[index]
+        self._batch_fn = prob.batch_objectives[index]
+        self._batch_cb = prob.batch_gradients[index]
         fs = prob.feasible
         self._width = fs.width() if fs.is_box else None
         fss = fs.scaled()
@@ -173,8 +178,20 @@ class ExactCheapModel:
             return U.copy()
         return self.prob.feasible.lower + U * self._width
 
+    def _batch(self, fn, X, shape) -> np.ndarray:
+        """fn(X) as a float array, which must have exactly `shape`."""
+        out = np.asarray(fn(X), dtype=float)
+        if out.shape != shape:
+            raise DimensionMismatch(
+                f"batch evaluator of objective {self.index} returned shape {out.shape}, "
+                f"expected {shape}"
+            )
+        return out
+
     def values(self, U) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
+        if self._batch_fn is not None:
+            return self._batch(self._batch_fn, self._unscaled(U), U.shape[:1])
         return np.array([float(self._fn(x)) for x in self._unscaled(U)])
 
     def value(self, u) -> float:
@@ -182,10 +199,13 @@ class ExactCheapModel:
 
     def gradients(self, U) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        if self._cb is None:
+        if self._batch_cb is not None:
+            G = self._batch(self._batch_cb, self._unscaled(U), U.shape)
+        elif self._cb is None:
             return self._fd_gradients(U)
-        G = np.array([np.asarray(self._cb(x), dtype=float) for x in self._unscaled(U)])
-        G = G.reshape(U.shape)
+        else:
+            G = np.array([np.asarray(self._cb(x), dtype=float) for x in self._unscaled(U)])
+            G = G.reshape(U.shape)
         return G * self._width if self._width is not None else G
 
     def gradient(self, u) -> np.ndarray:

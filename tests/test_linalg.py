@@ -170,6 +170,46 @@ def _quad(c):
     return val, grad
 
 
+def multistart_two_gradients(value_fn, grad_fn, lo, hi, n_starts, seed, max_iters, gtol):
+    """box_multistart_minimize as it was when every accepted iterate's gradient
+    was computed twice (stop test, then the next iteration's head); also
+    returns the number of iterations run."""
+    X = lo + halton(n_starts, lo.size, offset=1000 * seed) * (hi - lo)
+    F = value_fn(X)
+    step = np.ones(X.shape[0])
+    iterations = 0
+    for _ in range(max_iters):
+        iterations += 1
+        Gr = grad_fn(X)
+        moved = False
+        trial_step = step.copy()
+        Xn, Fn = X, F
+        accept = np.zeros(X.shape[0], dtype=bool)
+        for _bt in range(40):
+            cand = np.clip(X - trial_step[:, None] * Gr, lo, hi)
+            Fc = value_fn(cand)
+            decrease = np.einsum("ij,ij->i", Gr, X - cand)
+            ok = (~accept) & (Fc <= F - 1e-4 * decrease)
+            if np.any(ok):
+                if not moved:
+                    Xn, Fn = X.copy(), F.copy()
+                    moved = True
+                Xn[ok], Fn[ok] = cand[ok], Fc[ok]
+                step[ok] = trial_step[ok] * 2.0
+                accept |= ok
+            if np.all(accept):
+                break
+            trial_step = np.where(accept, trial_step, trial_step / 2.0)
+        if not moved:
+            break
+        X, F = Xn, Fn
+        proj_grad = np.max(np.abs(X - np.clip(X - grad_fn(X), lo, hi)), axis=1)
+        if np.all(proj_grad <= gtol):
+            break
+    best = int(np.argmin(F))
+    return X[best].copy(), float(F[best]), iterations
+
+
 class TestMultistart:
     def test_interior_quadratic(self):
         val, grad = _quad([0.3, 0.6])
@@ -210,6 +250,29 @@ class TestMultistart:
         box_multistart_minimize(spy_val, grad, np.zeros(3), np.ones(3), 1, seed=0)
         best = np.minimum.accumulate(history)
         assert np.all(np.diff(best) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "target, max_iters",
+        [([0.3, 0.6, 0.9], 200), ([2.0, -1.0, 0.5], 200), ([0.3, 0.6, 0.9], 3)],
+        ids=["interior", "exterior", "iteration-cap"],
+    )
+    def test_one_gradient_per_iterate(self, target, max_iters):
+        val, grad = _quad(target)
+        lo, hi = np.zeros(3), np.ones(3)
+        calls = []
+
+        def counted_grad(X):
+            calls.append(X.copy())
+            return grad(X)
+
+        x, v = box_multistart_minimize(val, counted_grad, lo, hi, 4, seed=1, max_iters=max_iters)
+        x_old, v_old, iterations = multistart_two_gradients(
+            val, grad, lo, hi, 4, 1, max_iters, 1e-10
+        )
+        assert np.array_equal(x, x_old) and v == v_old
+        assert len(calls) <= iterations + 1
+        # no two calls on the same iterate
+        assert all(not np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
 
     def test_value_not_worse_than_any_start(self):
         val, grad = _quad([0.5, 0.5])

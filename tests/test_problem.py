@@ -89,6 +89,29 @@ def test_gradient_callback_only_on_cheap():
         )
 
 
+def _two_objective_problem(expensive, **batch):
+    fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
+    return MOProblem(
+        2, 2, [lambda x: float(x[0]), lambda x: float(x[1])], np.array(expensive), fs, **batch
+    )
+
+
+@pytest.mark.parametrize("field", ["batch_objectives", "batch_gradients"])
+def test_batch_list_needs_one_slot_per_objective(field):
+    with pytest.raises(DimensionMismatch):
+        _two_objective_problem([False, False], **{field: [lambda X: X[:, 0]]})
+
+
+def test_batch_gradient_only_on_cheap():
+    with pytest.raises(ValueError, match="only allowed on cheap objectives"):
+        _two_objective_problem(
+            [True, False], batch_gradients=[lambda X: np.ones(X.shape), None]
+        )
+    # a batch evaluator of an expensive objective's values is allowed
+    prob = _two_objective_problem([True, False], batch_objectives=[lambda X: X[:, 0], None])
+    assert prob.batch_gradients == [None, None]
+
+
 def _t6():
     return make_problem(TestProblemSpec("T6"))
 

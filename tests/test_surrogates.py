@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pareto_trm.errors import BudgetExhausted, PoisednessRepairStalled, SingularMatrix
+from pareto_trm.errors import (
+    BudgetExhausted,
+    DimensionMismatch,
+    PoisednessRepairStalled,
+    SingularMatrix,
+)
 from pareto_trm.linalg import fd_gradient, halton, solve_linear
 from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
 from pareto_trm.surrogates import (
@@ -403,7 +408,8 @@ def row_loop_hessian(prob, idx, u):
     return 0.5 * (H + H.T)
 
 
-# (problem, n, pattern): every cheap objective wraps a gradient callback except DTLZ6's
+# (problem, n, pattern): every cheap objective has a batch evaluator; all but
+# DTLZ6's and the later ZDT/DTLZ1 objectives wrap a gradient callback too
 CHEAP_OBJECTIVES = [
     ("ZDT1", 5, FIRST_CHEAP),
     ("T6", 2, FIRST_CHEAP),
@@ -412,6 +418,11 @@ CHEAP_OBJECTIVES = [
     ("DTLZ1", 16, FIRST_CHEAP),  # past n = 12 the sample spans several stencil batches
     ("DTLZ6", 3, FIRST_CHEAP),
     ("DTLZ6", 6, FIRST_CHEAP),
+    ("ZDT2", 5, FIRST_EXPENSIVE),
+    ("ZDT3", 5, FIRST_EXPENSIVE),
+    ("DTLZ1", 8, FIRST_EXPENSIVE),  # objectives 2..4 cheap
+    ("DTLZ6", 8, FIRST_EXPENSIVE),
+    ("DTLZ6", 12, FIRST_CHEAP),
 ]
 
 
@@ -433,14 +444,69 @@ def cheap_model_boxes(draw):
 @given(cheap_model_boxes())
 def test_cheap_model_matches_row_loop_bit_for_bit(case):
     prob, lo, hi, seed = case
-    idx = int(np.flatnonzero(~prob.expensive_mask)[0])
-    model = ExactCheapModel(prob, idx)
-    pts = lo + halton(25, lo.size, offset=17 + seed) * (hi - lo)
-    fn = prob.objectives[idx]
-    assert np.array_equal(model.values(pts), [float(fn(prob.unscale(p))) for p in pts])
-    assert np.array_equal(model.gradients(pts), [row_loop_gradient(prob, idx, p) for p in pts])
-    worst = max(float(np.linalg.norm(row_loop_hessian(prob, idx, p))) for p in pts)
-    assert model.hessian_norm_bound(lo, hi, seed=seed) == 1.1 * worst
+    for idx in prob.cheap_indices:
+        model = ExactCheapModel(prob, idx)
+        pts = lo + halton(25, lo.size, offset=17 + seed) * (hi - lo)
+        fn = prob.objectives[idx]
+        assert np.array_equal(model.values(pts), [float(fn(prob.unscale(p))) for p in pts])
+        assert np.array_equal(
+            model.gradients(pts), [row_loop_gradient(prob, idx, p) for p in pts]
+        )
+        worst = max(float(np.linalg.norm(row_loop_hessian(prob, idx, p))) for p in pts)
+        assert model.hessian_norm_bound(lo, hi, seed=seed) == 1.1 * worst
+
+
+def _counted_cheap_problem(value_out=None, grad_out=None):
+    """One cheap objective f = x0 * x1 on the unit square with batch evaluators
+    that count their calls; value_out / grad_out replace their output."""
+    calls = {"batch_f": 0, "batch_g": 0, "f": 0, "g": 0}
+
+    def tick(name, out):
+        calls[name] += 1
+        return out
+
+    prob = MOProblem(
+        2, 1,
+        [lambda x: tick("f", float(x[0] * x[1]))],
+        np.array([False]),
+        FeasibleSet.box([0.0, 0.0], [1.0, 1.0]),
+        [lambda x: tick("g", np.array([x[1], x[0]]))],
+        batch_objectives=[
+            lambda X: tick("batch_f", X[:, 0] * X[:, 1] if value_out is None else value_out(X))
+        ],
+        batch_gradients=[
+            lambda X: tick("batch_g", X[:, ::-1].copy() if grad_out is None else grad_out(X))
+        ],
+    )
+    return prob, calls
+
+
+def test_cheap_model_calls_batch_evaluators_once_per_batch():
+    prob, calls = _counted_cheap_problem()
+    model = ExactCheapModel(prob, 0)
+    U = halton(7, 2)
+    assert np.array_equal(model.values(U), U[:, 0] * U[:, 1])
+    assert np.array_equal(model.gradients(U), U[:, ::-1])
+    model.hessian_norm_bound(np.zeros(2), np.ones(2))
+    assert calls == {"batch_f": 1, "batch_g": 2, "f": 0, "g": 0}
+
+
+@pytest.mark.parametrize(
+    "value_out, grad_out",
+    [
+        (lambda X: X[:, :1], None),  # (m, 1) values
+        (lambda X: X[:-1, 0], None),  # one value short
+        (None, lambda X: X.ravel()),  # (m n,) gradients
+        (None, lambda X: X.T),  # (n, m) gradients
+    ],
+    ids=["values-column", "values-short", "gradients-flat", "gradients-transposed"],
+)
+def test_cheap_model_rejects_misshapen_batch_output(value_out, grad_out):
+    prob, _ = _counted_cheap_problem(value_out, grad_out)
+    model = ExactCheapModel(prob, 0)
+    U = halton(3, 2)
+    with pytest.raises(DimensionMismatch, match="batch evaluator of objective 0"):
+        model.gradients(U) if grad_out is not None else model.values(U)
 
 
 def test_all_cheap_bundle_is_free():
