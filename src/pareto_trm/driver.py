@@ -442,6 +442,8 @@ def run(
                 ).omega_clamped
             except ObjectiveFailure:
                 omega_true_val = 0.0
+            except ParetoTRMError as exc:  # e.g. LPFailure: the diagnostic has no value
+                anomalies.append(f"t={state.t}: true_omega diagnostic: {exc}")
 
         new_state = update_state(state, classification, rho, step_res.trial, f_trial, cfg)
         # s^t is the displacement of the iterate: zero when the trial is rejected

@@ -3,6 +3,12 @@
 Everything here is deterministic: the simplex uses Bland's rule, all sampling
 is Halton-based, and no global RNG state is touched. These routines are pure
 functions of their inputs and safe to call from multiple threads.
+
+Dense solves go through one elimination routine, `lu_factor`. Its factors
+replay on a right-hand side the exact operations, in the exact order, that
+eliminating the augmented matrix [A | b] would apply to b, so a solve from a
+kept factorization has the bits of a fresh `solve_linear`. The descent LP
+relies on this to factor each simplex basis once.
 """
 
 from __future__ import annotations
@@ -89,12 +95,79 @@ def fd_gradient(fn, z, h, lo, hi, counter: Optional[dict] = None, f0=None) -> np
     return g
 
 
+@dataclass(frozen=True)
+class LUFactors:
+    """Gaussian elimination with partial pivoting, kept for replay.
+
+    For each column `col` of the n x n matrix A in turn, elimination swaps row
+    `swaps[col]` into the pivot position and subtracts `multipliers[col]` times
+    the pivot row from the rows below it. `U` is the eliminated matrix: its
+    first n columns hold the upper triangle (the strict lower part is never
+    read), and any further columns are right-hand sides eliminated alongside.
+    `solve` replays exactly these operations, in the same order, on a new
+    right-hand side, so its result has the bits of eliminating [A | b] in one
+    pass, and one factorization serves any number of right-hand sides.
+    """
+
+    swaps: list
+    multipliers: list
+    U: np.ndarray
+
+    def solve(self, b) -> np.ndarray:
+        """x with Ax = b for one right-hand side (n,) or k of them as the columns
+        of (n, k); each column gets the bits of a solve with that column alone."""
+        n = self.U.shape[0]
+        b = np.asarray(b, dtype=float)
+        Y = b.reshape(n, -1).copy()
+        for col, (p, factors) in enumerate(zip(self.swaps, self.multipliers)):
+            if p != col:
+                Y[[col, p]] = Y[[p, col]]
+            Y[col + 1:] -= factors[:, None] * Y[col]
+        X = self.back_substitute(Y)
+        return X.T if b.ndim == 2 else X[0]
+
+    def back_substitute(self, Y) -> np.ndarray:
+        """One contiguous row of X per eliminated right-hand side (column of Y);
+        each is back-substituted on its own."""
+        U = self.U
+        n = U.shape[0]
+        X = np.zeros((Y.shape[1], n))
+        for x, rhs in zip(X, Y.T):
+            for i in range(n - 1, -1, -1):
+                x[i] = (rhs[i] - U[i, i + 1: n] @ x[i + 1:]) / U[i, i]
+        return X
+
+
+def lu_factor(M) -> LUFactors:
+    """Eliminate the first n columns of the finite n-row matrix M: a square A,
+    or A augmented with right-hand sides [A | b]. Raises SingularMatrix on a
+    pivot at or below 1e-12 max|A|. This is the package's one elimination
+    routine."""
+    U = np.array(M, dtype=float)
+    n = U.shape[0]
+    piv_floor = 1e-12 * np.max(np.abs(U[:, :n]), initial=0.0)
+    swaps, multipliers = [], []
+    for col in range(n):
+        p = col + int(np.abs(U[col:, col]).argmax())
+        if abs(U[p, col]) <= piv_floor:
+            raise SingularMatrix(f"pivot {U[p, col]!r} below threshold in column {col}")
+        if p != col:
+            U[[col, p]] = U[[p, col]]
+        factors = U[col + 1:, col] / U[col, col]
+        U[col + 1:, col:] -= factors[:, None] * U[col, col:]
+        swaps.append(p)
+        multipliers.append(factors)
+    return LUFactors(swaps, multipliers, U)
+
+
 def solve_linear(A, b) -> np.ndarray:
     """Solve Ax = b by Gaussian elimination with partial pivoting.
 
     b is one right-hand side (n,) or k of them as the columns of (n, k); each
     column is back-substituted on its own, so it gets the bits of a solve
-    with that column alone.
+    with that column alone. Validates, then eliminates [A | b] in one pass
+    with `lu_factor`; `LUFactors.solve` replays the same operations on a
+    right-hand side given later, with the same bits.
     """
     A = np.array(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -105,20 +178,8 @@ def solve_linear(A, b) -> np.ndarray:
         raise DimensionMismatch("b must have one row per row of A")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("entries must be finite")
-    M = np.hstack([A, b.reshape(n, -1)])
-    piv_floor = 1e-12 * np.max(np.abs(A), initial=0.0)
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(M[col:, col])))
-        if np.abs(M[p, col]) <= piv_floor:
-            raise SingularMatrix(f"pivot {M[p, col]!r} below threshold in column {col}")
-        if p != col:
-            M[[col, p]] = M[[p, col]]
-        factors = M[col + 1:, col] / M[col, col]
-        M[col + 1:, col:] -= factors[:, None] * M[col, col:]
-    X = np.zeros((M.shape[1] - n, n))  # one contiguous row per right-hand side
-    for x, rhs in zip(X, M[:, n:].T):
-        for i in range(n - 1, -1, -1):
-            x[i] = (rhs[i] - M[i, i + 1: n] @ x[i + 1:]) / M[i, i]
+    lu = lu_factor(np.hstack([A, b.reshape(n, -1)]))
+    X = lu.back_substitute(lu.U[:, n:])
     return X.T if b.ndim == 2 else X[0]
 
 
@@ -157,6 +218,18 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     Variables are split d = dp - dm with dp, dm >= 0 and beta = -bt with
     bt in [0, B], so the initial all-zero point is basic feasible with the
     slack basis. Bland's pivoting makes the output deterministic.
+
+    Each basis B is factored once (`lu_factor`) and its multipliers pi
+    (B.T pi = c_B) solved once; every basic solution and entering column of
+    that basis replays the factorization, which has the bits of a fresh solve.
+    Most iterations are bound flips, which keep the basis: the entering
+    variable moves to its opposite bound. After a flip the scan for the next
+    entering variable resumes after the flipped one. That is exact: basis and
+    pi are unchanged, so the reduced costs and bound states of the columns
+    before it are too, and none of them was eligible; the flipped column's
+    reduced cost now has the wrong sign for its new bound. Flips and pivots
+    both count toward the iteration cap. A basis that factors as singular
+    raises LPFailure.
     """
     G, lo, hi = lp.gradients, lp.box_lo, lp.box_hi
     k, n = G.shape
@@ -172,41 +245,43 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     A[:, 2 * n + 1:] = np.eye(k)
 
     basis = list(range(2 * n + 1, nv))
-    at_upper = np.zeros(nv, dtype=bool)  # nonbasic status; basics ignored
-    in_basis = np.zeros(nv, dtype=bool)
-    in_basis[basis] = True
+    at_upper = [False] * nv  # nonbasic status; basics ignored
+    in_basis = [False] * nv
+    for j in basis:
+        in_basis[j] = True
+    xn = np.zeros(nv)  # nonbasic values, 0 at basics
 
     tol = 1e-11 * max(1.0, float(np.abs(G).max(initial=0.0)))
+    priced = (upper > tol).tolist()  # variables with room to move
+    columns = list(A.T)  # the views A[:, j]
 
-    def basic_values() -> np.ndarray:
-        xn = np.where(at_upper, upper, 0.0)
-        xn[in_basis] = 0.0
-        rhs = -A @ xn
-        return solve_linear(A[:, basis], rhs)
-
-    max_pivots = 500 + 50 * nv
-    for _ in range(max_pivots):
-        xb = basic_values()
-        try:
-            pi = solve_linear(A[:, basis].T, cost[basis])
-        except SingularMatrix as exc:  # basis is nonsingular by construction
-            raise LPFailure(f"singular basis: {exc}") from exc
+    lu = None
+    max_iters = 500 + 50 * nv  # pivots and bound flips together
+    for _ in range(max_iters):
+        if lu is None:  # a new basis: factor and price it once
+            B = A[:, basis]
+            try:
+                lu = lu_factor(B)
+                pi = solve_linear(B.T, cost[basis])
+            except SingularMatrix as exc:  # basis is nonsingular by construction
+                raise LPFailure(f"singular basis: {exc}") from exc
+            start = 0
         entering = -1
-        for j in range(nv):
-            if in_basis[j] or upper[j] <= tol:
+        for j in range(start, nv):
+            if in_basis[j] or not priced[j]:
                 continue
-            red = cost[j] - pi @ A[:, j]
+            red = cost[j] - pi @ columns[j]
             if (not at_upper[j] and red < -tol) or (at_upper[j] and red > tol):
                 entering = j
                 break
+        rhs = -A @ xn
         if entering < 0:
-            x = np.where(at_upper, upper, 0.0)
-            x[in_basis] = 0.0
-            x[basis] = xb
+            x = xn  # optimal: nonbasics at their bounds, basics solved
+            x[basis] = lu.solve(rhs)
             d = x[:n] - x[n: 2 * n]
             return d, -float(x[2 * n])
+        xb, w = lu.solve(np.column_stack([rhs, A[:, entering]])).T
         delta = -1.0 if at_upper[entering] else 1.0
-        w = solve_linear(A[:, basis], A[:, entering])
         t_best, leave_pos, leave_to_upper = np.inf, -1, False
         for i, bi in enumerate(basis):
             dw = delta * w[i]
@@ -224,20 +299,23 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
             ):
                 t_best, leave_pos, leave_to_upper = min(t, t_best), i, hit_upper
         if upper[entering] < t_best - 1e-13:
-            # entering variable reaches its opposite bound first: flip, no pivot
+            # entering variable reaches its opposite bound first: flip, no pivot;
+            # no column up to it is eligible now, so the scan resumes after it
             at_upper[entering] = not at_upper[entering]
+            xn[entering] = upper[entering] if at_upper[entering] else 0.0
+            start = entering + 1
             continue
         if leave_pos < 0:
-            if not np.isfinite(upper[entering]):
-                raise LPFailure("unbounded direction encountered")
-            at_upper[entering] = not at_upper[entering]
-            continue
+            raise LPFailure("unbounded direction encountered")
         leaving = basis[leave_pos]
         basis[leave_pos] = entering
         in_basis[entering] = True
         in_basis[leaving] = False
         at_upper[leaving] = leave_to_upper
         at_upper[entering] = False
+        xn[leaving] = upper[leaving] if leave_to_upper else 0.0
+        xn[entering] = 0.0
+        lu = None
     raise LPFailure("simplex iteration cap reached")
 
 

@@ -25,7 +25,7 @@ from pareto_trm.driver import (
     run,
     update_state,
 )
-from pareto_trm.errors import DegenerateDenominator, InfeasiblePoint
+from pareto_trm.errors import DegenerateDenominator, InfeasiblePoint, LPFailure
 from pareto_trm.linalg import halton
 from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
 from pareto_trm.steps import StepConfig
@@ -388,6 +388,22 @@ def test_true_omega_diagnostic_tracks_iterations():
     prob2.gradient_callbacks = [None, None]
     rep2 = run(prob2, cfg, [2.0, 2.0], seed=0)
     assert rep2.diagnostic_evals > 0  # finite differences counted separately
+
+
+def test_failed_true_omega_diagnostic_is_recorded_not_raised(monkeypatch):
+    def failing_true_omega(*args, **kwargs):
+        raise LPFailure("singular basis: forced")
+
+    monkeypatch.setattr(driver, "true_omega", failing_true_omega)
+    prob = two_quadratics([0.1, 0.2], [0.8, 0.9])
+    cfg = AlgoConfig(models=None, compute_true_omega=True, max_iters=3)
+    rep = run(prob, cfg, [2.0, 2.0], seed=0)
+    assert rep.iterations and not rep.stop_reason.startswith("error:")
+    assert all(rec["omega_true_clamped"] is None for rec in rep.iterations)
+    assert rep.final_omega_true_clamped is None
+    assert rep.anomalies == [
+        f"t={rec['t']}: true_omega diagnostic: singular basis: forced" for rec in rep.iterations
+    ]
 
 
 def test_critical_start_emits_zero_step_and_stops():

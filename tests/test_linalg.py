@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import lp_grid_oracle, lp_vertex_oracle
 
-from pareto_trm.errors import DimensionMismatch, SingularMatrix
+from pareto_trm import linalg
+from pareto_trm.errors import DimensionMismatch, LPFailure, SingularMatrix
 from pareto_trm.linalg import (
     LPProblem,
     box_multistart_minimize,
@@ -156,6 +157,274 @@ class TestDescentLP:
         d, beta = solve_descent_lp(LPProblem([[-1.0]], [0.0], [1.0]))
         assert beta == pytest.approx(-1.0)
         np.testing.assert_allclose(d, [1.0])
+
+
+def solve_linear_augmented(A, b):
+    """solve_linear as it was before the factorization was kept: one elimination
+    of the augmented matrix [A | b] (inputs assumed valid)."""
+    A = np.array(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = A.shape[0]
+    M = np.hstack([A, b.reshape(n, -1)])
+    piv_floor = 1e-12 * np.max(np.abs(A), initial=0.0)
+    for col in range(n):
+        p = col + int(np.argmax(np.abs(M[col:, col])))
+        if np.abs(M[p, col]) <= piv_floor:
+            raise SingularMatrix(f"pivot {M[p, col]!r} below threshold in column {col}")
+        if p != col:
+            M[[col, p]] = M[[p, col]]
+        factors = M[col + 1:, col] / M[col, col]
+        M[col + 1:, col:] -= factors[:, None] * M[col, col:]
+    X = np.zeros((M.shape[1] - n, n))
+    for x, rhs in zip(X, M[:, n:].T):
+        for i in range(n - 1, -1, -1):
+            x[i] = (rhs[i] - M[i, i + 1: n] @ x[i + 1:]) / M[i, i]
+    return X.T if b.ndim == 2 else X[0]
+
+
+def solve_descent_lp_rescan(lp, stats=None):
+    """solve_descent_lp as it was before each basis was factored once: three
+    augmented solves per iteration and a reduced-cost scan from j = 0. `stats`,
+    if given, receives the counts of pivots, bound flips and reduced-cost dots."""
+    G, lo, hi = lp.gradients, lp.box_lo, lp.box_hi
+    k, n = G.shape
+    nv = 2 * n + 1 + k
+    big = max(1.0, float(np.abs(G).sum(axis=1).max()) + 1.0)
+    upper = np.concatenate([hi, -lo, [big], np.full(k, np.inf)])
+    cost = np.zeros(nv)
+    cost[2 * n] = -1.0
+    A = np.zeros((k, nv))
+    A[:, :n] = G
+    A[:, n: 2 * n] = -G
+    A[:, 2 * n] = 1.0
+    A[:, 2 * n + 1:] = np.eye(k)
+    basis = list(range(2 * n + 1, nv))
+    at_upper = np.zeros(nv, dtype=bool)
+    in_basis = np.zeros(nv, dtype=bool)
+    in_basis[basis] = True
+    tol = 1e-11 * max(1.0, float(np.abs(G).max(initial=0.0)))
+    stats = {} if stats is None else stats
+    stats.update(pivots=0, flips=0, dots=0)
+
+    def basic_values():
+        xn = np.where(at_upper, upper, 0.0)
+        xn[in_basis] = 0.0
+        return solve_linear_augmented(A[:, basis], -A @ xn)
+
+    for _ in range(500 + 50 * nv):
+        xb = basic_values()
+        try:
+            pi = solve_linear_augmented(A[:, basis].T, cost[basis])
+        except SingularMatrix as exc:
+            raise LPFailure(f"singular basis: {exc}") from exc
+        entering = -1
+        for j in range(nv):
+            if in_basis[j] or upper[j] <= tol:
+                continue
+            red = cost[j] - pi @ A[:, j]
+            stats["dots"] += 1
+            if (not at_upper[j] and red < -tol) or (at_upper[j] and red > tol):
+                entering = j
+                break
+        if entering < 0:
+            x = np.where(at_upper, upper, 0.0)
+            x[in_basis] = 0.0
+            x[basis] = xb
+            return x[:n] - x[n: 2 * n], -float(x[2 * n])
+        delta = -1.0 if at_upper[entering] else 1.0
+        w = solve_linear_augmented(A[:, basis], A[:, entering])
+        t_best, leave_pos, leave_to_upper = np.inf, -1, False
+        for i, bi in enumerate(basis):
+            dw = delta * w[i]
+            if dw > tol:
+                t = max(xb[i], 0.0) / dw
+                hit_upper = False
+            elif dw < -tol and np.isfinite(upper[bi]):
+                t = max(upper[bi] - xb[i], 0.0) / (-dw)
+                hit_upper = True
+            else:
+                continue
+            if t < t_best - 1e-13 or (
+                t <= t_best + 1e-13 and leave_pos >= 0 and bi < basis[leave_pos]
+            ):
+                t_best, leave_pos, leave_to_upper = min(t, t_best), i, hit_upper
+        if upper[entering] < t_best - 1e-13:
+            at_upper[entering] = not at_upper[entering]
+            stats["flips"] += 1
+            continue
+        if leave_pos < 0:
+            if not np.isfinite(upper[entering]):
+                raise LPFailure("unbounded direction encountered")
+            at_upper[entering] = not at_upper[entering]
+            stats["flips"] += 1
+            continue
+        leaving = basis[leave_pos]
+        basis[leave_pos] = entering
+        in_basis[entering] = True
+        in_basis[leaving] = False
+        at_upper[leaving] = leave_to_upper
+        at_upper[entering] = False
+        stats["pivots"] += 1
+    raise LPFailure("simplex iteration cap reached")
+
+
+def _outcome(solve, *args):
+    """(bits of the result) or (exception type, message)."""
+    try:
+        out = solve(*args)
+    except (SingularMatrix, LPFailure) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, tuple):
+        d, beta = out
+        return d.tobytes(), beta
+    return out.shape, out.tobytes()
+
+
+def _replayed(A, b):
+    return linalg.lu_factor(A).solve(b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(linear_systems())
+def test_solve_linear_matches_augmented_elimination(system):
+    # both a one-pass solve and a replay of a kept factorization
+    A, B = system
+    for b in (B, B[:, 0]):
+        expected = _outcome(solve_linear_augmented, A, b)
+        assert _outcome(solve_linear, A, b) == expected
+        assert _outcome(_replayed, A, b) == expected
+
+
+@st.composite
+def singular_systems(draw):
+    """Rank-deficient square systems: a product of thin random factors, scaled."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 10))
+    r = draw(st.integers(1, n - 1))
+    A = rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+    A *= 10.0 ** rng.uniform(-3, 3)
+    return A, rng.standard_normal((n, draw(st.integers(1, 4))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(singular_systems())
+def test_solve_linear_singular_matches_augmented_elimination(system):
+    # the replayed factorization rejects the same pivot with the same message
+    A, B = system
+    for b in (B, B[:, 0]):
+        expected = _outcome(solve_linear_augmented, A, b)
+        assert _outcome(solve_linear, A, b) == expected
+        assert _outcome(_replayed, A, b) == expected
+
+
+# recorded from a DTLZ6 strict-pc run: the face x2..x6 = 0 makes the cheap
+# objective's one-sided FD gradient read 1.8e6
+DTLZ6_BADLY_SCALED = (
+    np.array([
+        [-0.6404468549752317] + [1821886.987679463] * 5,
+        [-0.08971299826238535, 159.28984238139253, 159.2898423813921,
+         161.4627797602884, 161.46277976028816, 161.46277976028833],
+    ]),
+    np.array([-0.2673528888837042, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    np.array([0.7326471111162958, 1.0, 1.0, 1.0, 1.0, 1.0]),
+)
+
+
+@st.composite
+def descent_lps(draw):
+    """k in 1..8 gradient rows over n in 1..40 variables, each row scaled by
+    1e-6..1e7, some box sides of zero width; half of the draws have entries
+    on a coarse grid, whose ties and degenerate vertices exercise Bland's rule."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, n = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    G = rng.standard_normal((k, n))
+    if draw(st.booleans()):
+        G = np.round(2.0 * G) / 2.0
+    G *= 10.0 ** rng.uniform(-6, 7, size=(k, 1))
+    lo = -rng.uniform(0.0, 1.0, size=n)
+    hi = rng.uniform(0.0, 1.0, size=n)
+    lo[rng.random(n) < 0.25] = 0.0
+    hi[rng.random(n) < 0.25] = 0.0
+    return G, lo, hi
+
+
+def _lp_outcome(solve, lp):
+    out = _outcome(solve, lp)
+    # a singular basis in the primal solve used to escape as a bare SingularMatrix
+    if out[0] == "SingularMatrix":
+        return "LPFailure", f"singular basis: {out[1]}"
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(descent_lps())
+@example(DTLZ6_BADLY_SCALED)
+def test_descent_lp_matches_rescanning_simplex(case):
+    lp = LPProblem(*case)
+    assert _lp_outcome(solve_descent_lp, lp) == _lp_outcome(solve_descent_lp_rescan, lp)
+
+
+def test_badly_scaled_rows_keep_their_recorded_answer():
+    # the simplex is not scale covariant: this answer leaves the box (d2 < 0 = lo2)
+    # and the vertex optimum is beta = -0.0657; kept until the LP itself is fixed
+    d, beta = solve_descent_lp(LPProblem(*DTLZ6_BADLY_SCALED))
+    assert beta == -9109436.578844171
+    assert d.tolist() == [0.7326471111162958, -57187.80543021193, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("which", ["primal", "dual"])
+def test_singular_basis_raises_lp_failure(monkeypatch, which):
+    # every basis factors B (primal) and then B.T (dual, inside solve_linear)
+    real = linalg.lu_factor
+    calls = []
+
+    def factor_singular(B):
+        calls.append(B)
+        if len(calls) == (3 if which == "primal" else 4):  # the second basis
+            B = np.zeros_like(B)
+        return real(B)
+
+    monkeypatch.setattr(linalg, "lu_factor", factor_singular)
+    lp = LPProblem([[1.0, 2.0], [2.0, 1.0]], -np.ones(2), np.ones(2))
+    with pytest.raises(LPFailure, match="^singular basis: pivot"):
+        solve_descent_lp(lp)
+
+
+def test_each_basis_factored_and_priced_once(monkeypatch, rng):
+    # ZDT1's gradient rows at an interior point: most iterations are bound flips
+    G = np.zeros((2, 40))
+    G[0, 0], G[1, 0], G[1, 1:] = 1.0, -1.04, 0.175
+    lo = -rng.uniform(0.1, 0.5, 40)
+    lp = LPProblem(G, lo, 1.0 + lo)
+    stats = {}
+    expected = solve_descent_lp_rescan(lp, stats)
+    nv = 2 * 40 + 1 + 2
+    bases = stats["pivots"] + 1
+    assert stats["flips"] > stats["pivots"]
+    assert stats["dots"] > bases * nv  # rescanning after every flip breaks the bound
+
+    factors, dots = [], []
+    real_factor, real_solve = linalg.lu_factor, linalg.solve_linear
+
+    class CountingPi(np.ndarray):
+        def __matmul__(self, other):
+            dots.append(1)
+            return np.ndarray.__matmul__(np.asarray(self), other)
+
+    def counted_factor(A):
+        factors.append(A)
+        return real_factor(A)
+
+    def counted_solve(A, b):  # the descent LP uses solve_linear only for pi
+        return real_solve(A, b).view(CountingPi)
+
+    monkeypatch.setattr(linalg, "lu_factor", counted_factor)
+    monkeypatch.setattr(linalg, "solve_linear", counted_solve)
+    d, beta = solve_descent_lp(lp)
+    assert (d.tobytes(), beta) == (expected[0].tobytes(), expected[1])
+    assert len(factors) == 2 * bases  # B and, for pi, B.T
+    assert len(dots) <= bases * nv
 
 
 def _quad(c):
