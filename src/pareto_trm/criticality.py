@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ObjectiveFailure
-from .linalg import LPProblem, fd_gradient, solve_descent_lp
+from .linalg import LPProblem, axis_differences, solve_descent_lp
 from .problem import FeasibleSet, MOProblem, project_to_box
 
 
@@ -67,9 +67,17 @@ def true_omega(
             gx = np.asarray(cb(x), dtype=float)
             G[idx] = gx * width if width is not None else gx
         else:
-            fn = prob.objectives[idx]
-            scalar = (lambda f: (lambda zz: float(f(prob.unscale(zz)))))(fn)
-            G[idx] = fd_gradient(scalar, z, fd_step, lo, hi, counter)
+            G[idx] = axis_differences(
+                lambda Z, f=prob.objectives[idx]: _counted_values(prob, f, Z, counter),
+                z, fd_step, lo, hi,
+            )[0]
     if not np.all(np.isfinite(G)):
         raise ObjectiveFailure("non-finite finite-difference gradient", site=x)
     return omega_of_gradients(G, z, fss)
+
+
+def _counted_values(prob: MOProblem, fn, Z, counter: dict | None) -> np.ndarray:
+    """fn at every row of Z (scaled coordinates), one call per row, counted."""
+    if counter is not None:
+        counter["evals"] = counter.get("evals", 0) + len(Z)
+    return np.array([float(fn(prob.unscale(z))) for z in Z])

@@ -86,6 +86,8 @@ class AlgoConfig:
             raise ValueError("eps_crit must be nonnegative")
         if self.n_loops < 1:
             raise ValueError("n_loops must be at least 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if self.models is not None and not isinstance(self.models, ModelSpec):
             raise ValueError("models must be one ModelSpec for every expensive objective")
 
@@ -337,9 +339,6 @@ def run(
     crit: Optional[CriticalityResult] = None
 
     while True:
-        if state.t >= cfg.max_iters:
-            stop = STOP_MAX_ITERATIONS
-            break
         delta_before = state.delta
         crit_loops = 0
         try:
@@ -362,7 +361,7 @@ def run(
                             delta_after=state.delta,
                             step_norm=0.0,
                             expensive_evals_cum=_expensive_count(db),
-                            fully_linear=bundle.fully_linear,
+                            fully_linear=True,
                             criticality_loops=crit_loops,
                         )
                     )
@@ -378,19 +377,25 @@ def run(
 
         # descent step
         if crit.omega_clamped <= 0.0:
-            step_res = zero_step(bundle, state.x, cfg.step)
+            step_res = zero_step(bundle, state.x)
         else:
             try:
                 step_res = compute_step(bundle, state.x, state.delta, crit, cfg.step, fss)
             except BacktrackExhausted as exc:
                 anomalies.append(f"t={state.t}: {exc}")
-                step_res = zero_step(bundle, state.x, cfg.step)
+                step_res = zero_step(bundle, state.x)
             except ParetoTRMError as exc:
                 anomalies.append(f"t={state.t}: {exc}")
                 stop = f"error:{type(exc).__name__}"
                 break
         if step_res.r_ratio is not None:
             min_r_ratio = step_res.r_ratio if min_r_ratio is None else min(min_r_ratio, step_res.r_ratio)
+
+        # feasibility invariants, before the trial is evaluated
+        if not fss.contains(step_res.trial):
+            violations["feasibility"] += 1
+        if np.max(np.abs(step_res.trial - state.x)) > state.delta * (1 + 1e-9) + 1e-15:
+            violations["feasibility"] += 1
 
         # evaluate the trial point and the acceptance ratio
         if step_res.is_zero:
@@ -421,10 +426,6 @@ def run(
             lhs, rhs = step_res.certificate_lhs, step_res.certificate_rhs
             if lhs + tol * (1 + abs(lhs)) < rhs:
                 violations["sufficient_decrease"] += 1
-        if not fss.contains(project_to_box(step_res.trial, fss)):
-            violations["feasibility"] += 1
-        if np.max(np.abs(step_res.trial - state.x)) > state.delta * (1 + 1e-9) + 1e-15:
-            violations["feasibility"] += 1
         if state.delta > cfg.delta_ub * (1 + 1e-12):
             violations["radius_cap"] += 1
         if classification in (SUCCESSFUL, ACCEPTABLE) and not step_res.is_zero:
@@ -458,7 +459,7 @@ def run(
                 delta_after=new_state.delta,
                 step_norm=step_norm,
                 expensive_evals_cum=_expensive_count(db),
-                fully_linear=bundle.fully_linear,
+                fully_linear=True,
                 criticality_loops=crit_loops,
                 backtracks=step_res.backtracks,
                 omega_true_clamped=omega_true_val,

@@ -59,40 +59,52 @@ def _halton(count: int, dim: int, offset: int) -> np.ndarray:
     return out
 
 
-def fd_gradient(fn, z, h, lo, hi, counter: Optional[dict] = None, f0=None) -> np.ndarray:
-    """Central-difference gradient with one-sided stencils at active box faces.
+def axis_differences(fn, Z, h, lo, hi, f0=None) -> np.ndarray:
+    """Difference quotients along every coordinate axis at every row of Z.
 
-    fn maps one point to a scalar, or to a vector when f0 = fn(z) is passed:
-    the result then has one row per coordinate, of f0's shape, and every
-    component gets the bits of its own scalar difference. Stencil points are
-    clipped into [lo, hi] so hard constraints are never violated.
+    With up = min(z_i + h, hi_i) and dn = max(z_i - h, lo_i), axis i of row z
+    is differenced centrally, (f(up) - f(dn)) / (up - dn), when both ends move;
+    one-sidedly against f(z) when only one does, at a box face; and is zero
+    where the clipped stencil is flat. Stencil points never leave [lo, hi].
+
+    fn maps an (N, n) array of points to N values, scalars or arrays. It is
+    called once: on the stencil rows in the order row, axis, up before down,
+    then on the rows of Z whose one-sided differences need f(z), unless f0
+    (f at every row of Z) is passed. The result's [k, i] is the quotient of
+    row k along axis i.
     """
-    z = np.asarray(z, dtype=float)
-    n = z.size
-    g = np.zeros((n,) + np.shape(f0))
-
-    def tick(k: int):
-        if counter is not None:
-            counter["evals"] = counter.get("evals", 0) + k
-
-    for i in range(n):
-        up = min(z[i] + h, hi[i])
-        dn = max(z[i] - h, lo[i])
-        if up - dn <= 0:
-            continue
-        zp, zm = z.copy(), z.copy()
-        zp[i], zm[i] = up, dn
-        if up > z[i] and dn < z[i]:
-            g[i] = (fn(zp) - fn(zm)) / (up - dn)
-            tick(2)
-        else:
-            if f0 is None:
-                f0 = fn(z)
-                tick(1)
-            other = zp if up > z[i] else zm
-            g[i] = (fn(other) - f0) / (other[i] - z[i])
-            tick(1)
-    return g
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    m, n = Z.shape
+    up = np.minimum(Z + h, hi)
+    dn = np.maximum(Z - h, lo)
+    live = ~(up - dn <= 0)  # not `> 0`: a NaN span is differenced, not zeroed
+    go_up = live & (up > Z)
+    central = go_up & (dn < Z)
+    # [k, i, 0] is the end read first (up, or dn when up is stuck at a face),
+    # [k, i, 1] the down end of a central difference
+    take = np.stack([live, central], axis=2)
+    first = np.where(go_up, up, dn)
+    S = np.repeat(Z, 2 * n, axis=0).reshape(m, n, 2, n)
+    axes = np.arange(n)
+    S[:, axes, 0, axes] = first
+    S[:, axes, 1, axes] = dn
+    P = np.compress(take.ravel(), S.reshape(-1, n), axis=0)
+    need_f0 = np.any(live != central, axis=1) if f0 is None else np.zeros(m, dtype=bool)
+    V = np.asarray(fn(np.concatenate([P, Z[need_f0]])), dtype=float)
+    tail = V.shape[1:]
+    F = np.zeros((m * n * 2,) + tail)
+    F[take.ravel()] = V[: len(P)]
+    F = F.reshape((m, n, 2) + tail)
+    if f0 is None:
+        f0 = np.zeros((m,) + tail)
+        f0[need_f0] = V[len(P):]
+    # a one-sided difference runs from z, so its second end holds f(z)
+    shape = (m, n) + (1,) * len(tail)
+    np.copyto(F[:, :, 1], np.reshape(f0, (m, 1) + tail), where=~central.reshape(shape))
+    span = (first - np.where(central, dn, Z)).reshape(shape)
+    live = live.reshape(shape)
+    D = np.subtract(F[:, :, 0], F[:, :, 1], out=np.zeros((m, n) + tail), where=live)
+    return np.divide(D, span, out=D, where=live)
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,17 @@ class FeasibleSet:
         return FeasibleSet.box(np.zeros(n), np.ones(n))
 
 
+def region_box(center, radius: float, fs: FeasibleSet) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the inf-ball B(center; radius), intersected with the box of fs."""
+    center = np.asarray(center, dtype=float)
+    lo = center - radius
+    hi = center + radius
+    if fs.is_box:
+        lo = np.maximum(lo, fs.lower)
+        hi = np.minimum(hi, fs.upper)
+    return lo, hi
+
+
 def _check_dim(x: np.ndarray, fs: FeasibleSet) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if fs.is_box and x.shape != fs.lower.shape:

@@ -1,7 +1,7 @@
 """Trial-step computation inside the trust region.
 
-All variants return a StepResult whose certificate triple (kappa, lhs, rhs)
-witnesses the sufficient decrease in standard form:
+All variants return a StepResult whose certificate pair (lhs, rhs) witnesses
+the sufficient decrease in standard form:
 
     Phi_m(x) - Phi_m(x + s) >= kappa * w~ * min(w~ / (c H), Delta),
 
@@ -22,7 +22,7 @@ import numpy as np
 from .criticality import CriticalityResult
 from .errors import BacktrackExhausted, ZeroDirection
 from .linalg import box_multistart_minimize
-from .problem import FeasibleSet, project_to_box
+from .problem import FeasibleSet, project_to_box, region_box
 from .surrogates import SurrogateBundle
 
 STEP_METHODS = ("modified-pc", "strict-pc", "pascoletti-serafini", "exact-pc")
@@ -47,11 +47,9 @@ class StepConfig:
 class StepResult:
     step: np.ndarray
     trial: np.ndarray
-    model_decrease: float
     per_objective_decrease: np.ndarray
     backtracks: int
-    kappa: float
-    certificate_lhs: float
+    certificate_lhs: float  # Phi_m(x) - Phi_m(x + s), the model decrease
     certificate_rhs: float
     tau: Optional[float] = None
     r_ratio: Optional[float] = None
@@ -72,19 +70,22 @@ def certificate_rhs(crit: CriticalityResult, bundle: SurrogateBundle, radius: fl
     return kappa * wt * min(wt / (bundle.k * bundle.hessian_bound), radius)
 
 
-def zero_step(bundle: SurrogateBundle, center, cfg: StepConfig) -> StepResult:
-    center = np.asarray(center, dtype=float)
-    k = bundle.k
+def _result(center, trial, decrease, lhs, rhs, backtracks=0, **extra) -> StepResult:
+    """The step from center to trial, with its certificate (lhs, rhs)."""
     return StepResult(
-        step=np.zeros_like(center),
-        trial=center.copy(),
-        model_decrease=0.0,
-        per_objective_decrease=np.zeros(k),
-        backtracks=0,
-        kappa=sufficient_decrease_kappa(cfg.armijo_a, cfg.armijo_b),
-        certificate_lhs=0.0,
-        certificate_rhs=0.0,
+        step=trial - center,
+        trial=trial,
+        per_objective_decrease=decrease,
+        backtracks=backtracks,
+        certificate_lhs=lhs,
+        certificate_rhs=rhs,
+        **extra,
     )
+
+
+def zero_step(bundle: SurrogateBundle, center) -> StepResult:
+    center = np.asarray(center, dtype=float)
+    return _result(center, center.copy(), np.zeros(bundle.k), 0.0, 0.0)
 
 
 def bar_sigma(d, radius: float) -> float:
@@ -130,16 +131,8 @@ def _backtrack(
             ok = float(np.max(m_trial)) <= phi_center - quantum
         if ok:
             lhs = phi_center - float(np.max(m_trial))
-            return StepResult(
-                step=trial - center,
-                trial=trial,
-                model_decrease=lhs,
-                per_objective_decrease=m_center - m_trial,
-                backtracks=j,
-                kappa=sufficient_decrease_kappa(cfg.armijo_a, cfg.armijo_b),
-                certificate_lhs=lhs,
-                certificate_rhs=certificate_rhs(crit, bundle, radius, cfg),
-            )
+            rhs = certificate_rhs(crit, bundle, radius, cfg)
+            return _result(center, trial, m_center - m_trial, lhs, rhs, backtracks=j)
     raise BacktrackExhausted(f"no Armijo step within {MAX_BACKTRACKS} halvings")
 
 
@@ -206,26 +199,14 @@ def exact_pareto_cauchy(
     m_center = bundle.values(center)
     m_trial = bundle.values(trial)
     lhs = float(np.max(m_center) - np.max(m_trial))
-    return StepResult(
-        step=trial - center,
-        trial=trial,
-        model_decrease=lhs,
-        per_objective_decrease=m_center - m_trial,
-        backtracks=0,
-        kappa=sufficient_decrease_kappa(cfg.armijo_a, cfg.armijo_b),
-        certificate_lhs=lhs,
-        certificate_rhs=certificate_rhs(crit, bundle, radius, cfg),
-    )
+    rhs = certificate_rhs(crit, bundle, radius, cfg)
+    return _result(center, trial, m_center - m_trial, lhs, rhs)
 
 
 def local_ideal_point(bundle, center, radius, fs: FeasibleSet) -> np.ndarray:
     """Componentwise minimum of each model over the trust region (not all of X)."""
     center = np.asarray(center, dtype=float)
-    lo = center - radius
-    hi = center + radius
-    if fs.is_box:
-        lo = np.maximum(lo, fs.lower)
-        hi = np.minimum(hi, fs.upper)
+    lo, hi = region_box(center, radius, fs)
     ideal = np.empty(bundle.k)
     for idx, model in enumerate(bundle.models):
         _, val = box_multistart_minimize(
@@ -250,18 +231,12 @@ def pascoletti_serafini(bundle, center, radius, crit, fs, cfg: StepConfig) -> St
     r = np.maximum(m_center - ideal, 0.0)
     r_max = float(np.max(r))
     if r_max <= 1e-12:
-        res = zero_step(bundle, center, cfg)
+        res = zero_step(bundle, center)
         res.tau = 0.0
-        res.r_ratio = None
         return res
     r_ratio = float(np.min(r) / r_max)
     r_safe = np.maximum(r, 1e-9 * r_max)
-
-    lo = center - radius
-    hi = center + radius
-    if fs.is_box:
-        lo = np.maximum(lo, fs.lower)
-        hi = np.minimum(hi, fs.upper)
+    lo, hi = region_box(center, radius, fs)
 
     def ratios(U):
         return (bundle.values_many(U) - m_center[None, :]) / r_safe[None, :]
@@ -304,18 +279,7 @@ def pascoletti_serafini(bundle, center, radius, crit, fs, cfg: StepConfig) -> St
         res.r_ratio = r_ratio
         res.fallback = True
         return res
-    return StepResult(
-        step=trial - center,
-        trial=trial,
-        model_decrease=lhs,
-        per_objective_decrease=m_center - m_trial,
-        backtracks=0,
-        kappa=sufficient_decrease_kappa(cfg.armijo_a, cfg.armijo_b),
-        certificate_lhs=lhs,
-        certificate_rhs=rhs,
-        tau=tau,
-        r_ratio=r_ratio,
-    )
+    return _result(center, trial, m_center - m_trial, lhs, rhs, tau=tau, r_ratio=r_ratio)
 
 
 def compute_step(bundle, center, radius, crit, cfg: StepConfig, fs: FeasibleSet) -> StepResult:

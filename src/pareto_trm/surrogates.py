@@ -21,7 +21,6 @@ models from one system with k right-hand sides.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -34,8 +33,8 @@ from .errors import (
     PoisednessRepairStalled,
     SingularMatrix,
 )
-from .linalg import fd_gradient, halton, solve_linear
-from .problem import EvaluationDatabase, FeasibleSet, MOProblem
+from .linalg import axis_differences, halton, solve_linear
+from .problem import EvaluationDatabase, FeasibleSet, MOProblem, region_box
 
 PIVOT_THRESHOLD = 1e-4
 TAYLOR_FD_STEP = 1e-2  # FD-Taylor difference step, relative to the radius
@@ -120,25 +119,12 @@ def _kernel_a(kernel: str, r, alpha: float):
     return 4.0 * alpha**4 * np.exp(-((alpha * r) ** 2))
 
 
-def _region_box(center, radius, fs: FeasibleSet):
-    center = np.asarray(center, dtype=float)
-    lo = center - radius
-    hi = center + radius
-    if fs.is_box:
-        lo = np.maximum(lo, fs.lower)
-        hi = np.minimum(hi, fs.upper)
-    return lo, hi
-
-
 # Stencil coordinates per batch in ExactCheapModel.hessian_norm_bound: the
-# whole 25-point sample up to n = 12, fewer points beyond, so the transient
-# arrays stay near 64 KiB instead of growing as 25 n^2 (3 MiB at n = 40).
-STENCIL_BATCH = 8192
-
-
-def _axis_stencil(Z, V) -> np.ndarray:
-    """(m, n, n) array whose [k, i] is row k of Z with coordinate i set to V[k, i]."""
-    return np.where(np.eye(Z.shape[1], dtype=bool), V[:, :, None], Z[:, None, :])
+# whole 25-point sample up to n = 18, fewer points beyond, so each transient
+# array stays under 128 KiB instead of growing as 50 n^2 (625 KiB at n = 40).
+# Measured at n = 30 and 40 with gradient callbacks, 64 KiB batches pay more
+# per-call overhead and 192 KiB ones run slower per point.
+STENCIL_BATCH = 16384
 
 
 class ExactCheapModel:
@@ -149,14 +135,12 @@ class ExactCheapModel:
     gradient) is called once for the whole batch; without one, the scalar
     objective or gradient callback is called once per row. Either way a batch
     gives the same bits as its rows one at a time. Without a gradient
-    callback, gradients follow fd_gradient's rule (step 1e-7, one-sided at the
-    box faces) over batched values. The curvature bound differences these
-    gradients over a +-1e-5 stencil, built for a batch of sample points at a
-    time.
+    callback, gradients are axis_differences of the values (step 1e-7,
+    one-sided at the box faces). The curvature bound takes axis_differences
+    of the gradients (step 1e-5) at a batch of sample points at a time.
     """
 
     kind = "exact-cheap"
-    fully_linear = True
 
     def __init__(self, prob: MOProblem, index: int):
         self.prob = prob
@@ -170,7 +154,6 @@ class ExactCheapModel:
         fss = fs.scaled()
         self._lo = fss.lower if fss.is_box else np.full(prob.n_vars, -np.inf)
         self._hi = fss.upper if fss.is_box else np.full(prob.n_vars, np.inf)
-        self.training_sites = np.empty((0, prob.n_vars))
 
     def _unscaled(self, U) -> np.ndarray:
         """prob.unscale of every row of U, as a fresh array."""
@@ -202,7 +185,7 @@ class ExactCheapModel:
         if self._batch_cb is not None:
             G = self._batch(self._batch_cb, self._unscaled(U), U.shape)
         elif self._cb is None:
-            return self._fd_gradients(U)
+            return axis_differences(self.values, U, 1e-7, self._lo, self._hi)
         else:
             G = np.array([np.asarray(self._cb(x), dtype=float) for x in self._unscaled(U)])
             G = G.reshape(U.shape)
@@ -211,64 +194,23 @@ class ExactCheapModel:
     def gradient(self, u) -> np.ndarray:
         return self.gradients(u)[0]
 
-    def _fd_gradients(self, Z) -> np.ndarray:
-        """fd_gradient's rule at every row of Z: central differences, one-sided
-        at a face against one shared f(z) per row, zero where the stencil is flat."""
-        m, n = Z.shape
-        h = 1e-7
-        up = np.minimum(Z + h, self._hi)
-        dn = np.maximum(Z - h, self._lo)
-        live = ~(up - dn <= 0)  # not `> 0`: a NaN span is differenced, not zeroed
-        go_up = live & (up > Z)
-        central = go_up & (dn < Z)
-        go_dn = live & ~go_up
-        up_only = go_up & ~central
-        f_up, f_dn, f0 = np.zeros((m, n)), np.zeros((m, n)), np.zeros((m, n))
-        f_up[go_up] = self.values(_axis_stencil(Z, up)[go_up])
-        take_dn = central | go_dn
-        f_dn[take_dn] = self.values(_axis_stencil(Z, dn)[take_dn])
-        need_f0 = np.any(up_only | go_dn, axis=1)
-        f0[need_f0] = self.values(Z[need_f0])[:, None]
-        G = np.zeros((m, n))
-        G[central] = (f_up[central] - f_dn[central]) / (up[central] - dn[central])
-        G[up_only] = (f_up[up_only] - f0[up_only]) / (up[up_only] - Z[up_only])
-        G[go_dn] = (f_dn[go_dn] - f0[go_dn]) / (dn[go_dn] - Z[go_dn])
-        return G
-
-    def hessian_norm_bound(self, lo, hi, extra=None, seed=0) -> float:
-        """1.1 x the largest Frobenius norm of the symmetrized difference Hessian
-        (g(u + h e_i) - g(u - h e_i)) / span_i over the sample points, with the
-        +-h stencil clipped into the feasible box and flat rows set to zero."""
+    def hessian_norm_bound(self, lo, hi, seed=0) -> float:
+        """1.1 x the largest Frobenius norm of the symmetrized difference Hessian,
+        the axis_differences of the gradients over a +-1e-5 stencil clipped into
+        the feasible box, at 25 Halton points of [lo, hi]."""
         pts = lo + halton(25, lo.size, offset=17 + seed) * (hi - lo)
-        if extra is not None and len(extra):
-            pts = np.vstack([pts, extra])
-        n = pts.shape[1]
-        h = 1e-5
-        up = np.minimum(pts + h, self._hi)
-        dn = np.maximum(pts - h, self._lo)
-        span = up - dn
-        live = ~(span <= 0)  # not `> 0`: a NaN span is differenced, not zeroed
-        per_batch = max(1, STENCIL_BATCH // (2 * n * n))
-        norms = []
+        per_batch = max(1, STENCIL_BATCH // (2 * lo.size**2))
+        squares = []
         for k in range(0, len(pts), per_batch):
-            b = slice(k, k + per_batch)
-            P_up = _axis_stencil(pts[b], up[b])[live[b]]
-            P_dn = _axis_stencil(pts[b], dn[b])[live[b]]
-            G = self.gradients(np.concatenate([P_up, P_dn]))
-            H = np.zeros((len(pts[b]), n, n))
-            H[live[b]] = (G[: len(P_up)] - G[len(P_up):]) / span[b][live[b]][:, None]
+            H = axis_differences(self.gradients, pts[k : k + per_batch], 1e-5, self._lo, self._hi)
             H = 0.5 * (H + H.transpose(0, 2, 1))
-            norms.extend(float(np.linalg.norm(H_p)) for H_p in H)
-        return 1.1 * max(norms)
-
-    def debug_dict(self) -> dict:
-        return {"kind": self.kind, "objective": self.index}
+            # h.dot(h) is the square np.linalg.norm takes the root of, without its call overhead
+            squares.extend(h.dot(h) for h in H.reshape(len(H), -1))
+        return 1.1 * float(np.sqrt(max(squares)))
 
 
 class PolyModel:
     """Polynomial model of degree <= 2 in local coordinates t = (u - center)/R."""
-
-    fully_linear = True
 
     def __init__(
         self,
@@ -315,30 +257,14 @@ class PolyModel:
     def gradient(self, u) -> np.ndarray:
         return self.gradients(u)[0]
 
-    def hessian(self, u) -> np.ndarray:
-        return self.H_local / self.R**2
-
-    def hessian_norm_bound(self, lo, hi, extra=None, seed=0) -> float:
+    def hessian_norm_bound(self, lo, hi, seed=0) -> float:
         return float(np.linalg.norm(self.H_local)) / self.R**2
-
-    def debug_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "center": [float(v) for v in self.center],
-            "local_scale": self.R,
-            "c0": self.c0,
-            "g_local": [float(v) for v in self.g_local],
-            "H_local": [[float(v) for v in row] for row in self.H_local],
-            "training_sites": [[float(v) for v in s] for s in self.training_sites],
-        }
 
 
 class RBFModel:
     """Radial basis surrogate with polynomial tail, in local coordinates."""
 
     kind = "rbf"
-    fully_linear = True
 
     def __init__(
         self,
@@ -392,26 +318,11 @@ class RBFModel:
     def gradient(self, u) -> np.ndarray:
         return self.gradients(u)[0]
 
-    def hessian(self, u) -> np.ndarray:
-        t = self._local(u)[0]
-        diff = t[None, :] - self.T
-        r = np.sqrt(np.maximum(np.sum(diff**2, axis=1), 0.0))
-        n = t.size
-        H = np.zeros((n, n))
-        w = _kernel_w(self.kernel, r, self.alpha_local)
-        a = _kernel_a(self.kernel, r, self.alpha_local)
-        for i in range(self.T.shape[0]):
-            v = diff[i]
-            if r[i] > 1e-14:
-                H += self.coeffs[i] * (a[i] * np.outer(v, v) + w[i] * np.eye(n))
-            else:
-                H += self.coeffs[i] * w[i] * np.eye(n)
-        return H / self.R**2
-
-    def hessian_norm_bound(self, lo, hi, extra=None, seed=0) -> float:
+    def hessian_norm_bound(self, lo, hi, seed=0) -> float:
+        """1.1 x the largest Frobenius Hessian norm at 100 Halton points of
+        [lo, hi] and at the training sites."""
         pts = lo + halton(100, lo.size, offset=29 + seed) * (hi - lo)
-        if extra is not None and len(extra):
-            pts = np.vstack([pts, extra])
+        pts = np.vstack([pts, self.training_sites])
         T = self._local(pts)
         r, diff = self._dists(T)
         w = _kernel_w(self.kernel, r, self.alpha_local)
@@ -421,24 +332,6 @@ class RBFModel:
         H[:, np.arange(T.shape[1]), np.arange(T.shape[1])] += trace_part[:, None]
         norms = np.sqrt(np.einsum("mij,mij->m", H, H)) / self.R**2
         return 1.1 * float(norms.max())
-
-    def debug_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "kernel": self.kernel,
-            "shape_alpha": self.alpha_user,
-            "center": [float(v) for v in self.center],
-            "local_scale": self.R,
-            "coeffs": [float(v) for v in self.coeffs],
-            "tail_c0": self.tail_c0,
-            "tail_g_local": [float(v) for v in self.tail_g_local],
-            "training_sites": [[float(v) for v in s] for s in self.training_sites],
-        }
-
-
-def model_debug_json(model) -> str:
-    """Stable JSON dump of a model (schema frozen by golden-file tests)."""
-    return json.dumps(model.debug_dict(), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +577,7 @@ def build_rbf(
     center = np.asarray(center, dtype=float)
     n = center.size
     R1 = THETA1 * radius
-    lo1, hi1 = _region_box(center, R1, fs)
+    lo1, hi1 = region_box(center, R1, fs)
     sites = _affine_set(db, center, R1, lo1, hi1)
 
     total_cap = (n + 1) * (n + 2) // 2 if n <= 10 else 2 * n + 1
@@ -799,7 +692,7 @@ def build_lagrange(
     center = np.asarray(center, dtype=float)
     n = center.size
     R1 = THETA1 * radius
-    lo1, hi1 = _region_box(center, R1, fs)
+    lo1, hi1 = region_box(center, R1, fs)
 
     if spec.degree == 2:
         sites = np.vstack(_stencil_sites(center, R1, lo1, hi1))
@@ -831,14 +724,14 @@ def build_taylor_fd(
     lo = fs.lower if fs.is_box else np.full(n, -np.inf)
     hi = fs.upper if fs.is_box else np.full(n, np.inf)
     exp = db.problem.expensive_indices
-    sites = [center.copy()]
+    sites = [center]
 
-    def read(u):
-        sites.append(u.copy())
-        return db.evaluate_scaled(u)[exp]
+    def read(P):
+        sites.append(P)
+        return np.array([db.evaluate_scaled(u)[exp] for u in P])
 
     f0 = db.evaluate_scaled(center)[exp]
-    G = fd_gradient(read, center, h, lo, hi, f0=f0)
+    G = axis_differences(read, center, h, lo, hi, f0=f0[None])[0]
     sites = np.vstack(sites)
     return [
         PolyModel(center, 1.0, c0, g, np.zeros((n, n)), 1, training_sites=sites, kind="taylor-fd1")
@@ -858,7 +751,6 @@ class SurrogateBundle:
     """
 
     models: list
-    fully_linear: bool
     center: np.ndarray
     radius: float
     training_sites: np.ndarray
@@ -866,6 +758,7 @@ class SurrogateBundle:
     fs: FeasibleSet
     seed: int = 0
     k: int = field(default=0)
+    fully_linear = True  # every model is certified when built; the bench tracer reads this
 
     def __post_init__(self):
         self.k = len(self.models)
@@ -894,11 +787,10 @@ class SurrogateBundle:
 def hessian_bound(models, center, radius, fs: FeasibleSet, c: float, seed: int = 0) -> float:
     """Max sampled/exact Frobenius Hessian norm over the region, floored and
     clamped so that c * H > 1 always holds."""
-    lo, hi = _region_box(np.asarray(center, dtype=float), radius, fs)
+    lo, hi = region_box(center, radius, fs)
     worst = 1e-8
     for model in models:
-        extra = model.training_sites if len(model.training_sites) else None
-        worst = max(worst, model.hessian_norm_bound(lo, hi, extra, seed))
+        worst = max(worst, model.hessian_norm_bound(lo, hi, seed))
     return float(max(worst, 1.01 / c))
 
 
@@ -938,7 +830,6 @@ def build_bundle(
     ]
     return SurrogateBundle(
         models=models,
-        fully_linear=all(m.fully_linear for m in models),
         center=center,
         radius=radius,
         training_sites=fitted[0].training_sites if fitted else np.empty((0, prob.n_vars)),

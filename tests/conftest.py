@@ -62,6 +62,34 @@ def lp_vertex_oracle(G, lo, hi):
     return best_d, float(best)
 
 
+def fd_gradient(fn, z, h, lo, hi, f0=None):
+    """One point at a time: central differences, one-sided at active box faces.
+
+    fn maps one point to a scalar, or to a vector when f0 = fn(z) is passed.
+    Without f0, f(z) is read when the first one-sided axis needs it. Stencil
+    points are clipped into [lo, hi].
+    """
+    z = np.asarray(z, dtype=float)
+    n = z.size
+    g = np.zeros((n,) + np.shape(f0))
+
+    for i in range(n):
+        up = min(z[i] + h, hi[i])
+        dn = max(z[i] - h, lo[i])
+        if up - dn <= 0:
+            continue
+        zp, zm = z.copy(), z.copy()
+        zp[i], zm[i] = up, dn
+        if up > z[i] and dn < z[i]:
+            g[i] = (fn(zp) - fn(zm)) / (up - dn)
+        else:
+            if f0 is None:
+                f0 = fn(z)
+            other = zp if up > z[i] else zm
+            g[i] = (fn(other) - f0) / (other[i] - z[i])
+    return g
+
+
 def two_quadratics(a, b, box=None):
     """Convex bi-objective ||x-a||^2, ||x-b||^2 with analytic gradients."""
     a = np.asarray(a, dtype=float)

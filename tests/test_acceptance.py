@@ -194,7 +194,6 @@ def test_criterion_6_fully_linear_decay():
                 model = build_rbf(db, MODEL_SPECS[name], center, delta, 0.5, fs)[0]
             else:
                 model = build_lagrange(db, MODEL_SPECS[name], center, delta, fs)[0]
-            assert model.fully_linear
             pts = np.clip(center + delta * offsets, 0.0, 1.0)
             errs.append(max(abs(model.value(p) - f(p)) for p in pts))
             gerrs.append(max(np.linalg.norm(model.gradient(p) - grad(p)) for p in pts))
@@ -277,7 +276,6 @@ def _bundle(models, center, radius):
     fs = FeasibleSet.unconstrained()
     return SurrogateBundle(
         models=models,
-        fully_linear=True,
         center=center,
         radius=radius,
         training_sites=np.empty((0, center.size)),

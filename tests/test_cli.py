@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pareto_trm import cli
 from pareto_trm.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_run_smoke(tmp_path, capsys):
@@ -24,6 +27,25 @@ def test_run_smoke(tmp_path, capsys):
     data = json.loads((out / "report.json").read_text())
     assert data["schema"] == 1
     assert data["meta"]["model"] == "rbf-cubic"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        # the README example
+        ("t6-rbf-cubic", "--problem T6 --model rbf-cubic --step strict-pc --seed 1 --budget 25"),
+        # two bundles of FD-Taylor stencil reads, in order; the budget runs out at the next trial
+        (
+            "dtlz6-taylor-fd1",
+            "--problem DTLZ6 --n 12 --pattern all-expensive --model taylor-fd1 --step steepest"
+            " --seed 0 --budget 50",
+        ),
+    ],
+)
+def test_run_outputs_match_golden(tmp_path, name, argv):
+    assert main(["run", *argv.split(), "--out", str(tmp_path)]) == 0
+    for output in ("report.json", "iterations.csv", "db.csv"):
+        assert (tmp_path / output).read_bytes() == (GOLDEN / name / output).read_bytes(), output
 
 
 def test_run_unknown_model_lists_registry(capsys):

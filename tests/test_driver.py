@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from pareto_trm.driver import (
     MODEL_IMPROVING,
     STOP_BUDGET,
     STOP_CRITICALITY_LOOP_CAP,
+    STOP_MAX_ITERATIONS,
     STOP_RADIUS_CRIT_SMALL_STEP,
     STOP_RADIUS_MIN,
     SUCCESSFUL,
@@ -25,7 +27,12 @@ from pareto_trm.driver import (
     run,
     update_state,
 )
-from pareto_trm.errors import DegenerateDenominator, InfeasiblePoint, LPFailure
+from pareto_trm.errors import (
+    BacktrackExhausted,
+    DegenerateDenominator,
+    InfeasiblePoint,
+    LPFailure,
+)
 from pareto_trm.linalg import halton
 from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
 from pareto_trm.steps import StepConfig
@@ -118,6 +125,11 @@ class TestCheckStopping:
     def test_budget(self):
         cfg = AlgoConfig()
         assert check_stopping(_state(0.1, t=1), 0.05, cfg, 100, 100) == STOP_BUDGET
+
+    def test_zero_iteration_cap_rejected(self):
+        # check_stopping runs after each iteration, so every run takes at least one
+        with pytest.raises(ValueError, match="max_iters"):
+            AlgoConfig(max_iters=0)
 
 
 def _entry_bundle(prob, db, cfg, x, delta):
@@ -413,6 +425,58 @@ def test_critical_start_emits_zero_step_and_stops():
     assert rep.stop_reason == STOP_CRITICALITY_LOOP_CAP
     assert rep.final_omega_m_clamped == pytest.approx(0.0, abs=1e-12)
     assert all(rec["step_norm"] == 0.0 for rec in rep.iterations)
+
+
+def test_critical_start_without_criticality_test_takes_zero_steps(monkeypatch):
+    # eps_crit = 0 never enters the criticality routine, so omega = 0 reaches the step
+    def no_step(*args):
+        raise AssertionError("compute_step called at a critical point")
+
+    monkeypatch.setattr(driver, "compute_step", no_step)
+    prob = two_quadratics([0.0, 0.0], [0.0, 0.0])
+    cfg = AlgoConfig(models=None, eps_crit=0.0, max_iters=4)
+    rep = run(prob, cfg, [0.0, 0.0], seed=0)
+    assert rep.stop_reason == STOP_MAX_ITERATIONS
+    assert [(rec["rho"], rec["step_norm"]) for rec in rep.iterations] == [(0.0, 0.0)] * 4
+    assert rep.anomalies == [] and sum(rep.violations.values()) == 0
+
+
+def test_exhausted_backtracking_takes_a_zero_step_and_continues(monkeypatch):
+    real_step = driver.compute_step
+    calls = []
+
+    def exhausted_once(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise BacktrackExhausted("no Armijo step within 30 halvings")
+        return real_step(*args)
+
+    monkeypatch.setattr(driver, "compute_step", exhausted_once)
+    prob = two_quadratics([0.1, 0.2], [0.8, 0.9])
+    rep = run(prob, AlgoConfig(models=None, max_iters=3), [2.0, 2.0], seed=0)
+    assert rep.anomalies == ["t=0: no Armijo step within 30 halvings"]
+    first, *rest = rep.iterations
+    assert (first["rho"], first["step_norm"]) == (0.0, 0.0)
+    assert len(rest) == 2 and all(rec["step_norm"] > 0.0 for rec in rest)
+    assert rep.stop_reason == STOP_MAX_ITERATIONS
+    assert sum(rep.violations.values()) == 0
+
+
+def test_trial_outside_the_box_is_a_feasibility_violation(monkeypatch):
+    real_step = driver.compute_step
+
+    def outside(bundle, center, radius, crit, cfg, fs):
+        res = real_step(bundle, center, radius, crit, cfg, fs)
+        trial = center.copy()
+        trial[0] = -1e-3  # inside the trust region, below the lower face
+        return dataclasses.replace(res, step=trial - center, trial=trial)
+
+    monkeypatch.setattr(driver, "compute_step", outside)
+    prob = two_quadratics([0.1, 0.2], [0.8, 0.9], box=([0.0, 0.0], [1.0, 1.0]))
+    rep = run(prob, AlgoConfig(models=None), [0.01, 0.5], seed=0)
+    # checked before the trial is evaluated, which the database then refuses
+    assert rep.violations["feasibility"] == 1
+    assert rep.stop_reason == "error:InfeasiblePoint"
 
 
 def test_models_takes_one_spec():

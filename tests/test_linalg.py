@@ -3,12 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lp_grid_oracle, lp_vertex_oracle
+from conftest import fd_gradient, lp_grid_oracle, lp_vertex_oracle
 
 from pareto_trm import linalg
 from pareto_trm.errors import DimensionMismatch, LPFailure, SingularMatrix
 from pareto_trm.linalg import (
     LPProblem,
+    axis_differences,
     box_multistart_minimize,
     halton,
     solve_descent_lp,
@@ -628,3 +629,56 @@ def test_halton_beyond_fifty_dimensions():
     assert np.all(wide > 0) and np.all(wide < 1)
     # base 281 is the 60th prime: the first point's last coordinate is 1/281
     assert wide[0, -1] == 1.0 / 281
+
+
+def _cubic(P):
+    """Two values per row from elementwise arithmetic only, so a row's bits do
+    not depend on the batch it is evaluated in."""
+    P = np.atleast_2d(P)
+    a, b = np.zeros(len(P)), np.zeros(len(P))
+    for j in range(P.shape[1]):
+        a = a + (j + 1.0) * P[:, j] ** 3 - P[:, j] ** 2
+        b = b + P[:, j] * P[:, 0] - 0.5 * P[:, j]
+    return np.column_stack([a, b])
+
+
+@st.composite
+def difference_cases(draw):
+    """Rows on and off the faces of a box whose sides may be flat (lo_i = hi_i)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coord = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    Z = np.array(draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=m, max_size=m)))
+    flat = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    lo = np.where(flat, Z[0], 0.0)
+    hi = np.where(flat, Z[0], 1.0)
+    return Z, draw(st.sampled_from([1e-7, 1e-3, 0.3])), lo, hi
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(difference_cases())
+def test_axis_differences_match_one_point_oracle(case):
+    Z, h, lo, hi = case
+    for tail in (0, 1):  # scalar values reading f(z) themselves; vector values given f0
+        calls, stencil, at_z = [], [], []
+
+        def batch(P):
+            calls.append(P.copy())
+            return _cubic(P)[:, 0] if tail == 0 else _cubic(P)
+
+        f0 = None if tail == 0 else _cubic(Z)
+        D = axis_differences(batch, Z, h, lo, hi, f0=f0)
+        for k, z in enumerate(Z):
+            seen = []
+
+            def one(p):
+                seen.append(p.copy())
+                return _cubic(p)[0, 0] if tail == 0 else _cubic(p)[0]
+
+            g = fd_gradient(one, z, h, lo, hi, f0=None if f0 is None else f0[k])
+            assert np.array_equal(D[k], g)
+            # a stencil point differs from z in the coordinate it moves
+            stencil += [p for p in seen if not np.array_equal(p, z)]
+            at_z += [z] if any(np.array_equal(p, z) for p in seen) else []
+        # one call: the oracle's stencil points in its order, then every f(z) it read
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.array(stencil + at_z).reshape(-1, Z.shape[1]))

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fd_gradient
 from pareto_trm.errors import (
     BudgetExhausted,
     DimensionMismatch,
     PoisednessRepairStalled,
     SingularMatrix,
 )
-from pareto_trm.linalg import fd_gradient, halton, solve_linear
-from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
+from pareto_trm.linalg import halton, solve_linear
+from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem, region_box
 from pareto_trm.surrogates import (
     ALPHA_HI,
     ALPHA_LO,
@@ -29,8 +30,9 @@ from pareto_trm.surrogates import (
     _affine_set,
     _basis_eval,
     _coeffs_to_quadratic,
+    _kernel_a,
+    _kernel_w,
     _LagrangeMachine,
-    _region_box,
     _stencil_sites,
     adaptive_shape,
     build_bundle,
@@ -39,7 +41,6 @@ from pareto_trm.surrogates import (
     build_taylor_fd,
     hessian_bound,
     kernel_value,
-    model_debug_json,
 )
 from pareto_trm.testbed import (
     ALL_EXPENSIVE,
@@ -59,7 +60,7 @@ def lagrange_machine(center, radius, fs):
     """The degree-1 machine build_lagrange runs on B(center; THETA1 * radius)."""
     center = np.asarray(center, dtype=float)
     R1 = THETA1 * radius
-    lo, hi = _region_box(center, R1, fs)
+    lo, hi = region_box(center, R1, fs)
     return _LagrangeMachine(center.size, center, R1, lo, hi)
 
 
@@ -75,6 +76,24 @@ def lagrange_basis_max_on_vertices(model, lo, hi):
     bits = np.array(np.meshgrid(*[[0, 1]] * n, indexing="ij")).reshape(n, -1).T
     T = (np.where(bits.astype(bool), hi, lo) - model.center) / model.R
     return float(np.max(np.abs(np.column_stack([np.ones(len(T)), T]) @ coeffs)))
+
+
+def rbf_hessian(model, u):
+    """Hessian of an RBF model at one point, one site at a time."""
+    t = model._local(u)[0]
+    diff = t[None, :] - model.T
+    r = np.sqrt(np.maximum(np.sum(diff**2, axis=1), 0.0))
+    n = t.size
+    H = np.zeros((n, n))
+    w = _kernel_w(model.kernel, r, model.alpha_local)
+    a = _kernel_a(model.kernel, r, model.alpha_local)
+    for i in range(model.T.shape[0]):
+        v = diff[i]
+        if r[i] > 1e-14:
+            H += model.coeffs[i] * (a[i] * np.outer(v, v) + w[i] * np.eye(n))
+        else:
+            H += model.coeffs[i] * w[i] * np.eye(n)
+    return H / model.R**2
 
 
 def test_kernel_table_values():
@@ -153,7 +172,7 @@ class TestRBF:
                 fd = (model.value(u + e) - model.value(u - e)) / (2 * h)
                 assert model.gradient(u)[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
                 fd_h = (model.gradient(u + e) - model.gradient(u - e)) / (2 * h)
-                np.testing.assert_allclose(model.hessian(u)[i], fd_h, rtol=1e-3, atol=1e-4)
+                np.testing.assert_allclose(rbf_hessian(model, u)[i], fd_h, rtol=1e-3, atol=1e-4)
 
     def test_collinear_database_gets_offline_point(self):
         # degenerate geometry in the database is repaired with a fresh point
@@ -244,7 +263,7 @@ class TestLagrange:
             db.evaluate(z)
         fs = prob.feasible.scaled()
         model = build_lagrange(db, spec, center, 0.1, fs)[0]
-        lo, hi = _region_box(center, THETA1 * 0.1, fs)
+        lo, hi = region_box(center, THETA1 * 0.1, fs)
         assert lagrange_basis_max_on_vertices(model, lo, hi) <= LAMBDA_POISED * (1 + 1e-9)
 
     def test_interpolation_at_sites(self):
@@ -270,7 +289,6 @@ class TestLagrange:
             db, MODEL_SPECS["lagrange-2"], np.full(n, 0.5), 0.1,
             prob.feasible.scaled(),
         )[0]
-        assert model.fully_linear
         assert len(model.training_sites) == (n + 1) * (n + 2) // 2
         pts = 0.4 + 0.2 * halton(20, n, offset=3)
         np.testing.assert_allclose(model.values(pts), np.sum(pts**2, axis=1), atol=1e-7)
@@ -333,6 +351,17 @@ class TestTaylor:
         for site in db.sites:
             assert prob.feasible.contains(site)
 
+    def test_budget_stop_inside_the_stencil_keeps_the_read_order(self):
+        prob = scalar_problem(lambda x: float(np.sum(x**2)), 3, box=(np.zeros(3), np.ones(3)))
+        center, fs = np.array([0.5, 0.0, 1.0]), prob.feasible.scaled()  # two faces
+        full = EvaluationDatabase(prob)
+        build_taylor_fd(full, MODEL_SPECS["taylor-fd1"], center, 0.2, fs)
+        for budget in range(1, len(full)):
+            cut = EvaluationDatabase(prob, max_expensive=budget)
+            with pytest.raises(BudgetExhausted):
+                build_taylor_fd(cut, MODEL_SPECS["taylor-fd1"], center, 0.2, fs)
+            assert np.array_equal(np.vstack(cut.sites), np.vstack(full.sites[:budget]))
+
     def test_cost_is_2n_plus_1(self):
         prob = scalar_problem(lambda x: float(np.sum(x)), 3, box=(np.zeros(3), np.ones(3)))
         db = EvaluationDatabase(prob)
@@ -369,10 +398,10 @@ class TestHessianBound:
             prob.feasible.scaled(),
         )[0]
         lo, hi = np.array([0.3, 0.3]), np.array([0.7, 0.7])
-        bound = model.hessian_norm_bound(lo, hi, model.training_sites)
+        bound = model.hessian_norm_bound(lo, hi)
         xs = np.linspace(0.3, 0.7, 25)
         worst = max(
-            np.linalg.norm(model.hessian(np.array([a, b]))) for a in xs for b in xs
+            np.linalg.norm(rbf_hessian(model, np.array([a, b]))) for a in xs for b in xs
         )
         assert bound >= worst * 0.999
 
@@ -434,7 +463,7 @@ def cheap_model_boxes(draw):
     coord = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     center = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
     radius = 10.0 ** draw(st.floats(-8.0, math.log10(0.3)))
-    lo, hi = _region_box(center, radius, prob.feasible.scaled())
+    lo, hi = region_box(center, radius, prob.feasible.scaled())
     flat = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     lo = np.where(flat, hi, lo)  # zero-width sides: lo_i = hi_i
     return prob, lo, hi, draw(st.integers(0, 2))
@@ -532,21 +561,6 @@ def test_all_cheap_bundle_is_free():
     np.testing.assert_allclose(bundle.gradients(u)[0], 2 * (u - 0.2), atol=1e-10)
 
 
-def test_model_debug_json_golden(tmp_path):
-    prob = scalar_problem(lambda x: float(x[0] + 2 * x[1]), 2, box=([0, 0], [1, 1]))
-    db = EvaluationDatabase(prob)
-    model = build_rbf(
-        db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.1, 0.5,
-        prob.feasible.scaled(),
-    )[0]
-    dump = model_debug_json(model)
-    golden = (
-        __file__.replace("test_surrogates.py", "golden/rbf_model.json")
-    )
-    with open(golden, encoding="utf-8") as fh:
-        assert dump == fh.read()
-
-
 # --- one site set per bundle ------------------------------------------------
 
 
@@ -556,7 +570,7 @@ def per_objective_rbf(obj_index, db, spec, center, radius, delta_ub, fs):
     center = np.asarray(center, dtype=float)
     n = center.size
     R1 = THETA1 * radius
-    lo1, hi1 = _region_box(center, R1, fs)
+    lo1, hi1 = region_box(center, R1, fs)
     sites = _affine_set(db, center, R1, lo1, hi1)
     total_cap = (n + 1) * (n + 2) // 2 if n <= 10 else 2 * n + 1
     extras = []
@@ -600,7 +614,7 @@ def per_objective_rbf(obj_index, db, spec, center, radius, delta_ub, fs):
 def per_objective_lagrange2(obj_index, db, spec, center, radius, fs):
     center = np.asarray(center, dtype=float)
     R1 = THETA1 * radius
-    lo1, hi1 = _region_box(center, R1, fs)
+    lo1, hi1 = region_box(center, R1, fs)
     sites = _stencil_sites(center, R1, lo1, hi1)
     M = _basis_eval((np.vstack(sites) - center) / R1, 2)
     fvals = np.array([db.evaluate_scaled(s)[obj_index] for s in sites])
@@ -636,6 +650,11 @@ def per_objective_models(prob, db, name, center, radius, delta_ub):
         else:
             out.append(per_objective_taylor_fd(idx, db, spec, center, radius, fs))
     return out
+
+
+def model_state(model) -> dict:
+    """Every attribute of a fitted model, arrays as nested lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(model).items()}
 
 
 def first_occurrences(rows):
@@ -698,7 +717,7 @@ def test_bundle_matches_per_objective_builds(case, model):
     assert np.array_equal(np.vstack(db_old.values), np.vstack(db_new.values))
     exact = range(1) if model.startswith("rbf") else range(len(old))
     for j in exact:
-        a, b = old[j].debug_dict(), new[j].debug_dict()
+        a, b = model_state(old[j]), model_state(new[j])
         # a one-sided FD stencil read the center twice; the shared build reads it once
         a["training_sites"] = first_occurrences(old[j].training_sites).tolist()
         assert a == b, f"objective {j} differs"
