@@ -27,7 +27,7 @@ from .linalg import halton
 from .problem import EvaluationDatabase
 from .steps import StepConfig
 from .surrogates import MODEL_SPECS
-from .testbed import PATTERNS, PROBLEM_NAMES, TestProblemSpec, make_problem, solution_quality
+from .testbed import PATTERNS, PROBLEM_NAMES, TestProblemSpec, make_problem, pareto_distance
 
 STEP_NAMES = {
     "steepest": "modified-pc",
@@ -124,7 +124,6 @@ def cmd_run(args) -> int:
         rep = run(prob, cfg, x0, seed=args.seed, db=db)
     except ParetoTRMError as exc:
         return _usage_error(f"run aborted: {exc}")
-    q = solution_quality(prob, rep.final_x)
     rep.meta = {
         "problem": prob.name,
         "n": prob.n_vars,
@@ -132,7 +131,7 @@ def cmd_run(args) -> int:
         "model": args.model,
         "step": args.step,
         "seed": args.seed,
-        "dist_to_pareto": q.dist_to_pareto,
+        "dist_to_pareto": pareto_distance(prob, rep.final_x),
     }
     _write_run_outputs(Path(args.out), rep, db)
     print(_summary_line(rep))

@@ -49,9 +49,10 @@ def true_omega(
 ) -> CriticalityResult:
     """Criticality of the true objectives at x (given in original coordinates).
 
-    Gradients come from the problem's callbacks where available, otherwise
-    from central finite differences with step fd_step in scaled coordinates.
-    Evaluations bypass the database (diagnostic use only).
+    Gradients come from the problem's gradient evaluators where available,
+    otherwise from central finite differences with step fd_step in scaled
+    coordinates, one objective call per stencil. Evaluations bypass the
+    database (diagnostic use only); counter["evals"] adds up the stencil rows.
     """
     x = np.asarray(x, dtype=float)
     fs = prob.feasible
@@ -62,22 +63,20 @@ def true_omega(
     hi = fss.upper if fss.is_box else np.full(prob.n_vars, np.inf)
     G = np.empty((prob.n_objs, prob.n_vars))
     for idx in range(prob.n_objs):
-        cb = prob.gradient_callbacks[idx]
-        if cb is not None:
-            gx = np.asarray(cb(x), dtype=float)
+        if prob.gradients[idx] is not None:
+            gx = prob.objective_gradients(idx, x[None])[0]
             G[idx] = gx * width if width is not None else gx
         else:
             G[idx] = axis_differences(
-                lambda Z, f=prob.objectives[idx]: _counted_values(prob, f, Z, counter),
-                z, fd_step, lo, hi,
+                lambda Z, i=idx: _counted_values(prob, i, Z, counter), z, fd_step, lo, hi
             )[0]
     if not np.all(np.isfinite(G)):
         raise ObjectiveFailure("non-finite finite-difference gradient", site=x)
     return omega_of_gradients(G, z, fss)
 
 
-def _counted_values(prob: MOProblem, fn, Z, counter: dict | None) -> np.ndarray:
-    """fn at every row of Z (scaled coordinates), one call per row, counted."""
+def _counted_values(prob: MOProblem, index: int, Z, counter: dict | None) -> np.ndarray:
+    """Objective `index` at every row of Z (scaled coordinates), counted."""
     if counter is not None:
         counter["evals"] = counter.get("evals", 0) + len(Z)
-    return np.array([float(fn(prob.unscale(z))) for z in Z])
+    return prob.objective_values(index, prob.unscale(Z))

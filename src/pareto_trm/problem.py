@@ -93,14 +93,16 @@ def region_box(center, radius: float, fs: FeasibleSet) -> tuple[np.ndarray, np.n
 
 
 def _check_dim(x: np.ndarray, fs: FeasibleSet) -> np.ndarray:
+    """x as a float array: one point (n,) or a batch (m, n) of them."""
     x = np.asarray(x, dtype=float)
-    if fs.is_box and x.shape != fs.lower.shape:
+    if fs.is_box and x.shape[-1:] != fs.lower.shape:
         raise DimensionMismatch(f"expected length {fs.lower.size}, got shape {x.shape}")
     return x
 
 
 def scale_to_unit(x, fs: FeasibleSet) -> np.ndarray:
-    """Map a feasible point into [0,1]^n (identity for unconstrained sets)."""
+    """Map a feasible point, or each row of a batch, into [0,1]^n (identity for
+    unconstrained sets)."""
     x = _check_dim(x, fs)
     if not fs.is_box:
         return x.copy()
@@ -127,28 +129,22 @@ def project_to_box(x, fs: FeasibleSet) -> np.ndarray:
 class MOProblem:
     """A vector objective with per-objective expensive/cheap tagging.
 
-    objectives are scalar evaluators f_l(x) -> float over the original
-    coordinates. gradient_callbacks[l], when given, must belong to a cheap
-    objective and return the gradient in original coordinates.
-
-    batch_objectives[l], when given, evaluates f_l at every row of an (m, n)
-    array of original-coordinate points and returns the (m,) values;
-    batch_gradients[l], allowed on cheap objectives only, returns the (m, n)
-    gradients in original coordinates. The exact cheap-objective model calls
-    them once per batch instead of calling the scalar functions once per row,
-    so each must give the bits of its scalar counterpart (objectives[l],
-    gradient_callbacks[l]); the database always calls the scalar functions.
+    objectives[l] evaluates f_l at every row of an (m, n) array of points in
+    the original coordinates and returns the (m,) values. gradients[l], when
+    given, must belong to a cheap objective and returns the (m, n) gradients
+    in original coordinates. Each row's output must depend on that row alone,
+    so a batch gives the bits of its rows evaluated one at a time. A one-point
+    black box f(x) -> float becomes an objective with
+    ``lambda X: np.array([f(x) for x in X])``.
     """
 
     n_vars: int
     n_objs: int
-    objectives: Sequence[Callable[[np.ndarray], float]]
+    objectives: Sequence[Callable[[np.ndarray], np.ndarray]]
     expensive_mask: np.ndarray
     feasible: FeasibleSet
-    gradient_callbacks: Optional[Sequence[Optional[Callable]]] = None
+    gradients: Optional[Sequence[Optional[Callable[[np.ndarray], np.ndarray]]]] = None
     name: str = ""
-    batch_objectives: Optional[Sequence[Optional[Callable]]] = None
-    batch_gradients: Optional[Sequence[Optional[Callable]]] = None
 
     def __post_init__(self):
         self.expensive_mask = np.asarray(self.expensive_mask, dtype=bool)
@@ -160,15 +156,12 @@ class MOProblem:
             raise DimensionMismatch("expensive_mask must have length n_objs")
         if self.feasible.is_box and self.feasible.lower.size != self.n_vars:
             raise DimensionMismatch("feasible set dimension mismatch")
-        for attr in ("gradient_callbacks", "batch_objectives", "batch_gradients"):
-            if getattr(self, attr) is None:
-                setattr(self, attr, [None] * self.n_objs)
-            if len(getattr(self, attr)) != self.n_objs:
-                raise DimensionMismatch(f"{attr} needs one entry per objective")
-        for attr in ("gradient_callbacks", "batch_gradients"):
-            entries = zip(getattr(self, attr), self.expensive_mask)
-            if any(cb is not None and expensive for cb, expensive in entries):
-                raise ValueError(f"{attr} are only allowed on cheap objectives")
+        if self.gradients is None:
+            self.gradients = [None] * self.n_objs
+        if len(self.gradients) != self.n_objs:
+            raise DimensionMismatch("gradients needs one entry per objective")
+        if any(g is not None and exp for g, exp in zip(self.gradients, self.expensive_mask)):
+            raise ValueError("gradients are only allowed on cheap objectives")
 
     @property
     def expensive_indices(self) -> np.ndarray:
@@ -184,13 +177,35 @@ class MOProblem:
     def unscale(self, z) -> np.ndarray:
         return unscale_from_unit(z, self.feasible)
 
-    def evaluate_raw(self, x) -> np.ndarray:
-        """Evaluate all objectives without caching or feasibility checks."""
-        x = np.asarray(x, dtype=float)
-        out = np.array([float(f(x)) for f in self.objectives])
-        if not np.all(np.isfinite(out)):
-            raise ObjectiveFailure(f"objective returned non-finite value at {x!r}", site=x)
+    def objective_values(self, index: int, X: np.ndarray) -> np.ndarray:
+        """objectives[index] at the rows of the (m, n) array X: (m,) floats."""
+        return self._call(self.objectives[index], index, X, X.shape[:1])
+
+    def objective_gradients(self, index: int, X: np.ndarray) -> np.ndarray:
+        """gradients[index] at the rows of the (m, n) array X: (m, n) floats."""
+        return self._call(self.gradients[index], index, X, X.shape)
+
+    @staticmethod
+    def _call(fn, index: int, X: np.ndarray, shape) -> np.ndarray:
+        """fn(X) as a float array, which must have exactly `shape`; an empty
+        batch is answered without calling fn."""
+        if len(X) == 0:
+            return np.empty(shape)
+        out = np.asarray(fn(X), dtype=float)
+        if out.shape != shape:
+            raise DimensionMismatch(
+                f"evaluator of objective {index} returned shape {out.shape}, expected {shape}"
+            )
         return out
+
+    def evaluate_raw(self, x) -> np.ndarray:
+        """Every objective at one site (n,) -> (k,), or at every row of a batch
+        (m, n) -> (m, k), with one call per objective; no caching, feasibility
+        or finiteness checks."""
+        x = np.asarray(x, dtype=float)
+        X = np.atleast_2d(x)
+        F = np.column_stack([self.objective_values(i, X) for i in range(self.n_objs)])
+        return F if x.ndim == 2 else F[0]
 
 
 class EvaluationDatabase:
@@ -200,7 +215,8 @@ class EvaluationDatabase:
     original coordinates with a parallel scaled copy used for cache hits and
     ball queries. The scaled copy lives in a capacity-doubling buffer, and
     cache lookups bisect a sorted index of the keys w.z instead of scanning
-    every row.
+    every row. A read reserves the buffer rows and keys of the sites it will
+    store before it evaluates them, so later rows of the same batch find them.
     """
 
     def __init__(self, problem: MOProblem, max_expensive: Optional[int] = None):
@@ -211,6 +227,7 @@ class EvaluationDatabase:
         self.eval_counts = np.zeros(problem.n_objs, dtype=int)
         n = problem.n_vars
         self._buffer = np.empty((8, n))
+        self._size = 0  # buffer rows in use: the stored sites, then reserved ones
         # distinct weights in [1, 2) (a Weyl sequence), so sites that differ in
         # one coordinate, like a finite-difference stencil, get distinct keys
         self._weights = 1.0 + np.modf(np.arange(1, n + 1) * (math.sqrt(5.0) - 1.0) / 2.0)[0]
@@ -227,7 +244,7 @@ class EvaluationDatabase:
         return self._buffer[: len(self.sites)]
 
     def _find(self, z: np.ndarray) -> Optional[int]:
-        """Smallest row index with max|z_row - z| <= CACHE_TOL, or None.
+        """Smallest buffer row with max|z_row - z| <= CACHE_TOL, or None.
 
         A match has |w.z_row - w.z| <= slack = |w|_1 CACHE_TOL (times 1 + eps
         for the rounded difference), and each computed key lies within
@@ -244,14 +261,15 @@ class EvaluationDatabase:
         if math.isfinite(lo) and math.isfinite(hi):
             rows = sorted(self._rows[bisect_left(self._keys, lo) : bisect_right(self._keys, hi)])
         else:  # overflow: only a full scan is sure to see every match
-            rows = range(len(self.sites))
+            rows = range(self._size)
         for i in rows:
             if np.abs(self._buffer[i] - z).max() <= CACHE_TOL:
                 return i
         return None
 
-    def _insert(self, x: np.ndarray, z: np.ndarray, vals: np.ndarray) -> None:
-        m = len(self.sites)
+    def _reserve(self, z: np.ndarray) -> int:
+        """Put z in the next buffer row and its key in the index; returns the row."""
+        m = self._size
         if m == self._buffer.shape[0]:
             grown = np.empty((2 * m, z.size))
             grown[:m] = self._buffer
@@ -264,40 +282,97 @@ class EvaluationDatabase:
             pos = bisect_right(self._keys, key)
             self._keys.insert(pos, key)
             self._rows.insert(pos, m)
+        self._size = m + 1
+        return m
+
+    def _release(self, size: int) -> None:
+        """Give back the reserved rows from `size` on, with their keys."""
+        kept = [(key, row) for key, row in zip(self._keys, self._rows) if row < size]
+        self._keys = [key for key, _ in kept]
+        self._rows = [row for _, row in kept]
+        self._size = size
+
+    def _store(self, x: np.ndarray, vals: np.ndarray) -> None:
+        """Store the first reserved row that holds no values yet: site x, values vals."""
         self.eval_counts[self.problem.expensive_mask] += 1
         self.values.append(vals)
         # last: a concurrent reader sees the row once its value and buffer row exist
         self.sites.append(x.copy())
 
-    def _scaled_site(self, x: np.ndarray) -> np.ndarray:
-        """The scaled copy of a finite feasible site; InfeasiblePoint otherwise."""
-        if not np.isfinite(x).all():
-            raise InfeasiblePoint(f"site {x!r} is not finite")
-        if not self.problem.feasible.contains(x):
-            raise InfeasiblePoint(f"site {x!r} violates the hard constraints")
-        return self.problem.scale(x)
+    def _insert(self, x: np.ndarray, z: np.ndarray, vals: np.ndarray) -> None:
+        self._reserve(z)
+        self._store(x, vals)
+
+    def _feasible_prefix(self, X: np.ndarray) -> tuple[np.ndarray, Optional[InfeasiblePoint]]:
+        """The scaled rows of X before its first non-finite or infeasible row,
+        and the InfeasiblePoint that row raises (None when every row passes)."""
+        fs = self.problem.feasible
+        finite = np.isfinite(X).all(axis=1)
+        ok = finite & ((X >= fs.lower) & (X <= fs.upper)).all(axis=1) if fs.is_box else finite
+        if ok.all():
+            return self.problem.scale(X), None
+        b = int(np.argmin(ok))
+        why = "violates the hard constraints" if finite[b] else "is not finite"
+        return self.problem.scale(X[:b]), InfeasiblePoint(f"site {X[b]!r} {why}")
 
     def evaluate(self, x) -> np.ndarray:
-        """Return f(x), caching by site; counts expensive evaluations once per site."""
+        """f at one site (n,) -> (k,), or at every row of a batch (m, n) -> (m, k).
+
+        A batch reads its rows in order, each as a read of that row alone
+        would. A row within CACHE_TOL of a stored site, or of an earlier row
+        of the batch, takes that site's values; any other row must be finite
+        and feasible (else InfeasiblePoint), is charged once to the expensive
+        budget (else BudgetExhausted) and must get finite values (else
+        ObjectiveFailure). The first row that fails raises, after every row
+        before it is stored. The rows to store are evaluated together, one
+        call per objective; an objective that raises stores none of them.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.problem.n_vars,):
-            raise DimensionMismatch(f"expected length {self.problem.n_vars}")
-        z = self._scaled_site(x)
-        idx = self._find(z)
-        if idx is not None:
-            return self.values[idx].copy()
+        n = self.problem.n_vars
+        if x.ndim not in (1, 2) or x.shape[-1] != n:
+            raise DimensionMismatch(f"expected length {n}")
+        X = np.atleast_2d(x)
+        Z, stop = self._feasible_prefix(X)
         exp = self.problem.expensive_mask
-        if self.max_expensive is not None and np.any(exp):
-            if np.any(self.eval_counts[exp] + 1 > self.max_expensive):
-                raise BudgetExhausted(
-                    f"expensive budget {self.max_expensive} would be exceeded"
-                )
-        vals = self.problem.evaluate_raw(x)
-        self._insert(x, z, vals)
-        return vals.copy()
+        room = len(X)
+        if self.max_expensive is not None and exp.any():
+            room = self.max_expensive - int(self.eval_counts[exp].max())
+        first = self._size
+        src: list[int] = []  # the buffer row each read row takes its values from
+        fresh: list[int] = []  # the rows to evaluate and store, in order
+        for i, z in enumerate(Z):
+            row = self._find(z)
+            if row is None:
+                if len(fresh) >= room:
+                    stop = BudgetExhausted(
+                        f"expensive budget {self.max_expensive} would be exceeded"
+                    )
+                    break
+                row = self._reserve(z)
+                fresh.append(i)
+            src.append(row)
+        if fresh:
+            try:
+                F = self.problem.evaluate_raw(X[fresh])
+            except BaseException:
+                self._release(first)
+                raise
+            finite = np.isfinite(F).all(axis=1)
+            good = len(fresh) if finite.all() else int(np.argmin(finite))
+            for i, vals in zip(fresh[:good], F):
+                self._store(X[i], vals)
+            if good < len(fresh):
+                self._release(first + good)
+                bad = X[fresh[good]]
+                raise ObjectiveFailure(f"objective returned non-finite value at {bad!r}", site=bad)
+        if stop is not None:
+            raise stop
+        if x.ndim == 1:
+            return self.values[src[0]].copy()
+        return np.array([self.values[row] for row in src]).reshape(len(src), self.problem.n_objs)
 
     def evaluate_scaled(self, z) -> np.ndarray:
-        """Evaluate at a point given in scaled coordinates."""
+        """evaluate at a site, or at every row of a batch, given in scaled coordinates."""
         return self.evaluate(self.problem.unscale(np.asarray(z, dtype=float)))
 
     def query_ball(self, center, radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -357,7 +432,10 @@ class EvaluationDatabase:
                     ) from None
                 if not np.all(np.isfinite(vals)):
                     raise ObjectiveFailure(f"CSV values at {site!r} are not finite", site=site)
-                z = db._scaled_site(site)
+                Z, infeasible = db._feasible_prefix(site[None])
+                if infeasible is not None:
+                    raise infeasible
+                z = Z[0]
                 dup = db._find(z)
                 if dup is not None:
                     raise ObjectiveFailure(

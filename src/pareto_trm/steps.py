@@ -213,7 +213,7 @@ def local_ideal_point(bundle, center, radius, fs: FeasibleSet) -> np.ndarray:
             model.values, model.gradients, lo, hi,
             n_starts=10 + center.size, seed=idx, max_iters=150, include=center[None, :],
         )
-        ideal[idx] = min(val, model.value(center))
+        ideal[idx] = min(val, model.values(center)[0])
     return ideal
 
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import (
     DegenerateGeometry,
-    DimensionMismatch,
     PoisednessRepairStalled,
     SingularMatrix,
 )
@@ -122,22 +121,20 @@ def _kernel_a(kernel: str, r, alpha: float):
 # Stencil coordinates per batch in ExactCheapModel.hessian_norm_bound: the
 # whole 25-point sample up to n = 18, fewer points beyond, so each transient
 # array stays under 128 KiB instead of growing as 50 n^2 (625 KiB at n = 40).
-# Measured at n = 30 and 40 with gradient callbacks, 64 KiB batches pay more
+# Measured at n = 30 and 40 with gradient evaluators, 64 KiB batches pay more
 # per-call overhead and 192 KiB ones run slower per point.
 STENCIL_BATCH = 16384
 
 
 class ExactCheapModel:
-    """Wraps a cheap objective as its own model (gradient callback or FD).
+    """Wraps a cheap objective as its own model (gradient evaluator or FD).
 
     Every evaluation takes a batch of scaled points, unscaled in one array
-    expression. The problem's batch evaluator of the objective (or of its
-    gradient) is called once for the whole batch; without one, the scalar
-    objective or gradient callback is called once per row. Either way a batch
-    gives the same bits as its rows one at a time. Without a gradient
-    callback, gradients are axis_differences of the values (step 1e-7,
-    one-sided at the box faces). The curvature bound takes axis_differences
-    of the gradients (step 1e-5) at a batch of sample points at a time.
+    expression, and makes one call of the problem's evaluator of the
+    objective (or of its gradient). Without a gradient evaluator, gradients
+    are axis_differences of the values (step 1e-7, one-sided at the box
+    faces). The curvature bound takes axis_differences of the gradients
+    (step 1e-5) at a batch of sample points at a time.
     """
 
     kind = "exact-cheap"
@@ -145,54 +142,22 @@ class ExactCheapModel:
     def __init__(self, prob: MOProblem, index: int):
         self.prob = prob
         self.index = index
-        self._fn = prob.objectives[index]
-        self._cb = prob.gradient_callbacks[index]
-        self._batch_fn = prob.batch_objectives[index]
-        self._batch_cb = prob.batch_gradients[index]
         fs = prob.feasible
         self._width = fs.width() if fs.is_box else None
         fss = fs.scaled()
         self._lo = fss.lower if fss.is_box else np.full(prob.n_vars, -np.inf)
         self._hi = fss.upper if fss.is_box else np.full(prob.n_vars, np.inf)
 
-    def _unscaled(self, U) -> np.ndarray:
-        """prob.unscale of every row of U, as a fresh array."""
-        if self._width is None:
-            return U.copy()
-        return self.prob.feasible.lower + U * self._width
-
-    def _batch(self, fn, X, shape) -> np.ndarray:
-        """fn(X) as a float array, which must have exactly `shape`."""
-        out = np.asarray(fn(X), dtype=float)
-        if out.shape != shape:
-            raise DimensionMismatch(
-                f"batch evaluator of objective {self.index} returned shape {out.shape}, "
-                f"expected {shape}"
-            )
-        return out
-
     def values(self, U) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        if self._batch_fn is not None:
-            return self._batch(self._batch_fn, self._unscaled(U), U.shape[:1])
-        return np.array([float(self._fn(x)) for x in self._unscaled(U)])
-
-    def value(self, u) -> float:
-        return float(self.values(u)[0])
+        return self.prob.objective_values(self.index, self.prob.unscale(U))
 
     def gradients(self, U) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        if self._batch_cb is not None:
-            G = self._batch(self._batch_cb, self._unscaled(U), U.shape)
-        elif self._cb is None:
+        if self.prob.gradients[self.index] is None:
             return axis_differences(self.values, U, 1e-7, self._lo, self._hi)
-        else:
-            G = np.array([np.asarray(self._cb(x), dtype=float) for x in self._unscaled(U)])
-            G = G.reshape(U.shape)
+        G = self.prob.objective_gradients(self.index, self.prob.unscale(U))
         return G * self._width if self._width is not None else G
-
-    def gradient(self, u) -> np.ndarray:
-        return self.gradients(u)[0]
 
     def hessian_norm_bound(self, lo, hi, seed=0) -> float:
         """1.1 x the largest Frobenius norm of the symmetrized difference Hessian,
@@ -244,18 +209,12 @@ class PolyModel:
             out = out + 0.5 * np.einsum("ij,ij->i", T @ self.H_local, T)
         return out
 
-    def value(self, u) -> float:
-        return float(self.values(u)[0])
-
     def gradients(self, U) -> np.ndarray:
         T = self._local(U)
         G = np.tile(self.g_local, (T.shape[0], 1))
         if self.degree >= 2:
             G = G + T @ self.H_local
         return G / self.R
-
-    def gradient(self, u) -> np.ndarray:
-        return self.gradients(u)[0]
 
     def hessian_norm_bound(self, lo, hi, seed=0) -> float:
         return float(np.linalg.norm(self.H_local)) / self.R**2
@@ -305,18 +264,12 @@ class RBFModel:
         vals = kernel_value(self.kernel, r, self.alpha_local) @ self.coeffs
         return vals + self.tail_c0 + T @ self.tail_g_local
 
-    def value(self, u) -> float:
-        return float(self.values(u)[0])
-
     def gradients(self, U) -> np.ndarray:
         T = self._local(U)
         r, diff = self._dists(T)
         W = _kernel_w(self.kernel, r, self.alpha_local) * self.coeffs[None, :]
         G = np.einsum("mk,mkn->mn", W, diff) + self.tail_g_local
         return G / self.R
-
-    def gradient(self, u) -> np.ndarray:
-        return self.gradients(u)[0]
 
     def hessian_norm_bound(self, lo, hi, seed=0) -> float:
         """1.1 x the largest Frobenius Hessian norm at 100 Halton points of
@@ -559,9 +512,8 @@ def _affine_set(db, center, local_scale, box_lo, box_hi):
 
 
 def _read(db: EvaluationDatabase, sites) -> np.ndarray:
-    """(m, k) values of the k expensive objectives, one database read per site."""
-    exp = db.problem.expensive_indices
-    return np.array([db.evaluate_scaled(s)[exp] for s in sites])
+    """(m, k) values of the k expensive objectives at the sites, in one database read."""
+    return np.take(db.evaluate_scaled(np.vstack(sites)), db.problem.expensive_indices, axis=1)
 
 
 def build_rbf(
@@ -728,7 +680,7 @@ def build_taylor_fd(
 
     def read(P):
         sites.append(P)
-        return np.array([db.evaluate_scaled(u)[exp] for u in P])
+        return np.take(db.evaluate_scaled(P), exp, axis=1)
 
     f0 = db.evaluate_scaled(center)[exp]
     G = axis_differences(read, center, h, lo, hi, f0=f0[None])[0]
@@ -769,13 +721,13 @@ class SurrogateBundle:
         return hessian_bound(self.models, self.center, self.radius, self.fs, c=self.k, seed=self.seed)
 
     def values(self, u) -> np.ndarray:
-        return np.array([m.value(u) for m in self.models])
+        return np.array([m.values(u)[0] for m in self.models])
 
     def values_many(self, U) -> np.ndarray:
         return np.column_stack([m.values(U) for m in self.models])
 
     def gradients(self, u) -> np.ndarray:
-        return np.vstack([m.gradient(u) for m in self.models])
+        return np.vstack([m.gradients(u)[0] for m in self.models])
 
     def phi(self, u) -> float:
         return float(np.max(self.values(u)))

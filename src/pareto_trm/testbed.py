@@ -4,16 +4,17 @@ Each family is exposed through `make_problem` and the `PROBLEM_NAMES` registry.
 Heterogeneity tagging follows the benchmark convention: the first objective is
 cheap and the rest expensive, except T6 where the logarithmic objective is the
 expensive one. `solution_quality` computes the final true criticality (scaled
-coordinates, clamped) and, where the Pareto set is known analytically, the
-distance to it.
+coordinates, clamped) and, through `pareto_distance`, the distance to the
+Pareto set where it is known analytically.
 
-Every objective also has a batch evaluator over the rows of an (m, n) array,
-and every gradient callback a batch gradient. A batch evaluator repeats its
-scalar function's operations elementwise, in the same order, so it gives the
-same bits: the array ufuncs the scalar functions apply (np.cos, np.sin, ** on
-arrays) are applied to the batch, and their Python-scalar math-library calls
-(math.log, math.sin, ** on a float) are made once per element through
-`_each`, because numpy's vectorized loops may round them differently by an ulp.
+Every objective and gradient is written once, as a batch evaluator over the
+rows of an (m, n) array. Each batch evaluator repeats, elementwise and in the
+same order, the operations of the one-point formula it was written from,
+which is kept in the test suite as the oracle of its bits: array ufuncs
+(np.cos, np.sin, ** on arrays) are applied to the batch, while the formula's
+Python-scalar math-library calls (math.log, math.sin, ** on a float) are made
+once per element through `_each`, because numpy's vectorized loops may round
+them differently by an ulp. Keeping those bits keeps every recorded run.
 """
 
 from __future__ import annotations
@@ -87,115 +88,60 @@ def _each(fn, a, *args) -> np.ndarray:
 def _t6(pattern: str) -> MOProblem:
     eps = 1e-12
 
-    def f1(x):
-        return x[0] + math.log(x[0]) + x[1] ** 2
-
-    def f2(x):
-        return x[0] ** 2 + x[1] ** 4
-
-    def g1(x):
-        return np.array([1.0 + 1.0 / x[0], 2.0 * x[1]])
-
-    def g2(x):
-        return np.array([2.0 * x[0], 4.0 * x[1] ** 3])
-
-    def batch_f1(X):
+    def f1(X):
         return X[:, 0] + _each(math.log, X[:, 0]) + _each(pow, X[:, 1], 2)
 
-    def batch_f2(X):
+    def f2(X):
         return _each(pow, X[:, 0], 2) + _each(pow, X[:, 1], 4)
 
-    def batch_g1(X):
+    def g1(X):
         return np.column_stack([1.0 + 1.0 / X[:, 0], 2.0 * X[:, 1]])
 
-    def batch_g2(X):
+    def g2(X):
         return np.column_stack([2.0 * X[:, 0], 4.0 * _each(pow, X[:, 1], 3)])
 
     mask = _mask(pattern, 2)
     grads = [None if mask[0] else g1, None if mask[1] else g2]
-    batch_grads = [None if mask[0] else batch_g1, None if mask[1] else batch_g2]
     fs = FeasibleSet.box([eps, 0.0], [30.0, 30.0])
-    return MOProblem(
-        2, 2, [f1, f2], mask, fs, grads, name="T6",
-        batch_objectives=[batch_f1, batch_f2], batch_gradients=batch_grads,
-    )
+    return MOProblem(2, 2, [f1, f2], mask, fs, grads, name="T6")
 
 
 def _zdt(name: str, n: int, pattern: str) -> MOProblem:
     if n < 2:
         raise UnsupportedDimension("ZDT requires n >= 2")
 
-    def f1(x):
-        return float(x[0])
-
-    def g_of(x):
-        return 1.0 + 9.0 * float(np.sum(x[1:])) / (n - 1)
-
-    if name == "ZDT1":
-        def f2(x):
-            g = g_of(x)
-            return g * (1.0 - math.sqrt(x[0] / g))
-    elif name == "ZDT2":
-        def f2(x):
-            g = g_of(x)
-            return g * (1.0 - (x[0] / g) ** 2)
-    else:  # ZDT3
-        def f2(x):
-            g = g_of(x)
-            r = x[0] / g
-            return g * (1.0 - math.sqrt(r) - r * math.sin(10.0 * math.pi * x[0]))
-
-    def grad_f1(x):
-        g = np.zeros(n)
-        g[0] = 1.0
-        return g
-
-    def batch_f1(X):
+    def f1(X):
         return X[:, 0]
 
-    def batch_g(X):
+    def g_of(X):
         return 1.0 + 9.0 * np.sum(X[:, 1:], axis=1) / (n - 1)
 
     if name == "ZDT1":
-        def batch_f2(X):
-            g = batch_g(X)
+        def f2(X):
+            g = g_of(X)
             return g * (1.0 - np.sqrt(X[:, 0] / g))
     elif name == "ZDT2":
-        def batch_f2(X):
-            g = batch_g(X)
+        def f2(X):
+            g = g_of(X)
             return g * (1.0 - _each(pow, X[:, 0] / g, 2))
-    else:
-        def batch_f2(X):
-            g = batch_g(X)
+    else:  # ZDT3
+        def f2(X):
+            g = g_of(X)
             r = X[:, 0] / g
             return g * (1.0 - np.sqrt(r) - r * _each(math.sin, 10.0 * math.pi * X[:, 0]))
 
-    def batch_grad_f1(X):
+    def grad_f1(X):
         G = np.zeros(X.shape)
         G[:, 0] = 1.0
         return G
 
     mask = _mask(pattern, 2)
-    grads = [None if mask[0] else grad_f1, None]
-    batch_grads = [None if mask[0] else batch_grad_f1, None]
     fs = FeasibleSet.box(np.zeros(n), np.ones(n))
-    return MOProblem(
-        n, 2, [f1, f2], mask, fs, grads, name=name,
-        batch_objectives=[batch_f1, batch_f2], batch_gradients=batch_grads,
-    )
+    return MOProblem(n, 2, [f1, f2], mask, fs, [None if mask[0] else grad_f1, None], name=name)
 
 
-def _dtlz1_terms(x, k):
-    tail = x[k - 1:]
-    g = 100.0 * (
-        tail.size
-        + float(np.sum((tail - 0.5) ** 2 - np.cos(20.0 * math.pi * (tail - 0.5))))
-    )
-    return g, x[: k - 1]
-
-
-def _dtlz1_batch_terms(X, k):
-    """_dtlz1_terms of every row of X: (g, pos) with g of shape (m,)."""
+def _dtlz1_terms(X, k):
+    """(g, pos) of every row of X: g of shape (m,), pos the first k - 1 columns."""
     tail = X[:, k - 1:]
     g = 100.0 * (
         tail.shape[1]
@@ -208,40 +154,17 @@ def _dtlz1(n: int, pattern: str) -> MOProblem:
     k = n_objectives("DTLZ1", n)
 
     def make_f(j):
-        def f(x):
-            g, pos = _dtlz1_terms(np.asarray(x, dtype=float), k)
-            prod = float(np.prod(pos[: k - j])) if k - j > 0 else 1.0
-            if j == 1:
-                return 0.5 * (1.0 + g) * prod
-            return 0.5 * (1.0 + g) * prod * (1.0 - pos[k - j])
-
-        return f
-
-    def grad_f1(x):
-        x = np.asarray(x, dtype=float)
-        g, pos = _dtlz1_terms(x, k)
-        grad = np.zeros(n)
-        for i in range(k - 1):
-            others = np.prod(np.delete(pos, i)) if pos.size > 1 else 1.0
-            grad[i] = 0.5 * (1.0 + g) * float(others)
-        prod = float(np.prod(pos)) if pos.size else 1.0
-        tail = x[k - 1:]
-        dg = 100.0 * (2.0 * (tail - 0.5) + 20.0 * math.pi * np.sin(20.0 * math.pi * (tail - 0.5)))
-        grad[k - 1:] = 0.5 * prod * dg
-        return grad
-
-    def make_batch_f(j):
-        def batch_f(X):
-            g, pos = _dtlz1_batch_terms(X, k)
+        def f(X):
+            g, pos = _dtlz1_terms(X, k)
             prod = np.prod(pos[:, : k - j], axis=1)
             if j == 1:
                 return 0.5 * (1.0 + g) * prod
             return 0.5 * (1.0 + g) * prod * (1.0 - pos[:, k - j])
 
-        return batch_f
+        return f
 
-    def batch_grad_f1(X):
-        g, pos = _dtlz1_batch_terms(X, k)
+    def grad_f1(X):
+        g, pos = _dtlz1_terms(X, k)
         G = np.zeros(X.shape)
         for i in range(k - 1):
             G[:, i] = 0.5 * (1.0 + g) * np.prod(np.delete(pos, i, axis=1), axis=1)
@@ -253,43 +176,17 @@ def _dtlz1(n: int, pattern: str) -> MOProblem:
 
     mask = _mask(pattern, k)
     grads = [None] * k
-    batch_grads = [None] * k
     if not mask[0]:
         grads[0] = grad_f1
-        batch_grads[0] = batch_grad_f1
     fs = FeasibleSet.box(np.zeros(n), np.ones(n))
     objs = [make_f(j) for j in range(1, k + 1)]
-    return MOProblem(
-        n, k, objs, mask, fs, grads, name="DTLZ1",
-        batch_objectives=[make_batch_f(j) for j in range(1, k + 1)],
-        batch_gradients=batch_grads,
-    )
+    return MOProblem(n, k, objs, mask, fs, grads, name="DTLZ1")
 
 
 def _dtlz6(n: int, pattern: str) -> MOProblem:
     k = n_objectives("DTLZ6", n)
 
-    def theta_of(x):
-        tail = x[k - 1:]
-        g = float(np.sum(tail ** 0.1))
-        th = np.empty(k - 1)
-        th[0] = 0.5 * math.pi * x[0]
-        if k > 2:
-            th[1:] = math.pi / (4.0 * (1.0 + g)) * (1.0 + 2.0 * g * x[1: k - 1])
-        return g, th
-
-    def make_f(j):
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            g, th = theta_of(x)
-            val = (1.0 + g) * float(np.prod(np.cos(th[: k - j])))
-            if j > 1:
-                val *= math.sin(th[k - j])
-            return val
-
-        return f
-
-    def batch_theta(X):
+    def theta_of(X):
         tail = X[:, k - 1:]
         g = np.sum(tail ** 0.1, axis=1)
         th = np.empty((len(X), k - 1))
@@ -300,23 +197,20 @@ def _dtlz6(n: int, pattern: str) -> MOProblem:
             )
         return g, th
 
-    def make_batch_f(j):
-        def batch_f(X):
-            g, th = batch_theta(X)
+    def make_f(j):
+        def f(X):
+            g, th = theta_of(X)
             val = (1.0 + g) * np.prod(np.cos(th[:, : k - j]), axis=1)
             if j > 1:
                 val *= _each(math.sin, th[:, k - j])
             return val
 
-        return batch_f
+        return f
 
     mask = _mask(pattern, k)
     fs = FeasibleSet.box(np.zeros(n), np.ones(n))
     objs = [make_f(j) for j in range(1, k + 1)]
-    return MOProblem(
-        n, k, objs, mask, fs, [None] * k, name="DTLZ6",
-        batch_objectives=[make_batch_f(j) for j in range(1, k + 1)],
-    )
+    return MOProblem(n, k, objs, mask, fs, name="DTLZ6")
 
 
 def make_problem(spec: TestProblemSpec) -> MOProblem:
@@ -355,7 +249,11 @@ def solution_quality(prob: MOProblem, x_final, fd_step: float = 1e-6) -> Solutio
         omega, nondiff = crit.omega_clamped, False
     except ObjectiveFailure:
         omega, nondiff = 0.0, True
-    dist = None
-    if prob.name == "T6":
-        dist = float(np.max(np.abs(x_final - np.array([1e-12, 0.0]))))
-    return SolutionQuality(omega, dist, nondiff)
+    return SolutionQuality(omega, pareto_distance(prob, x_final), nondiff)
+
+
+def pareto_distance(prob: MOProblem, x) -> Optional[float]:
+    """inf-norm distance from x to the Pareto set, where it is known (T6 only)."""
+    if prob.name != "T6":
+        return None
+    return float(np.max(np.abs(np.asarray(x, dtype=float) - np.array([1e-12, 0.0]))))

@@ -90,6 +90,11 @@ def fd_gradient(fn, z, h, lo, hi, f0=None):
     return g
 
 
+def row_loop(fn):
+    """A batch evaluator made from a one-point function: fn at each row of X."""
+    return lambda X: np.array([fn(x) for x in X], dtype=float)
+
+
 def two_quadratics(a, b, box=None):
     """Convex bi-objective ||x-a||^2, ||x-b||^2 with analytic gradients."""
     a = np.asarray(a, dtype=float)
@@ -99,10 +104,10 @@ def two_quadratics(a, b, box=None):
     return MOProblem(
         n,
         2,
-        [lambda x: float(np.sum((x - a) ** 2)), lambda x: float(np.sum((x - b) ** 2))],
+        [lambda X: np.sum((X - a) ** 2, axis=1), lambda X: np.sum((X - b) ** 2, axis=1)],
         np.array([False, False]),
         fs,
-        [lambda x: 2.0 * (x - a), lambda x: 2.0 * (x - b)],
+        [lambda X: 2.0 * (X - a), lambda X: 2.0 * (X - b)],
         name="two-quadratics",
     )
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import lp_vertex_oracle, segment_distance, two_quadratics
+from conftest import lp_vertex_oracle, row_loop, segment_distance, two_quadratics
 
 import pareto_trm.cli as cli
 from pareto_trm import (
@@ -180,7 +180,7 @@ def test_criterion_6_fully_linear_decay():
     f = lambda x: float(np.sin(3 * x[0]) + x[1] ** 2)
     grad = lambda x: np.array([3 * np.cos(3 * x[0]), 2 * x[1]])
     fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
-    prob = MOProblem(2, 1, [f], np.array([True]), fs, name="decay")
+    prob = MOProblem(2, 1, [row_loop(f)], np.array([True]), fs, name="decay")
     # fixed center where f''' of the sine term is near-constant over the
     # nested regions, so measured ratios reflect the convergence orders
     center = np.array([0.05, 0.5])
@@ -195,8 +195,8 @@ def test_criterion_6_fully_linear_decay():
             else:
                 model = build_lagrange(db, MODEL_SPECS[name], center, delta, fs)[0]
             pts = np.clip(center + delta * offsets, 0.0, 1.0)
-            errs.append(max(abs(model.value(p) - f(p)) for p in pts))
-            gerrs.append(max(np.linalg.norm(model.gradient(p) - grad(p)) for p in pts))
+            errs.append(max(abs(model.values(p)[0] - f(p)) for p in pts))
+            gerrs.append(max(np.linalg.norm(model.gradients(p)[0] - grad(p)) for p in pts))
         results[name] = (
             [errs[0] / errs[1], errs[1] / errs[2]],
             [gerrs[0] / gerrs[1], gerrs[1] / gerrs[2]],

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pareto_trm import cli
+from pareto_trm import cli, testbed
 from pareto_trm.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -46,6 +46,19 @@ def test_run_outputs_match_golden(tmp_path, name, argv):
     assert main(["run", *argv.split(), "--out", str(tmp_path)]) == 0
     for output in ("report.json", "iterations.csv", "db.csv"):
         assert (tmp_path / output).read_bytes() == (GOLDEN / name / output).read_bytes(), output
+
+
+def test_run_solves_no_second_true_omega(tmp_path, monkeypatch):
+    # the report already holds the run's final true omega; the CLI adds only
+    # the distance to the Pareto set, which needs no criticality LP
+    def second_true_omega(*args, **kwargs):
+        raise AssertionError("the CLI solved a second true-omega LP")
+
+    monkeypatch.setattr(testbed, "true_omega", second_true_omega)
+    argv = "--problem T6 --model rbf-cubic --step strict-pc --seed 1 --budget 5"
+    assert main(["run", *argv.split(), "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "report.json").read_text())["meta"]
+    assert meta["dist_to_pareto"] is not None
 
 
 def test_run_unknown_model_lists_registry(capsys):

@@ -96,7 +96,7 @@ class TestTrueOmega:
         a, b = rng.random(3), rng.random(3)
         with_cb = two_quadratics(a, b)
         without = two_quadratics(a, b)
-        without.gradient_callbacks = [None, None]
+        without.gradients = [None, None]
         x = rng.random(3)
         r1 = true_omega(with_cb, x)
         r2 = true_omega(without, x, fd_step=1e-6)
@@ -104,7 +104,7 @@ class TestTrueOmega:
 
     def test_counts_diagnostic_evals(self):
         prob = two_quadratics([0.0, 0.0], [1.0, 1.0])
-        prob.gradient_callbacks = [None, None]
+        prob.gradients = [None, None]
         counter = {}
         true_omega(prob, [0.3, 0.4], counter=counter)
         assert counter["evals"] == 2 * 2 * 2  # central stencil, 2 objectives

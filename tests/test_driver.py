@@ -144,7 +144,7 @@ class TestCriticalityRoutine:
         prob = MOProblem(
             1,
             1,
-            [lambda x: 0.01 * float(x[0])],
+            [lambda X: 0.01 * X[:, 0]],
             np.array([True]),
             FeasibleSet.unconstrained(),
         )
@@ -169,10 +169,10 @@ class TestCriticalityRoutine:
         prob = MOProblem(
             1,
             1,
-            [lambda x: 1.0],
+            [lambda X: np.ones(len(X))],
             np.array([False]),
             FeasibleSet.unconstrained(),
-            [lambda x: np.zeros(1)],
+            [lambda X: np.zeros(X.shape)],
         )
         db = EvaluationDatabase(prob)
         cfg = AlgoConfig(models=None, n_loops=4)
@@ -352,7 +352,7 @@ class TestOtherRegimesAndSteps:
     def test_dtlz6_fd_cheap_gradient_path(self):
         # DTLZ6's cheap objective has no analytic callback: FD fallback in play
         prob = make_problem(TestProblemSpec("DTLZ6", 5))
-        assert prob.gradient_callbacks[0] is None
+        assert prob.gradients[0] is None
         cfg = AlgoConfig(models=MODEL_SPECS["rbf-cubic"], max_iters=15)
         db = EvaluationDatabase(prob)
         rep = run(prob, cfg, np.full(5, 0.5), seed=2, db=db)
@@ -394,10 +394,10 @@ def test_true_omega_diagnostic_tracks_iterations():
     cfg = AlgoConfig(models=None, compute_true_omega=True, max_iters=15)
     rep = run(prob, cfg, [2.0, 2.0], seed=0)
     assert all(rec["omega_true_clamped"] is not None for rec in rep.iterations)
-    assert rep.diagnostic_evals == 0  # gradient callbacks: no stencil evals
+    assert rep.diagnostic_evals == 0  # gradient evaluators: no stencil evals
     assert rep.expensive_evals == 0
     prob2 = two_quadratics([0.1, 0.2], [0.8, 0.9])
-    prob2.gradient_callbacks = [None, None]
+    prob2.gradients = [None, None]
     rep2 = run(prob2, cfg, [2.0, 2.0], seed=0)
     assert rep2.diagnostic_evals > 0  # finite differences counted separately
 

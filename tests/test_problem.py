@@ -8,6 +8,7 @@ from pareto_trm.errors import (
     DimensionMismatch,
     InfeasiblePoint,
     ObjectiveFailure,
+    ParetoTRMError,
 )
 from pareto_trm.linalg import halton
 from pareto_trm.problem import (
@@ -82,34 +83,30 @@ def test_gradient_callback_only_on_cheap():
         MOProblem(
             1,
             1,
-            [lambda x: float(x[0])],
+            [lambda X: X[:, 0]],
             np.array([True]),
             FeasibleSet.unconstrained(),
-            [lambda x: np.ones(1)],
+            [lambda X: np.ones(X.shape)],
         )
 
 
-def _two_objective_problem(expensive, **batch):
+def _two_objective_problem(expensive, objectives=None, gradients=None):
     fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
-    return MOProblem(
-        2, 2, [lambda x: float(x[0]), lambda x: float(x[1])], np.array(expensive), fs, **batch
-    )
+    objectives = objectives or [lambda X: X[:, 0], lambda X: X[:, 1]]
+    return MOProblem(2, 2, objectives, np.array(expensive), fs, gradients)
 
 
-@pytest.mark.parametrize("field", ["batch_objectives", "batch_gradients"])
-def test_batch_list_needs_one_slot_per_objective(field):
+@pytest.mark.parametrize("field", ["objectives", "gradients"])
+def test_evaluator_list_needs_one_slot_per_objective(field):
     with pytest.raises(DimensionMismatch):
         _two_objective_problem([False, False], **{field: [lambda X: X[:, 0]]})
 
 
 def test_batch_gradient_only_on_cheap():
     with pytest.raises(ValueError, match="only allowed on cheap objectives"):
-        _two_objective_problem(
-            [True, False], batch_gradients=[lambda X: np.ones(X.shape), None]
-        )
-    # a batch evaluator of an expensive objective's values is allowed
-    prob = _two_objective_problem([True, False], batch_objectives=[lambda X: X[:, 0], None])
-    assert prob.batch_gradients == [None, None]
+        _two_objective_problem([True, False], gradients=[lambda X: np.ones(X.shape), None])
+    # no gradients: one empty slot per objective
+    assert _two_objective_problem([True, False]).gradients == [None, None]
 
 
 def _t6():
@@ -161,20 +158,21 @@ def test_objective_failure_carries_site():
     prob = MOProblem(
         1,
         1,
-        [lambda x: float("nan")],
+        [lambda X: np.full(len(X), np.nan)],
         np.array([True]),
         FeasibleSet.unconstrained(),
     )
     db = EvaluationDatabase(prob)
-    with pytest.raises(ObjectiveFailure):
+    with pytest.raises(ObjectiveFailure) as info:
         db.evaluate([0.0])
+    assert np.array_equal(info.value.site, [0.0])
 
 
 def _unit_problem(n=2):
     return MOProblem(
         n,
         1,
-        [lambda x: float(np.sum(x))],
+        [lambda X: np.sum(X, axis=1)],
         np.array([True]),
         FeasibleSet.unconstrained(),
     )
@@ -243,7 +241,7 @@ def _cache_cases(draw):
 def test_indexed_find_matches_linear_scan(case):
     n, box, rows, queries = case
     fs = FeasibleSet.box(np.zeros(n), np.ones(n)) if box else FeasibleSet.unconstrained()
-    prob = MOProblem(n, 1, [lambda x: 0.0], np.array([True]), fs)
+    prob = MOProblem(n, 1, [lambda X: np.zeros(len(X))], np.array([True]), fs)
     db = EvaluationDatabase(prob)
     for z in rows:  # stored as given, repeats included: the index must rank them
         db._insert(z, z, np.zeros(1))
@@ -254,7 +252,9 @@ def test_indexed_find_matches_linear_scan(case):
 
 def test_indexed_find_near_overflow():
     # keys of sites this large overflow; such rows must still be found
-    prob = MOProblem(2, 1, [lambda x: 0.0], np.array([True]), FeasibleSet.unconstrained())
+    prob = MOProblem(
+        2, 1, [lambda X: np.zeros(len(X))], np.array([True]), FeasibleSet.unconstrained()
+    )
     db = EvaluationDatabase(prob)
     with np.errstate(over="ignore", invalid="ignore"):
         for x in ([1e308, 1e308], [-1e308, 1e308], [1.0, 0.0]):
@@ -267,7 +267,7 @@ def test_indexed_find_near_overflow():
 def test_buffer_keeps_rows_across_growth():
     n = 3
     prob = MOProblem(
-        n, 1, [lambda x: float(np.sum(x))], np.array([True]),
+        n, 1, [lambda X: np.sum(X, axis=1)], np.array([True]),
         FeasibleSet.box(np.zeros(n), np.full(n, 2.0)),
     )
     db = EvaluationDatabase(prob)
@@ -280,6 +280,138 @@ def test_buffer_keeps_rows_across_growth():
         assert db._find(x / 2.0) == k
         db.evaluate(x)
     np.testing.assert_array_equal(db.eval_counts, [200])
+
+
+NAN_MARK = 0.75  # a feasible first coordinate at which the second objective is NaN
+
+
+def _counting_problem(n, expensive):
+    """Two row-independent objectives on the unit box that count their calls;
+    the second is NaN on rows whose first coordinate is NAN_MARK."""
+    calls = [0, 0]
+
+    def f1(X):
+        calls[0] += 1
+        return np.sum(X, axis=1)
+
+    def f2(X):
+        calls[1] += 1
+        return np.where(X[:, 0] == NAN_MARK, np.nan, 2.0 * X[:, -1] - X[:, 0])
+
+    fs = FeasibleSet.box(np.zeros(n), np.ones(n))
+    return MOProblem(n, 2, [f1, f2], np.array(expensive), fs), calls
+
+
+@st.composite
+def _batch_reads(draw):
+    """A database state and a batch: stored hits, repeats and near-repeats
+    within the batch, infeasible and non-finite rows, NaN values, a budget."""
+    n = draw(st.integers(1, 4))
+    expensive = draw(st.sampled_from([[True, True], [True, False], [False, False]]))
+    coord = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    point = st.lists(coord, min_size=n, max_size=n).map(np.array)
+    stored = draw(st.lists(point, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["new", "new", "stored", "repeat", "near", "out", "nan-site",
+                                     "nan-value"]))
+        if kind == "stored" and stored:
+            row = draw(st.sampled_from(stored)).copy()
+        elif kind in ("repeat", "near") and rows:
+            row = draw(st.sampled_from(rows)).copy()
+            if kind == "near":
+                i = draw(st.integers(0, n - 1))
+                row[i] = np.clip(row[i] + draw(st.sampled_from([-0.5, 0.5, 3.0])) * CACHE_TOL, 0, 1)
+        elif kind == "out":
+            row = draw(point)
+            row[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1e-9, 1.5]))
+        elif kind == "nan-site":
+            row = draw(point)
+            row[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+        elif kind == "nan-value":
+            row = draw(point)
+            row[0] = NAN_MARK
+        else:
+            row = draw(point)
+        rows.append(row)
+    budget = draw(st.one_of(st.none(), st.integers(0, len(stored) + len(rows))))
+    return n, expensive, stored, np.array(rows), budget
+
+
+def _database(n, expensive, stored, budget):
+    prob, calls = _counting_problem(n, expensive)
+    db = EvaluationDatabase(prob)
+    for x in stored:
+        db.evaluate(x)
+    db.max_expensive = budget
+    calls[:] = [0, 0]
+    return db, calls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_batch_reads())
+def test_batch_read_matches_one_site_loop(case):
+    n, expensive, stored, X, budget = case
+    loop_db, _ = _database(n, expensive, stored, budget)
+    loop_out, loop_error = [], None
+    for x in X:  # the oracle: one read per row, stopping at the first error
+        try:
+            loop_out.append(loop_db.evaluate(x))
+        except ParetoTRMError as exc:
+            loop_error = exc
+            break
+    db, calls = _database(n, expensive, stored, budget)
+    if loop_error is None:
+        out = db.evaluate(X)
+        assert out.shape == (len(X), 2)
+        assert np.array_equal(out, np.array(loop_out))
+    else:
+        with pytest.raises(type(loop_error)) as info:
+            db.evaluate(X)
+        assert str(info.value) == str(loop_error)
+    assert len(db) == len(loop_db)
+    assert np.array_equal(np.array(db.sites).reshape(-1, n), np.array(loop_db.sites).reshape(-1, n))
+    assert np.array_equal(np.array(db.values).reshape(-1, 2), np.array(loop_db.values).reshape(-1, 2))
+    assert np.array_equal(db.eval_counts, loop_db.eval_counts)
+    # rows reserved past a failure are given back; one call per objective
+    assert (db._keys, db._rows, db._size) == (loop_db._keys, loop_db._rows, len(loop_db))
+    assert calls in ([0, 0], [1, 1])
+
+
+def test_batch_read_of_stored_sites_evaluates_nothing():
+    db, calls = _database(2, [True, False], [], None)
+    X = halton(5, 2, offset=3)
+    first = db.evaluate(X)
+    assert calls == [1, 1] and len(db) == 5
+    np.testing.assert_array_equal(db.evaluate(X[::-1]), first[::-1])
+    np.testing.assert_array_equal(db.evaluate_scaled(X[2]), first[2])
+    assert calls == [1, 1]
+    np.testing.assert_array_equal(db.eval_counts, [5, 0])
+
+
+def test_objective_that_raises_stores_no_row_of_its_batch():
+    prob = MOProblem(
+        1, 1, [lambda X: 1.0 / 0.0], np.array([True]), FeasibleSet.unconstrained()
+    )
+    db = EvaluationDatabase(prob)
+    with pytest.raises(ZeroDivisionError):
+        db.evaluate(np.array([[0.0], [1.0]]))
+    assert len(db) == 0 and db._size == 0 and db._keys == []
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (1, 2, 2)])
+def test_evaluate_rejects_wrong_shapes(shape):
+    db = EvaluationDatabase(_unit_problem())
+    with pytest.raises(DimensionMismatch):
+        db.evaluate(np.zeros(shape))
+
+
+def test_evaluate_raw_takes_a_site_or_a_batch():
+    prob = _t6()
+    X = np.array([[1.0, 0.0], [2.0, 3.0]])
+    F = prob.evaluate_raw(X)
+    assert F.shape == (2, 2)
+    np.testing.assert_array_equal(prob.evaluate_raw(X[1]), F[1])
 
 
 def test_query_ball_empty():

@@ -229,7 +229,7 @@ class TestIdealPoint:
         center = np.array([0.5, 0.5])
         bundle = make_bundle([model], center, 0.25)
         ideal = local_ideal_point(bundle, center, 0.25, UNC)
-        assert ideal[0] == pytest.approx(model.value([0.25, 0.75]), abs=1e-8)
+        assert ideal[0] == pytest.approx(model.values([0.25, 0.75])[0], abs=1e-8)
 
 
 class TestPascolettiSerafini:

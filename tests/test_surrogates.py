@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient
+from conftest import fd_gradient, row_loop
 from pareto_trm.errors import (
     BudgetExhausted,
     DimensionMismatch,
@@ -52,8 +52,9 @@ from pareto_trm.testbed import (
 
 
 def scalar_problem(fn, n, box=None, expensive=True, name="scalar"):
+    """A one-objective problem whose objective calls the one-point fn row by row."""
     fs = FeasibleSet.box(*box) if box else FeasibleSet.unconstrained()
-    return MOProblem(n, 1, [fn], np.array([expensive]), fs, name=name)
+    return MOProblem(n, 1, [row_loop(fn)], np.array([expensive]), fs, name=name)
 
 
 def lagrange_machine(center, radius, fs):
@@ -117,7 +118,7 @@ class TestRBF:
         xs = np.linspace(0.0, 1.0, 21)[:, None]
         np.testing.assert_allclose(model.values(xs), 3.0 * xs[:, 0] + 1.0, atol=1e-8)
         assert np.max(np.abs(model.coeffs)) <= 1e-8  # kernel part vanishes
-        np.testing.assert_allclose(model.gradient(np.array([0.3])), [3.0], atol=1e-8)
+        np.testing.assert_allclose(model.gradients(np.array([0.3]))[0], [3.0], atol=1e-8)
 
     def test_interpolates_training_sites(self, rng):
         prob = scalar_problem(
@@ -132,17 +133,17 @@ class TestRBF:
         model = build_rbf(db, spec, center, 0.2, 0.5, prob.feasible.scaled())[0]
         for site in model.training_sites:
             f = db.evaluate(site)[0]
-            assert abs(model.value(site) - f) <= 1e-7 * (1 + abs(f))
+            assert abs(model.values(site)[0] - f) <= 1e-7 * (1 + abs(f))
 
     def test_first_build_uses_n_plus_one_sites(self):
         fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
         prob = MOProblem(
             2,
             2,
-            [lambda x: float(x[0] ** 2 + x[1]), lambda x: float(x[0])],
+            [lambda X: X[:, 0] ** 2 + X[:, 1], lambda X: X[:, 0]],
             np.array([True, False]),
             fs,
-            [None, lambda x: np.array([1.0, 0.0])],
+            [None, lambda X: np.tile([1.0, 0.0], (len(X), 1))],
         )
         db = EvaluationDatabase(prob)
         bundle = build_bundle(prob, db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.1, 0.5)
@@ -169,9 +170,9 @@ class TestRBF:
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                fd = (model.value(u + e) - model.value(u - e)) / (2 * h)
-                assert model.gradient(u)[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-                fd_h = (model.gradient(u + e) - model.gradient(u - e)) / (2 * h)
+                fd = (model.values(u + e)[0] - model.values(u - e)[0]) / (2 * h)
+                assert model.gradients(u)[0][i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+                fd_h = (model.gradients(u + e)[0] - model.gradients(u - e)[0]) / (2 * h)
                 np.testing.assert_allclose(rbf_hessian(model, u)[i], fd_h, rtol=1e-3, atol=1e-4)
 
     def test_collinear_database_gets_offline_point(self):
@@ -277,7 +278,7 @@ class TestLagrange:
         )[0]
         for site in model.training_sites:
             f = db.evaluate(site)[0]
-            assert abs(model.value(site) - f) <= 1e-7 * (1 + abs(f))
+            assert abs(model.values(site)[0] - f) <= 1e-7 * (1 + abs(f))
 
     @pytest.mark.parametrize("n", [2, 5, 6])
     def test_stencil_path(self, n):
@@ -339,7 +340,7 @@ class TestTaylor:
         model = build_taylor_fd(
             db, MODEL_SPECS["taylor-fd1"], np.array([0.5]), 0.2, prob.feasible.scaled()
         )[0]
-        assert model.gradient(np.array([0.5]))[0] == pytest.approx(1.0, abs=1e-9)
+        assert model.gradients(np.array([0.5]))[0][0] == pytest.approx(1.0, abs=1e-9)
 
     def test_one_sided_at_face_keeps_db_feasible(self):
         prob = scalar_problem(lambda x: float(x[0] + x[1]), 2, box=([0, 0], [1, 1]))
@@ -406,16 +407,22 @@ class TestHessianBound:
         assert bound >= worst * 0.999
 
 
+def one_point(fn, prob, u):
+    """The batch evaluator fn at the one scaled point u, as a batch of one row."""
+    return fn(prob.unscale(u)[None])[0]
+
+
 def row_loop_gradient(prob, idx, u):
     """Scaled-space gradient of a cheap objective at one point of the unit box:
-    its callback, or fd_gradient over one objective call per stencil point."""
+    its gradient evaluator, or fd_gradient over one objective call per stencil
+    point."""
     width = prob.feasible.width()
-    cb = prob.gradient_callbacks[idx]
-    if cb is not None:
-        return np.asarray(cb(prob.unscale(u)), dtype=float) * width
-    fn = prob.objectives[idx]
+    if prob.gradients[idx] is not None:
+        return one_point(prob.gradients[idx], prob, u) * width
     n = u.size
-    return fd_gradient(lambda z: float(fn(prob.unscale(z))), u, 1e-7, np.zeros(n), np.ones(n))
+    return fd_gradient(
+        lambda z: one_point(prob.objectives[idx], prob, z), u, 1e-7, np.zeros(n), np.ones(n)
+    )
 
 
 def row_loop_hessian(prob, idx, u):
@@ -437,8 +444,8 @@ def row_loop_hessian(prob, idx, u):
     return 0.5 * (H + H.T)
 
 
-# (problem, n, pattern): every cheap objective has a batch evaluator; all but
-# DTLZ6's and the later ZDT/DTLZ1 objectives wrap a gradient callback too
+# (problem, n, pattern): all cheap objectives but DTLZ6's and the later ZDT/DTLZ1
+# ones have a gradient evaluator
 CHEAP_OBJECTIVES = [
     ("ZDT1", 5, FIRST_CHEAP),
     ("T6", 2, FIRST_CHEAP),
@@ -477,7 +484,7 @@ def test_cheap_model_matches_row_loop_bit_for_bit(case):
         model = ExactCheapModel(prob, idx)
         pts = lo + halton(25, lo.size, offset=17 + seed) * (hi - lo)
         fn = prob.objectives[idx]
-        assert np.array_equal(model.values(pts), [float(fn(prob.unscale(p))) for p in pts])
+        assert np.array_equal(model.values(pts), [one_point(fn, prob, p) for p in pts])
         assert np.array_equal(
             model.gradients(pts), [row_loop_gradient(prob, idx, p) for p in pts]
         )
@@ -486,9 +493,10 @@ def test_cheap_model_matches_row_loop_bit_for_bit(case):
 
 
 def _counted_cheap_problem(value_out=None, grad_out=None):
-    """One cheap objective f = x0 * x1 on the unit square with batch evaluators
-    that count their calls; value_out / grad_out replace their output."""
-    calls = {"batch_f": 0, "batch_g": 0, "f": 0, "g": 0}
+    """One cheap objective f = x0 * x1 on the unit square with value and
+    gradient evaluators that count their calls; value_out / grad_out replace
+    their output."""
+    calls = {"f": 0, "g": 0}
 
     def tick(name, out):
         calls[name] += 1
@@ -496,16 +504,10 @@ def _counted_cheap_problem(value_out=None, grad_out=None):
 
     prob = MOProblem(
         2, 1,
-        [lambda x: tick("f", float(x[0] * x[1]))],
+        [lambda X: tick("f", X[:, 0] * X[:, 1] if value_out is None else value_out(X))],
         np.array([False]),
         FeasibleSet.box([0.0, 0.0], [1.0, 1.0]),
-        [lambda x: tick("g", np.array([x[1], x[0]]))],
-        batch_objectives=[
-            lambda X: tick("batch_f", X[:, 0] * X[:, 1] if value_out is None else value_out(X))
-        ],
-        batch_gradients=[
-            lambda X: tick("batch_g", X[:, ::-1].copy() if grad_out is None else grad_out(X))
-        ],
+        [lambda X: tick("g", X[:, ::-1].copy() if grad_out is None else grad_out(X))],
     )
     return prob, calls
 
@@ -517,7 +519,7 @@ def test_cheap_model_calls_batch_evaluators_once_per_batch():
     assert np.array_equal(model.values(U), U[:, 0] * U[:, 1])
     assert np.array_equal(model.gradients(U), U[:, ::-1])
     model.hessian_norm_bound(np.zeros(2), np.ones(2))
-    assert calls == {"batch_f": 1, "batch_g": 2, "f": 0, "g": 0}
+    assert calls == {"f": 1, "g": 2}
 
 
 @pytest.mark.parametrize(
@@ -534,7 +536,7 @@ def test_cheap_model_rejects_misshapen_batch_output(value_out, grad_out):
     prob, _ = _counted_cheap_problem(value_out, grad_out)
     model = ExactCheapModel(prob, 0)
     U = halton(3, 2)
-    with pytest.raises(DimensionMismatch, match="batch evaluator of objective 0"):
+    with pytest.raises(DimensionMismatch, match="evaluator of objective 0 returned shape"):
         model.gradients(U) if grad_out is not None else model.values(U)
 
 
@@ -543,10 +545,10 @@ def test_all_cheap_bundle_is_free():
     prob = MOProblem(
         2,
         2,
-        [lambda x: float(np.sum((x - 0.2) ** 2)), lambda x: float(np.sum((x - 0.8) ** 2))],
+        [lambda X: np.sum((X - 0.2) ** 2, axis=1), lambda X: np.sum((X - 0.8) ** 2, axis=1)],
         np.array([False, False]),
         fs,
-        [lambda x: 2 * (x - 0.2), lambda x: 2 * (x - 0.8)],
+        [lambda X: 2 * (X - 0.2), lambda X: 2 * (X - 0.8)],
     )
     db = EvaluationDatabase(prob)
     bundle = build_bundle(prob, db, None, np.array([0.5, 0.5]), 0.1, 0.5)
@@ -665,9 +667,22 @@ def first_occurrences(rows):
     return np.vstack(keep)
 
 
-def seeded_database(prob, center, count=12):
+class ReadLog(EvaluationDatabase):
+    """A database that logs every scaled read: its rows, and one entry per call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads, self.calls = [], 0
+
+    def evaluate_scaled(self, z):
+        self.reads.extend(tuple(row) for row in np.atleast_2d(np.asarray(z, dtype=float)))
+        self.calls += 1
+        return super().evaluate_scaled(z)
+
+
+def seeded_database(prob, center, count=12, cls=EvaluationDatabase):
     """A database holding `count` Halton sites around a scaled center."""
-    db = EvaluationDatabase(prob)
+    db = cls(prob)
     n = prob.n_vars
     for z in np.clip(center + 0.3 * (2 * halton(count, n, offset=3) - 1), 0.0, 1.0):
         db.evaluate_scaled(z)
@@ -689,19 +704,14 @@ SHARED_SITE_MODELS = ["rbf-cubic", "rbf-gaussian-adaptive", "lagrange-1", "lagra
 def test_bundle_shares_sites_and_reads_each_once(case, model):
     name, n, center = SHARED_SITE_CASES[case]
     prob = make_problem(TestProblemSpec(name, n, ALL_EXPENSIVE))
-    db = seeded_database(prob, center)
-    reads = []
-    read_scaled = db.evaluate_scaled
-
-    def logged_read(z):
-        reads.append(tuple(np.asarray(z, dtype=float)))
-        return read_scaled(z)
-
-    db.evaluate_scaled = logged_read
+    db = seeded_database(prob, center, cls=ReadLog)
+    db.reads, db.calls = [], 0
     bundle = build_bundle(prob, db, MODEL_SPECS[model], center, 0.05, 0.5)
     assert all(m.training_sites is bundle.training_sites for m in bundle.models)
-    assert len(reads) == len(set(reads)), "a site was read twice"
-    assert set(reads) == {tuple(s) for s in bundle.training_sites}
+    assert len(db.reads) == len(set(db.reads)), "a site was read twice"
+    assert set(db.reads) == {tuple(s) for s in bundle.training_sites}
+    # one batch read of the site set; FD-Taylor reads its center, then the stencil
+    assert db.calls == (2 if model == "taylor-fd1" else 1)
 
 
 @pytest.mark.parametrize("model", ["lagrange-2", "taylor-fd1", "rbf-cubic", "rbf-gaussian-adaptive"])

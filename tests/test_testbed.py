@@ -15,6 +15,7 @@ from pareto_trm.testbed import (
     TestProblemSpec,
     make_problem,
     n_objectives,
+    pareto_distance,
     solution_quality,
 )
 
@@ -68,6 +69,133 @@ def dtlz6_reference(x, k):
     return out
 
 
+# -- the one-point formulas the batch evaluators were written from; each batch
+#    evaluator must give their bits (same operations, in the same order)
+
+def scalar_t6():
+    def f1(x):
+        return x[0] + math.log(x[0]) + x[1] ** 2
+
+    def f2(x):
+        return x[0] ** 2 + x[1] ** 4
+
+    def g1(x):
+        return np.array([1.0 + 1.0 / x[0], 2.0 * x[1]])
+
+    def g2(x):
+        return np.array([2.0 * x[0], 4.0 * x[1] ** 3])
+
+    return [f1, f2], [g1, g2]
+
+
+def scalar_zdt(name, n):
+    def f1(x):
+        return float(x[0])
+
+    def g_of(x):
+        return 1.0 + 9.0 * float(np.sum(x[1:])) / (n - 1)
+
+    if name == "ZDT1":
+        def f2(x):
+            g = g_of(x)
+            return g * (1.0 - math.sqrt(x[0] / g))
+    elif name == "ZDT2":
+        def f2(x):
+            g = g_of(x)
+            return g * (1.0 - (x[0] / g) ** 2)
+    else:
+        def f2(x):
+            g = g_of(x)
+            r = x[0] / g
+            return g * (1.0 - math.sqrt(r) - r * math.sin(10.0 * math.pi * x[0]))
+
+    def grad_f1(x):
+        g = np.zeros(n)
+        g[0] = 1.0
+        return g
+
+    return [f1, f2], [grad_f1, None]
+
+
+def scalar_dtlz1(n, k):
+    def terms(x):
+        tail = x[k - 1:]
+        g = 100.0 * (
+            tail.size + float(np.sum((tail - 0.5) ** 2 - np.cos(20.0 * math.pi * (tail - 0.5))))
+        )
+        return g, x[: k - 1]
+
+    def make_f(j):
+        def f(x):
+            g, pos = terms(x)
+            prod = float(np.prod(pos[: k - j])) if k - j > 0 else 1.0
+            if j == 1:
+                return 0.5 * (1.0 + g) * prod
+            return 0.5 * (1.0 + g) * prod * (1.0 - pos[k - j])
+
+        return f
+
+    def grad_f1(x):
+        g, pos = terms(x)
+        grad = np.zeros(n)
+        for i in range(k - 1):
+            others = np.prod(np.delete(pos, i)) if pos.size > 1 else 1.0
+            grad[i] = 0.5 * (1.0 + g) * float(others)
+        prod = float(np.prod(pos)) if pos.size else 1.0
+        tail = x[k - 1:]
+        dg = 100.0 * (2.0 * (tail - 0.5) + 20.0 * math.pi * np.sin(20.0 * math.pi * (tail - 0.5)))
+        grad[k - 1:] = 0.5 * prod * dg
+        return grad
+
+    return [make_f(j) for j in range(1, k + 1)], [grad_f1] + [None] * (k - 1)
+
+
+def scalar_dtlz6(n, k):
+    def theta_of(x):
+        g = float(np.sum(x[k - 1:] ** 0.1))
+        th = np.empty(k - 1)
+        th[0] = 0.5 * math.pi * x[0]
+        if k > 2:
+            th[1:] = math.pi / (4.0 * (1.0 + g)) * (1.0 + 2.0 * g * x[1: k - 1])
+        return g, th
+
+    def make_f(j):
+        def f(x):
+            g, th = theta_of(x)
+            val = (1.0 + g) * float(np.prod(np.cos(th[: k - j])))
+            if j > 1:
+                val *= math.sin(th[k - j])
+            return val
+
+        return f
+
+    return [make_f(j) for j in range(1, k + 1)], [None] * k
+
+
+def scalar_formulas(prob):
+    """(values, gradients): the one-point formula of every objective of a test
+    problem, and of its gradient where the problem has a gradient evaluator."""
+    n, k = prob.n_vars, prob.n_objs
+    if prob.name == "T6":
+        fs, gs = scalar_t6()
+    elif prob.name.startswith("ZDT"):
+        fs, gs = scalar_zdt(prob.name, n)
+    elif prob.name == "DTLZ1":
+        fs, gs = scalar_dtlz1(n, k)
+    else:
+        fs, gs = scalar_dtlz6(n, k)
+    return fs, [g if cb is not None else None for g, cb in zip(gs, prob.gradients)]
+
+
+def assert_matches_scalar_formulas(prob, X):
+    fs, gs = scalar_formulas(prob)
+    for idx in range(prob.n_objs):
+        assert np.array_equal(prob.objectives[idx](X), [float(fs[idx](x)) for x in X])
+        assert (gs[idx] is None) == (prob.gradients[idx] is None)
+        if gs[idx] is not None:
+            assert np.array_equal(prob.gradients[idx](X), [gs[idx](x) for x in X])
+
+
 def test_t6_values():
     prob = make_problem(TestProblemSpec("T6"))
     np.testing.assert_allclose(prob.evaluate_raw([1.0, 0.0]), [1.0, 1.0])
@@ -79,21 +207,23 @@ def test_t6_values():
 def test_t6_default_pattern_marks_log_objective_expensive():
     prob = make_problem(TestProblemSpec("T6"))
     np.testing.assert_array_equal(prob.expensive_mask, [True, False])
-    assert prob.gradient_callbacks[0] is None
-    assert prob.gradient_callbacks[1] is not None
+    assert prob.gradients[0] is None
+    assert prob.gradients[1] is not None
+
+
+def central_differences(fn, x, h):
+    """Central differences of the batch evaluator fn at the one point x."""
+    E = h * np.eye(x.size)
+    return (fn(x + E) - fn(x - E)) / (2 * h)
 
 
 def test_t6_cheap_gradient_matches_fd(rng):
     prob = make_problem(TestProblemSpec("T6"))
     for _ in range(20):
         x = np.array([rng.uniform(0.5, 20), rng.uniform(0.5, 20)])
-        g = prob.gradient_callbacks[1](x)
-        h = 1e-6
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            fd = (prob.objectives[1](x + e) - prob.objectives[1](x - e)) / (2 * h)
-            assert g[i] == pytest.approx(fd, rel=1e-4)
+        g = prob.gradients[1](x[None])[0]
+        fd = central_differences(prob.objectives[1], x, 1e-6)
+        np.testing.assert_allclose(g, fd, rtol=1e-4)
 
 
 def test_t6_wrong_dimension():
@@ -143,23 +273,18 @@ def test_dtlz_matches_reference(name, ref, rng):
 
 def test_dtlz1_cheap_gradient_matches_fd(rng):
     prob = make_problem(TestProblemSpec("DTLZ1", 6))
-    cb = prob.gradient_callbacks[0]
-    assert cb is not None
+    assert prob.gradients[0] is not None
     for _ in range(10):
         x = rng.uniform(0.1, 0.9, size=6)
-        g = cb(x)
-        h = 1e-7
-        for i in range(6):
-            e = np.zeros(6)
-            e[i] = h
-            fd = (prob.objectives[0](x + e) - prob.objectives[0](x - e)) / (2 * h)
-            assert g[i] == pytest.approx(fd, rel=1e-3, abs=1e-5)
+        g = prob.gradients[0](x[None])[0]
+        fd = central_differences(prob.objectives[0], x, 1e-7)
+        np.testing.assert_allclose(g, fd, rtol=1e-3, atol=1e-5)
 
 
 def test_zdt_cheap_gradient_is_e1():
     prob = make_problem(TestProblemSpec("ZDT2", 4))
-    g = prob.gradient_callbacks[0](np.full(4, 0.3))
-    np.testing.assert_array_equal(g, [1.0, 0.0, 0.0, 0.0])
+    G = prob.gradients[0](np.full((3, 4), 0.3))
+    np.testing.assert_array_equal(G, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
 
 
 def test_patterns():
@@ -197,14 +322,18 @@ def batch_cases(draw):
 @given(batch_cases())
 def test_batch_evaluators_match_scalar_functions_bit_for_bit(case):
     prob, Z = case
-    X = np.array([prob.unscale(z) for z in Z])
-    for idx in range(prob.n_objs):
-        fn, batch_fn = prob.objectives[idx], prob.batch_objectives[idx]
-        assert np.array_equal(batch_fn(X), [float(fn(x)) for x in X])
-        cb, batch_cb = prob.gradient_callbacks[idx], prob.batch_gradients[idx]
-        assert (cb is None) == (batch_cb is None)
-        if cb is not None:
-            assert np.array_equal(batch_cb(X), [cb(x) for x in X])
+    assert_matches_scalar_formulas(prob, np.array([prob.unscale(z) for z in Z]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(batch_cases(), st.data())
+def test_batch_evaluators_are_row_independent(case, data):
+    # F(X)[S] == F(X[S]): a row's bits do not depend on the rest of its batch
+    prob, Z = case
+    X = prob.unscale(Z)
+    S = data.draw(st.lists(st.integers(0, len(X) - 1), min_size=1, max_size=2 * len(X)))
+    for fn in [*prob.objectives, *(g for g in prob.gradients if g is not None)]:
+        assert np.array_equal(fn(X)[S], fn(X[S]))
 
 
 @pytest.mark.parametrize("name, n", BATCH_FAMILIES)
@@ -219,13 +348,7 @@ def test_batch_evaluators_match_scalar_functions_in_bulk(name, n, rng):
         Z = rng.random((m, n))
         face = rng.random((m, n))
         Z = np.where(face < 1 / 6, 0.0, np.where(face > 5 / 6, 1.0, Z))
-        X = prob.feasible.lower + Z * prob.feasible.width()
-        for idx in range(prob.n_objs):
-            fn, batch_fn = prob.objectives[idx], prob.batch_objectives[idx]
-            assert np.array_equal(batch_fn(X), [float(fn(x)) for x in X])
-            cb, batch_cb = prob.gradient_callbacks[idx], prob.batch_gradients[idx]
-            if cb is not None:
-                assert np.array_equal(batch_cb(X), [cb(x) for x in X])
+        assert_matches_scalar_formulas(prob, prob.feasible.lower + Z * prob.feasible.width())
 
 
 def test_t6_domain_safety():
@@ -241,6 +364,10 @@ def test_t6_domain_safety():
 
 
 class TestSolutionQuality:
+    def test_pareto_distance(self):
+        assert pareto_distance(make_problem(TestProblemSpec("T6")), [2.0, 0.5]) == 2.0 - 1e-12
+        assert pareto_distance(make_problem(TestProblemSpec("ZDT1", 3)), np.full(3, 0.5)) is None
+
     def test_t6_optimum(self):
         prob = make_problem(TestProblemSpec("T6"))
         q = solution_quality(prob, [1e-12, 0.0])
@@ -263,8 +390,8 @@ class TestSolutionQuality:
         # synthetic problem whose objective returns NaN off a single point
         from pareto_trm.problem import FeasibleSet, MOProblem
 
-        def bad(x):
-            return float("nan") if x[0] > 0.0 else 0.0
+        def bad(X):
+            return np.where(X[:, 0] > 0.0, np.nan, 0.0)
 
         prob = MOProblem(
             1, 1, [bad], np.array([True]), FeasibleSet.box([0.0], [1.0]), name="bad"
