@@ -331,6 +331,16 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     raise LPFailure("simplex iteration cap reached")
 
 
+# Armijo halvings per start in one iteration of box_multistart_minimize, and
+# how many consecutive halvings of every pending start one value_fn call
+# tests. A model call costs about the same at 13 rows as at 52, so testing
+# several halvings at once trades a few spare rows for fewer calls. One
+# step-solve bench pass (seed 0, 2-core Xeon) took 1.15 / 0.90 / 0.78 / 0.78 /
+# 0.81 s at 1 / 2 / 4 / 6 / 8 halvings per call.
+MAX_HALVINGS = 40
+LADDER = 4
+
+
 def box_multistart_minimize(
     value_fn: Callable[[np.ndarray], np.ndarray],
     grad_fn: Callable[[np.ndarray], np.ndarray],
@@ -345,10 +355,20 @@ def box_multistart_minimize(
     """Projected-gradient descent with Armijo backtracking from Halton starts.
 
     value_fn / grad_fn must accept batches: (m, n) -> (m,) and (m, n) -> (m, n),
-    and grad_fn must be pure: it is called once per accepted iterate, and that
-    gradient serves both the stop test and the next iteration. Deterministic
-    for fixed inputs; per-run objective sequences are non-increasing. Returns
-    the best point found and its value.
+    and be row-independent: each row of the result has the bits it has when
+    that row is evaluated alone, whatever the rest of the batch holds.
+    grad_fn must be pure: it is called once per accepted iterate, and that
+    gradient serves both the stop test and the next iteration.
+
+    Each iteration backtracks every start from its own step s_i, halving up
+    to MAX_HALVINGS times; a start accepts the first halving b whose point
+    clip(x_i - s_i 2^-b g_i) passes the Armijo test, and its next step is
+    twice the accepted one. The halvings are tested as a ladder: one value_fn
+    call holds LADDER consecutive halvings of every start still pending, row
+    by row, and the starts that accept drop out before the next rung. Row
+    independence makes this give the iterates of testing one halving per
+    call. Deterministic for fixed inputs; per-run objective sequences are
+    non-increasing. Returns the best point found and its value.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -361,26 +381,33 @@ def box_multistart_minimize(
     Gr = grad_fn(X)
     step = np.ones(X.shape[0])
     for _ in range(max_iters):
-        moved = False
-        trial_step = step.copy()
-        Xn, Fn = X, F
-        accept = np.zeros(X.shape[0], dtype=bool)
-        for _bt in range(40):
-            cand = np.clip(X - trial_step[:, None] * Gr, lo, hi)
-            Fc = value_fn(cand)
-            decrease = np.einsum("ij,ij->i", Gr, X - cand)
-            ok = (~accept) & (Fc <= F - 1e-4 * decrease)
-            if np.any(ok):
-                if not moved:
-                    Xn, Fn = X.copy(), F.copy()
-                    moved = True
-                Xn[ok], Fn[ok] = cand[ok], Fc[ok]
-                step[ok] = trial_step[ok] * 2.0
-                accept |= ok
-            if np.all(accept):
+        Xn, Fn = X.copy(), F.copy()
+        pending = np.arange(X.shape[0])
+        # the pending starts' iterates, gradients, values and next halving to test
+        Xp, Gp, Fp, trial = X, Gr, F, step
+        for b0 in range(0, MAX_HALVINGS, LADDER):
+            rungs = min(LADDER, MAX_HALVINGS - b0)
+            S = np.empty((pending.size, rungs))
+            S[:, 0] = trial
+            for b in range(1, rungs):
+                S[:, b] = S[:, b - 1] / 2.0
+            cand = np.clip(Xp[:, None, :] - S[:, :, None] * Gp[:, None, :], lo, hi)
+            Fc = value_fn(cand.reshape(-1, n)).reshape(-1, rungs)
+            moves = (Xp[:, None, :] - cand).reshape(-1, n)
+            decrease = np.einsum("ij,ij->i", np.repeat(Gp, rungs, axis=0), moves)
+            ok = Fc <= Fp[:, None] - 1e-4 * decrease.reshape(-1, rungs)
+            hit = ok.any(axis=1)
+            first = np.argmax(ok[hit], axis=1)
+            rows = pending[hit]
+            Xn[rows] = cand[hit, first]
+            Fn[rows] = Fc[hit, first]
+            step[rows] = S[hit, first] * 2.0
+            miss = ~hit
+            pending = pending[miss]
+            if pending.size == 0:
                 break
-            trial_step = np.where(accept, trial_step, trial_step / 2.0)
-        if not moved:
+            Xp, Gp, Fp, trial = Xp[miss], Gp[miss], Fp[miss], S[miss, -1] / 2.0
+        if pending.size == X.shape[0]:  # no start moved
             break
         X, F = Xn, Fn
         Gr = grad_fn(X)  # for the stop test and the next iteration
@@ -389,4 +416,3 @@ def box_multistart_minimize(
             break
     best = int(np.argmin(F))
     return X[best].copy(), float(F[best])
-

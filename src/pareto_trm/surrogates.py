@@ -118,11 +118,15 @@ def _kernel_a(kernel: str, r, alpha: float):
     return 4.0 * alpha**4 * np.exp(-((alpha * r) ** 2))
 
 
-# Stencil coordinates per batch in ExactCheapModel.hessian_norm_bound: the
-# whole 25-point sample up to n = 18, fewer points beyond, so each transient
-# array stays under 128 KiB instead of growing as 50 n^2 (625 KiB at n = 40).
-# Measured at n = 30 and 40 with gradient evaluators, 64 KiB batches pay more
-# per-call overhead and 192 KiB ones run slower per point.
+# Coordinates per innermost evaluator call in ExactCheapModel.hessian_norm_bound.
+# A sample point sends 2n stencil rows (2n^2 coordinates) to a gradient
+# evaluator; without one, each of those gradients differences 2n value rows,
+# so the value evaluator gets 4n^3 coordinates per point. Batching points to
+# this many coordinates takes the whole 25-point sample up to n = 18 with a
+# gradient evaluator (up to n = 5 without), fewer points beyond, so each
+# transient array stays under 128 KiB. Measured at n = 30 and 40 with gradient
+# evaluators, 64 KiB batches pay more per-call overhead and 192 KiB ones run
+# slower per point.
 STENCIL_BATCH = 16384
 
 
@@ -164,7 +168,9 @@ class ExactCheapModel:
         the axis_differences of the gradients over a +-1e-5 stencil clipped into
         the feasible box, at 25 Halton points of [lo, hi]."""
         pts = lo + halton(25, lo.size, offset=17 + seed) * (hi - lo)
-        per_batch = max(1, STENCIL_BATCH // (2 * lo.size**2))
+        n = lo.size
+        per_point = 2 * n**2 if self.prob.gradients[self.index] is not None else 4 * n**3
+        per_batch = max(1, STENCIL_BATCH // per_point)
         squares = []
         for k in range(0, len(pts), per_batch):
             H = axis_differences(self.gradients, pts[k : k + per_batch], 1e-5, self._lo, self._hi)
@@ -175,7 +181,13 @@ class ExactCheapModel:
 
 
 class PolyModel:
-    """Polynomial model of degree <= 2 in local coordinates t = (u - center)/R."""
+    """Polynomial model of degree <= 2 in local coordinates t = (u - center)/R.
+
+    `values` and `gradients` are row-independent: each row of the result has
+    the bits it has when that row is evaluated alone. The products with g and
+    H are einsum loops, not BLAS gemv/gemm, whose blocking depends on the
+    batch; box_multistart_minimize relies on this.
+    """
 
     def __init__(
         self,
@@ -204,16 +216,16 @@ class PolyModel:
 
     def values(self, U) -> np.ndarray:
         T = self._local(U)
-        out = self.c0 + T @ self.g_local
+        out = self.c0 + np.einsum("ij,j->i", T, self.g_local)
         if self.degree >= 2:
-            out = out + 0.5 * np.einsum("ij,ij->i", T @ self.H_local, T)
+            out = out + 0.5 * np.einsum("ij,ij->i", np.einsum("ij,jk->ik", T, self.H_local), T)
         return out
 
     def gradients(self, U) -> np.ndarray:
         T = self._local(U)
         G = np.tile(self.g_local, (T.shape[0], 1))
         if self.degree >= 2:
-            G = G + T @ self.H_local
+            G = G + np.einsum("ij,jk->ik", T, self.H_local)
         return G / self.R
 
     def hessian_norm_bound(self, lo, hi, seed=0) -> float:
@@ -221,7 +233,12 @@ class PolyModel:
 
 
 class RBFModel:
-    """Radial basis surrogate with polynomial tail, in local coordinates."""
+    """Radial basis surrogate with polynomial tail, in local coordinates.
+
+    `values` and `gradients` are row-independent, as for PolyModel: the
+    kernel matrix and the tail meet their coefficients in einsum loops, not
+    in BLAS gemv.
+    """
 
     kind = "rbf"
 
@@ -261,8 +278,8 @@ class RBFModel:
     def values(self, U) -> np.ndarray:
         T = self._local(U)
         r, _ = self._dists(T)
-        vals = kernel_value(self.kernel, r, self.alpha_local) @ self.coeffs
-        return vals + self.tail_c0 + T @ self.tail_g_local
+        vals = np.einsum("mk,k->m", kernel_value(self.kernel, r, self.alpha_local), self.coeffs)
+        return vals + self.tail_c0 + np.einsum("mn,n->m", T, self.tail_g_local)
 
     def gradients(self, U) -> np.ndarray:
         T = self._local(U)

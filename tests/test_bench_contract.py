@@ -14,6 +14,7 @@ import numpy as np
 from pareto_trm import AlgoConfig, MODEL_SPECS, TestProblemSpec, make_problem, run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_DIGESTS = Path(__file__).resolve().parent / "golden" / "bench-digests.txt"
 
 
 def _load(name):
@@ -91,3 +92,11 @@ def test_tracer_times_every_builder():
         summary = tracer.summary()
         assert summary[layer]["calls"] > 0, model
         assert summary[layer]["calls"] == summary["surrogates.build_bundle"]["calls"], model
+
+
+def test_every_workload_has_a_committed_digest():
+    # CI compares each workload's seed-0 outcome digest with this file
+    workloads = _load("workloads")
+    rows = [line.split() for line in BENCH_DIGESTS.read_text(encoding="utf-8").splitlines()]
+    assert sorted(name for name, _ in rows) == sorted(workloads.WORKLOADS)
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in rows)

@@ -480,6 +480,205 @@ def multistart_two_gradients(value_fn, grad_fn, lo, hi, n_starts, seed, max_iter
     return X[best].copy(), float(F[best]), iterations
 
 
+def multistart_one_halving(
+    value_fn, grad_fn, lo, hi, n_starts=10, seed=0, max_iters=200, gtol=1e-10, include=None,
+    log=None,
+):
+    """box_multistart_minimize as it was before its backtracking ladder: every
+    value_fn call tests one halving of every start, accepted or not. `log`
+    gets one (X, G, step, accepted, Xn) per iteration: the iterate, its
+    gradient, the steps it starts from, the halving each start accepted (-1
+    for none) and the next iterate."""
+    n = lo.size
+    X = lo + halton(max(1, n_starts), n, offset=1000 * seed) * (hi - lo)
+    if include is not None:
+        X = np.vstack([np.clip(np.atleast_2d(include), lo, hi), X])
+    F = value_fn(X)
+    Gr = grad_fn(X)
+    step = np.ones(X.shape[0])
+    for _ in range(max_iters):
+        start_step = step.copy()
+        halving = np.full(X.shape[0], -1)
+        moved = False
+        trial_step = step.copy()
+        Xn, Fn = X, F
+        accept = np.zeros(X.shape[0], dtype=bool)
+        for bt in range(40):
+            cand = np.clip(X - trial_step[:, None] * Gr, lo, hi)
+            Fc = value_fn(cand)
+            decrease = np.einsum("ij,ij->i", Gr, X - cand)
+            ok = (~accept) & (Fc <= F - 1e-4 * decrease)
+            if np.any(ok):
+                if not moved:
+                    Xn, Fn = X.copy(), F.copy()
+                    moved = True
+                Xn[ok], Fn[ok] = cand[ok], Fc[ok]
+                step[ok] = trial_step[ok] * 2.0
+                accept |= ok
+                halving[ok] = bt
+            if np.all(accept):
+                break
+            trial_step = np.where(accept, trial_step, trial_step / 2.0)
+        if log is not None:
+            log.append((X, Gr, start_step, halving, Xn))
+        if not moved:
+            break
+        X, F = Xn, Fn
+        Gr = grad_fn(X)
+        proj_grad = np.max(np.abs(X - np.clip(X - Gr, lo, hi)), axis=1)
+        if np.all(proj_grad <= gtol):
+            break
+    best = int(np.argmin(F))
+    return X[best].copy(), float(F[best])
+
+
+def ladder_calls(log, lo, hi):
+    """The value_fn and grad_fn calls the ladder makes, derived from the
+    one-halving loop's log: per iteration, one value call per rung holding
+    LADDER consecutive halvings of each start still pending, row by row, then
+    the gradient of the next iterate if any start moved."""
+    calls = [("value", log[0][0]), ("grad", log[0][0])]
+    for X, G, step, halving, Xn in log:
+        pending, trial = list(range(len(X))), step.copy()
+        for b0 in range(0, linalg.MAX_HALVINGS, linalg.LADDER):
+            rows = []
+            for i in pending:
+                t = trial[i]
+                for _ in range(min(linalg.LADDER, linalg.MAX_HALVINGS - b0)):
+                    rows.append(np.clip(X[i] - t * G[i], lo, hi))
+                    t = t / 2.0
+                trial[i] = t
+            calls.append(("value", np.array(rows)))
+            pending = [i for i in pending if not 0 <= halving[i] < b0 + linalg.LADDER]
+            if not pending:
+                break
+        if np.any(halving >= 0):
+            calls.append(("grad", Xn))
+    return calls
+
+
+def assert_ladder_matches_one_halving(val, grad, lo, hi, **kwargs):
+    """The ladder returns the one-halving loop's point and value bit for bit
+    and makes exactly ladder_calls(...); returns the loop's log."""
+    calls = []
+
+    def logged(kind, fn):
+        def call(X):
+            calls.append((kind, X.copy()))
+            return fn(X)
+
+        return call
+
+    x, v = box_multistart_minimize(logged("value", val), logged("grad", grad), lo, hi, **kwargs)
+    log = []
+    x_old, v_old = multistart_one_halving(val, grad, lo, hi, log=log, **kwargs)
+    assert np.array_equal(x, x_old) and v == v_old
+    expected = ladder_calls(log, lo, hi)
+    assert [kind for kind, _ in calls] == [kind for kind, _ in expected]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(calls, expected))
+    # at most ceil(MAX_HALVINGS / LADDER) value calls between two gradients
+    rungs = -(-linalg.MAX_HALVINGS // linalg.LADDER)
+    runs = "".join("v" if kind == "value" else "g" for kind, _ in calls).split("g")
+    assert max(len(run) for run in runs[1:]) <= rungs
+    return log
+
+
+def bumpy(a, c, b, w, uphill_below=None):
+    """sum_j a_j (x_j - c_j)^2 + b_j sin(w_j x_j) and its gradient, row by row;
+    the gradient is negated on rows with x_0 < uphill_below, so Armijo rejects
+    every halving there unless a face clips the step to nothing."""
+
+    def val(X):
+        return np.sum(a * (X - c) ** 2 + b * np.sin(w * X), axis=1)
+
+    def grad(X):
+        G = 2.0 * a * (X - c) + b * w * np.cos(w * X)
+        if uphill_below is not None:
+            G[X[:, 0] < uphill_below] *= -1.0
+        return G
+
+    return val, grad
+
+
+@st.composite
+def multistart_cases(draw):
+    """A row-independent bumpy function (possibly concave, possibly with some
+    rows' gradients uphill) on a box that may have flat sides, with starts
+    that may lie on its faces."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = rng.uniform(-1.0, 1.0, n)
+    flat = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    hi = lo + np.where(flat, 0.0, rng.uniform(0.1, 2.0, n))
+    a = rng.uniform(-1.0, 2.0, n)
+    c = rng.uniform(lo - 0.5, hi + 0.5)
+    b = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([0.0, 1.0]))
+    w = rng.uniform(1.0, 8.0, n)
+    uphill = draw(st.sampled_from([None, float(lo[0] + 0.5 * (hi[0] - lo[0]))]))
+    val, grad = bumpy(a, c, b, w, uphill)
+    include = None
+    k = draw(st.integers(0, 3))
+    if k:
+        pick = rng.integers(0, 3, (k, n))  # lower face, upper face or inside
+        include = np.where(pick == 0, lo, np.where(pick == 1, hi, rng.uniform(lo, hi, (k, n))))
+    kwargs = dict(
+        n_starts=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 3)),
+        max_iters=draw(st.sampled_from([1, 2, 3, 150])),
+        include=include,
+    )
+    return val, grad, lo, hi, kwargs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(multistart_cases())
+def test_ladder_matches_one_halving_loop(case):
+    val, grad, lo, hi, kwargs = case
+    assert_ladder_matches_one_halving(val, grad, lo, hi, **kwargs)
+
+
+class TestLadder:
+    lo, hi = np.zeros(3), np.ones(3)
+    a, c = np.array([1.0, 2.0, 0.5]), np.array([0.3, 1.4, -0.2])
+    b, w = np.array([0.3, -0.2, 0.1]), np.array([5.0, 3.0, 7.0])
+
+    def test_starts_on_faces(self):
+        val, grad = bumpy(self.a, self.c, self.b, self.w)
+        starts = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.5, 1.0]])
+        log = assert_ladder_matches_one_halving(val, grad, self.lo, self.hi, n_starts=3, include=starts)
+        assert len(log) > 1
+
+    def test_include_with_one_start(self):
+        val, grad = bumpy(self.a, self.c, self.b, self.w)
+        assert_ladder_matches_one_halving(
+            val, grad, self.lo, self.hi, n_starts=1, seed=8, include=np.array([[0.9, 0.1, 0.5]])
+        )
+
+    def test_iteration_cap(self):
+        val, grad = bumpy(self.a, self.c, self.b, self.w)
+        log = assert_ladder_matches_one_halving(val, grad, self.lo, self.hi, n_starts=5, max_iters=2)
+        assert len(log) == 2
+
+    def test_uphill_rows_exhaust_every_halving(self):
+        val, grad = bumpy(self.a, self.c, self.b, self.w, uphill_below=0.5)
+        log = assert_ladder_matches_one_halving(val, grad, self.lo, self.hi, n_starts=8, seed=1)
+        exhausted = [halving == -1 for _, _, _, halving, _ in log]
+        assert all(e.any() for e in exhausted) and not exhausted[0].all() and len(log) > 1
+
+    @pytest.mark.parametrize("ladder", [1, 3, 6, 40])
+    def test_any_ladder_length(self, ladder, monkeypatch):
+        # a rung that would run past MAX_HALVINGS is cut short
+        monkeypatch.setattr(linalg, "LADDER", ladder)
+        val, grad = bumpy(self.a, self.c, self.b, self.w, uphill_below=0.5)
+        assert_ladder_matches_one_halving(val, grad, self.lo, self.hi, n_starts=8, seed=1)
+
+    def test_no_start_moves(self):
+        # every gradient uphill: one iteration of MAX_HALVINGS halvings, then the best start
+        val, grad = bumpy(self.a, self.c, self.b, self.w, uphill_below=2.0)
+        log = assert_ladder_matches_one_halving(val, grad, self.lo, self.hi, n_starts=4, seed=2)
+        assert len(log) == 1 and np.all(log[0][3] == -1)
+
+
 class TestMultistart:
     def test_interior_quadratic(self):
         val, grad = _quad([0.3, 0.6])

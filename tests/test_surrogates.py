@@ -18,6 +18,7 @@ from pareto_trm.surrogates import (
     ALPHA_HI,
     ALPHA_LO,
     C_ALPHA,
+    KERNELS,
     LAMBDA_POISED,
     MODEL_SPECS,
     SHAPE_ALPHA,
@@ -405,6 +406,45 @@ class TestHessianBound:
             np.linalg.norm(rbf_hessian(model, np.array([a, b]))) for a in xs for b in xs
         )
         assert bound >= worst * 0.999
+
+
+MODEL_KINDS = ["poly-1", "poly-2", *(f"rbf-{kernel}" for kernel in KERNELS)]
+
+
+@st.composite
+def model_batches(draw):
+    """A PolyModel or RBFModel with random coefficients (up to 31 RBF sites), a
+    batch of points around its center and a row selection with repeats."""
+    kind = draw(st.sampled_from(MODEL_KINDS))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center, R = rng.random(n), 10.0 ** rng.uniform(-3.0, 0.0)
+    if kind.startswith("poly"):
+        H = rng.standard_normal((n, n))
+        model = PolyModel(
+            center, R, rng.standard_normal(), rng.standard_normal(n), H + H.T, int(kind[-1])
+        )
+    else:
+        p = draw(st.integers(1, 31))
+        model = RBFModel(
+            center, R, rng.uniform(-1.0, 1.0, (p, n)), rng.standard_normal(p),
+            rng.standard_normal(), rng.standard_normal(n), kind[4:],
+            10.0 ** rng.uniform(-1.0, 1.0), SHAPE_ALPHA,
+        )
+    m = draw(st.integers(1, 40))
+    U = center + R * rng.uniform(-1.5, 1.5, (m, n))
+    S = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m))
+    return model, U, S
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(model_batches())
+def test_model_kernels_are_row_independent(case):
+    # F(U)[S] == F(U[S]): box_multistart_minimize evaluates only the pending
+    # rows and relies on a row's bits not depending on the rest of its batch
+    model, U, S = case
+    for fn in (model.values, model.gradients):
+        assert np.array_equal(fn(U)[S], fn(U[S]))
 
 
 def one_point(fn, prob, u):
