@@ -4,11 +4,18 @@ Everything here is deterministic: the simplex uses Bland's rule, all sampling
 is Halton-based, and no global RNG state is touched. These routines are pure
 functions of their inputs and safe to call from multiple threads.
 
-Dense solves go through one elimination routine, `lu_factor`. Its factors
+Every solve that decides whether a matrix is singular goes through one
+elimination routine, `lu_factor`: Gaussian elimination with partial pivoting
+that rejects a pivot at or below 1e-12 max|A| (SingularMatrix). Its factors
 replay on a right-hand side the exact operations, in the exact order, that
 eliminating the augmented matrix [A | b] would apply to b, so a solve from a
-kept factorization has the bits of a fresh `solve_linear`. The descent LP
-relies on this to factor each simplex basis once.
+kept factorization has the bits of a fresh `solve_linear`.
+
+The descent LP factors each simplex basis once with `lu_factor`, for its
+singularity test and for the basic solution it returns, and solves it once
+with LAPACK (`np.linalg.solve`) for the quantities its pivoting decisions
+read. LAPACK applies no pivot floor of its own and only ever sees a basis
+that `lu_factor` accepted; its bits are fixed for a given numpy build.
 """
 
 from __future__ import annotations
@@ -231,20 +238,34 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     bt in [0, B], so the initial all-zero point is basic feasible with the
     slack basis. Bland's pivoting makes the output deterministic.
 
-    Each basis B is factored once (`lu_factor`) and its multipliers pi
-    (B.T pi = c_B) solved once; every basic solution and entering column of
-    that basis replays the factorization, which has the bits of a fresh solve.
+    The simplex runs on the rows G 2^-e, with e = round(log2 max|G|), and
+    returns beta 2^e. The scaling is exact, so (d, beta) is exactly scale
+    covariant in powers of two, and the tolerances, which compare unitless
+    ratio-test entries with reduced costs in G's units, see rows of size
+    about 1. Rows whose max|G| lies in [2^-1/2, 2^1/2] are solved unscaled.
+
+    Each basis B is factored once by `lu_factor`, whose pivot rule decides
+    that a basis is singular (LPFailure), and solved once by LAPACK for
+    W = B^-1 A. W holds every reduced cost, cost - c_B W, every ratio-test
+    column W[:, j] and the basic values -W x_N of the nonbasic values x_N.
+    The returned basic solution replays the factorization on -A x_N.
     Most iterations are bound flips, which keep the basis: the entering
     variable moves to its opposite bound. After a flip the scan for the next
-    entering variable resumes after the flipped one. That is exact: basis and
-    pi are unchanged, so the reduced costs and bound states of the columns
-    before it are too, and none of them was eligible; the flipped column's
-    reduced cost now has the wrong sign for its new bound. Flips and pivots
-    both count toward the iteration cap. A basis that factors as singular
-    raises LPFailure.
+    entering variable resumes after the flipped one. That is exact: W and the
+    reduced costs are unchanged, and so are the bound states of the columns
+    before it, none of which was eligible; the flipped column's reduced cost
+    now has the wrong sign for its new bound. Flips and pivots both count
+    toward the iteration cap.
+
+    Postcondition: d lies in its box and |max_l g_l.d - beta| <= 1e-9
+    max(2^e, |beta|), that is 1e-9 max(1, |beta|) on the scaled rows;
+    otherwise the LP raises LPFailure rather than return a wrong direction.
     """
-    G, lo, hi = lp.gradients, lp.box_lo, lp.box_hi
-    k, n = G.shape
+    lo, hi = lp.box_lo, lp.box_hi
+    k, n = lp.gradients.shape
+    gmax = float(np.abs(lp.gradients).max(initial=0.0))
+    e = int(np.rint(np.log2(gmax))) if gmax > 0.0 else 0
+    G = np.ldexp(lp.gradients, -e)
     nv = 2 * n + 1 + k  # dp, dm, bt, slacks
     big = max(1.0, float(np.abs(G).sum(axis=1).max()) + 1.0)
     upper = np.concatenate([hi, -lo, [big], np.full(k, np.inf)])
@@ -257,51 +278,43 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     A[:, 2 * n + 1:] = np.eye(k)
 
     basis = list(range(2 * n + 1, nv))
-    at_upper = [False] * nv  # nonbasic status; basics ignored
-    in_basis = [False] * nv
-    for j in basis:
-        in_basis[j] = True
+    at_upper = np.zeros(nv, dtype=bool)  # nonbasic status; basics ignored
+    in_basis = np.zeros(nv, dtype=bool)
+    in_basis[basis] = True
     xn = np.zeros(nv)  # nonbasic values, 0 at basics
 
     tol = 1e-11 * max(1.0, float(np.abs(G).max(initial=0.0)))
-    priced = (upper > tol).tolist()  # variables with room to move
-    columns = list(A.T)  # the views A[:, j]
+    priced = upper > tol  # variables with room to move
+    caps = upper.tolist()  # for the ratio test's scalar loop
 
     lu = None
     max_iters = 500 + 50 * nv  # pivots and bound flips together
     for _ in range(max_iters):
-        if lu is None:  # a new basis: factor and price it once
+        if lu is None:  # a new basis: factor it, solve it and price it once
             B = A[:, basis]
             try:
                 lu = lu_factor(B)
-                pi = solve_linear(B.T, cost[basis])
-            except SingularMatrix as exc:  # basis is nonsingular by construction
+                W = np.linalg.solve(B, A)
+            except (SingularMatrix, np.linalg.LinAlgError) as exc:
                 raise LPFailure(f"singular basis: {exc}") from exc
-            start = 0
-        entering = -1
-        for j in range(start, nv):
-            if in_basis[j] or not priced[j]:
-                continue
-            red = cost[j] - pi @ columns[j]
-            if (not at_upper[j] and red < -tol) or (at_upper[j] and red > tol):
-                entering = j
-                break
-        rhs = -A @ xn
+            red = cost - cost[basis] @ W
+            eligible = priced & ~in_basis & np.where(at_upper, red > tol, red < -tol)
+            # the entering candidates in Bland's order; a flip moves to the next
+            candidates = iter(np.flatnonzero(eligible).tolist())
+        entering = next(candidates, -1)
         if entering < 0:
-            x = xn  # optimal: nonbasics at their bounds, basics solved
-            x[basis] = lu.solve(rhs)
-            d = x[:n] - x[n: 2 * n]
-            return d, -float(x[2 * n])
-        xb, w = lu.solve(np.column_stack([rhs, A[:, entering]])).T
-        delta = -1.0 if at_upper[entering] else 1.0
+            break
+        xb = (-(W @ xn)).tolist()
+        # the entering column of W, signed by the direction the variable moves
+        w = (-W[:, entering] if at_upper[entering] else W[:, entering]).tolist()
         t_best, leave_pos, leave_to_upper = np.inf, -1, False
         for i, bi in enumerate(basis):
-            dw = delta * w[i]
+            dw = w[i]
             if dw > tol:
                 t = max(xb[i], 0.0) / dw  # basic variable drops to 0
                 hit_upper = False
-            elif dw < -tol and np.isfinite(upper[bi]):
-                t = max(upper[bi] - xb[i], 0.0) / (-dw)  # basic rises to its cap
+            elif dw < -tol and caps[bi] < np.inf:
+                t = max(caps[bi] - xb[i], 0.0) / (-dw)  # basic rises to its cap
                 hit_upper = True
             else:
                 continue
@@ -315,7 +328,6 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
             # no column up to it is eligible now, so the scan resumes after it
             at_upper[entering] = not at_upper[entering]
             xn[entering] = upper[entering] if at_upper[entering] else 0.0
-            start = entering + 1
             continue
         if leave_pos < 0:
             raise LPFailure("unbounded direction encountered")
@@ -328,7 +340,20 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
         xn[leaving] = upper[leaving] if leave_to_upper else 0.0
         xn[entering] = 0.0
         lu = None
-    raise LPFailure("simplex iteration cap reached")
+    else:
+        raise LPFailure("simplex iteration cap reached")
+    x = xn  # optimal: nonbasics at their bounds, basics solved
+    x[basis] = lu.solve(-A @ xn)
+    d = x[:n] - x[n: 2 * n]
+    beta = -float(x[2 * n])
+    gap = float(np.max(G @ d)) - beta
+    if not (
+        np.all(d >= lo)
+        and np.all(d <= hi)
+        and abs(gap) <= 1e-9 * max(1.0, abs(beta))
+    ):
+        raise LPFailure(f"basic solution leaves its box or misstates beta: gap {gap!r}")
+    return d, float(np.ldexp(beta, e))
 
 
 # Armijo halvings per start in one iteration of box_multistart_minimize, and

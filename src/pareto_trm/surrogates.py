@@ -347,6 +347,13 @@ def _coeffs_to_quadratic(a: np.ndarray, n: int):
     return c0, g, H
 
 
+def _near_any(point, rows) -> bool:
+    """Whether point lies within 1e-12 in the max norm of any row of `rows`."""
+    if len(rows) == 0:
+        return False
+    return bool(np.any(np.max(np.abs(np.asarray(rows) - point), axis=1) <= 1e-12))
+
+
 class _LagrangeMachine:
     """Poised-set selection and Lambda-poisedness repair for a linear model.
 
@@ -449,9 +456,7 @@ class _LagrangeMachine:
             if pool.size:
                 db_vals = np.abs(self.lagrange_values(pool)[:, worst])
                 cand = int(np.argmax(db_vals))
-                if db_vals[cand] > lam_gate and not any(
-                    np.max(np.abs(pool[cand] - s)) <= 1e-12 for s in self.sites
-                ):
+                if db_vals[cand] > lam_gate and not _near_any(pool[cand], self.sites):
                     site = pool[cand]
             self.sites[worst] = site
             self._normalize_and_sweep(worst, site)
@@ -491,7 +496,7 @@ def _affine_set(db, center, local_scale, box_lo, box_hi):
 
     def try_accept(point):
         nonlocal Q
-        if any(np.max(np.abs(point - c)) <= 1e-12 for c in chosen):
+        if _near_any(point, chosen):
             return False
         v = (point - center) / local_scale
         r = residual(v)
@@ -551,13 +556,12 @@ def build_rbf(
 
     total_cap = (n + 1) * (n + 2) // 2 if n <= 10 else 2 * n + 1
     max_extra = max(0, total_cap - (n + 1))
+    site_rows = np.vstack(sites)
     extras = []
     for site, _ in db.query_ball(center, THETA2 * delta_ub):
         if len(extras) >= max_extra:
             break
-        if any(np.max(np.abs(site - s)) <= 1e-12 for s in sites) or any(
-            np.max(np.abs(site - s)) <= 1e-12 for s in extras
-        ):
+        if _near_any(site, site_rows) or _near_any(site, extras):
             continue
         extras.append(site)
 

@@ -95,8 +95,10 @@ def test_tracer_times_every_builder():
 
 
 def test_every_workload_has_a_committed_digest():
-    # CI compares each workload's seed-0 outcome digest with this file
+    # CI compares each workload's outcome digest at seeds 0 and 1 with this file
     workloads = _load("workloads")
     rows = [line.split() for line in BENCH_DIGESTS.read_text(encoding="utf-8").splitlines()]
-    assert sorted(name for name, _ in rows) == sorted(workloads.WORKLOADS)
-    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in rows)
+    assert sorted((name, seed) for name, seed, _ in rows) == sorted(
+        (name, seed) for name in workloads.WORKLOADS for seed in ("0", "1")
+    )
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, _, digest in rows)

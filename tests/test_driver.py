@@ -6,7 +6,7 @@ import pytest
 
 from conftest import segment_distance, two_quadratics
 
-from pareto_trm import driver, steps, surrogates
+from pareto_trm import cli, driver, steps, surrogates
 from pareto_trm.criticality import omega_of_gradients
 from pareto_trm.driver import (
     ACCEPTABLE,
@@ -495,6 +495,16 @@ def test_runs_beyond_fifty_variables():
     rep = run(prob, cfg, np.full(60, 0.5), seed=0)
     assert not rep.stop_reason.startswith("error:"), rep.anomalies
     assert len(rep.iterations) == 1
+
+
+def test_badly_scaled_surrogate_gradients_keep_the_run_going():
+    # the unscaled descent LP stopped this run with error:LPFailure after 24
+    # evaluations, at iteration 7
+    prob = make_problem(TestProblemSpec("DTLZ1", 6, "all-expensive"))
+    cfg = AlgoConfig(models=MODEL_SPECS["rbf-gaussian-adaptive"], max_iters=15)
+    rep = run(prob, cfg, cli._start_points(prob, 2, 0)[0], seed=0)
+    assert rep.stop_reason == STOP_MAX_ITERATIONS
+    assert (rep.expensive_evals, len(rep.iterations)) == (32, 15)
 
 
 def _zdt1_recorded_run():

@@ -331,23 +331,45 @@ DTLZ6_BADLY_SCALED = (
     np.array([0.7326471111162958, 1.0, 1.0, 1.0, 1.0, 1.0]),
 )
 
+# recorded from the final true-omega diagnostic of the step-solve bench run
+# DTLZ1-n6-first-cheap-rest-expensive-rbf-cubic-pascoletti-serafini-s5 (seed 0):
+# two rows that agree to ~1e-9 relative except in their first component
+DTLZ1_NEAR_PARALLEL = (
+    np.array([
+        [17.820184039550934, 216.0725309735227, -762.1369016989182,
+         -673.4162258599621, -241.0308490563982, -122.5183775925615],
+        [-17.82018403860158, 216.07253081824226, -762.1369011978262,
+         -673.4162253973585, -241.03084889693775, -122.51837751326165],
+    ]),
+    np.array([-0.5, -0.30229739990364424, -0.392, -0.6928400982881485,
+              -0.49754941670476605, -0.3988087814783336]),
+    np.array([0.5, 0.6977026000963558, 0.608, 0.3071599017118515,
+              0.502450583295234, 0.6011912185216663]),
+)
+
 
 @st.composite
-def descent_lps(draw):
-    """k in 1..8 gradient rows over n in 1..40 variables, each row scaled by
-    1e-6..1e7, some box sides of zero width; half of the draws have entries
-    on a coarse grid, whose ties and degenerate vertices exercise Bland's rule."""
+def descent_lps(draw, max_k=8, max_n=40):
+    """(G, lo, hi, badly_scaled): k in 1..max_k gradient rows over n in 1..max_n
+    variables, some box sides of zero width; half of the draws have entries on
+    a coarse grid, whose ties and degenerate vertices exercise Bland's rule.
+    Badly scaled draws scale each row by 1e-6..1e7; the others are unit scale,
+    max|G| in [2^-0.49, 2^0.49], which the LP solves unscaled."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k, n = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    k, n = draw(st.integers(1, max_k)), draw(st.integers(1, max_n))
     G = rng.standard_normal((k, n))
     if draw(st.booleans()):
         G = np.round(2.0 * G) / 2.0
-    G *= 10.0 ** rng.uniform(-6, 7, size=(k, 1))
+    badly_scaled = draw(st.booleans())
+    if badly_scaled:
+        G *= 10.0 ** rng.uniform(-6, 7, size=(k, 1))
+    elif G.any():
+        G *= 2.0 ** rng.uniform(-0.49, 0.49) / np.abs(G).max()
     lo = -rng.uniform(0.0, 1.0, size=n)
     hi = rng.uniform(0.0, 1.0, size=n)
     lo[rng.random(n) < 0.25] = 0.0
     hi[rng.random(n) < 0.25] = 0.0
-    return G, lo, hi
+    return G, lo, hi, badly_scaled
 
 
 def _lp_outcome(solve, lp):
@@ -358,37 +380,111 @@ def _lp_outcome(solve, lp):
     return out
 
 
+def assert_scaled_lp_contract(G, lo, hi, j):
+    """What the LP promises on any rows: exact covariance under G -> 2^j G, and
+    a (d, beta) with d in its box and beta = max G d to 1e-9 max(2^e, |beta|),
+    or LPFailure; for k <= 4 and n <= 3, the vertex oracle's beta."""
+    outcome = _lp_outcome(solve_descent_lp, LPProblem(G, lo, hi))
+    scaled = _lp_outcome(solve_descent_lp, LPProblem(np.ldexp(G, j), lo, hi))
+    if outcome[0] == "LPFailure":
+        assert scaled == outcome
+        return
+    assert scaled == (outcome[0], float(np.ldexp(outcome[1], j)))
+    d, beta = np.frombuffer(outcome[0]), outcome[1]
+    top = float(np.abs(G).max())
+    e = round(np.log2(top)) if top > 0 else 0
+    assert np.all(lo <= d) and np.all(d <= hi)
+    assert abs(np.max(G @ d) - beta) <= 1e-9 * max(2.0**e, abs(beta))
+    k, n = G.shape
+    if k <= 4 and n <= 3 and top > 0:
+        _, beta_oracle = lp_vertex_oracle(G / top, lo, hi)
+        assert abs(beta / top - beta_oracle) <= 1e-9
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(descent_lps())
-@example(DTLZ6_BADLY_SCALED)
-def test_descent_lp_matches_rescanning_simplex(case):
-    lp = LPProblem(*case)
-    assert _lp_outcome(solve_descent_lp, lp) == _lp_outcome(solve_descent_lp_rescan, lp)
+@given(descent_lps(), st.integers(-30, 30))
+@example((*DTLZ6_BADLY_SCALED, True), 5)
+@example((*DTLZ1_NEAR_PARALLEL, True), -12)
+def test_descent_lp_matches_rescanning_simplex(case, j):
+    # unit-scale rows keep the bits of the rescanning simplex; on badly scaled
+    # rows, whose answers that simplex gets wrong, the LP keeps its contract
+    G, lo, hi, badly_scaled = case
+    if badly_scaled:
+        assert_scaled_lp_contract(G, lo, hi, j)
+    else:
+        lp = LPProblem(G, lo, hi)
+        assert _lp_outcome(solve_descent_lp, lp) == _lp_outcome(solve_descent_lp_rescan, lp)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(descent_lps(max_k=4, max_n=3), st.integers(-30, 30))
+def test_small_lps_match_the_vertex_oracle_at_any_row_scale(case, j):
+    G, lo, hi, _ = case
+    assert_scaled_lp_contract(G, lo, hi, j)
+    assert _lp_outcome(solve_descent_lp, LPProblem(G, lo, hi))[0] != "LPFailure"
 
 
 def test_badly_scaled_rows_keep_their_recorded_answer():
-    # the simplex is not scale covariant: this answer leaves the box (d2 < 0 = lo2)
-    # and the vertex optimum is beta = -0.0657; kept until the LP itself is fixed
-    d, beta = solve_descent_lp(LPProblem(*DTLZ6_BADLY_SCALED))
-    assert beta == -9109436.578844171
-    assert d.tolist() == [0.7326471111162958, -57187.80543021193, 0.0, 0.0, 0.0, 0.0]
+    # the unscaled simplex returned beta = -9109436.58 with d2 = -57187.8 < 0 = lo2;
+    # solved on the rows G 2^-21 the LP finds the vertex optimum
+    G, lo, hi = DTLZ6_BADLY_SCALED
+    d, beta = solve_descent_lp(LPProblem(G, lo, hi))
+    _, beta_oracle = lp_vertex_oracle(G, lo, hi)
+    assert beta == pytest.approx(beta_oracle, abs=1e-12)
+    assert beta == pytest.approx(-0.0657279690065179, abs=1e-12)
+    assert np.all(lo <= d) and np.all(d <= hi)
 
 
-@pytest.mark.parametrize("which", ["primal", "dual"])
-def test_singular_basis_raises_lp_failure(monkeypatch, which):
-    # every basis factors B (primal) and then B.T (dual, inside solve_linear)
-    real = linalg.lu_factor
-    calls = []
+def test_near_parallel_rows_are_solved():
+    # the unscaled simplex rejected a basis of these rows as singular in its
+    # multipliers solve, although the LP is well posed
+    G, lo, hi = DTLZ1_NEAR_PARALLEL
+    d, beta = solve_descent_lp(LPProblem(G, lo, hi))
+    _, beta_oracle = lp_vertex_oracle(G, lo, hi)
+    assert beta == pytest.approx(beta_oracle, rel=1e-12)
+    assert beta == pytest.approx(-930.3069253891053, rel=1e-12)
+    assert np.all(lo <= d) and np.all(d <= hi)
 
-    def factor_singular(B):
-        calls.append(B)
-        if len(calls) == (3 if which == "primal" else 4):  # the second basis
-            B = np.zeros_like(B)
-        return real(B)
 
-    monkeypatch.setattr(linalg, "lu_factor", factor_singular)
+def test_wrong_basic_solution_raises_lp_failure(monkeypatch):
+    # a basic solution that leaves its box is rejected, never returned
+    real = linalg.LUFactors.solve
+
+    def off_by_one(self, b):
+        return real(self, b) + 1.0
+
+    monkeypatch.setattr(linalg.LUFactors, "solve", off_by_one)
     lp = LPProblem([[1.0, 2.0], [2.0, 1.0]], -np.ones(2), np.ones(2))
-    with pytest.raises(LPFailure, match="^singular basis: pivot"):
+    with pytest.raises(LPFailure, match="basic solution"):
+        solve_descent_lp(lp)
+
+
+@pytest.mark.parametrize("which", ["primal", "lapack"])
+def test_singular_basis_raises_lp_failure(monkeypatch, which):
+    # every basis is factored by lu_factor (primal) and then solved by LAPACK
+    calls = []
+    if which == "primal":
+        real = linalg.lu_factor
+
+        def factor_singular(B):
+            calls.append(B)
+            return real(np.zeros_like(B) if len(calls) == 2 else B)  # the second basis
+
+        monkeypatch.setattr(linalg, "lu_factor", factor_singular)
+        message = "^singular basis: pivot"
+    else:
+        real = np.linalg.solve
+
+        def solve_singular(B, A):
+            calls.append(B)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(B, A)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_singular)
+        message = "^singular basis: Singular matrix"
+    lp = LPProblem([[1.0, 2.0], [2.0, 1.0]], -np.ones(2), np.ones(2))
+    with pytest.raises(LPFailure, match=message):
         solve_descent_lp(lp)
 
 
@@ -405,27 +501,25 @@ def test_each_basis_factored_and_priced_once(monkeypatch, rng):
     assert stats["flips"] > stats["pivots"]
     assert stats["dots"] > bases * nv  # rescanning after every flip breaks the bound
 
-    factors, dots = [], []
-    real_factor, real_solve = linalg.lu_factor, linalg.solve_linear
+    factors, solves, linear = [], [], []
+    real_factor, real_solve = linalg.lu_factor, np.linalg.solve
 
-    class CountingPi(np.ndarray):
-        def __matmul__(self, other):
-            dots.append(1)
-            return np.ndarray.__matmul__(np.asarray(self), other)
+    def counted_factor(B):
+        factors.append(B)
+        return real_factor(B)
 
-    def counted_factor(A):
-        factors.append(A)
-        return real_factor(A)
-
-    def counted_solve(A, b):  # the descent LP uses solve_linear only for pi
-        return real_solve(A, b).view(CountingPi)
+    def counted_solve(B, A):
+        solves.append(B)
+        return real_solve(B, A)
 
     monkeypatch.setattr(linalg, "lu_factor", counted_factor)
-    monkeypatch.setattr(linalg, "solve_linear", counted_solve)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(linalg, "solve_linear", lambda *args: linear.append(args))
     d, beta = solve_descent_lp(lp)
     assert (d.tobytes(), beta) == (expected[0].tobytes(), expected[1])
-    assert len(factors) == 2 * bases  # B and, for pi, B.T
-    assert len(dots) <= bases * nv
+    assert len(factors) == len(solves) == bases
+    assert all(np.array_equal(a, b) for a, b in zip(factors, solves))
+    assert not linear
 
 
 def _quad(c):

@@ -34,6 +34,7 @@ from pareto_trm.surrogates import (
     _kernel_a,
     _kernel_w,
     _LagrangeMachine,
+    _near_any,
     _stencil_sites,
     adaptive_shape,
     build_bundle,
@@ -775,3 +776,15 @@ def test_bundle_matches_per_objective_builds(case, model):
         assert {tuple(s) for s in o.training_sites} == {tuple(s) for s in m.training_sites}
         pts = np.clip(center + 0.1 * (2 * halton(20, n, offset=9) - 1), 0.0, 1.0)
         np.testing.assert_allclose(m.values(pts), o.values(pts), rtol=1e-8, atol=1e-10)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 5))
+def test_near_any_matches_the_row_loop(seed, m, n):
+    # rows at, within and just beyond 1e-12 of the point, and NaN entries
+    rng = np.random.default_rng(seed)
+    point = rng.uniform(-1, 1, n)
+    offsets = rng.choice([0.0, 5e-13, 1e-12, 2e-12, 0.1, np.nan], size=(m, n))
+    rows = point + offsets * rng.choice([-1.0, 1.0], size=(m, n))
+    expected = any(np.max(np.abs(point - r)) <= 1e-12 for r in rows)
+    assert _near_any(point, list(rows)) == _near_any(point, rows) == expected
