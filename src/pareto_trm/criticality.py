@@ -33,12 +33,8 @@ def omega_of_gradients(gradients, x, fs: FeasibleSet) -> CriticalityResult:
     """
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
     x = project_to_box(np.asarray(x, dtype=float), fs)
-    n = x.size
-    if fs.is_box:
-        lo = np.maximum(-1.0, fs.lower - x)
-        hi = np.minimum(1.0, fs.upper - x)
-    else:
-        lo, hi = -np.ones(n), np.ones(n)
+    lo = np.maximum(-1.0, fs.lower - x)
+    hi = np.minimum(1.0, fs.upper - x)
     d, beta = solve_descent_lp(LPProblem(G, lo, hi))
     omega = -beta
     return CriticalityResult(d, omega, min(omega, 1.0))
@@ -58,9 +54,7 @@ def true_omega(
     fs = prob.feasible
     fss = fs.scaled()
     z = prob.scale(x)
-    width = fs.width() if fs.is_box else None
-    lo = fss.lower if fss.is_box else np.full(prob.n_vars, -np.inf)
-    hi = fss.upper if fss.is_box else np.full(prob.n_vars, np.inf)
+    width = fs.width()
     G = np.empty((prob.n_objs, prob.n_vars))
     for idx in range(prob.n_objs):
         if prob.gradients[idx] is not None:
@@ -68,7 +62,8 @@ def true_omega(
             G[idx] = gx * width if width is not None else gx
         else:
             G[idx] = axis_differences(
-                lambda Z, i=idx: _counted_values(prob, i, Z, counter), z, fd_step, lo, hi
+                lambda Z, i=idx: _counted_values(prob, i, Z, counter),
+                z, fd_step, fss.lower, fss.upper,
             )[0]
     if not np.all(np.isfinite(G)):
         raise ObjectiveFailure("non-finite finite-difference gradient", site=x)

@@ -4,18 +4,16 @@ Everything here is deterministic: the simplex uses Bland's rule, all sampling
 is Halton-based, and no global RNG state is touched. These routines are pure
 functions of their inputs and safe to call from multiple threads.
 
-Every solve that decides whether a matrix is singular goes through one
-elimination routine, `lu_factor`: Gaussian elimination with partial pivoting
-that rejects a pivot at or below 1e-12 max|A| (SingularMatrix). Its factors
-replay on a right-hand side the exact operations, in the exact order, that
-eliminating the augmented matrix [A | b] would apply to b, so a solve from a
-kept factorization has the bits of a fresh `solve_linear`.
+Every test of whether a matrix is singular goes through one elimination
+routine, `_eliminate`: Gaussian elimination with partial pivoting that
+rejects a pivot at or below 1e-12 max|A| (SingularMatrix). `solve_linear`
+eliminates the augmented matrix [A | b] with it and back-substitutes.
 
-The descent LP factors each simplex basis once with `lu_factor`, for its
-singularity test and for the basic solution it returns, and solves it once
-with LAPACK (`np.linalg.solve`) for the quantities its pivoting decisions
-read. LAPACK applies no pivot floor of its own and only ever sees a basis
-that `lu_factor` accepted; its bits are fixed for a given numpy build.
+The descent LP checks each simplex basis once with `_eliminate` and solves
+it once with LAPACK (`np.linalg.solve`) for the quantities its pivoting
+decisions read. LAPACK applies no pivot floor of its own and only ever sees
+a basis that `_eliminate` accepted; its bits are fixed for a given numpy
+build. The LP's final basic solution comes from `solve_linear`.
 """
 
 from __future__ import annotations
@@ -114,58 +112,16 @@ def axis_differences(fn, Z, h, lo, hi, f0=None) -> np.ndarray:
     return np.divide(D, span, out=D, where=live)
 
 
-@dataclass(frozen=True)
-class LUFactors:
-    """Gaussian elimination with partial pivoting, kept for replay.
-
-    For each column `col` of the n x n matrix A in turn, elimination swaps row
-    `swaps[col]` into the pivot position and subtracts `multipliers[col]` times
-    the pivot row from the rows below it. `U` is the eliminated matrix: its
-    first n columns hold the upper triangle (the strict lower part is never
-    read), and any further columns are right-hand sides eliminated alongside.
-    `solve` replays exactly these operations, in the same order, on a new
-    right-hand side, so its result has the bits of eliminating [A | b] in one
-    pass, and one factorization serves any number of right-hand sides.
-    """
-
-    swaps: list
-    multipliers: list
-    U: np.ndarray
-
-    def solve(self, b) -> np.ndarray:
-        """x with Ax = b for one right-hand side (n,) or k of them as the columns
-        of (n, k); each column gets the bits of a solve with that column alone."""
-        n = self.U.shape[0]
-        b = np.asarray(b, dtype=float)
-        Y = b.reshape(n, -1).copy()
-        for col, (p, factors) in enumerate(zip(self.swaps, self.multipliers)):
-            if p != col:
-                Y[[col, p]] = Y[[p, col]]
-            Y[col + 1:] -= factors[:, None] * Y[col]
-        X = self.back_substitute(Y)
-        return X.T if b.ndim == 2 else X[0]
-
-    def back_substitute(self, Y) -> np.ndarray:
-        """One contiguous row of X per eliminated right-hand side (column of Y);
-        each is back-substituted on its own."""
-        U = self.U
-        n = U.shape[0]
-        X = np.zeros((Y.shape[1], n))
-        for x, rhs in zip(X, Y.T):
-            for i in range(n - 1, -1, -1):
-                x[i] = (rhs[i] - U[i, i + 1: n] @ x[i + 1:]) / U[i, i]
-        return X
-
-
-def lu_factor(M) -> LUFactors:
-    """Eliminate the first n columns of the finite n-row matrix M: a square A,
-    or A augmented with right-hand sides [A | b]. Raises SingularMatrix on a
-    pivot at or below 1e-12 max|A|. This is the package's one elimination
-    routine."""
+def _eliminate(M) -> np.ndarray:
+    """Gaussian elimination with partial pivoting of the first n columns of the
+    finite n-row matrix M: a square A, or A augmented with right-hand sides
+    [A | b]. Returns the eliminated matrix: its first n columns hold the upper
+    triangle (the strict lower part is never read), and any further columns
+    the eliminated right-hand sides. Raises SingularMatrix on a pivot at or
+    below 1e-12 max|A|. This is the package's one elimination routine."""
     U = np.array(M, dtype=float)
     n = U.shape[0]
     piv_floor = 1e-12 * np.max(np.abs(U[:, :n]), initial=0.0)
-    swaps, multipliers = [], []
     for col in range(n):
         p = col + int(np.abs(U[col:, col]).argmax())
         if abs(U[p, col]) <= piv_floor:
@@ -174,19 +130,16 @@ def lu_factor(M) -> LUFactors:
             U[[col, p]] = U[[p, col]]
         factors = U[col + 1:, col] / U[col, col]
         U[col + 1:, col:] -= factors[:, None] * U[col, col:]
-        swaps.append(p)
-        multipliers.append(factors)
-    return LUFactors(swaps, multipliers, U)
+    return U
 
 
 def solve_linear(A, b) -> np.ndarray:
     """Solve Ax = b by Gaussian elimination with partial pivoting.
 
-    b is one right-hand side (n,) or k of them as the columns of (n, k); each
-    column is back-substituted on its own, so it gets the bits of a solve
-    with that column alone. Validates, then eliminates [A | b] in one pass
-    with `lu_factor`; `LUFactors.solve` replays the same operations on a
-    right-hand side given later, with the same bits.
+    b is one right-hand side (n,) or k of them as the columns of (n, k).
+    Validates, eliminates [A | b] in one pass with `_eliminate` and
+    back-substitutes each column on its own, so it gets the bits of a solve
+    with that column alone.
     """
     A = np.array(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -197,8 +150,11 @@ def solve_linear(A, b) -> np.ndarray:
         raise DimensionMismatch("b must have one row per row of A")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("entries must be finite")
-    lu = lu_factor(np.hstack([A, b.reshape(n, -1)]))
-    X = lu.back_substitute(lu.U[:, n:])
+    U = _eliminate(np.hstack([A, b.reshape(n, -1)]))
+    X = np.zeros((U.shape[1] - n, n))
+    for x, rhs in zip(X, U[:, n:].T):
+        for i in range(n - 1, -1, -1):
+            x[i] = (rhs[i] - U[i, i + 1: n] @ x[i + 1:]) / U[i, i]
     return X.T if b.ndim == 2 else X[0]
 
 
@@ -244,11 +200,12 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     ratio-test entries with reduced costs in G's units, see rows of size
     about 1. Rows whose max|G| lies in [2^-1/2, 2^1/2] are solved unscaled.
 
-    Each basis B is factored once by `lu_factor`, whose pivot rule decides
-    that a basis is singular (LPFailure), and solved once by LAPACK for
-    W = B^-1 A. W holds every reduced cost, cost - c_B W, every ratio-test
-    column W[:, j] and the basic values -W x_N of the nonbasic values x_N.
-    The returned basic solution replays the factorization on -A x_N.
+    Each basis B is eliminated once by `_eliminate`, whose pivot rule
+    decides that a basis is singular (LPFailure), and solved once by LAPACK
+    for W = B^-1 A. W holds every reduced cost, cost - c_B W, every
+    ratio-test column W[:, j] and the basic values -W x_N of the nonbasic
+    values x_N. The returned basic solution is solve_linear(B, -A x_N) on
+    the final basis.
     Most iterations are bound flips, which keep the basis: the entering
     variable moves to its opposite bound. After a flip the scan for the next
     entering variable resumes after the flipped one. That is exact: W and the
@@ -287,13 +244,13 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     priced = upper > tol  # variables with room to move
     caps = upper.tolist()  # for the ratio test's scalar loop
 
-    lu = None
+    W = None
     max_iters = 500 + 50 * nv  # pivots and bound flips together
     for _ in range(max_iters):
-        if lu is None:  # a new basis: factor it, solve it and price it once
+        if W is None:  # a new basis: check it, solve it and price it once
             B = A[:, basis]
             try:
-                lu = lu_factor(B)
+                _eliminate(B)
                 W = np.linalg.solve(B, A)
             except (SingularMatrix, np.linalg.LinAlgError) as exc:
                 raise LPFailure(f"singular basis: {exc}") from exc
@@ -339,11 +296,11 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
         at_upper[entering] = False
         xn[leaving] = upper[leaving] if leave_to_upper else 0.0
         xn[entering] = 0.0
-        lu = None
+        W = None
     else:
         raise LPFailure("simplex iteration cap reached")
     x = xn  # optimal: nonbasics at their bounds, basics solved
-    x[basis] = lu.solve(-A @ xn)
+    x[basis] = solve_linear(B, -A @ xn)
     d = x[:n] - x[n: 2 * n]
     beta = -float(x[2 * n])
     gap = float(np.max(G @ d)) - beta

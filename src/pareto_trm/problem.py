@@ -32,16 +32,23 @@ CACHE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Either all of R^n or an axis-aligned box with finite bounds."""
+    """Either all of R^n or an axis-aligned box with finite bounds.
+
+    R^n keeps the bounds -inf and +inf, which broadcast against any point, so
+    clamps, region boxes and stencils read `lower`/`upper` for both kinds.
+    """
 
     kind: str
-    lower: Optional[np.ndarray] = None
-    upper: Optional[np.ndarray] = None
+    lower: np.ndarray | float = -np.inf
+    upper: np.ndarray | float = np.inf
 
     def __post_init__(self):
         if self.kind not in (UNCONSTRAINED, BOX):
             raise ValueError(f"unknown feasible-set kind {self.kind!r}")
-        if self.kind == BOX:
+        if self.kind == UNCONSTRAINED:
+            object.__setattr__(self, "lower", -np.inf)
+            object.__setattr__(self, "upper", np.inf)
+        else:
             lo = np.asarray(self.lower, dtype=float)
             hi = np.asarray(self.upper, dtype=float)
             if lo.shape != hi.shape or lo.ndim != 1:
@@ -84,12 +91,7 @@ class FeasibleSet:
 def region_box(center, radius: float, fs: FeasibleSet) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) of the inf-ball B(center; radius), intersected with the box of fs."""
     center = np.asarray(center, dtype=float)
-    lo = center - radius
-    hi = center + radius
-    if fs.is_box:
-        lo = np.maximum(lo, fs.lower)
-        hi = np.minimum(hi, fs.upper)
-    return lo, hi
+    return np.maximum(center - radius, fs.lower), np.minimum(center + radius, fs.upper)
 
 
 def _check_dim(x: np.ndarray, fs: FeasibleSet) -> np.ndarray:
@@ -118,11 +120,8 @@ def unscale_from_unit(z, fs: FeasibleSet) -> np.ndarray:
 
 
 def project_to_box(x, fs: FeasibleSet) -> np.ndarray:
-    """Componentwise clamp onto the box; identity for unconstrained sets."""
-    x = _check_dim(x, fs)
-    if not fs.is_box:
-        return x.copy()
-    return np.clip(x, fs.lower, fs.upper)
+    """Componentwise clamp onto the box, as a new array; a copy for unconstrained sets."""
+    return np.clip(_check_dim(x, fs), fs.lower, fs.upper)
 
 
 @dataclass
@@ -308,7 +307,7 @@ class EvaluationDatabase:
         and the InfeasiblePoint that row raises (None when every row passes)."""
         fs = self.problem.feasible
         finite = np.isfinite(X).all(axis=1)
-        ok = finite & ((X >= fs.lower) & (X <= fs.upper)).all(axis=1) if fs.is_box else finite
+        ok = finite & ((X >= fs.lower) & (X <= fs.upper)).all(axis=1)
         if ok.all():
             return self.problem.scale(X), None
         b = int(np.argmin(ok))
@@ -375,22 +374,18 @@ class EvaluationDatabase:
         """evaluate at a site, or at every row of a batch, given in scaled coordinates."""
         return self.evaluate(self.problem.unscale(np.asarray(z, dtype=float)))
 
-    def query_ball(self, center, radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
-        """All entries with scaled inf-distance <= radius, closest first.
+    def query_ball(self, center, radius: float) -> np.ndarray:
+        """The (m, n) stored sites with scaled inf-distance <= radius, closest first.
 
-        Ties break by insertion index, so the order is deterministic. Returned
-        sites are in scaled coordinates (the optimizer's working frame).
+        Ties break by insertion index, so the order is deterministic. Sites
+        are in scaled coordinates (the optimizer's working frame), as a new array.
         """
         if radius <= 0:
             raise ValueError("radius must be positive")
-        center = np.asarray(center, dtype=float)
         scaled = self._scaled
-        if len(scaled) == 0:
-            return []
-        dist = np.max(np.abs(scaled - center), axis=1)
+        dist = np.max(np.abs(scaled - np.asarray(center, dtype=float)), axis=1)
         inside = np.flatnonzero(dist <= radius)
-        order = inside[np.argsort(dist[inside], kind="stable")]
-        return [(scaled[i].copy(), self.values[i].copy()) for i in order]
+        return scaled[inside[np.argsort(dist[inside], kind="stable")]]
 
     def to_csv(self, path) -> None:
         """Dump sites (original coordinates) and values: x_1..x_n, f_1..f_k."""

@@ -147,15 +147,11 @@ def strict_pareto_cauchy(bundle, center, radius, crit, cfg, fs) -> StepResult:
 
 
 def _sigma_box_exit(center, d, fs: FeasibleSet) -> float:
-    if not fs.is_box:
-        return np.inf
-    out = np.inf
-    for i in range(center.size):
-        if d[i] > 0:
-            out = min(out, (fs.upper[i] - center[i]) / d[i])
-        elif d[i] < 0:
-            out = min(out, (fs.lower[i] - center[i]) / d[i])
-    return out
+    """Smallest sigma at which center + sigma d reaches a face that d moves
+    toward (inf on R^n); among equal ratios the lowest axis gives its bits."""
+    move = d != 0
+    ratios = (np.where(d > 0, fs.upper, fs.lower) - center)[move] / d[move]
+    return float(ratios[np.argmin(ratios)]) if ratios.size else np.inf
 
 
 def exact_pareto_cauchy(
@@ -169,9 +165,13 @@ def exact_pareto_cauchy(
     d = crit.direction
     nd = float(np.max(np.abs(d)))
     sigma_max = min(radius / nd, _sigma_box_exit(center, d, fs))
+
+    def phi(s):
+        return float(np.max(bundle.values(center + s * d)))
+
     sigmas = np.linspace(0.0, sigma_max, GRID_POINTS)
     pts = center[None, :] + sigmas[:, None] * d[None, :]
-    phis = bundle.phi_many(pts)
+    phis = np.max(bundle.values(pts), axis=1)
     best = int(np.argmin(phis))
     lo = sigmas[max(best - 1, 0)]
     hi = sigmas[min(best + 1, GRID_POINTS - 1)]
@@ -179,21 +179,21 @@ def exact_pareto_cauchy(
     a_, b_ = lo, hi
     c_ = b_ - gold * (b_ - a_)
     d_ = a_ + gold * (b_ - a_)
-    fc = bundle.phi(center + c_ * d)
-    fd = bundle.phi(center + d_ * d)
+    fc = phi(c_)
+    fd = phi(d_)
     tol = 1e-8 * max(radius, 1e-12) / nd
     while (b_ - a_) > tol:
         if fc <= fd:
             b_, d_, fd = d_, c_, fc
             c_ = b_ - gold * (b_ - a_)
-            fc = bundle.phi(center + c_ * d)
+            fc = phi(c_)
         else:
             a_, c_, fc = c_, d_, fd
             d_ = a_ + gold * (b_ - a_)
-            fd = bundle.phi(center + d_ * d)
+            fd = phi(d_)
     sigma = 0.5 * (a_ + b_)
     cands = [0.0, sigmas[best], sigma]
-    vals = [bundle.phi(center + s * d) for s in cands]
+    vals = [phi(s) for s in cands]
     sigma = cands[int(np.argmin(vals))]
     trial = project_to_box(center + sigma * d, fs)
     m_center = bundle.values(center)
@@ -239,7 +239,7 @@ def pascoletti_serafini(bundle, center, radius, crit, fs, cfg: StepConfig) -> St
     lo, hi = region_box(center, radius, fs)
 
     def ratios(U):
-        return (bundle.values_many(U) - m_center[None, :]) / r_safe[None, :]
+        return (bundle.values(U) - m_center[None, :]) / r_safe[None, :]
 
     def make_smooth(temp):
         def value(U):

@@ -141,16 +141,13 @@ class ExactCheapModel:
     (step 1e-5) at a batch of sample points at a time.
     """
 
-    kind = "exact-cheap"
-
     def __init__(self, prob: MOProblem, index: int):
         self.prob = prob
         self.index = index
         fs = prob.feasible
-        self._width = fs.width() if fs.is_box else None
+        self._width = fs.width()
         fss = fs.scaled()
-        self._lo = fss.lower if fss.is_box else np.full(prob.n_vars, -np.inf)
-        self._hi = fss.upper if fss.is_box else np.full(prob.n_vars, np.inf)
+        self._lo, self._hi = fss.lower, fss.upper
 
     def values(self, U) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -198,7 +195,6 @@ class PolyModel:
         H_local,
         degree: int,
         training_sites=None,
-        kind: str = "lagrange",
     ):
         self.center = np.asarray(center, dtype=float)
         self.R = float(local_scale)
@@ -209,7 +205,6 @@ class PolyModel:
         self.training_sites = (
             np.empty((0, self.center.size)) if training_sites is None else np.asarray(training_sites)
         )
-        self.kind = kind
 
     def _local(self, U):
         return (np.atleast_2d(np.asarray(U, dtype=float)) - self.center) / self.R
@@ -239,8 +234,6 @@ class RBFModel:
     kernel matrix and the tail meet their coefficients in einsum loops, not
     in BLAS gemv.
     """
-
-    kind = "rbf"
 
     def __init__(
         self,
@@ -436,11 +429,7 @@ class _LagrangeMachine:
         PoisednessRepairStalled if the set still needs a swap after max_swaps
         of them.
         """
-        pool = (
-            np.vstack([np.asarray(s, dtype=float) for s in db_sites])
-            if db_sites is not None and len(db_sites)
-            else np.empty((0, self.n))
-        )
+        pool = np.asarray([] if db_sites is None else db_sites, dtype=float).reshape(-1, self.n)
         lam_gate = LAMBDA_POISED * (1.0 + 1e-9)
         swaps = 0
         while True:
@@ -507,7 +496,7 @@ def _affine_set(db, center, local_scale, box_lo, box_hi):
         Q = np.vstack([Q, r / nr])
         return True
 
-    for site, _ in db.query_ball(center, local_scale):
+    for site in db.query_ball(center, local_scale):
         if len(chosen) == n + 1:
             break
         try_accept(site)
@@ -558,7 +547,7 @@ def build_rbf(
     max_extra = max(0, total_cap - (n + 1))
     site_rows = np.vstack(sites)
     extras = []
-    for site, _ in db.query_ball(center, THETA2 * delta_ub):
+    for site in db.query_ball(center, THETA2 * delta_ub):
         if len(extras) >= max_extra:
             break
         if _near_any(site, site_rows) or _near_any(site, extras):
@@ -676,7 +665,7 @@ def build_lagrange(
         ]
 
     machine = _LagrangeMachine(n, center, R1, lo1, hi1)
-    region_sites = [s for s, _ in db.query_ball(center, R1)]
+    region_sites = db.query_ball(center, R1)
     machine.select(region_sites)
     machine.repair(10 * machine.p, db_sites=region_sites)
     return machine.fit(_read(db, machine.sites))
@@ -694,8 +683,6 @@ def build_taylor_fd(
     center = np.asarray(center, dtype=float)
     n = center.size
     h = TAYLOR_FD_STEP * max(radius, 1e-8)
-    lo = fs.lower if fs.is_box else np.full(n, -np.inf)
-    hi = fs.upper if fs.is_box else np.full(n, np.inf)
     exp = db.problem.expensive_indices
     sites = [center]
 
@@ -704,10 +691,10 @@ def build_taylor_fd(
         return np.take(db.evaluate_scaled(P), exp, axis=1)
 
     f0 = db.evaluate_scaled(center)[exp]
-    G = axis_differences(read, center, h, lo, hi, f0=f0[None])[0]
+    G = axis_differences(read, center, h, fs.lower, fs.upper, f0=f0[None])[0]
     sites = np.vstack(sites)
     return [
-        PolyModel(center, 1.0, c0, g, np.zeros((n, n)), 1, training_sites=sites, kind="taylor-fd1")
+        PolyModel(center, 1.0, c0, g, np.zeros((n, n)), 1, training_sites=sites)
         for c0, g in zip(f0, G.T)
     ]
 
@@ -742,19 +729,16 @@ class SurrogateBundle:
         return hessian_bound(self.models, self.center, self.radius, self.fs, c=self.k, seed=self.seed)
 
     def values(self, u) -> np.ndarray:
-        return np.array([m.values(u)[0] for m in self.models])
-
-    def values_many(self, U) -> np.ndarray:
-        return np.column_stack([m.values(U) for m in self.models])
+        """The k model values at one point (n,) -> (k,), or at every row of a
+        batch (m, n) -> (m, k), as `EvaluationDatabase.evaluate` maps them.
+        Every model is row-independent, so a point's values have the bits of
+        its row in any batch."""
+        u = np.asarray(u, dtype=float)
+        V = np.column_stack([m.values(u) for m in self.models])
+        return V if u.ndim == 2 else V[0]
 
     def gradients(self, u) -> np.ndarray:
         return np.vstack([m.gradients(u)[0] for m in self.models])
-
-    def phi(self, u) -> float:
-        return float(np.max(self.values(u)))
-
-    def phi_many(self, U) -> np.ndarray:
-        return np.max(self.values_many(U), axis=1)
 
 
 def hessian_bound(models, center, radius, fs: FeasibleSet, c: float, seed: int = 0) -> float:

@@ -4,6 +4,7 @@ import pytest
 from conftest import lp_vertex_oracle, two_quadratics
 
 from pareto_trm.criticality import CriticalityResult, omega_of_gradients, true_omega
+from pareto_trm.linalg import LPProblem, solve_descent_lp
 from pareto_trm.problem import FeasibleSet
 
 
@@ -15,6 +16,20 @@ def test_single_gradient_unconstrained():
     assert res.omega == pytest.approx(2.0)
     np.testing.assert_allclose(res.direction, [-1.0])
     assert res.omega_clamped == 1.0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rn_direction_box_has_the_bits_of_the_unit_ball(seed):
+    # R^n's infinite bounds clip to the unit ball the old R^n branch passed
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+    G = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 8)
+    lo, hi = np.maximum(-1.0, UNC.lower - x), np.minimum(1.0, UNC.upper - x)
+    assert (lo.tobytes(), hi.tobytes()) == ((-np.ones(n)).tobytes(), np.ones(n).tobytes())
+    res = omega_of_gradients(G, x, UNC)
+    d, beta = solve_descent_lp(LPProblem(G, -np.ones(n), np.ones(n)))
+    assert (res.direction.tobytes(), res.omega) == (d.tobytes(), -beta)
 
 
 def test_boundary_blocks_descent():

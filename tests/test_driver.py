@@ -418,6 +418,54 @@ def test_failed_true_omega_diagnostic_is_recorded_not_raised(monkeypatch):
     ]
 
 
+class FailsOffTheDatabase(MOProblem):
+    """All-expensive objectives that return NaN unless the database reads them:
+    every other call comes from the true-omega diagnostic, whose difference
+    gradient turns non-finite and raises ObjectiveFailure."""
+
+    reading = False
+
+    def evaluate_raw(self, x):
+        self.reading = True
+        try:
+            return super().evaluate_raw(x)
+        finally:
+            self.reading = False
+
+    def objective_values(self, index, X):
+        out = super().objective_values(index, X)
+        return out if self.reading else np.full_like(out, np.nan)
+
+
+def _quadratics(cls, a=(0.1, 0.2), b=(0.8, 0.9)):
+    a, b = np.asarray(a), np.asarray(b)
+    return cls(
+        2, 2,
+        [lambda X: np.sum((X - a) ** 2, axis=1), lambda X: np.sum((X - b) ** 2, axis=1)],
+        np.array([True, True]), FeasibleSet.box([-1.0, -1.0], [2.0, 2.0]),
+    )
+
+
+def test_objective_failure_in_the_iteration_diagnostic_reads_zero():
+    cfg = AlgoConfig(models=MODEL_SPECS["rbf-cubic"], compute_true_omega=True, max_iters=4)
+    rep = run(_quadratics(FailsOffTheDatabase), cfg, [1.5, 1.5], seed=0)
+    assert rep.iterations and not rep.stop_reason.startswith("error:")
+    assert [rec["omega_true_clamped"] for rec in rep.iterations] == [0.0] * len(rep.iterations)
+    assert not rep.anomalies
+
+
+def test_objective_failure_in_the_final_diagnostic_flags_nondifferentiable():
+    cfg = AlgoConfig(models=MODEL_SPECS["rbf-cubic"], max_iters=4)
+    rep = run(_quadratics(FailsOffTheDatabase), cfg, [1.5, 1.5], seed=0)
+    plain = run(_quadratics(MOProblem), cfg, [1.5, 1.5], seed=0)
+    assert rep.final_nondifferentiable and rep.final_omega_true_clamped == 0.0
+    assert not plain.final_nondifferentiable and plain.final_omega_true_clamped > 0.0
+    # the diagnostic changes nothing else
+    assert (rep.iterations, rep.final_x, rep.stop_reason) == (
+        plain.iterations, plain.final_x, plain.stop_reason
+    )
+
+
 def test_critical_start_emits_zero_step_and_stops():
     prob = two_quadratics([0.0, 0.0], [0.0, 0.0])  # both minima at origin
     cfg = AlgoConfig(models=None, n_loops=3)

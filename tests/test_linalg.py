@@ -281,19 +281,12 @@ def _outcome(solve, *args):
     return out.shape, out.tobytes()
 
 
-def _replayed(A, b):
-    return linalg.lu_factor(A).solve(b)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(linear_systems())
 def test_solve_linear_matches_augmented_elimination(system):
-    # both a one-pass solve and a replay of a kept factorization
     A, B = system
     for b in (B, B[:, 0]):
-        expected = _outcome(solve_linear_augmented, A, b)
-        assert _outcome(solve_linear, A, b) == expected
-        assert _outcome(_replayed, A, b) == expected
+        assert _outcome(solve_linear, A, b) == _outcome(solve_linear_augmented, A, b)
 
 
 @st.composite
@@ -311,12 +304,10 @@ def singular_systems(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(singular_systems())
 def test_solve_linear_singular_matches_augmented_elimination(system):
-    # the replayed factorization rejects the same pivot with the same message
+    # the same pivot is rejected with the same message
     A, B = system
     for b in (B, B[:, 0]):
-        expected = _outcome(solve_linear_augmented, A, b)
-        assert _outcome(solve_linear, A, b) == expected
-        assert _outcome(_replayed, A, b) == expected
+        assert _outcome(solve_linear, A, b) == _outcome(solve_linear_augmented, A, b)
 
 
 # recorded from a DTLZ6 strict-pc run: the face x2..x6 = 0 makes the cheap
@@ -448,12 +439,12 @@ def test_near_parallel_rows_are_solved():
 
 def test_wrong_basic_solution_raises_lp_failure(monkeypatch):
     # a basic solution that leaves its box is rejected, never returned
-    real = linalg.LUFactors.solve
+    real = linalg.solve_linear
 
-    def off_by_one(self, b):
-        return real(self, b) + 1.0
+    def off_by_one(A, b):
+        return real(A, b) + 1.0
 
-    monkeypatch.setattr(linalg.LUFactors, "solve", off_by_one)
+    monkeypatch.setattr(linalg, "solve_linear", off_by_one)
     lp = LPProblem([[1.0, 2.0], [2.0, 1.0]], -np.ones(2), np.ones(2))
     with pytest.raises(LPFailure, match="basic solution"):
         solve_descent_lp(lp)
@@ -461,16 +452,16 @@ def test_wrong_basic_solution_raises_lp_failure(monkeypatch):
 
 @pytest.mark.parametrize("which", ["primal", "lapack"])
 def test_singular_basis_raises_lp_failure(monkeypatch, which):
-    # every basis is factored by lu_factor (primal) and then solved by LAPACK
+    # every basis is checked by the elimination (primal) and then solved by LAPACK
     calls = []
     if which == "primal":
-        real = linalg.lu_factor
+        real = linalg._eliminate
 
-        def factor_singular(B):
+        def eliminate_singular(B):
             calls.append(B)
             return real(np.zeros_like(B) if len(calls) == 2 else B)  # the second basis
 
-        monkeypatch.setattr(linalg, "lu_factor", factor_singular)
+        monkeypatch.setattr(linalg, "_eliminate", eliminate_singular)
         message = "^singular basis: pivot"
     else:
         real = np.linalg.solve
@@ -501,25 +492,32 @@ def test_each_basis_factored_and_priced_once(monkeypatch, rng):
     assert stats["flips"] > stats["pivots"]
     assert stats["dots"] > bases * nv  # rescanning after every flip breaks the bound
 
-    factors, solves, linear = [], [], []
-    real_factor, real_solve = linalg.lu_factor, np.linalg.solve
+    eliminated, solves, linear = [], [], []
+    real_eliminate, real_solve, real_linear = linalg._eliminate, np.linalg.solve, linalg.solve_linear
 
-    def counted_factor(B):
-        factors.append(B)
-        return real_factor(B)
+    def counted_eliminate(B):
+        eliminated.append(B)
+        return real_eliminate(B)
 
     def counted_solve(B, A):
         solves.append(B)
         return real_solve(B, A)
 
-    monkeypatch.setattr(linalg, "lu_factor", counted_factor)
+    def counted_linear(B, b):
+        # the LP's own eliminations all come before the final basic solution's
+        linear.append((B, len(eliminated)))
+        return real_linear(B, b)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(linalg, "solve_linear", lambda *args: linear.append(args))
+    monkeypatch.setattr(linalg, "solve_linear", counted_linear)
     d, beta = solve_descent_lp(lp)
     assert (d.tobytes(), beta) == (expected[0].tobytes(), expected[1])
-    assert len(factors) == len(solves) == bases
-    assert all(np.array_equal(a, b) for a, b in zip(factors, solves))
-    assert not linear
+    assert len(linear) == 1
+    final_basis, lp_eliminations = linear[0]
+    assert lp_eliminations == len(solves) == bases
+    assert all(np.array_equal(a, b) for a, b in zip(eliminated, solves))
+    assert np.array_equal(final_basis, solves[-1])
 
 
 def _quad(c):

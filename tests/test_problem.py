@@ -17,6 +17,7 @@ from pareto_trm.problem import (
     FeasibleSet,
     MOProblem,
     project_to_box,
+    region_box,
     scale_to_unit,
     unscale_from_unit,
 )
@@ -45,6 +46,34 @@ def test_scale_unconstrained_identity():
     x = np.array([3.0, -7.5])
     np.testing.assert_array_equal(scale_to_unit(x, fs), x)
     np.testing.assert_array_equal(unscale_from_unit(x, fs), x)
+
+
+def test_unconstrained_bounds_are_infinite():
+    # bounds passed for R^n are not kept
+    for fs in (FeasibleSet.unconstrained(), FeasibleSet("unconstrained", [0.0], [1.0])):
+        assert not fs.is_box
+        assert (fs.lower, fs.upper) == (-np.inf, np.inf)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+        min_size=1, max_size=6,
+    ),
+    st.floats(1e-12, 1e3),
+)
+def test_rn_bounds_give_the_bits_of_the_old_rn_branches(x, radius):
+    # on R^n the box formulas, read with the infinite bounds, give the bits the
+    # separate R^n branches gave: the plain ball and a plain copy
+    fs = FeasibleSet.unconstrained()
+    x = np.array(x)
+    lo, hi = region_box(x, radius, fs)
+    assert lo.tobytes() == np.maximum(x - radius, fs.lower).tobytes() == (x - radius).tobytes()
+    assert hi.tobytes() == np.minimum(x + radius, fs.upper).tobytes() == (x + radius).tobytes()
+    clamped = project_to_box(x, fs)
+    assert clamped.tobytes() == np.clip(x, fs.lower, fs.upper).tobytes() == x.tobytes()
+    assert not np.shares_memory(clamped, x)
 
 
 def test_scale_roundtrip_random(rng):
@@ -416,7 +445,7 @@ def test_evaluate_raw_takes_a_site_or_a_batch():
 
 def test_query_ball_empty():
     db = EvaluationDatabase(_unit_problem())
-    assert db.query_ball(np.zeros(2), 0.5) == []
+    assert db.query_ball(np.zeros(2), 0.5).shape == (0, 2)
 
 
 def test_query_ball_one_inside():
@@ -424,9 +453,7 @@ def test_query_ball_one_inside():
     db = EvaluationDatabase(prob)
     db.evaluate([0.0, 0.0])
     db.evaluate([0.3, 0.0])
-    hits = db.query_ball(np.zeros(2), 0.2)
-    assert len(hits) == 1
-    np.testing.assert_array_equal(hits[0][0], [0.0, 0.0])
+    np.testing.assert_array_equal(db.query_ball(np.zeros(2), 0.2), [[0.0, 0.0]])
 
 
 def test_query_ball_tiebreak_by_insertion():
@@ -435,9 +462,19 @@ def test_query_ball_tiebreak_by_insertion():
     db.evaluate([0.1, 0.0])
     db.evaluate([-0.1, 0.0])
     db.evaluate([0.0, 0.1])
+    np.testing.assert_allclose(
+        db.query_ball(np.zeros(2), 0.5), [[0.1, 0.0], [-0.1, 0.0], [0.0, 0.1]]
+    )
+
+
+def test_query_ball_sorts_by_distance_and_copies():
+    prob = _unit_problem()
+    db = EvaluationDatabase(prob)
+    db.evaluate(np.array([[0.3, 0.0], [0.0, -0.1], [0.2, 0.2], [0.9, 0.0]]))
     hits = db.query_ball(np.zeros(2), 0.5)
-    sites = np.array([h[0] for h in hits])
-    np.testing.assert_allclose(sites, [[0.1, 0.0], [-0.1, 0.0], [0.0, 0.1]])
+    np.testing.assert_array_equal(hits, [[0.0, -0.1], [0.2, 0.2], [0.3, 0.0]])
+    hits[:] = 7.0
+    np.testing.assert_array_equal(db.query_ball(np.zeros(2), 0.15), [[0.0, -0.1]])
 
 
 def test_csv_roundtrip(tmp_path):

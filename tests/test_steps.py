@@ -7,6 +7,7 @@ from pareto_trm.linalg import box_multistart_minimize
 from pareto_trm.problem import FeasibleSet
 from pareto_trm.steps import (
     StepConfig,
+    _sigma_box_exit,
     bar_sigma,
     exact_pareto_cauchy,
     local_ideal_point,
@@ -87,11 +88,11 @@ class TestModifiedPC:
             nd = np.max(np.abs(d))
             sigma = min(radius, nd) if (nd < 1 or radius <= 1) else radius
             expected = None
-            phi_c = bundle.phi(center)
+            phi_c = np.max(bundle.values(center))
             for j in range(41):
                 t = (cfg.armijo_b**j) * sigma
                 cand = center + t * d / nd
-                if bundle.phi(cand) <= phi_c - cfg.armijo_a * t * crit.omega / nd:
+                if np.max(bundle.values(cand)) <= phi_c - cfg.armijo_a * t * crit.omega / nd:
                     expected = j
                     break
             assert res.backtracks == expected
@@ -170,6 +171,37 @@ class TestStrictPC:
             strict_pareto_cauchy(bundle, [0.0], 1.0, crit, StepConfig(), UNC)
 
 
+def sigma_box_exit_loop(center, d, fs):
+    """_sigma_box_exit as the loop over the axes it was, reading R^n's
+    infinite bounds as it reads a box's."""
+    lower = np.broadcast_to(fs.lower, center.shape)
+    upper = np.broadcast_to(fs.upper, center.shape)
+    out = np.inf
+    for i in range(center.size):
+        if d[i] > 0:
+            out = min(out, (upper[i] - center[i]) / d[i])
+        elif d[i] < 0:
+            out = min(out, (lower[i] - center[i]) / d[i])
+    return out
+
+
+def test_sigma_box_exit_matches_the_axis_loop(rng):
+    # zeros in d, centers on faces (0.0 and -0.0 ratios tie), and R^n; the
+    # first axis of equal ratios gives its bits, as in the loop
+    for _ in range(2000):
+        n = int(rng.integers(1, 6))
+        lo = rng.uniform(-2.0, 0.0, n)
+        hi = lo + rng.uniform(0.1, 3.0, n)
+        center = lo + rng.random(n) * (hi - lo)
+        face = rng.integers(0, 3, n)
+        center = np.where(face == 1, lo, np.where(face == 2, hi, center))
+        d = rng.choice([-1.0, 0.0, 1.0], n) * rng.uniform(0.01, 1.0, n)
+        for fs in (FeasibleSet.box(lo, hi), UNC):
+            got = _sigma_box_exit(center, d, fs)
+            want = sigma_box_exit_loop(center, d, fs)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestExactPC:
     def test_vertex_of_parabola(self):
         model = quad_model([0.0])
@@ -195,8 +227,8 @@ class TestExactPC:
         d = crit.direction
         sigmas = np.linspace(0, 1.0 / np.max(np.abs(d)), 100001)
         pts = center[None, :] + sigmas[:, None] * d[None, :]
-        dense_best = np.min(bundle.phi_many(pts))
-        assert bundle.phi(res.trial) == pytest.approx(dense_best, abs=1e-4)
+        dense_best = np.min(np.max(bundle.values(pts), axis=1))
+        assert np.max(bundle.values(res.trial)) == pytest.approx(dense_best, abs=1e-4)
 
     def test_dominates_modified(self, rng):
         cfg = StepConfig(method="modified-pc")
@@ -270,7 +302,7 @@ class TestPascolettiSerafini:
         m_center = bundle.values(center)
         ideal = local_ideal_point(bundle, center, 0.5, UNC)
         r = np.maximum(m_center - ideal, 1e-12)
-        ratios = (bundle.values_many(pts) - m_center[None, :]) / r[None, :]
+        ratios = (bundle.values(pts) - m_center[None, :]) / r[None, :]
         tau_grid = np.min(np.max(ratios, axis=1))
         assert res.tau is not None
         assert res.tau <= tau_grid + 1e-3

@@ -137,6 +137,25 @@ class TestRBF:
             f = db.evaluate(site)[0]
             assert abs(model.values(site)[0] - f) <= 1e-7 * (1 + abs(f))
 
+    @pytest.mark.parametrize("model", ["rbf-multiquadric", "rbf-gaussian"])
+    def test_near_coincident_extras_fall_back_to_the_affine_sites(self, model):
+        # two database sites 5e-12 apart: distinct to the cache (1e-14) and to
+        # _near_any (1e-12), so both join as extras, but their kernel rows
+        # make the saddle system singular and the build refits on the affine set
+        quad = lambda x: float(np.sum(x**2) + x[0])
+        prob = scalar_problem(quad, 2, box=([0.0, 0.0], [1.0, 1.0]))
+        center, fs = np.array([0.5, 0.5]), prob.feasible.scaled()
+        db = EvaluationDatabase(prob)
+        db.evaluate(np.array([[0.7, 0.7], [0.7 + 5e-12, 0.7]]))
+        built = build_rbf(db, MODEL_SPECS[model], center, 0.05, 0.5, fs)[0]
+        assert len(db) == 5  # the two extras and three fresh affine sites
+        assert len(built.training_sites) == 3
+        assert not any(_near_any(s, built.training_sites) for s in db.sites[:2])
+        # the model of a database without the extras, which selects the same affine set
+        clean = EvaluationDatabase(prob)
+        plain = build_rbf(clean, MODEL_SPECS[model], center, 0.05, 0.5, fs)[0]
+        assert model_state(built) == model_state(plain)
+
     def test_first_build_uses_n_plus_one_sites(self):
         fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
         prob = MOProblem(
@@ -313,6 +332,26 @@ class TestLagrange:
         np.testing.assert_allclose(
             model.values(pts), [quad(p) for p in pts], atol=1e-6
         )
+
+    def test_stencil_steps_down_at_an_upper_face(self):
+        # axis 0 has no room above the center: both of its offsets go down
+        center = np.array([1.0, 0.5])
+        sites = np.vstack(_stencil_sites(center, 0.2, np.array([0.6, 0.2]), np.array([1.0, 0.9])))
+        np.testing.assert_allclose(
+            sites,
+            [[1.0, 0.5], [0.8, 0.5], [0.9, 0.5], [1.0, 0.7], [1.0, 0.3], [0.8, 0.7]],
+            rtol=0, atol=1e-15,
+        )
+        quad = lambda x: float(x[0] ** 2 - 3.0 * x[0] * x[1] + 0.5 * x[1] ** 2 + x[0])
+        prob = scalar_problem(quad, 2, box=([0.0, 0.0], [1.0, 1.0]))
+        db = EvaluationDatabase(prob)
+        model = build_lagrange(
+            db, MODEL_SPECS["lagrange-2"], center, 0.1, prob.feasible.scaled()
+        )[0]
+        assert all(prob.feasible.contains(s) for s in model.training_sites)
+        assert np.all(model.training_sites[1:3, 0] < 1.0)
+        pts = np.clip(center + 0.2 * (2 * halton(20, 2, offset=5) - 1), 0.0, 1.0)
+        np.testing.assert_allclose(model.values(pts), [quad(p) for p in pts], atol=1e-9)
 
     def test_evaluation_count_matches_new_sites(self):
         prob = scalar_problem(lambda x: float(x[0] * x[1]), 2, box=([0, 0], [1, 1]))
@@ -617,7 +656,7 @@ def per_objective_rbf(obj_index, db, spec, center, radius, delta_ub, fs):
     sites = _affine_set(db, center, R1, lo1, hi1)
     total_cap = (n + 1) * (n + 2) // 2 if n <= 10 else 2 * n + 1
     extras = []
-    for site, _ in db.query_ball(center, THETA2 * delta_ub):
+    for site in db.query_ball(center, THETA2 * delta_ub):
         if len(extras) >= max(0, total_cap - (n + 1)):
             break
         if not any(np.max(np.abs(site - s)) <= 1e-12 for s in sites + extras):
@@ -678,7 +717,7 @@ def per_objective_taylor_fd(obj_index, db, spec, center, radius, fs):
 
     g = fd_gradient(scalar, center, h, fs.lower, fs.upper)
     return PolyModel(center, 1.0, f0, g, np.zeros((n, n)), 1,
-                     training_sites=np.vstack(sites), kind="taylor-fd1")
+                     training_sites=np.vstack(sites))
 
 
 def per_objective_models(prob, db, name, center, radius, delta_ub):
@@ -776,6 +815,21 @@ def test_bundle_matches_per_objective_builds(case, model):
         assert {tuple(s) for s in o.training_sites} == {tuple(s) for s in m.training_sites}
         pts = np.clip(center + 0.1 * (2 * halton(20, n, offset=9) - 1), 0.0, 1.0)
         np.testing.assert_allclose(m.values(pts), o.values(pts), rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("model", SHARED_SITE_MODELS)
+@pytest.mark.parametrize("pattern", [FIRST_CHEAP, FIRST_EXPENSIVE])
+def test_bundle_values_of_a_point_are_its_row_of_any_batch(pattern, model):
+    # expensive models and exact cheap wrappers, one point and batches holding it
+    prob = make_problem(TestProblemSpec("ZDT1", 3, pattern))
+    center = np.full(3, 0.45)
+    bundle = build_bundle(prob, seeded_database(prob, center), MODEL_SPECS[model], center, 0.05, 0.5)
+    U = np.clip(center + 0.1 * (2 * halton(7, 3, offset=11) - 1), 0.0, 1.0)
+    batch = bundle.values(U)
+    assert batch.shape == (7, bundle.k)
+    for i, u in enumerate(U):
+        assert bundle.values(u).tobytes() == batch[i].tobytes()
+        assert bundle.values(u).tobytes() == bundle.values(np.vstack([u, U]))[0].tobytes()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
