@@ -13,7 +13,7 @@ from .problem import (
 )
 from .steps import StepConfig
 from .surrogates import MODEL_SPECS, ModelSpec, SurrogateBundle, build_bundle
-from .testbed import TestProblemSpec, make_problem, solution_quality
+from .testbed import TestProblemSpec, make_problem
 
 __all__ = [
     "AlgoConfig",
@@ -33,7 +33,6 @@ __all__ = [
     "project_to_box",
     "run",
     "scale_to_unit",
-    "solution_quality",
     "true_omega",
     "unscale_from_unit",
 ]

@@ -98,7 +98,6 @@ class TrustRegionState:
     delta: float
     t: int
     f_current: np.ndarray
-    phi_current: float
 
 
 @dataclass
@@ -194,30 +193,21 @@ def update_state(
     classification: str,
     rho: float,
     trial: np.ndarray,
-    f_trial: Optional[np.ndarray],
+    f_trial: np.ndarray,
     cfg: AlgoConfig,
 ) -> TrustRegionState:
     """Iterate and radius update (endpoint concretization of the interval rule)."""
-    x, delta = state.x, state.delta
-    f_cur, phi_cur = state.f_current, state.phi_current
+    x, delta, f_cur = state.x, state.delta, state.f_current
     if classification == SUCCESSFUL or classification == ACCEPTABLE:
         x = np.asarray(trial, dtype=float)
-        if f_trial is not None:
-            f_cur = np.asarray(f_trial, dtype=float)
-            phi_cur = float(np.max(f_cur))
+        f_cur = np.asarray(f_trial, dtype=float)
     if classification == SUCCESSFUL:
         delta = min(cfg.gamma_up * delta, cfg.delta_ub)
     elif rho < cfg.nu_p:
         delta = cfg.gamma_downdown * delta
     else:
         delta = cfg.gamma_down * delta
-    return TrustRegionState(
-        x=x,
-        delta=delta,
-        t=state.t + 1,
-        f_current=f_cur,
-        phi_current=phi_cur,
-    )
+    return TrustRegionState(x=x, delta=delta, t=state.t + 1, f_current=f_cur)
 
 
 def criticality_routine(
@@ -329,13 +319,7 @@ def run(
             x0=[float(v) for v in x0],
         )
 
-    state = TrustRegionState(
-        x=prob.scale(x0),
-        delta=cfg.delta0,
-        t=0,
-        f_current=f0,
-        phi_current=float(np.max(f0)),
-    )
+    state = TrustRegionState(x=prob.scale(x0), delta=cfg.delta0, t=0, f_current=f0)
     crit: Optional[CriticalityResult] = None
 
     while True:
@@ -432,8 +416,10 @@ def run(
             if cfg.acceptance == "strict":
                 if np.any(f_trial > state.f_current + tol * (1 + np.abs(state.f_current))):
                     violations["monotonicity"] += 1
-            elif np.max(f_trial) > state.phi_current + tol * (1 + abs(state.phi_current)):
-                violations["monotonicity"] += 1
+            else:
+                phi_current = float(np.max(state.f_current))
+                if np.max(f_trial) > phi_current + tol * (1 + abs(phi_current)):
+                    violations["monotonicity"] += 1
 
         omega_true_val = None
         if cfg.compute_true_omega:

@@ -166,10 +166,6 @@ class MOProblem:
     def expensive_indices(self) -> np.ndarray:
         return np.flatnonzero(self.expensive_mask)
 
-    @property
-    def cheap_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.expensive_mask)
-
     def scale(self, x) -> np.ndarray:
         return scale_to_unit(x, self.feasible)
 

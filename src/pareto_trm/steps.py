@@ -48,9 +48,9 @@ class StepResult:
     step: np.ndarray
     trial: np.ndarray
     per_objective_decrease: np.ndarray
-    backtracks: int
     certificate_lhs: float  # Phi_m(x) - Phi_m(x + s), the model decrease
     certificate_rhs: float
+    backtracks: int = 0
     tau: Optional[float] = None
     r_ratio: Optional[float] = None
     fallback: bool = False
@@ -70,22 +70,25 @@ def certificate_rhs(crit: CriticalityResult, bundle: SurrogateBundle, radius: fl
     return kappa * wt * min(wt / (bundle.k * bundle.hessian_bound), radius)
 
 
-def _result(center, trial, decrease, lhs, rhs, backtracks=0, **extra) -> StepResult:
-    """The step from center to trial, with its certificate (lhs, rhs)."""
+def _certified(bundle, center, trial, m_center, m_trial, crit, radius, cfg, **extra) -> StepResult:
+    """The step from center to trial, with its certificate (lhs, rhs): the
+    model decrease Phi_m(center) - Phi_m(trial) and the standard-form bound."""
     return StepResult(
         step=trial - center,
         trial=trial,
-        per_objective_decrease=decrease,
-        backtracks=backtracks,
-        certificate_lhs=lhs,
-        certificate_rhs=rhs,
+        per_objective_decrease=m_center - m_trial,
+        certificate_lhs=float(np.max(m_center) - np.max(m_trial)),
+        certificate_rhs=certificate_rhs(crit, bundle, radius, cfg),
         **extra,
     )
 
 
 def zero_step(bundle: SurrogateBundle, center) -> StepResult:
     center = np.asarray(center, dtype=float)
-    return _result(center, center.copy(), np.zeros(bundle.k), 0.0, 0.0)
+    return StepResult(
+        step=np.zeros_like(center), trial=center.copy(), per_objective_decrease=np.zeros(bundle.k),
+        certificate_lhs=0.0, certificate_rhs=0.0,
+    )
 
 
 def bar_sigma(d, radius: float) -> float:
@@ -130,9 +133,9 @@ def _backtrack(
         else:
             ok = float(np.max(m_trial)) <= phi_center - quantum
         if ok:
-            lhs = phi_center - float(np.max(m_trial))
-            rhs = certificate_rhs(crit, bundle, radius, cfg)
-            return _result(center, trial, m_center - m_trial, lhs, rhs, backtracks=j)
+            return _certified(
+                bundle, center, trial, m_center, m_trial, crit, radius, cfg, backtracks=j
+            )
     raise BacktrackExhausted(f"no Armijo step within {MAX_BACKTRACKS} halvings")
 
 
@@ -197,10 +200,7 @@ def exact_pareto_cauchy(
     sigma = cands[int(np.argmin(vals))]
     trial = project_to_box(center + sigma * d, fs)
     m_center = bundle.values(center)
-    m_trial = bundle.values(trial)
-    lhs = float(np.max(m_center) - np.max(m_trial))
-    rhs = certificate_rhs(crit, bundle, radius, cfg)
-    return _result(center, trial, m_center - m_trial, lhs, rhs)
+    return _certified(bundle, center, trial, m_center, bundle.values(trial), crit, radius, cfg)
 
 
 def local_ideal_point(bundle, center, radius, fs: FeasibleSet) -> np.ndarray:
@@ -271,15 +271,15 @@ def pascoletti_serafini(bundle, center, radius, crit, fs, cfg: StepConfig) -> St
     trial = project_to_box(x_best, fs)
     m_trial = bundle.values(trial)
     tau = float(np.max((m_trial - m_center) / r_safe))
-    lhs = float(np.max(m_center) - np.max(m_trial))
-    rhs = certificate_rhs(crit, bundle, radius, cfg)
-    if lhs < rhs and crit.omega > 0.0:
+    res = _certified(
+        bundle, center, trial, m_center, m_trial, crit, radius, cfg, tau=tau, r_ratio=r_ratio
+    )
+    if res.certificate_lhs < res.certificate_rhs and crit.omega > 0.0:
         res = strict_pareto_cauchy(bundle, center, radius, crit, cfg, fs)
         res.tau = tau
         res.r_ratio = r_ratio
         res.fallback = True
-        return res
-    return _result(center, trial, m_center - m_trial, lhs, rhs, tau=tau, r_ratio=r_ratio)
+    return res
 
 
 def compute_step(bundle, center, radius, crit, cfg: StepConfig, fs: FeasibleSet) -> StepResult:

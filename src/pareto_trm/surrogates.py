@@ -14,15 +14,17 @@ by definition. The O(Delta^2)/O(Delta) error decay this buys is checked
 empirically in the test suite.
 
 These certificates rest on the geometry of the sites alone, so one site set
-serves every expensive objective: a builder selects the sites once, reads each
-from the database once (all k expensive values of the site) and fits the k
-models from one system with k right-hand sides.
+serves every expensive objective, and the bundle of one trust region owns it:
+a builder selects the sites once, reads each from the database once (all k
+expensive values of the site), fits the k models from one system with k
+right-hand sides and returns (sites, models). A model keeps only the state
+its values, gradients and curvature bound read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,13 +81,11 @@ MODEL_SPECS = {
 }
 
 
-def adaptive_shape(radius: float, c_alpha: float, alpha_lo: float, alpha_hi: float) -> float:
-    """Shape parameter inversely proportional to the radius, clamped."""
+def adaptive_shape(radius: float) -> float:
+    """Shape parameter C_ALPHA / radius, clamped to [ALPHA_LO, ALPHA_HI]."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if not (0 < alpha_lo <= alpha_hi):
-        raise ValueError("need 0 < alpha_lo <= alpha_hi")
-    return float(min(max(c_alpha / radius, alpha_lo), alpha_hi))
+    return float(min(max(C_ALPHA / radius, ALPHA_LO), ALPHA_HI))
 
 
 def kernel_value(kernel: str, r, alpha: float = 1.0):
@@ -178,7 +178,8 @@ class ExactCheapModel:
 
 
 class PolyModel:
-    """Polynomial model of degree <= 2 in local coordinates t = (u - center)/R.
+    """Polynomial model c0 + g.t + t.H t / 2 in local coordinates
+    t = (u - center)/R; linear when H_local is None.
 
     `values` and `gradients` are row-independent: each row of the result has
     the bits it has when that row is evaluated alone. The products with g and
@@ -192,19 +193,13 @@ class PolyModel:
         local_scale: float,
         c0: float,
         g_local,
-        H_local,
-        degree: int,
-        training_sites=None,
+        H_local=None,
     ):
         self.center = np.asarray(center, dtype=float)
         self.R = float(local_scale)
         self.c0 = float(c0)
         self.g_local = np.array(g_local, dtype=float)  # a contiguous copy of a fitted column
-        self.H_local = np.asarray(H_local, dtype=float)
-        self.degree = degree
-        self.training_sites = (
-            np.empty((0, self.center.size)) if training_sites is None else np.asarray(training_sites)
-        )
+        self.H_local = None if H_local is None else np.asarray(H_local, dtype=float)
 
     def _local(self, U):
         return (np.atleast_2d(np.asarray(U, dtype=float)) - self.center) / self.R
@@ -212,23 +207,28 @@ class PolyModel:
     def values(self, U) -> np.ndarray:
         T = self._local(U)
         out = self.c0 + np.einsum("ij,j->i", T, self.g_local)
-        if self.degree >= 2:
+        if self.H_local is not None:
             out = out + 0.5 * np.einsum("ij,ij->i", np.einsum("ij,jk->ik", T, self.H_local), T)
         return out
 
     def gradients(self, U) -> np.ndarray:
         T = self._local(U)
         G = np.tile(self.g_local, (T.shape[0], 1))
-        if self.degree >= 2:
+        if self.H_local is not None:
             G = G + np.einsum("ij,jk->ik", T, self.H_local)
         return G / self.R
 
     def hessian_norm_bound(self, lo, hi, seed=0) -> float:
+        if self.H_local is None:
+            return 0.0
         return float(np.linalg.norm(self.H_local)) / self.R**2
 
 
 class RBFModel:
     """Radial basis surrogate with polynomial tail, in local coordinates.
+
+    T holds the interpolation sites in local coordinates; alpha_local is the
+    shape parameter in those coordinates.
 
     `values` and `gradients` are row-independent, as for PolyModel: the
     kernel matrix and the tail meet their coefficients in einsum loops, not
@@ -245,8 +245,6 @@ class RBFModel:
         tail_g_local,
         kernel: str,
         alpha_local: float,
-        alpha_user: float,
-        training_sites=None,
     ):
         self.center = np.asarray(center, dtype=float)
         self.R = float(local_scale)
@@ -256,10 +254,6 @@ class RBFModel:
         self.tail_g_local = np.asarray(tail_g_local, dtype=float)
         self.kernel = kernel
         self.alpha_local = float(alpha_local)
-        self.alpha_user = float(alpha_user)
-        self.training_sites = (
-            np.empty((0, self.center.size)) if training_sites is None else np.asarray(training_sites)
-        )
 
     def _local(self, U):
         return (np.atleast_2d(np.asarray(U, dtype=float)) - self.center) / self.R
@@ -283,10 +277,9 @@ class RBFModel:
 
     def hessian_norm_bound(self, lo, hi, seed=0) -> float:
         """1.1 x the largest Frobenius Hessian norm at 100 Halton points of
-        [lo, hi] and at the training sites."""
+        [lo, hi] and at the interpolation sites."""
         pts = lo + halton(100, lo.size, offset=29 + seed) * (hi - lo)
-        pts = np.vstack([pts, self.training_sites])
-        T = self._local(pts)
+        T = np.vstack([self._local(pts), self.T])
         r, diff = self._dists(T)
         w = _kernel_w(self.kernel, r, self.alpha_local)
         a = np.where(r > 1e-14, _kernel_a(self.kernel, r, self.alpha_local), 0.0)
@@ -301,13 +294,9 @@ class RBFModel:
 # polynomial basis helpers
 
 
-_TRIU_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _triu(n: int):
-    if n not in _TRIU_CACHE:
-        _TRIU_CACHE[n] = np.triu_indices(n)  # (i, j) pairs with i <= j, row-major
-    return _TRIU_CACHE[n]
+    return np.triu_indices(n)  # (i, j) pairs with i <= j, row-major
 
 
 def _basis_eval(T: np.ndarray, degree: int) -> np.ndarray:
@@ -328,15 +317,10 @@ def _basis_eval(T: np.ndarray, degree: int) -> np.ndarray:
 def _coeffs_to_quadratic(a: np.ndarray, n: int):
     c0 = float(a[0])
     g = np.array(a[1: n + 1], dtype=float)
-    H = np.zeros((n, n))
-    pos = n + 1
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                H[i, i] = 2.0 * a[pos]
-            else:
-                H[i, j] = H[j, i] = a[pos]
-            pos += 1
+    iu, ju = _triu(n)
+    H = np.empty((n, n))
+    H[iu, ju] = H[ju, iu] = a[n + 1:]
+    H.flat[:: n + 1] *= 2.0  # the basis holds t_i^2, so its coefficient is H_ii / 2
     return c0, g, H
 
 
@@ -457,14 +441,10 @@ class _LagrangeMachine:
 
     def fit(self, F: np.ndarray) -> list[PolyModel]:
         """One model per column of F, the (p, k) values at the sites."""
-        sites = np.vstack(self.sites)
         out = []
         for f in F.T.copy():  # contiguous rows: each column gets a single-RHS product
             coeffs = f @ self.L
-            out.append(PolyModel(
-                self.center, self.R, coeffs[0], coeffs[1:], np.zeros((self.n, self.n)), 1,
-                training_sites=sites,
-            ))
+            out.append(PolyModel(self.center, self.R, coeffs[0], coeffs[1:]))
         return out
 
 
@@ -534,9 +514,9 @@ def build_rbf(
     radius: float,
     delta_ub: float,
     fs: FeasibleSet,
-) -> list[RBFModel]:
-    """Select sites, solve the saddle interpolation system, return one model
-    per expensive objective."""
+) -> tuple[np.ndarray, list[RBFModel]]:
+    """Select sites and solve the saddle interpolation system; returns the
+    (m, n) sites and one model per expensive objective."""
     center = np.asarray(center, dtype=float)
     n = center.size
     R1 = THETA1 * radius
@@ -557,7 +537,7 @@ def build_rbf(
     if spec.kernel == "cubic":
         alpha_user = 1.0
     elif spec.shape_mode == "adaptive":
-        alpha_user = adaptive_shape(radius, C_ALPHA, ALPHA_LO, ALPHA_HI)
+        alpha_user = adaptive_shape(radius)
     else:
         alpha_user = SHAPE_ALPHA
     alpha_local = alpha_user * R1
@@ -565,8 +545,10 @@ def build_rbf(
     F = _read(db, candidates)
 
     def solve(N):
-        """Fit on the first N candidates: local sites and the (N + n + 1, k) solution."""
-        T = (np.vstack(candidates[:N]) - center) / R1
+        """Fit on the first N candidates: the sites, their local coordinates
+        and the (N + n + 1, k) solution."""
+        S = np.vstack(candidates[:N])
+        T = (S - center) / R1
         r = np.sqrt(
             np.maximum(
                 np.sum((T[:, None, :] - T[None, :, :]) ** 2, axis=2), 0.0
@@ -581,20 +563,16 @@ def build_rbf(
         M[:N, N:] = P.T
         M[N:, :N] = P
         rhs = np.vstack([F[:N], np.zeros((p, F.shape[1]))])
-        return T, solve_linear(M, rhs)
+        return S, T, solve_linear(M, rhs)
 
     try:
         N = len(candidates)
-        T, sol = solve(N)
+        S, T, sol = solve(N)
     except SingularMatrix:
         N = len(sites)  # extras made the system degenerate
-        T, sol = solve(N)
-    training_sites = np.vstack(candidates[:N])
-    return [
-        RBFModel(
-            center, R1, T, a[:N], float(a[N]), a[N + 1:], spec.kernel, alpha_local, alpha_user,
-            training_sites=training_sites,
-        )
+        S, T, sol = solve(N)
+    return S, [
+        RBFModel(center, R1, T, a[:N], float(a[N]), a[N + 1:], spec.kernel, alpha_local)
         for a in sol.T
     ]
 
@@ -641,9 +619,9 @@ def build_lagrange(
     center,
     radius: float,
     fs: FeasibleSet,
-) -> list[PolyModel]:
+) -> tuple[np.ndarray, list[PolyModel]]:
     """Lagrange interpolation models of every expensive objective on the
-    THETA1-enlarged region.
+    THETA1-enlarged region, with the (m, n) sites they interpolate.
 
     Degree 2 interpolates on the finite-difference stencil fitted into the
     region box. Degree 1 selects a poised set greedily, database points
@@ -659,29 +637,26 @@ def build_lagrange(
     if spec.degree == 2:
         sites = np.vstack(_stencil_sites(center, R1, lo1, hi1))
         coeffs = solve_linear(_basis_eval((sites - center) / R1, 2), _read(db, sites))
-        return [
-            PolyModel(center, R1, *_coeffs_to_quadratic(a, n), 2, training_sites=sites)
-            for a in coeffs.T
-        ]
+        return sites, [PolyModel(center, R1, *_coeffs_to_quadratic(a, n)) for a in coeffs.T]
 
     machine = _LagrangeMachine(n, center, R1, lo1, hi1)
     region_sites = db.query_ball(center, R1)
     machine.select(region_sites)
     machine.repair(10 * machine.p, db_sites=region_sites)
-    return machine.fit(_read(db, machine.sites))
+    sites = np.vstack(machine.sites)
+    return sites, machine.fit(_read(db, sites))
 
 
 def build_taylor_fd(
     db: EvaluationDatabase,
-    spec: ModelSpec,
     center,
     radius: float,
     fs: FeasibleSet,
-) -> list[PolyModel]:
+) -> tuple[np.ndarray, list[PolyModel]]:
     """Linear Taylor models of every expensive objective from central
-    differences; one-sided at box faces."""
+    differences, one-sided at box faces; returns the (m, n) stencil sites,
+    center first, and the models."""
     center = np.asarray(center, dtype=float)
-    n = center.size
     h = TAYLOR_FD_STEP * max(radius, 1e-8)
     exp = db.problem.expensive_indices
     sites = [center]
@@ -692,19 +667,19 @@ def build_taylor_fd(
 
     f0 = db.evaluate_scaled(center)[exp]
     G = axis_differences(read, center, h, fs.lower, fs.upper, f0=f0[None])[0]
-    sites = np.vstack(sites)
-    return [
-        PolyModel(center, 1.0, c0, g, np.zeros((n, n)), 1, training_sites=sites)
-        for c0, g in zip(f0, G.T)
-    ]
+    return np.vstack(sites), [PolyModel(center, 1.0, c0, g) for c0, g in zip(f0, G.T)]
 
 
 @dataclass
 class SurrogateBundle:
     """k model functions valid on one trust region, plus certificates.
 
-    The curvature bound H enters only the sufficient-decrease certificate of a
-    step, so it is computed on the first read of `hessian_bound` and cached:
+    `training_sites` is the one (m, n) site set, as its builder returned it,
+    that every expensive model is fitted on (empty when every objective is
+    cheap); `new_sites` counts the evaluations the build added to the
+    database. The curvature bound H enters only the sufficient-decrease
+    certificate of a step, so it is computed on the first read of
+    `hessian_bound` and cached:
     criticality-loop rebuilds and bundles that never reach a step never pay
     for it. `fs` is the scaled feasible set and `seed` shifts the bound's
     Halton sample.
@@ -717,11 +692,11 @@ class SurrogateBundle:
     new_sites: int
     fs: FeasibleSet
     seed: int = 0
-    k: int = field(default=0)
     fully_linear = True  # every model is certified when built; the bench tracer reads this
 
-    def __post_init__(self):
-        self.k = len(self.models)
+    @property
+    def k(self) -> int:
+        return len(self.models)
 
     @cached_property
     def hessian_bound(self) -> float:
@@ -773,13 +748,13 @@ def build_bundle(
     before = len(db)
     # the module-level builders, looked up at call time so they can be wrapped
     if not prob.expensive_mask.any():
-        fitted = []
+        sites, fitted = np.empty((0, prob.n_vars)), []
     elif spec.kind == "rbf":
-        fitted = build_rbf(db, spec, center, radius, delta_ub, fs)
+        sites, fitted = build_rbf(db, spec, center, radius, delta_ub, fs)
     elif spec.kind == "lagrange":
-        fitted = build_lagrange(db, spec, center, radius, fs)
+        sites, fitted = build_lagrange(db, spec, center, radius, fs)
     else:
-        fitted = build_taylor_fd(db, spec, center, radius, fs)
+        sites, fitted = build_taylor_fd(db, center, radius, fs)
     expensive = iter(fitted)
     models = [
         next(expensive) if prob.expensive_mask[idx] else ExactCheapModel(prob, idx)
@@ -789,7 +764,7 @@ def build_bundle(
         models=models,
         center=center,
         radius=radius,
-        training_sites=fitted[0].training_sites if fitted else np.empty((0, prob.n_vars)),
+        training_sites=sites,
         new_sites=len(db) - before,
         fs=fs,
         seed=seed,

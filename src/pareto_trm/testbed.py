@@ -3,9 +3,8 @@
 Each family is exposed through `make_problem` and the `PROBLEM_NAMES` registry.
 Heterogeneity tagging follows the benchmark convention: the first objective is
 cheap and the rest expensive, except T6 where the logarithmic objective is the
-expensive one. `solution_quality` computes the final true criticality (scaled
-coordinates, clamped) and, through `pareto_distance`, the distance to the
-Pareto set where it is known analytically.
+expensive one. `pareto_distance` gives the distance to the Pareto set where it
+is known analytically; the final true criticality of a run is in its report.
 
 Every objective and gradient is written once, as a batch evaluator over the
 rows of an (m, n) array. Each batch evaluator repeats, elementwise and in the
@@ -25,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .criticality import true_omega
-from .errors import ObjectiveFailure, UnsupportedDimension
+from .errors import UnsupportedDimension
 from .problem import FeasibleSet, MOProblem
 
 FIRST_CHEAP = "first-cheap-rest-expensive"
@@ -227,29 +225,6 @@ def make_problem(spec: TestProblemSpec) -> MOProblem:
     if spec.name == "DTLZ1":
         return _dtlz1(spec.n_vars, spec.pattern)
     return _dtlz6(spec.n_vars, spec.pattern)
-
-
-@dataclass(frozen=True)
-class SolutionQuality:
-    omega: float
-    dist_to_pareto: Optional[float]
-    nondifferentiable: bool
-
-
-def solution_quality(prob: MOProblem, x_final, fd_step: float = 1e-6) -> SolutionQuality:
-    """Final-iterate quality: clamped true criticality plus Pareto distance.
-
-    Non-finite finite-difference gradients mean the objectives are not
-    differentiable at the point; the benchmark convention sets omega to 0
-    there (the families are non-differentiable only at Pareto-optimal points).
-    """
-    x_final = np.asarray(x_final, dtype=float)
-    try:
-        crit = true_omega(prob, x_final, fd_step)
-        omega, nondiff = crit.omega_clamped, False
-    except ObjectiveFailure:
-        omega, nondiff = 0.0, True
-    return SolutionQuality(omega, pareto_distance(prob, x_final), nondiff)
 
 
 def pareto_distance(prob: MOProblem, x) -> Optional[float]:

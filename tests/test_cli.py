@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pareto_trm import cli, testbed
+from pareto_trm import cli, criticality, driver
 from pareto_trm.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -40,6 +40,16 @@ def test_run_smoke(tmp_path, capsys):
             "--problem DTLZ6 --n 12 --pattern all-expensive --model taylor-fd1 --step steepest"
             " --seed 0 --budget 50",
         ),
+        # quadratic Lagrange models on the box-fitted stencil, three iterations
+        (
+            "zdt1-lagrange-2",
+            "--problem ZDT1 --n 5 --model lagrange-2 --step modified-pc --seed 0 --budget 80",
+        ),
+        # 42 iterations of poised-set selection and repair for linear Lagrange models
+        (
+            "dtlz1-lagrange-1",
+            "--problem DTLZ1 --n 6 --model lagrange-1 --step strict-pc --seed 0 --budget 60",
+        ),
     ],
 )
 def test_run_outputs_match_golden(tmp_path, name, argv):
@@ -51,12 +61,21 @@ def test_run_outputs_match_golden(tmp_path, name, argv):
 def test_run_solves_no_second_true_omega(tmp_path, monkeypatch):
     # the report already holds the run's final true omega; the CLI adds only
     # the distance to the Pareto set, which needs no criticality LP
+    calls = []
+    final_diagnostic = driver.true_omega
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return final_diagnostic(*args, **kwargs)
+
     def second_true_omega(*args, **kwargs):
         raise AssertionError("the CLI solved a second true-omega LP")
 
-    monkeypatch.setattr(testbed, "true_omega", second_true_omega)
+    monkeypatch.setattr(driver, "true_omega", counted)
+    monkeypatch.setattr(criticality, "true_omega", second_true_omega)
     argv = "--problem T6 --model rbf-cubic --step strict-pc --seed 1 --budget 5"
     assert main(["run", *argv.split(), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1  # the run's own final diagnostic
     meta = json.loads((tmp_path / "report.json").read_text())["meta"]
     assert meta["dist_to_pareto"] is not None
 

@@ -81,9 +81,7 @@ class TestClassify:
 
 
 def _state(delta, t=0):
-    return TrustRegionState(
-        x=np.zeros(2), delta=delta, t=t, f_current=np.array([1.0]), phi_current=1.0
-    )
+    return TrustRegionState(x=np.zeros(2), delta=delta, t=t, f_current=np.array([1.0]))
 
 
 class TestUpdateState:

@@ -26,7 +26,7 @@ def quad_model(c, n=1, scale=1.0):
     H = 2.0 * scale * np.eye(c.size)
     g = -2.0 * scale * c
     c0 = scale * float(c @ c)
-    return PolyModel(np.zeros(c.size), 1.0, c0, g, H, 2)
+    return PolyModel(np.zeros(c.size), 1.0, c0, g, H)
 
 
 def make_bundle(models, center, radius, fs=UNC):
@@ -257,7 +257,7 @@ class TestIdealPoint:
         assert ideal[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_linear_model_hits_region_vertex(self):
-        model = PolyModel(np.zeros(2), 1.0, 0.0, np.array([1.0, -1.0]), np.zeros((2, 2)), 1)
+        model = PolyModel(np.zeros(2), 1.0, 0.0, np.array([1.0, -1.0]))
         center = np.array([0.5, 0.5])
         bundle = make_bundle([model], center, 0.25)
         ideal = local_ideal_point(bundle, center, 0.25, UNC)

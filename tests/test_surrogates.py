@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_gradient, row_loop
+from pareto_trm import surrogates
 from pareto_trm.errors import (
     BudgetExhausted,
     DimensionMismatch,
@@ -67,15 +68,15 @@ def lagrange_machine(center, radius, fs):
     return _LagrangeMachine(center.size, center, R1, lo, hi)
 
 
-def lagrange_basis_max_on_vertices(model, lo, hi):
-    """max |l_i| over the box [lo, hi] for a linear model's training sites.
+def lagrange_basis_max_on_vertices(sites, model, lo, hi):
+    """max |l_i| over the box [lo, hi] for the sites of a linear model.
 
     The basis comes from inverting the [1, t] site matrix; a linear polynomial
     peaks at a vertex, so enumerating all 2^n vertices gives the exact maximum.
     """
     n = lo.size
-    sites = (model.training_sites - model.center) / model.R
-    coeffs = np.linalg.inv(np.column_stack([np.ones(len(sites)), sites]))
+    local = (sites - model.center) / model.R
+    coeffs = np.linalg.inv(np.column_stack([np.ones(len(local)), local]))
     bits = np.array(np.meshgrid(*[[0, 1]] * n, indexing="ij")).reshape(n, -1).T
     T = (np.where(bits.astype(bool), hi, lo) - model.center) / model.R
     return float(np.max(np.abs(np.column_stack([np.ones(len(T)), T]) @ coeffs)))
@@ -106,9 +107,10 @@ def test_kernel_table_values():
 
 
 def test_adaptive_shape():
-    assert adaptive_shape(0.1, 20.0, 1e-2, 1e3) == pytest.approx(200.0)
-    assert adaptive_shape(1e6, 20.0, 1e-2, 1e3) == pytest.approx(1e-2)
-    assert adaptive_shape(1e-9, 20.0, 1e-2, 1e3) == pytest.approx(1e3)
+    assert (C_ALPHA, ALPHA_LO, ALPHA_HI) == (20.0, 1e-2, 1e3)
+    assert adaptive_shape(0.1) == pytest.approx(200.0)
+    assert adaptive_shape(1e6) == pytest.approx(1e-2)
+    assert adaptive_shape(1e-9) == pytest.approx(1e3)
 
 
 class TestRBF:
@@ -116,7 +118,7 @@ class TestRBF:
         prob = scalar_problem(lambda x: 3.0 * x[0] + 1.0, 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
         spec = MODEL_SPECS["rbf-cubic"]
-        model = build_rbf(db, spec, np.array([0.5]), 0.25, 0.5, prob.feasible.scaled())[0]
+        _, (model,) = build_rbf(db, spec, np.array([0.5]), 0.25, 0.5, prob.feasible.scaled())
         xs = np.linspace(0.0, 1.0, 21)[:, None]
         np.testing.assert_allclose(model.values(xs), 3.0 * xs[:, 0] + 1.0, atol=1e-8)
         assert np.max(np.abs(model.coeffs)) <= 1e-8  # kernel part vanishes
@@ -132,8 +134,8 @@ class TestRBF:
             db.evaluate(z)
         spec = MODEL_SPECS["rbf-cubic"]
         center = np.array([0.5, 0.5])
-        model = build_rbf(db, spec, center, 0.2, 0.5, prob.feasible.scaled())[0]
-        for site in model.training_sites:
+        sites, (model,) = build_rbf(db, spec, center, 0.2, 0.5, prob.feasible.scaled())
+        for site in sites:
             f = db.evaluate(site)[0]
             assert abs(model.values(site)[0] - f) <= 1e-7 * (1 + abs(f))
 
@@ -147,13 +149,13 @@ class TestRBF:
         center, fs = np.array([0.5, 0.5]), prob.feasible.scaled()
         db = EvaluationDatabase(prob)
         db.evaluate(np.array([[0.7, 0.7], [0.7 + 5e-12, 0.7]]))
-        built = build_rbf(db, MODEL_SPECS[model], center, 0.05, 0.5, fs)[0]
+        sites, (built,) = build_rbf(db, MODEL_SPECS[model], center, 0.05, 0.5, fs)
         assert len(db) == 5  # the two extras and three fresh affine sites
-        assert len(built.training_sites) == 3
-        assert not any(_near_any(s, built.training_sites) for s in db.sites[:2])
+        assert len(sites) == 3
+        assert not any(_near_any(s, sites) for s in db.sites[:2])
         # the model of a database without the extras, which selects the same affine set
         clean = EvaluationDatabase(prob)
-        plain = build_rbf(clean, MODEL_SPECS[model], center, 0.05, 0.5, fs)[0]
+        _, (plain,) = build_rbf(clean, MODEL_SPECS[model], center, 0.05, 0.5, fs)
         assert model_state(built) == model_state(plain)
 
     def test_first_build_uses_n_plus_one_sites(self):
@@ -182,10 +184,10 @@ class TestRBF:
         for z in halton(10, 2, offset=11):
             db.evaluate(z)
         for name in ("rbf-cubic", "rbf-multiquadric", "rbf-gaussian"):
-            model = build_rbf(
+            _, (model,) = build_rbf(
                 db, MODEL_SPECS[name], np.array([0.4, 0.6]), 0.2, 0.5,
                 prob.feasible.scaled(),
-            )[0]
+            )
             u = np.array([0.45, 0.55])
             h = 1e-6
             for i in range(2):
@@ -202,12 +204,11 @@ class TestRBF:
         db = EvaluationDatabase(prob)
         for x0 in (0.0, 0.1, 0.2):
             db.evaluate([x0 - 0.0, 0.0] if x0 else [0.0, 0.0])
-        model = build_rbf(
+        sites, _ = build_rbf(
             db, MODEL_SPECS["rbf-cubic"], np.zeros(2), 0.2, 0.5,
             prob.feasible.scaled(),
-        )[0]
-        T = model.training_sites
-        spans = T[1:] - T[0]
+        )
+        spans = sites[1:] - sites[0]
         assert np.linalg.matrix_rank(spans, tol=1e-8) == 2
 
     def test_budget_exhausted_propagates(self):
@@ -217,7 +218,7 @@ class TestRBF:
             build_rbf(
                 db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.1, 0.5,
                 prob.feasible.scaled(),
-            )[0]
+            )
 
 
 class TestLagrange:
@@ -235,10 +236,10 @@ class TestLagrange:
         db = EvaluationDatabase(prob)
         for v in (0.0, 0.5, 1.0):
             db.evaluate([v])
-        model = build_lagrange(
+        _, (model,) = build_lagrange(
             db, MODEL_SPECS["lagrange-2"], np.array([0.5]), 0.3,
             prob.feasible.scaled(),
-        )[0]
+        )
         xs = np.linspace(0, 1, 31)[:, None]
         np.testing.assert_allclose(model.values(xs), xs[:, 0] ** 2, atol=1e-8)
 
@@ -284,20 +285,20 @@ class TestLagrange:
         for z in np.clip(center + 0.2 * (2 * halton(30, n, offset=11) - 1), 0, 1):
             db.evaluate(z)
         fs = prob.feasible.scaled()
-        model = build_lagrange(db, spec, center, 0.1, fs)[0]
+        sites, (model,) = build_lagrange(db, spec, center, 0.1, fs)
         lo, hi = region_box(center, THETA1 * 0.1, fs)
-        assert lagrange_basis_max_on_vertices(model, lo, hi) <= LAMBDA_POISED * (1 + 1e-9)
+        assert lagrange_basis_max_on_vertices(sites, model, lo, hi) <= LAMBDA_POISED * (1 + 1e-9)
 
     def test_interpolation_at_sites(self):
         prob = scalar_problem(
             lambda x: float(np.cos(x[0]) * x[1]), 2, box=([0, 0], [1, 1])
         )
         db = EvaluationDatabase(prob)
-        model = build_lagrange(
+        sites, (model,) = build_lagrange(
             db, MODEL_SPECS["lagrange-2"], np.array([0.3, 0.7]), 0.15,
             prob.feasible.scaled(),
-        )[0]
-        for site in model.training_sites:
+        )
+        for site in sites:
             f = db.evaluate(site)[0]
             assert abs(model.values(site)[0] - f) <= 1e-7 * (1 + abs(f))
 
@@ -307,11 +308,11 @@ class TestLagrange:
             lambda x: float(np.sum(x**2)), n, box=(np.zeros(n), np.ones(n))
         )
         db = EvaluationDatabase(prob)
-        model = build_lagrange(
+        sites, (model,) = build_lagrange(
             db, MODEL_SPECS["lagrange-2"], np.full(n, 0.5), 0.1,
             prob.feasible.scaled(),
-        )[0]
-        assert len(model.training_sites) == (n + 1) * (n + 2) // 2
+        )
+        assert len(sites) == (n + 1) * (n + 2) // 2
         pts = 0.4 + 0.2 * halton(20, n, offset=3)
         np.testing.assert_allclose(model.values(pts), np.sum(pts**2, axis=1), atol=1e-7)
 
@@ -323,11 +324,11 @@ class TestLagrange:
         prob = scalar_problem(quad, n, box=(np.zeros(n), np.ones(n)))
         db = EvaluationDatabase(prob)
         center = np.array([2e-8, 0.5, 0.5])
-        model = build_lagrange(
+        sites, (model,) = build_lagrange(
             db, MODEL_SPECS["lagrange-2"], center, 0.1, prob.feasible.scaled()
-        )[0]
-        assert len(model.training_sites) == (n + 1) * (n + 2) // 2
-        assert all(prob.feasible.contains(s) for s in model.training_sites)
+        )
+        assert len(sites) == (n + 1) * (n + 2) // 2
+        assert all(prob.feasible.contains(s) for s in sites)
         pts = np.clip(center + 0.2 * (2 * halton(20, n, offset=5) - 1), 0.0, 1.0)
         np.testing.assert_allclose(
             model.values(pts), [quad(p) for p in pts], atol=1e-6
@@ -345,11 +346,11 @@ class TestLagrange:
         quad = lambda x: float(x[0] ** 2 - 3.0 * x[0] * x[1] + 0.5 * x[1] ** 2 + x[0])
         prob = scalar_problem(quad, 2, box=([0.0, 0.0], [1.0, 1.0]))
         db = EvaluationDatabase(prob)
-        model = build_lagrange(
+        sites, (model,) = build_lagrange(
             db, MODEL_SPECS["lagrange-2"], center, 0.1, prob.feasible.scaled()
-        )[0]
-        assert all(prob.feasible.contains(s) for s in model.training_sites)
-        assert np.all(model.training_sites[1:3, 0] < 1.0)
+        )
+        assert all(prob.feasible.contains(s) for s in sites)
+        assert np.all(sites[1:3, 0] < 1.0)
         pts = np.clip(center + 0.2 * (2 * halton(20, 2, offset=5) - 1), 0.0, 1.0)
         np.testing.assert_allclose(model.values(pts), [quad(p) for p in pts], atol=1e-9)
 
@@ -357,39 +358,32 @@ class TestLagrange:
         prob = scalar_problem(lambda x: float(x[0] * x[1]), 2, box=([0, 0], [1, 1]))
         db = EvaluationDatabase(prob)
         before = len(db)
-        model = build_lagrange(
+        sites, (model,) = build_lagrange(
             db, MODEL_SPECS["lagrange-2"], np.array([0.5, 0.5]), 0.1,
             prob.feasible.scaled(),
-        )[0]
-        assert len(db) - before == len(model.training_sites)
-        assert db.eval_counts[0] == len(model.training_sites)
+        )
+        assert len(db) - before == len(sites)
+        assert db.eval_counts[0] == len(sites)
 
 
 class TestTaylor:
     def test_linear_exactness(self):
         prob = scalar_problem(lambda x: float(2 * x[0] - 1.0), 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
-        model = build_taylor_fd(
-            db, MODEL_SPECS["taylor-fd1"], np.array([0.4]), 0.2, prob.feasible.scaled()
-        )[0]
+        _, (model,) = build_taylor_fd(db, np.array([0.4]), 0.2, prob.feasible.scaled())
         xs = np.linspace(0, 1, 11)[:, None]
         np.testing.assert_allclose(model.values(xs), 2 * xs[:, 0] - 1.0, atol=1e-10)
 
     def test_quadratic_slope_exact_central(self):
         prob = scalar_problem(lambda x: float(x[0] ** 2), 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
-        model = build_taylor_fd(
-            db, MODEL_SPECS["taylor-fd1"], np.array([0.5]), 0.2, prob.feasible.scaled()
-        )[0]
+        _, (model,) = build_taylor_fd(db, np.array([0.5]), 0.2, prob.feasible.scaled())
         assert model.gradients(np.array([0.5]))[0][0] == pytest.approx(1.0, abs=1e-9)
 
     def test_one_sided_at_face_keeps_db_feasible(self):
         prob = scalar_problem(lambda x: float(x[0] + x[1]), 2, box=([0, 0], [1, 1]))
         db = EvaluationDatabase(prob)
-        build_taylor_fd(
-            db, MODEL_SPECS["taylor-fd1"], np.array([0.0, 0.5]), 0.2,
-            prob.feasible.scaled(),
-        )[0]
+        build_taylor_fd(db, np.array([0.0, 0.5]), 0.2, prob.feasible.scaled())
         for site in db.sites:
             assert prob.feasible.contains(site)
 
@@ -397,19 +391,17 @@ class TestTaylor:
         prob = scalar_problem(lambda x: float(np.sum(x**2)), 3, box=(np.zeros(3), np.ones(3)))
         center, fs = np.array([0.5, 0.0, 1.0]), prob.feasible.scaled()  # two faces
         full = EvaluationDatabase(prob)
-        build_taylor_fd(full, MODEL_SPECS["taylor-fd1"], center, 0.2, fs)
+        build_taylor_fd(full, center, 0.2, fs)
         for budget in range(1, len(full)):
             cut = EvaluationDatabase(prob, max_expensive=budget)
             with pytest.raises(BudgetExhausted):
-                build_taylor_fd(cut, MODEL_SPECS["taylor-fd1"], center, 0.2, fs)
+                build_taylor_fd(cut, center, 0.2, fs)
             assert np.array_equal(np.vstack(cut.sites), np.vstack(full.sites[:budget]))
 
     def test_cost_is_2n_plus_1(self):
         prob = scalar_problem(lambda x: float(np.sum(x)), 3, box=(np.zeros(3), np.ones(3)))
         db = EvaluationDatabase(prob)
-        build_taylor_fd(
-            db, MODEL_SPECS["taylor-fd1"], np.full(3, 0.5), 0.2, prob.feasible.scaled()
-        )[0]
+        build_taylor_fd(db, np.full(3, 0.5), 0.2, prob.feasible.scaled())
         assert db.eval_counts[0] == 2 * 3 + 1
 
 
@@ -417,14 +409,12 @@ class TestHessianBound:
     def test_linear_model_clamps(self):
         prob = scalar_problem(lambda x: float(x[0]), 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
-        model = build_taylor_fd(
-            db, MODEL_SPECS["taylor-fd1"], np.array([0.5]), 0.2, prob.feasible.scaled()
-        )[0]
+        _, (model,) = build_taylor_fd(db, np.array([0.5]), 0.2, prob.feasible.scaled())
         H = hessian_bound([model], np.array([0.5]), 0.2, prob.feasible.scaled(), c=2.0)
         assert H == pytest.approx(1.01 / 2.0)
 
     def test_quadratic_exact_before_clamp(self):
-        model = PolyModel(np.zeros(2), 1.0, 0.0, np.zeros(2), 2.0 * np.eye(2), 2)
+        model = PolyModel(np.zeros(2), 1.0, 0.0, np.zeros(2), 2.0 * np.eye(2))
         lo, hi = -np.ones(2), np.ones(2)
         assert model.hessian_norm_bound(lo, hi) == pytest.approx(2.0 * np.sqrt(2.0))
 
@@ -435,10 +425,10 @@ class TestHessianBound:
         db = EvaluationDatabase(prob)
         for z in halton(9, 2, offset=23):
             db.evaluate(z)
-        model = build_rbf(
+        _, (model,) = build_rbf(
             db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.2, 0.5,
             prob.feasible.scaled(),
-        )[0]
+        )
         lo, hi = np.array([0.3, 0.3]), np.array([0.7, 0.7])
         bound = model.hessian_norm_bound(lo, hi)
         xs = np.linspace(0.3, 0.7, 25)
@@ -446,6 +436,77 @@ class TestHessianBound:
             np.linalg.norm(rbf_hessian(model, np.array([a, b]))) for a in xs for b in xs
         )
         assert bound >= worst * 0.999
+
+
+def rbf_bound_on_u_sites(model, sites, lo, hi, seed=0):
+    """The RBF curvature bound as written against the u-space sites: the
+    Halton sample and the sites are stacked first, then localized."""
+    pts = lo + halton(100, lo.size, offset=29 + seed) * (hi - lo)
+    T = model._local(np.vstack([pts, sites]))
+    r, diff = model._dists(T)
+    w = _kernel_w(model.kernel, r, model.alpha_local)
+    a = np.where(r > 1e-14, _kernel_a(model.kernel, r, model.alpha_local), 0.0)
+    H = np.einsum("mk,mki,mkj->mij", model.coeffs[None, :] * a, diff, diff)
+    trace_part = (model.coeffs[None, :] * w).sum(axis=1)
+    H[:, np.arange(T.shape[1]), np.arange(T.shape[1])] += trace_part[:, None]
+    norms = np.sqrt(np.einsum("mij,mij->m", H, H)) / model.R**2
+    return 1.1 * float(norms.max())
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("seed", [0, 2])
+def test_rbf_bound_matches_the_u_space_sites(kernel, seed):
+    # a center on two faces: the affine sites clipped into the region box and
+    # the center itself lie on those faces
+    prob = make_problem(TestProblemSpec("DTLZ6", 6, ALL_EXPENSIVE))
+    center, radius, fs = np.array([0.0, 1.0, 0.4, 0.5, 0.6, 0.5]), 0.1, prob.feasible.scaled()
+    db = seeded_database(prob, center)
+    sites, models = build_rbf(db, MODEL_SPECS[f"rbf-{kernel}"], center, radius, 0.5, fs)
+    assert np.any(sites[1:, 0] == 0.0) and np.any(sites[1:, 1] == 1.0)
+    # on the region box the sample points decide the cubic bound; at a point
+    # far off, where the gaussian and multiquadric terms flatten, the sites do
+    far = np.full(6, 10.0)
+    for lo, hi in (region_box(center, radius, fs), (far, far)):
+        for model in models:
+            bound = model.hessian_norm_bound(lo, hi, seed)
+            assert bound == rbf_bound_on_u_sites(model, sites, lo, hi, seed)
+
+
+def coeffs_to_quadratic_loop(a, n):
+    """_coeffs_to_quadratic as a double loop over the row-major upper triangle."""
+    c0 = float(a[0])
+    g = np.array(a[1: n + 1], dtype=float)
+    H = np.zeros((n, n))
+    pos = n + 1
+    for i in range(n):
+        for j in range(i, n):
+            if i == j:
+                H[i, i] = 2.0 * a[pos]
+            else:
+                H[i, j] = H[j, i] = a[pos]
+            pos += 1
+    return c0, g, H
+
+
+@st.composite
+def quadratic_coeffs(draw):
+    """n in 1..15 and the 1 + n + n(n+1)/2 coefficients of a quadratic, with
+    signed zeros among them."""
+    n = draw(st.integers(1, 15))
+    size = 1 + n + n * (n + 1) // 2
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300))
+    return n, np.array(draw(st.lists(value, min_size=size, max_size=size)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(quadratic_coeffs())
+def test_coeffs_to_quadratic_matches_the_loop(case):
+    n, a = case
+    c0, g, H = _coeffs_to_quadratic(a, n)
+    c0_loop, g_loop, H_loop = coeffs_to_quadratic_loop(a, n)
+    assert np.float64(c0).tobytes() == np.float64(c0_loop).tobytes()
+    assert g.tobytes() == g_loop.tobytes()
+    assert H.tobytes() == H_loop.tobytes()
 
 
 MODEL_KINDS = ["poly-1", "poly-2", *(f"rbf-{kernel}" for kernel in KERNELS)]
@@ -462,14 +523,15 @@ def model_batches(draw):
     if kind.startswith("poly"):
         H = rng.standard_normal((n, n))
         model = PolyModel(
-            center, R, rng.standard_normal(), rng.standard_normal(n), H + H.T, int(kind[-1])
+            center, R, rng.standard_normal(), rng.standard_normal(n),
+            H + H.T if kind == "poly-2" else None,
         )
     else:
         p = draw(st.integers(1, 31))
         model = RBFModel(
             center, R, rng.uniform(-1.0, 1.0, (p, n)), rng.standard_normal(p),
             rng.standard_normal(), rng.standard_normal(n), kind[4:],
-            10.0 ** rng.uniform(-1.0, 1.0), SHAPE_ALPHA,
+            10.0 ** rng.uniform(-1.0, 1.0),
         )
     m = draw(st.integers(1, 40))
     U = center + R * rng.uniform(-1.5, 1.5, (m, n))
@@ -560,7 +622,7 @@ def cheap_model_boxes(draw):
 @given(cheap_model_boxes())
 def test_cheap_model_matches_row_loop_bit_for_bit(case):
     prob, lo, hi, seed = case
-    for idx in prob.cheap_indices:
+    for idx in np.flatnonzero(~prob.expensive_mask):
         model = ExactCheapModel(prob, idx)
         pts = lo + halton(25, lo.size, offset=17 + seed) * (hi - lo)
         fn = prob.objectives[idx]
@@ -648,7 +710,8 @@ def test_all_cheap_bundle_is_free():
 
 def per_objective_rbf(obj_index, db, spec, center, radius, delta_ub, fs):
     """The RBF builder as it was when every expensive objective was built on
-    its own: sites selected, read and solved once per objective."""
+    its own: sites selected, read and solved once per objective. Returns the
+    objective's sites and its model."""
     center = np.asarray(center, dtype=float)
     n = center.size
     R1 = THETA1 * radius
@@ -664,7 +727,7 @@ def per_objective_rbf(obj_index, db, spec, center, radius, delta_ub, fs):
     if spec.kernel == "cubic":
         alpha_user = 1.0
     elif spec.shape_mode == "adaptive":
-        alpha_user = adaptive_shape(radius, C_ALPHA, ALPHA_LO, ALPHA_HI)
+        alpha_user = adaptive_shape(radius)
     else:
         alpha_user = SHAPE_ALPHA
     alpha_local = alpha_user * R1
@@ -689,8 +752,9 @@ def per_objective_rbf(obj_index, db, spec, center, radius, delta_ub, fs):
     except SingularMatrix:
         used = sites
         T, coeffs, lam = assemble(used)
-    return RBFModel(center, R1, T, coeffs, float(lam[0]), lam[1:], spec.kernel, alpha_local,
-                    alpha_user, training_sites=np.vstack(used))
+    return np.vstack(used), RBFModel(
+        center, R1, T, coeffs, float(lam[0]), lam[1:], spec.kernel, alpha_local
+    )
 
 
 def per_objective_lagrange2(obj_index, db, spec, center, radius, fs):
@@ -701,12 +765,11 @@ def per_objective_lagrange2(obj_index, db, spec, center, radius, fs):
     M = _basis_eval((np.vstack(sites) - center) / R1, 2)
     fvals = np.array([db.evaluate_scaled(s)[obj_index] for s in sites])
     c0, g, H = _coeffs_to_quadratic(solve_linear(M, fvals), center.size)
-    return PolyModel(center, R1, c0, g, H, 2, training_sites=np.vstack(sites))
+    return np.vstack(sites), PolyModel(center, R1, c0, g, H)
 
 
 def per_objective_taylor_fd(obj_index, db, spec, center, radius, fs):
     center = np.asarray(center, dtype=float)
-    n = center.size
     h = TAYLOR_FD_STEP * max(radius, 1e-8)
     f0 = float(db.evaluate_scaled(center)[obj_index])
     sites = [center.copy()]
@@ -716,12 +779,12 @@ def per_objective_taylor_fd(obj_index, db, spec, center, radius, fs):
         return float(db.evaluate_scaled(u)[obj_index])
 
     g = fd_gradient(scalar, center, h, fs.lower, fs.upper)
-    return PolyModel(center, 1.0, f0, g, np.zeros((n, n)), 1,
-                     training_sites=np.vstack(sites))
+    return np.vstack(sites), PolyModel(center, 1.0, f0, g)
 
 
 def per_objective_models(prob, db, name, center, radius, delta_ub):
-    """Every expensive objective built on its own, in objective order."""
+    """(sites, model) of every expensive objective built on its own, in
+    objective order."""
     spec, fs = MODEL_SPECS[name], prob.feasible.scaled()
     out = []
     for idx in prob.expensive_indices:
@@ -781,13 +844,26 @@ SHARED_SITE_MODELS = ["rbf-cubic", "rbf-gaussian-adaptive", "lagrange-1", "lagra
 
 @pytest.mark.parametrize("model", SHARED_SITE_MODELS)
 @pytest.mark.parametrize("case", range(len(SHARED_SITE_CASES)))
-def test_bundle_shares_sites_and_reads_each_once(case, model):
+def test_bundle_shares_sites_and_reads_each_once(case, model, monkeypatch):
     name, n, center = SHARED_SITE_CASES[case]
     prob = make_problem(TestProblemSpec(name, n, ALL_EXPENSIVE))
     db = seeded_database(prob, center, cls=ReadLog)
     db.reads, db.calls = [], 0
+    returned = []  # the site set of every builder call
+
+    def recorded(builder):
+        def build(*args):
+            sites, models = builder(*args)
+            returned.append(sites)
+            return sites, models
+
+        return build
+
+    for builder in ("build_rbf", "build_lagrange", "build_taylor_fd"):
+        monkeypatch.setattr(surrogates, builder, recorded(getattr(surrogates, builder)))
     bundle = build_bundle(prob, db, MODEL_SPECS[model], center, 0.05, 0.5)
-    assert all(m.training_sites is bundle.training_sites for m in bundle.models)
+    assert not any(hasattr(m, "training_sites") for m in bundle.models)
+    assert len(returned) == 1 and bundle.training_sites is returned[0]
     assert len(db.reads) == len(set(db.reads)), "a site was read twice"
     assert set(db.reads) == {tuple(s) for s in bundle.training_sites}
     # one batch read of the site set; FD-Taylor reads its center, then the stencil
@@ -801,18 +877,19 @@ def test_bundle_matches_per_objective_builds(case, model):
     prob = make_problem(TestProblemSpec(name, n, ALL_EXPENSIVE))
     db_old, db_new = seeded_database(prob, center), seeded_database(prob, center)
     old = per_objective_models(prob, db_old, model, center, 0.05, 0.5)
-    new = build_bundle(prob, db_new, MODEL_SPECS[model], center, 0.05, 0.5).models
+    bundle = build_bundle(prob, db_new, MODEL_SPECS[model], center, 0.05, 0.5)
+    new, sites = bundle.models, bundle.training_sites
     # the shared build evaluates the same new sites in the same order
     assert np.array_equal(np.vstack(db_old.sites), np.vstack(db_new.sites))
     assert np.array_equal(np.vstack(db_old.values), np.vstack(db_new.values))
     exact = range(1) if model.startswith("rbf") else range(len(old))
     for j in exact:
-        a, b = model_state(old[j]), model_state(new[j])
+        old_sites, old_model = old[j]
         # a one-sided FD stencil read the center twice; the shared build reads it once
-        a["training_sites"] = first_occurrences(old[j].training_sites).tolist()
-        assert a == b, f"objective {j} differs"
-    for o, m in zip(old, new):  # RBF objectives past the first see their sites permuted
-        assert {tuple(s) for s in o.training_sites} == {tuple(s) for s in m.training_sites}
+        assert np.array_equal(first_occurrences(old_sites), sites), f"objective {j} sites differ"
+        assert model_state(old_model) == model_state(new[j]), f"objective {j} differs"
+    for (old_sites, o), m in zip(old, new):  # RBF objectives past the first see their sites permuted
+        assert {tuple(s) for s in old_sites} == {tuple(s) for s in sites}
         pts = np.clip(center + 0.1 * (2 * halton(20, n, offset=9) - 1), 0.0, 1.0)
         np.testing.assert_allclose(m.values(pts), o.values(pts), rtol=1e-8, atol=1e-10)
 
