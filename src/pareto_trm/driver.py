@@ -273,7 +273,7 @@ def run(
     always returned. Passing a database lets the caller inspect or export the
     evaluated sites afterwards; its budget field is overwritten. `seed` only
     shifts the Halton sample of the model Hessian bound, which is computed
-    when a step's sufficient-decrease certificate first needs it.
+    when the curvature floor cannot certify a step's sufficient decrease.
     """
     x0 = np.asarray(x0, dtype=float)
     if not prob.feasible.contains(x0):

@@ -7,7 +7,13 @@ the sufficient decrease in standard form:
 
 with kappa = min(2 b (1 - a), a), w~ the clamped model criticality, c the
 number of objectives (inf-norm choice) and H the bundle's Hessian bound.
-The Pascoletti-Serafini step falls back to the strict Pareto-Cauchy step when
+The rhs is first evaluated at curvature_floor(c), the least value H takes,
+and H is computed only when lhs falls below that: the rhs is non-increasing
+in H under IEEE rounding (c H, w~ / (c H), the min and the product are each
+monotone), so a step the floor certifies is certified by H too, and every
+decision that reads the pair (the driver's sufficient-decrease check, the
+Pascoletti-Serafini fallback) comes out as it would with H. The
+Pascoletti-Serafini step falls back to the strict Pareto-Cauchy step when
 its subsolver does not reach that bound, so the certificate holds regardless
 of subsolver quality.
 """
@@ -23,7 +29,7 @@ from .criticality import CriticalityResult
 from .errors import BacktrackExhausted, ZeroDirection
 from .linalg import box_multistart_minimize
 from .problem import FeasibleSet, project_to_box, region_box
-from .surrogates import SurrogateBundle
+from .surrogates import SurrogateBundle, curvature_floor
 
 STEP_METHODS = ("modified-pc", "strict-pc", "pascoletti-serafini", "exact-pc")
 MAX_BACKTRACKS = 30  # Armijo halvings before BacktrackExhausted
@@ -49,6 +55,8 @@ class StepResult:
     trial: np.ndarray
     per_objective_decrease: np.ndarray
     certificate_lhs: float  # Phi_m(x) - Phi_m(x + s), the model decrease
+    # an upper bound of the standard-form rhs, equal to it whenever H was read:
+    # the rhs at the curvature floor when that already certifies the step
     certificate_rhs: float
     backtracks: int = 0
     tau: Optional[float] = None
@@ -64,21 +72,27 @@ def sufficient_decrease_kappa(a: float, b: float) -> float:
     return min(2.0 * b * (1.0 - a), a)
 
 
-def certificate_rhs(crit: CriticalityResult, bundle: SurrogateBundle, radius: float, cfg: StepConfig) -> float:
+def certificate_rhs(crit: CriticalityResult, c: int, H: float, radius: float, cfg: StepConfig) -> float:
+    """The standard-form rhs for c objectives and the curvature bound H."""
     kappa = sufficient_decrease_kappa(cfg.armijo_a, cfg.armijo_b)
     wt = crit.omega_clamped
-    return kappa * wt * min(wt / (bundle.k * bundle.hessian_bound), radius)
+    return kappa * wt * min(wt / (c * H), radius)
 
 
 def _certified(bundle, center, trial, m_center, m_trial, crit, radius, cfg, **extra) -> StepResult:
     """The step from center to trial, with its certificate (lhs, rhs): the
-    model decrease Phi_m(center) - Phi_m(trial) and the standard-form bound."""
+    model decrease Phi_m(center) - Phi_m(trial) and the standard-form bound,
+    at the curvature floor unless that fails to certify the step."""
+    lhs = float(np.max(m_center) - np.max(m_trial))
+    rhs = certificate_rhs(crit, bundle.k, curvature_floor(bundle.k), radius, cfg)
+    if lhs < rhs:
+        rhs = certificate_rhs(crit, bundle.k, bundle.hessian_bound, radius, cfg)
     return StepResult(
         step=trial - center,
         trial=trial,
         per_objective_decrease=m_center - m_trial,
-        certificate_lhs=float(np.max(m_center) - np.max(m_trial)),
-        certificate_rhs=certificate_rhs(crit, bundle, radius, cfg),
+        certificate_lhs=lhs,
+        certificate_rhs=rhs,
         **extra,
     )
 

@@ -679,10 +679,11 @@ class SurrogateBundle:
     cheap); `new_sites` counts the evaluations the build added to the
     database. The curvature bound H enters only the sufficient-decrease
     certificate of a step, so it is computed on the first read of
-    `hessian_bound` and cached:
-    criticality-loop rebuilds and bundles that never reach a step never pay
-    for it. `fs` is the scaled feasible set and `seed` shifts the bound's
-    Halton sample.
+    `hessian_bound` and cached. A step reads it only when the certificate
+    fails at `curvature_floor(k)`, which H never undercuts: the rhs cannot
+    grow with H, so a step that floor certifies is certified by H. Bundles
+    that never reach such a step never pay for it. `fs` is the scaled
+    feasible set and `seed` shifts the bound's Halton sample.
     """
 
     models: list
@@ -716,14 +717,20 @@ class SurrogateBundle:
         return np.vstack([m.gradients(u)[0] for m in self.models])
 
 
+def curvature_floor(c: float) -> float:
+    """The least value `hessian_bound` returns for c objectives: positive, and
+    large enough that c * H > 1 always holds."""
+    return max(1e-8, 1.01 / c)
+
+
 def hessian_bound(models, center, radius, fs: FeasibleSet, c: float, seed: int = 0) -> float:
-    """Max sampled/exact Frobenius Hessian norm over the region, floored and
-    clamped so that c * H > 1 always holds."""
+    """Max sampled/exact Frobenius Hessian norm over the region, never below
+    curvature_floor(c)."""
     lo, hi = region_box(center, radius, fs)
-    worst = 1e-8
+    worst = curvature_floor(c)
     for model in models:
         worst = max(worst, model.hessian_norm_bound(lo, hi, seed))
-    return float(max(worst, 1.01 / c))
+    return float(worst)
 
 
 def build_bundle(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pareto_trm import AlgoConfig, MODEL_SPECS, TestProblemSpec, make_problem, run
+from pareto_trm import AlgoConfig, MODEL_SPECS, StepConfig, TestProblemSpec, cli, make_problem, run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BENCH_DIGESTS = Path(__file__).resolve().parent / "golden" / "bench-digests.txt"
@@ -62,13 +62,17 @@ def test_workloads_build():
 
 def test_tracer_times_the_lazy_curvature_bound():
     # the bound is computed inside the step, through the module-level name the
-    # tracer swaps for its wrapper; a reference captured at import would bypass it
+    # tracer swaps for its wrapper; a reference captured at import would bypass it.
+    # One step of this run is not certified at the curvature floor, so it reads H.
     tracing = _load("tracing")
     tracer = tracing.Tracer()
-    prob = make_problem(TestProblemSpec("ZDT1", 3))
+    prob = make_problem(TestProblemSpec("ZDT1", 5, "first-cheap-rest-expensive"))
+    cfg = AlgoConfig(
+        models=MODEL_SPECS["rbf-cubic"], step=StepConfig(method="modified-pc"), max_iters=15
+    )
     with tracer.installed():
-        run(prob, AlgoConfig(models=MODEL_SPECS["rbf-cubic"], max_iters=3), np.full(3, 0.6))
-    assert tracer.summary()["surrogates.hessian_bound"]["calls"] > 0
+        run(prob, cfg, cli._start_points(prob, 4, 3)[0])
+    assert tracer.summary()["surrogates.hessian_bound"]["calls"] == 1
     layers = [tracing.LAYERS[i] for i in tracer.layer]
     parents = {layers[tracer.parent[i]] for i, name in enumerate(layers)
                if name == "surrogates.hessian_bound"}

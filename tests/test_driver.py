@@ -33,7 +33,6 @@ from pareto_trm.errors import (
     InfeasiblePoint,
     LPFailure,
 )
-from pareto_trm.linalg import halton
 from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
 from pareto_trm.steps import StepConfig
 from pareto_trm.surrogates import MODEL_SPECS, build_bundle, hessian_bound
@@ -508,6 +507,24 @@ def test_exhausted_backtracking_takes_a_zero_step_and_continues(monkeypatch):
     assert sum(rep.violations.values()) == 0
 
 
+def test_dtlz6_face_exhausts_backtracking_without_a_patch():
+    # the center sits at DTLZ6's x_i = 0 face, where g = sum x_i^0.1 is not
+    # Lipschitz: the cheap first objective's model slopes down along d but its
+    # difference quotient is positive, so no Armijo step exists
+    prob = make_problem(TestProblemSpec("DTLZ6", 6, "first-cheap-rest-expensive"))
+    cfg = AlgoConfig(
+        models=MODEL_SPECS["rbf-gaussian-adaptive"],
+        step=StepConfig(method="strict-pc"),
+        max_iters=8,
+    )
+    rep = run(prob, cfg, cli._start_points(prob, 2, 3)[1], seed=0)
+    outcome = (rep.stop_reason, rep.expensive_evals, len(rep.iterations))
+    assert outcome == (STOP_MAX_ITERATIONS, 24, 8)
+    assert rep.anomalies == [f"t={t}: no Armijo step within 30 halvings" for t in (5, 6, 7)]
+    assert [rec["step_norm"] for rec in rep.iterations[5:]] == [0.0] * 3
+    assert all(v == 0 for v in rep.violations.values())
+
+
 def test_trial_outside_the_box_is_a_feasibility_violation(monkeypatch):
     real_step = driver.compute_step
 
@@ -553,18 +570,39 @@ def test_badly_scaled_surrogate_gradients_keep_the_run_going():
     assert (rep.expensive_evals, len(rep.iterations)) == (32, 15)
 
 
-def _zdt1_recorded_run():
-    """ZDT1 n=5 rbf-cubic from the first bench start point: its criticality
-    loop rebuilds bundles that never reach a step."""
-    prob = make_problem(TestProblemSpec("ZDT1", 5))
+def _zdt1_bound_run():
+    """ZDT1 n=5 rbf-cubic with a cheap first objective, from a campaign start
+    point: the curvature floor certifies every step of it but one."""
+    prob = make_problem(TestProblemSpec("ZDT1", 5, "first-cheap-rest-expensive"))
     cfg = AlgoConfig(
         models=MODEL_SPECS["rbf-cubic"], step=StepConfig(method="modified-pc"), max_iters=15
     )
-    return prob, cfg, 0.1 + 0.8 * halton(1, 5)[0]
+    return prob, cfg, cli._start_points(prob, 4, 3)[0]
+
+
+def _record_certificates(monkeypatch) -> list:
+    """Wrap steps._certified; each certificate appends (bundle, result, rhs at
+    the curvature floor, rhs as a function of H)."""
+    real = steps._certified
+    records = []
+
+    def recorded(bundle, center, trial, m_center, m_trial, crit, radius, cfg, **extra):
+        res = real(bundle, center, trial, m_center, m_trial, crit, radius, cfg, **extra)
+
+        def rhs(H):
+            return steps.certificate_rhs(crit, bundle.k, H, radius, cfg)
+
+        records.append((bundle, res, rhs(surrogates.curvature_floor(bundle.k)), rhs))
+        return res
+
+    monkeypatch.setattr(steps, "_certified", recorded)
+    return records
 
 
 def test_lazy_bound_matches_eager_bound(monkeypatch):
-    prob, cfg, x0 = _zdt1_recorded_run()
+    # H is computed exactly for the bundles with a certificate whose lhs falls
+    # below the rhs at the curvature floor, and then it is the eager bound
+    prob, cfg, x0 = _zdt1_bound_run()
     built = []  # (bundle, the bound computed eagerly at build time)
 
     def build_and_bound(prob, db, spec, center, radius, delta_ub, seed=0):
@@ -576,32 +614,38 @@ def test_lazy_bound_matches_eager_bound(monkeypatch):
         return bundle
 
     monkeypatch.setattr(driver, "build_bundle", build_and_bound)
-    run(prob, cfg, x0, seed=0)
+    certificates = _record_certificates(monkeypatch)
+    rep = run(prob, cfg, x0, seed=0)
+    outcome = (rep.stop_reason, rep.expensive_evals, len(rep.iterations))
+    assert outcome == (STOP_MAX_ITERATIONS, 24, 15)
+    eager_of = {id(b): eager for b, eager in built}
+    below = {id(b) for b, res, floor_rhs, _ in certificates if res.certificate_lhs < floor_rhs}
     stepped = [(b, eager) for b, eager in built if "hessian_bound" in vars(b)]
-    assert 0 < len(stepped) < len(built)
+    assert {id(b) for b, _ in stepped} == below
+    assert 0 < len(stepped) < len(certificates)
     for bundle, eager in stepped:
         assert bundle.hessian_bound == eager
+    for bundle, res, floor_rhs, rhs in certificates:
+        if id(bundle) in below:
+            assert res.certificate_rhs == rhs(eager_of[id(bundle)])
+        else:
+            assert res.certificate_rhs == floor_rhs >= rhs(eager_of[id(bundle)])
 
 
-def test_bound_computed_once_per_bundle_that_reaches_a_step(monkeypatch):
+def test_bound_computed_once_per_bundle_the_floor_cannot_certify(monkeypatch):
     calls = []
-    real_bound, real_rhs = surrogates.hessian_bound, steps.certificate_rhs
+    real_bound = surrogates.hessian_bound
 
     def counted_bound(*args, **kwargs):
         calls.append(1)
         return real_bound(*args, **kwargs)
 
-    certified = []
-
-    def recorded_rhs(crit, bundle, radius, cfg):
-        certified.append(bundle)
-        return real_rhs(crit, bundle, radius, cfg)
-
     monkeypatch.setattr(surrogates, "hessian_bound", counted_bound)
-    monkeypatch.setattr(steps, "certificate_rhs", recorded_rhs)
-    prob, cfg, x0 = _zdt1_recorded_run()
+    certificates = _record_certificates(monkeypatch)
+    prob, cfg, x0 = _zdt1_bound_run()
     run(prob, cfg, x0, seed=0)
-    assert calls and len(calls) == len({id(b) for b in certified})
+    below = {id(b) for b, res, floor_rhs, _ in certificates if res.certificate_lhs < floor_rhs}
+    assert len(calls) == len(below) == 1
 
     # a run that stops at the criticality test never computes the bound
     calls.clear()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pareto_trm.criticality import omega_of_gradients
+from pareto_trm.criticality import CriticalityResult, omega_of_gradients
 from pareto_trm.errors import ZeroDirection
 from pareto_trm.linalg import box_multistart_minimize
 from pareto_trm.problem import FeasibleSet
@@ -9,13 +11,14 @@ from pareto_trm.steps import (
     StepConfig,
     _sigma_box_exit,
     bar_sigma,
+    certificate_rhs,
     exact_pareto_cauchy,
     local_ideal_point,
     modified_pareto_cauchy,
     pascoletti_serafini,
     strict_pareto_cauchy,
 )
-from pareto_trm.surrogates import PolyModel, SurrogateBundle
+from pareto_trm.surrogates import PolyModel, SurrogateBundle, curvature_floor
 
 UNC = FeasibleSet.unconstrained()
 
@@ -323,3 +326,46 @@ class TestPascolettiSerafini:
             assert res.certificate_lhs >= res.certificate_rhs - 1e-12
             assert UNC.contains(res.trial)
             assert np.max(np.abs(res.trial - center)) <= 0.4 + 1e-10
+
+
+@pytest.mark.parametrize("center, floor_certifies", [(1.0, True), (0.01, False)])
+def test_bound_is_read_only_when_the_floor_does_not_certify(center, floor_certifies):
+    # m(x) = 100 x^2 has H = 200: from x = 1 the first trial reaches the
+    # minimizer, from x = 0.01 six halvings leave a decrease below the floor rhs
+    bundle = make_bundle([quad_model([0.0], scale=100.0)], [center], 1.0)
+    crit = crit_at(bundle, [center])
+    cfg = StepConfig(method="modified-pc")
+    res = modified_pareto_cauchy(bundle, [center], 1.0, crit, cfg, UNC)
+    floor_rhs = certificate_rhs(crit, 1, curvature_floor(1), 1.0, cfg)
+    assert (res.certificate_lhs >= floor_rhs) == floor_certifies
+    assert ("hessian_bound" in vars(bundle)) != floor_certifies
+    if floor_certifies:
+        assert res.certificate_rhs == floor_rhs
+    else:
+        assert bundle.hessian_bound == pytest.approx(200.0)
+        assert res.certificate_rhs == certificate_rhs(crit, 1, bundle.hessian_bound, 1.0, cfg)
+        assert res.certificate_rhs < floor_rhs
+    assert res.certificate_lhs >= res.certificate_rhs
+
+
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_floor_certificate_implies_the_certificate_at_every_larger_bound(data):
+    c = data.draw(st.integers(1, 10), label="c")
+    floor = curvature_floor(c)
+    H = data.draw(
+        st.one_of(st.just(floor), st.just(np.inf), st.floats(min_value=floor, allow_infinity=True)),
+        label="H",
+    )
+    w = data.draw(st.floats(min_value=0.0, max_value=1e300), label="omega")
+    radius = data.draw(st.floats(min_value=0.0, max_value=1e300, exclude_min=True), label="radius")
+    a, b = data.draw(open_unit, label="a"), data.draw(open_unit, label="b")
+    cfg = StepConfig(armijo_a=a, armijo_b=b)
+    crit = CriticalityResult(np.zeros(1), w, w)
+    floor_rhs = certificate_rhs(crit, c, floor, radius, cfg)
+    lhs = data.draw(st.one_of(st.just(floor_rhs), st.floats(allow_nan=False)), label="lhs")
+    if lhs >= floor_rhs:
+        assert lhs >= certificate_rhs(crit, c, H, radius, cfg)
