@@ -50,28 +50,17 @@ def _usage_error(msg: str) -> int:
     return 1
 
 
-def _resolve_model(name: str):
-    if name not in MODEL_SPECS:
-        raise KeyError(
-            f"unknown model {name!r}; available: {', '.join(sorted(MODEL_SPECS))}"
-        )
-    return MODEL_SPECS[name]
-
-
-def _resolve_step(name: str) -> str:
-    if name not in STEP_NAMES:
-        raise KeyError(
-            f"unknown step {name!r}; available: {', '.join(sorted(STEP_NAMES))}"
-        )
-    return STEP_NAMES[name]
+def _lookup(table: dict, kind: str, name: str):
+    if name not in table:
+        raise KeyError(f"unknown {kind} {name!r}; available: {', '.join(sorted(table))}")
+    return table[name]
 
 
 def _algo_config(overrides: dict, model_name: str, step_name: str) -> AlgoConfig:
     overrides = dict(overrides or {})
     step_over = overrides.pop("step", {})
-    step = StepConfig(method=_resolve_step(step_name), **step_over)
-    cfg = AlgoConfig(models=_resolve_model(model_name), step=step, **overrides)
-    return cfg
+    step = StepConfig(method=_lookup(STEP_NAMES, "step", step_name), **step_over)
+    return AlgoConfig(models=_lookup(MODEL_SPECS, "model", model_name), step=step, **overrides)
 
 
 def _start_points(prob, n_starts: int, seed: int) -> np.ndarray:

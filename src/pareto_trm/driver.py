@@ -110,9 +110,9 @@ class IterationRecord:
     delta_after: float
     step_norm: float
     expensive_evals_cum: int
-    fully_linear: bool
     criticality_loops: int
     backtracks: int = 0
+    fully_linear: bool = True  # every bundle is certified fully linear when it is built
     omega_true_clamped: Optional[float] = None
 
 
@@ -244,7 +244,7 @@ def criticality_routine(
     return bundle, delta_out, crit, j, cap
 
 
-def check_stopping(state: TrustRegionState, step_norm: Optional[float], cfg: AlgoConfig,
+def check_stopping(state: TrustRegionState, step_norm: float, cfg: AlgoConfig,
                    expensive: int, budget: Optional[int]) -> Optional[str]:
     """First applicable stop reason, or None."""
     if state.t >= cfg.max_iters:
@@ -253,14 +253,9 @@ def check_stopping(state: TrustRegionState, step_norm: Optional[float], cfg: Alg
         return STOP_BUDGET
     if state.delta <= cfg.delta_min:
         return STOP_RADIUS_MIN
-    if step_norm is not None and state.delta <= cfg.delta_crit and step_norm <= cfg.eps_rel:
+    if state.delta <= cfg.delta_crit and step_norm <= cfg.eps_rel:
         return STOP_RADIUS_CRIT_SMALL_STEP
     return None
-
-
-def _expensive_count(db: EvaluationDatabase) -> int:
-    exp = db.problem.expensive_mask
-    return int(db.eval_counts[exp].max()) if np.any(exp) else 0
 
 
 def run(
@@ -269,11 +264,13 @@ def run(
 ) -> RunReport:
     """Run the trust-region method from x0 (original coordinates).
 
-    Errors inside the loop convert into stop reasons; the partial report is
-    always returned. Passing a database lets the caller inspect or export the
-    evaluated sites afterwards; its budget field is overwritten. `seed` only
-    shifts the Halton sample of the model Hessian bound, which is computed
-    when the curvature floor cannot certify a step's sufficient decrease.
+    Every iteration has one failure boundary: BudgetExhausted stops the run
+    as budget-exhausted, and any other package error stops it as
+    error:<Type> with one anomaly; the partial report is always returned.
+    Passing a database lets the caller inspect or export the evaluated sites
+    afterwards; its budget field is overwritten. `seed` only shifts the
+    Halton sample of the model Hessian bound, which is computed when the
+    curvature floor cannot certify a step's sufficient decrease.
     """
     x0 = np.asarray(x0, dtype=float)
     if not prob.feasible.contains(x0):
@@ -293,36 +290,42 @@ def run(
     anomalies: list[str] = []
     violations = {"sufficient_decrease": 0, "monotonicity": 0, "feasibility": 0, "radius_cap": 0}
     min_r_ratio: Optional[float] = None
-    stop: Optional[str] = None
     tol = 1e-9
 
-    try:
-        f0 = db.evaluate(x0)
-    except (BudgetExhausted, ObjectiveFailure) as exc:
-        stop = STOP_BUDGET if isinstance(exc, BudgetExhausted) else f"error:{type(exc).__name__}"
-        report_x = project_to_box(x0, prob.feasible)
+    def report(stop_reason, final_x, final_f, final_omega_m, final_true=None, nondiff=False):
         return RunReport(
             problem_name=prob.name,
             n_vars=prob.n_vars,
             n_objs=prob.n_objs,
-            stop_reason=stop,
-            iterations=[],
-            final_x=[float(v) for v in report_x],
-            final_f=[],
-            final_omega_m_clamped=float("nan"),
+            stop_reason=stop_reason,
+            iterations=[asdict(r) for r in records],
+            final_x=[float(v) for v in final_x],
+            final_f=[float(v) for v in final_f],
+            final_omega_m_clamped=float(final_omega_m),
+            final_omega_true_clamped=final_true,
+            final_nondifferentiable=nondiff,
             eval_counts=[int(v) for v in db.eval_counts],
-            expensive_evals=_expensive_count(db),
-            diagnostic_evals=0,
-            anomalies=[str(exc)],
+            expensive_evals=db.expensive_evals,
+            diagnostic_evals=int(diag_counter["evals"]),
+            anomalies=anomalies,
             violations=violations,
+            min_r_ratio=min_r_ratio,
             config=asdict(cfg),
             x0=[float(v) for v in x0],
         )
 
+    try:
+        f0 = db.evaluate(x0)
+    except (BudgetExhausted, ObjectiveFailure) as exc:
+        anomalies.append(str(exc))
+        stop = STOP_BUDGET if isinstance(exc, BudgetExhausted) else f"error:{type(exc).__name__}"
+        return report(stop, project_to_box(x0, prob.feasible), [], float("nan"))
+
     state = TrustRegionState(x=prob.scale(x0), delta=cfg.delta0, t=0, f_current=f0)
     crit: Optional[CriticalityResult] = None
+    stop: Optional[str] = None
 
-    while True:
+    while stop is None:
         delta_before = state.delta
         crit_loops = 0
         try:
@@ -344,75 +347,62 @@ def run(
                             delta_before=delta_before,
                             delta_after=state.delta,
                             step_norm=0.0,
-                            expensive_evals_cum=_expensive_count(db),
-                            fully_linear=True,
+                            expensive_evals_cum=db.expensive_evals,
                             criticality_loops=crit_loops,
                         )
                     )
                     stop = STOP_CRITICALITY_LOOP_CAP
-                    break
+                    continue
+
+            # descent step; the zero step at a model-critical center or when
+            # backtracking runs out
+            step_res = None
+            if crit.omega_clamped > 0.0:
+                try:
+                    step_res = compute_step(bundle, state.x, state.delta, crit, cfg.step, fss)
+                except BacktrackExhausted as exc:
+                    anomalies.append(f"t={state.t}: {exc}")
+            if step_res is None:
+                step_res = zero_step(state.x)
+            r_ratio = step_res.r_ratio
+            if r_ratio is not None:
+                min_r_ratio = r_ratio if min_r_ratio is None else min(min_r_ratio, r_ratio)
+
+            # feasibility invariants, before the trial is evaluated
+            if not fss.contains(step_res.trial):
+                violations["feasibility"] += 1
+            if np.max(np.abs(step_res.trial - state.x)) > state.delta * (1 + 1e-9) + 1e-15:
+                violations["feasibility"] += 1
+
+            # evaluate the trial point and the acceptance ratio
+            if step_res.is_zero:
+                f_trial, rho = state.f_current, 0.0
+            else:
+                f_trial = db.evaluate(prob.unscale(step_res.trial))
+                m_center = bundle.values(state.x)
+                m_trial = bundle.values(step_res.trial)
+                try:
+                    rho = compute_rho(state.f_current, f_trial, m_center, m_trial, cfg.acceptance)
+                except DegenerateDenominator as exc:
+                    anomalies.append(f"t={state.t}: {exc}")
+                    rho = -np.inf
         except BudgetExhausted:
             stop = STOP_BUDGET
-            break
+            continue
         except ParetoTRMError as exc:
             anomalies.append(f"t={state.t}: {exc}")
             stop = f"error:{type(exc).__name__}"
-            break
-
-        # descent step
-        if crit.omega_clamped <= 0.0:
-            step_res = zero_step(bundle, state.x)
-        else:
-            try:
-                step_res = compute_step(bundle, state.x, state.delta, crit, cfg.step, fss)
-            except BacktrackExhausted as exc:
-                anomalies.append(f"t={state.t}: {exc}")
-                step_res = zero_step(bundle, state.x)
-            except ParetoTRMError as exc:
-                anomalies.append(f"t={state.t}: {exc}")
-                stop = f"error:{type(exc).__name__}"
-                break
-        if step_res.r_ratio is not None:
-            min_r_ratio = step_res.r_ratio if min_r_ratio is None else min(min_r_ratio, step_res.r_ratio)
-
-        # feasibility invariants, before the trial is evaluated
-        if not fss.contains(step_res.trial):
-            violations["feasibility"] += 1
-        if np.max(np.abs(step_res.trial - state.x)) > state.delta * (1 + 1e-9) + 1e-15:
-            violations["feasibility"] += 1
-
-        # evaluate the trial point and the acceptance ratio
-        if step_res.is_zero:
-            f_trial = state.f_current
-            rho = 0.0
-        else:
-            try:
-                f_trial = db.evaluate(prob.unscale(step_res.trial))
-            except BudgetExhausted:
-                stop = STOP_BUDGET
-                break
-            except (ObjectiveFailure, InfeasiblePoint) as exc:
-                anomalies.append(f"t={state.t}: {exc}")
-                stop = f"error:{type(exc).__name__}"
-                break
-            m_center = bundle.values(state.x)
-            m_trial = bundle.values(step_res.trial)
-            try:
-                rho = compute_rho(state.f_current, f_trial, m_center, m_trial, cfg.acceptance)
-            except DegenerateDenominator as exc:
-                anomalies.append(f"t={state.t}: {exc}")
-                rho = -np.inf
+            continue
 
         classification = classify_iteration(rho, cfg)
 
-        # runtime invariants
-        if not step_res.is_zero:
-            lhs, rhs = step_res.certificate_lhs, step_res.certificate_rhs
-            if lhs + tol * (1 + abs(lhs)) < rhs:
-                violations["sufficient_decrease"] += 1
+        # runtime invariants; a zero step certifies (0, 0) and keeps f, so it passes them
+        lhs, rhs = step_res.certificate_lhs, step_res.certificate_rhs
+        if lhs + tol * (1 + abs(lhs)) < rhs:
+            violations["sufficient_decrease"] += 1
         if state.delta > cfg.delta_ub * (1 + 1e-12):
             violations["radius_cap"] += 1
-        if classification in (SUCCESSFUL, ACCEPTABLE) and not step_res.is_zero:
+        if classification in (SUCCESSFUL, ACCEPTABLE):
             if cfg.acceptance == "strict":
                 if np.any(f_trial > state.f_current + tol * (1 + np.abs(state.f_current))):
                     violations["monotonicity"] += 1
@@ -444,19 +434,15 @@ def run(
                 delta_before=delta_before,
                 delta_after=new_state.delta,
                 step_norm=step_norm,
-                expensive_evals_cum=_expensive_count(db),
-                fully_linear=True,
+                expensive_evals_cum=db.expensive_evals,
                 criticality_loops=crit_loops,
                 backtracks=step_res.backtracks,
                 omega_true_clamped=omega_true_val,
             )
         )
         state = new_state
-        stop = check_stopping(state, step_norm, cfg, _expensive_count(db), budget)
-        if stop is not None:
-            break
+        stop = check_stopping(state, step_norm, cfg, db.expensive_evals, budget)
 
-    final_omega_m = crit.omega_clamped if crit is not None else float("nan")
     final_x = prob.unscale(state.x)
     nondiff = False
     try:
@@ -465,24 +451,5 @@ def run(
         final_true, nondiff = 0.0, True
     except ParetoTRMError:
         final_true = None
-
-    return RunReport(
-        problem_name=prob.name,
-        n_vars=prob.n_vars,
-        n_objs=prob.n_objs,
-        stop_reason=stop or "unknown",
-        iterations=[asdict(r) for r in records],
-        final_x=[float(v) for v in final_x],
-        final_f=[float(v) for v in state.f_current],
-        final_omega_m_clamped=float(final_omega_m),
-        eval_counts=[int(v) for v in db.eval_counts],
-        expensive_evals=_expensive_count(db),
-        diagnostic_evals=int(diag_counter["evals"]),
-        final_omega_true_clamped=final_true,
-        final_nondifferentiable=nondiff,
-        anomalies=anomalies,
-        violations=violations,
-        min_r_ratio=min_r_ratio,
-        config=asdict(cfg),
-        x0=[float(v) for v in x0],
-    )
+    final_omega_m = crit.omega_clamped if crit is not None else float("nan")
+    return report(stop, final_x, state.f_current, final_omega_m, final_true, nondiff)

@@ -235,6 +235,12 @@ class EvaluationDatabase:
         return len(self.sites)
 
     @property
+    def expensive_evals(self) -> int:
+        """What the budget is charged: the most evaluations of any expensive objective."""
+        exp = self.problem.expensive_mask
+        return int(self.eval_counts[exp].max()) if exp.any() else 0
+
+    @property
     def _scaled(self) -> np.ndarray:
         return self._buffer[: len(self.sites)]
 
@@ -328,10 +334,9 @@ class EvaluationDatabase:
             raise DimensionMismatch(f"expected length {n}")
         X = np.atleast_2d(x)
         Z, stop = self._feasible_prefix(X)
-        exp = self.problem.expensive_mask
         room = len(X)
-        if self.max_expensive is not None and exp.any():
-            room = self.max_expensive - int(self.eval_counts[exp].max())
+        if self.max_expensive is not None and self.problem.expensive_mask.any():
+            room = self.max_expensive - self.expensive_evals
         first = self._size
         src: list[int] = []  # the buffer row each read row takes its values from
         fresh: list[int] = []  # the rows to evaluate and store, in order

@@ -53,13 +53,11 @@ class StepConfig:
 class StepResult:
     step: np.ndarray
     trial: np.ndarray
-    per_objective_decrease: np.ndarray
     certificate_lhs: float  # Phi_m(x) - Phi_m(x + s), the model decrease
     # an upper bound of the standard-form rhs, equal to it whenever H was read:
     # the rhs at the curvature floor when that already certifies the step
     certificate_rhs: float
     backtracks: int = 0
-    tau: Optional[float] = None
     r_ratio: Optional[float] = None
     fallback: bool = False
 
@@ -90,18 +88,17 @@ def _certified(bundle, center, trial, m_center, m_trial, crit, radius, cfg, **ex
     return StepResult(
         step=trial - center,
         trial=trial,
-        per_objective_decrease=m_center - m_trial,
         certificate_lhs=lhs,
         certificate_rhs=rhs,
         **extra,
     )
 
 
-def zero_step(bundle: SurrogateBundle, center) -> StepResult:
+def zero_step(center) -> StepResult:
+    """No move: the trial is the center, certified by (0, 0)."""
     center = np.asarray(center, dtype=float)
     return StepResult(
-        step=np.zeros_like(center), trial=center.copy(), per_objective_decrease=np.zeros(bundle.k),
-        certificate_lhs=0.0, certificate_rhs=0.0,
+        step=np.zeros_like(center), trial=center.copy(), certificate_lhs=0.0, certificate_rhs=0.0
     )
 
 
@@ -245,9 +242,7 @@ def pascoletti_serafini(bundle, center, radius, crit, fs, cfg: StepConfig) -> St
     r = np.maximum(m_center - ideal, 0.0)
     r_max = float(np.max(r))
     if r_max <= 1e-12:
-        res = zero_step(bundle, center)
-        res.tau = 0.0
-        return res
+        return zero_step(center)
     r_ratio = float(np.min(r) / r_max)
     r_safe = np.maximum(r, 1e-9 * r_max)
     lo, hi = region_box(center, radius, fs)
@@ -283,14 +278,11 @@ def pascoletti_serafini(bundle, center, radius, crit, fs, cfg: StepConfig) -> St
         v2, g2, lo, hi, n_starts=1, seed=8, max_iters=150, include=x_best[None, :]
     )
     trial = project_to_box(x_best, fs)
-    m_trial = bundle.values(trial)
-    tau = float(np.max((m_trial - m_center) / r_safe))
     res = _certified(
-        bundle, center, trial, m_center, m_trial, crit, radius, cfg, tau=tau, r_ratio=r_ratio
+        bundle, center, trial, m_center, bundle.values(trial), crit, radius, cfg, r_ratio=r_ratio
     )
     if res.certificate_lhs < res.certificate_rhs and crit.omega > 0.0:
         res = strict_pareto_cauchy(bundle, center, radius, crit, cfg, fs)
-        res.tau = tau
         res.r_ratio = r_ratio
         res.fallback = True
     return res

@@ -294,7 +294,7 @@ def test_criterion_9_pascoletti_serafini_contract():
         bundle = _bundle([_quad_model(center), _quad_model(center, 2.0)], center, 0.3)
         crit = omega_of_gradients(bundle.gradients(center), center, fs)
         res = pascoletti_serafini(bundle, center, 0.3, crit, fs, cfg)
-        zero_ok += res.is_zero and res.tau == 0.0
+        zero_ok += res.is_zero and res.certificate_lhs == res.certificate_rhs == 0.0
     # 50 random non-critical bundles: certificate must hold (fallback allowed)
     cert_ok, tried = 0, 0
     while tried < 50:

@@ -14,7 +14,9 @@ import numpy as np
 from pareto_trm import AlgoConfig, MODEL_SPECS, StepConfig, TestProblemSpec, cli, make_problem, run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-BENCH_DIGESTS = Path(__file__).resolve().parent / "golden" / "bench-digests.txt"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_DIGESTS = GOLDEN / "bench-digests.txt"
+BENCH_REPORTS = GOLDEN / "bench-reports.txt"
 
 
 def _load(name):
@@ -98,11 +100,20 @@ def test_tracer_times_every_builder():
         assert summary[layer]["calls"] == summary["surrogates.build_bundle"]["calls"], model
 
 
-def test_every_workload_has_a_committed_digest():
-    # CI compares each workload's outcome digest at seeds 0 and 1 with this file
+def _assert_one_digest_per_workload_and_seed(path):
     workloads = _load("workloads")
-    rows = [line.split() for line in BENCH_DIGESTS.read_text(encoding="utf-8").splitlines()]
+    rows = [line.split() for line in path.read_text(encoding="utf-8").splitlines()]
     assert sorted((name, seed) for name, seed, _ in rows) == sorted(
         (name, seed) for name in workloads.WORKLOADS for seed in ("0", "1")
     )
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, _, digest in rows)
+
+
+def test_every_workload_has_a_committed_digest():
+    # CI compares each workload's outcome digest at seeds 0 and 1 with this file
+    _assert_one_digest_per_workload_and_seed(BENCH_DIGESTS)
+
+
+def test_every_workload_has_a_committed_reports_digest():
+    # CI compares tools/bench_reports.py at seeds 0 and 1 with this file
+    _assert_one_digest_per_workload_and_seed(BENCH_REPORTS)

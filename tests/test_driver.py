@@ -29,9 +29,11 @@ from pareto_trm.driver import (
 )
 from pareto_trm.errors import (
     BacktrackExhausted,
+    BudgetExhausted,
     DegenerateDenominator,
     InfeasiblePoint,
     LPFailure,
+    ObjectiveFailure,
 )
 from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
 from pareto_trm.steps import StepConfig
@@ -652,3 +654,92 @@ def test_bound_computed_once_per_bundle_the_floor_cannot_certify(monkeypatch):
     rep = run(two_quadratics([0.0, 0.0], [0.0, 0.0]), AlgoConfig(models=None, n_loops=3), [0.0, 0.0])
     assert rep.stop_reason == STOP_CRITICALITY_LOOP_CAP
     assert calls == []
+
+
+def _fail_on_call(monkeypatch, owner, name, call, exc):
+    """Make owner.name raise exc on its call-th call and behave as before otherwise."""
+    real = getattr(owner, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == call:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+# phase -> (owner, attribute, the call that fails, start, the records kept before it).
+# A non-critical start takes one full iteration first, so the failure lands at t=1;
+# the critical start enters the criticality routine at t=0, whose first rebuild
+# is the second bundle build.
+_PHASES = {
+    "model build": (driver, "build_bundle", 2, "descent", 1),
+    "criticality rebuild": (driver, "build_bundle", 2, "critical", 0),
+    "step": (driver, "compute_step", 2, "descent", 1),
+    "trial evaluation": (EvaluationDatabase, "evaluate", 3, "descent", 1),
+}
+_STARTS = {
+    "descent": (([0.1, 0.2], [0.8, 0.9]), [2.0, 2.0]),
+    "critical": (([0.0, 0.0], [0.0, 0.0]), [0.0, 0.0]),
+}
+
+
+def _run_failing(monkeypatch, phase, exc):
+    """(the run with exc raised in phase, the records a clean run keeps before it)."""
+    owner, name, call, start, kept = _PHASES[phase]
+    (a, b), x0 = _STARTS[start]
+    cfg = AlgoConfig(models=None, max_iters=3, n_loops=3)
+    clean = run(two_quadratics(a, b), cfg, x0, seed=0)
+    _fail_on_call(monkeypatch, owner, name, call, exc)
+    return run(two_quadratics(a, b), cfg, x0, seed=0), clean.iterations[:kept]
+
+
+@pytest.mark.parametrize("phase, exc", [
+    ("model build", LPFailure("forced")),
+    ("model build", BudgetExhausted("forced")),
+    ("criticality rebuild", LPFailure("forced")),
+    ("criticality rebuild", BudgetExhausted("forced")),
+    ("step", LPFailure("forced")),
+    ("trial evaluation", ObjectiveFailure("forced")),
+    ("trial evaluation", BudgetExhausted("forced")),
+], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_a_failure_in_any_phase_ends_the_run_with_one_stop(monkeypatch, phase, exc):
+    rep, kept = _run_failing(monkeypatch, phase, exc)
+    if isinstance(exc, BudgetExhausted):
+        assert (rep.stop_reason, rep.anomalies) == (STOP_BUDGET, [])
+    else:
+        stop = f"error:{type(exc).__name__}"
+        assert (rep.stop_reason, rep.anomalies) == (stop, [f"t={len(kept)}: forced"])
+    assert rep.iterations == kept
+    assert sum(rep.violations.values()) == 0
+
+
+@pytest.mark.parametrize("phase, exc, stop, anomalies", [
+    ("step", BudgetExhausted("forced"), STOP_BUDGET, []),
+    ("trial evaluation", LPFailure("forced"), "error:LPFailure", ["t=1: forced"]),
+], ids=["step-BudgetExhausted", "trial-LPFailure"])
+def test_every_phase_maps_an_error_to_the_same_stop(monkeypatch, phase, exc, stop, anomalies):
+    # the one failure boundary does not depend on which phase raised
+    rep, kept = _run_failing(monkeypatch, phase, exc)
+    assert (rep.stop_reason, rep.anomalies, rep.iterations) == (stop, anomalies, kept)
+
+
+def test_a_step_that_stays_at_its_center_is_checked_like_any_other(monkeypatch):
+    # a zero step certifies (0, 0); a step method that returns its own center
+    # with a positive bound has not certified its decrease
+    real_step = driver.compute_step
+
+    def stays(bundle, center, radius, crit, cfg, fs):
+        res = real_step(bundle, center, radius, crit, cfg, fs)
+        assert res.certificate_rhs > 0.0
+        return dataclasses.replace(
+            res, step=np.zeros_like(center), trial=center.copy(), certificate_lhs=0.0
+        )
+
+    monkeypatch.setattr(driver, "compute_step", stays)
+    prob = two_quadratics([0.1, 0.2], [0.8, 0.9])
+    rep = run(prob, AlgoConfig(models=None, max_iters=2), [2.0, 2.0], seed=0)
+    assert len(rep.iterations) == 2
+    assert rep.violations["sufficient_decrease"] == 2
