@@ -191,19 +191,19 @@ def classify_iteration(rho: float, cfg: AlgoConfig) -> str:
 def update_state(
     state: TrustRegionState,
     classification: str,
-    rho: float,
     trial: np.ndarray,
     f_trial: np.ndarray,
     cfg: AlgoConfig,
 ) -> TrustRegionState:
-    """Iterate and radius update (endpoint concretization of the interval rule)."""
+    """Iterate and radius update (endpoint concretization of the interval rule);
+    the radius factor follows the class."""
     x, delta, f_cur = state.x, state.delta, state.f_current
     if classification == SUCCESSFUL or classification == ACCEPTABLE:
         x = np.asarray(trial, dtype=float)
         f_cur = np.asarray(f_trial, dtype=float)
     if classification == SUCCESSFUL:
         delta = min(cfg.gamma_up * delta, cfg.delta_ub)
-    elif rho < cfg.nu_p:
+    elif classification == INACCEPTABLE:
         delta = cfg.gamma_downdown * delta
     else:
         delta = cfg.gamma_down * delta
@@ -374,9 +374,10 @@ def run(
             if np.max(np.abs(step_res.trial - state.x)) > state.delta * (1 + 1e-9) + 1e-15:
                 violations["feasibility"] += 1
 
-            # evaluate the trial point and the acceptance ratio
+            # evaluate the trial point and the acceptance ratio; a zero step
+            # decreases nothing, so it is inacceptable and shrinks the radius
             if step_res.is_zero:
-                f_trial, rho = state.f_current, 0.0
+                f_trial, rho, classification = state.f_current, 0.0, INACCEPTABLE
             else:
                 f_trial = db.evaluate(prob.unscale(step_res.trial))
                 m_center = bundle.values(state.x)
@@ -386,6 +387,7 @@ def run(
                 except DegenerateDenominator as exc:
                     anomalies.append(f"t={state.t}: {exc}")
                     rho = -np.inf
+                classification = classify_iteration(rho, cfg)
         except BudgetExhausted:
             stop = STOP_BUDGET
             continue
@@ -393,8 +395,6 @@ def run(
             anomalies.append(f"t={state.t}: {exc}")
             stop = f"error:{type(exc).__name__}"
             continue
-
-        classification = classify_iteration(rho, cfg)
 
         # runtime invariants; a zero step certifies (0, 0) and keeps f, so it passes them
         lhs, rhs = step_res.certificate_lhs, step_res.certificate_rhs
@@ -422,7 +422,7 @@ def run(
             except ParetoTRMError as exc:  # e.g. LPFailure: the diagnostic has no value
                 anomalies.append(f"t={state.t}: true_omega diagnostic: {exc}")
 
-        new_state = update_state(state, classification, rho, step_res.trial, f_trial, cfg)
+        new_state = update_state(state, classification, step_res.trial, f_trial, cfg)
         # s^t is the displacement of the iterate: zero when the trial is rejected
         step_norm = float(np.max(np.abs(new_state.x - state.x)))
         records.append(

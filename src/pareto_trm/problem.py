@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -21,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     InfeasiblePoint,
     ObjectiveFailure,
+    ParetoTRMError,
 )
 
 UNCONSTRAINED = "unconstrained"
@@ -206,33 +206,49 @@ class MOProblem:
 class EvaluationDatabase:
     """Append-only store of evaluated sites and objective vectors.
 
-    Single writer; read-only queries may run concurrently. Sites are kept in
-    original coordinates with a parallel scaled copy used for cache hits and
-    ball queries. The scaled copy lives in a capacity-doubling buffer, and
-    cache lookups bisect a sorted index of the keys w.z instead of scanning
-    every row. A read reserves the buffer rows and keys of the sites it will
-    store before it evaluates them, so later rows of the same batch find them.
+    The sites (original coordinates), their scaled copies and their values
+    fill the first ``len(db)`` rows of three capacity-doubling 2-D buffers.
+    ``sites`` (m, n) and ``values`` (m, k) are views of the stored rows, in the
+    order they were stored; a stored row never changes. Cache hits and ball
+    queries work on the scaled copy. Cache lookups search a sorted array of
+    the keys w.z, one fixed projection of each scaled site, instead of
+    scanning every row, and a read settles all its rows together (see
+    ``_settle``); the rows it stores are written with one write per buffer
+    and one insert into the key array.
     """
 
     def __init__(self, problem: MOProblem, max_expensive: Optional[int] = None):
         self.problem = problem
         self.max_expensive = max_expensive
-        self.sites: list[np.ndarray] = []
-        self.values: list[np.ndarray] = []
         self.eval_counts = np.zeros(problem.n_objs, dtype=int)
         n = problem.n_vars
-        self._buffer = np.empty((8, n))
-        self._size = 0  # buffer rows in use: the stored sites, then reserved ones
+        self._sites = np.empty((8, n))
+        self._buffer = np.empty((8, n))  # the scaled sites
+        self._values = np.empty((8, problem.n_objs))
+        self._size = 0  # buffer rows in use
         # distinct weights in [1, 2) (a Weyl sequence), so sites that differ in
         # one coordinate, like a finite-difference stencil, get distinct keys
         self._weights = 1.0 + np.modf(np.arange(1, n + 1) * (math.sqrt(5.0) - 1.0) / 2.0)[0]
-        self._slack = (1.0 + np.finfo(float).eps) * float(self._weights.sum()) * CACHE_TOL
-        self._gamma = (n + 2) * np.finfo(float).eps
-        self._keys: list[float] = []  # ascending
-        self._rows: list[int] = []  # the row of each key
+        slack = (1.0 + np.finfo(float).eps) * float(self._weights.sum()) * CACHE_TOL
+        gamma = (n + 2) * np.finfo(float).eps
+        # the lookup radius 2 (slack + gamma (2 w.|z| + slack)) is |z|.spread + floor
+        self._spread = 4.0 * gamma * self._weights
+        self._floor = 2.0 * (1.0 + gamma) * slack
+        self._keys = np.empty(0)  # ascending: the finite keys of the stored rows
+        self._rows = np.empty(0, dtype=np.intp)  # the row of each key
 
     def __len__(self) -> int:
-        return len(self.sites)
+        return self._size
+
+    @property
+    def sites(self) -> np.ndarray:
+        """The stored sites in original coordinates, (len(db), n): a view."""
+        return self._sites[: self._size]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The stored objective vectors, (len(db), k): a view."""
+        return self._values[: self._size]
 
     @property
     def expensive_evals(self) -> int:
@@ -242,67 +258,99 @@ class EvaluationDatabase:
 
     @property
     def _scaled(self) -> np.ndarray:
-        return self._buffer[: len(self.sites)]
+        return self._buffer[: self._size]
 
-    def _find(self, z: np.ndarray) -> Optional[int]:
-        """Smallest buffer row with max|z_row - z| <= CACHE_TOL, or None.
+    @staticmethod
+    def _first_match(Z: np.ndarray, z: np.ndarray) -> int:
+        """The first row of Z with max|z_row - z| <= CACHE_TOL, or -1."""
+        hits = np.flatnonzero(np.abs(Z - z).max(axis=1) <= CACHE_TOL)
+        return int(hits[0]) if hits.size else -1
 
-        A match has |w.z_row - w.z| <= slack = |w|_1 CACHE_TOL (times 1 + eps
-        for the rounded difference), and each computed key lies within
-        gamma w.|z_*| of its exact value (gamma = (n + 2) eps bounds the error
-        of an n-term dot product in any order), where w.|z_row| <= w.|z| +
-        slack. Twice that sum covers the rounding of the radius and of the
-        window ends, so the window holds every row the linear scan matches.
+    def _settle(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each row of a batch Z of finite scaled sites takes its values: (src, fresh).
+
+        fresh lists, in order, the rows of Z that match (max|z_row - z| <=
+        CACHE_TOL) no stored row and no earlier fresh row; storing them in that
+        order puts fresh[j] in buffer row len(self) + j. src[i] is the buffer
+        row that row i reads: the smallest stored row it matches, else the row
+        of the first fresh row it matches (itself when it is fresh). Row i
+        depends on the rows before it only, so a prefix of Z settles as the
+        same prefix of (src, fresh).
+
+        The lookup window of z holds every row that matches z. A match has
+        |w.z_row - w.z| <= slack = |w|_1 CACHE_TOL (times 1 + eps for the
+        rounded difference), and each computed key lies within gamma w.|z_*|
+        of its exact value (gamma = (n + 2) eps bounds the error of an n-term
+        dot product in any order), where w.|z_row| <= w.|z| + slack. Twice
+        that sum covers the rounding of the radius and of the window ends. A
+        window that overflows is scanned in full: a row whose key overflows
+        is kept out of the key array, and any row that matches it has an
+        overflowing window.
+
+        A window with one stored key is settled with the other such windows
+        in one gather-and-compare; a window with several, or one that
+        overflows, checks its rows in order. A row that matches no stored row
+        is fresh unless its window holds the key of another such row of the
+        batch; only those rows are checked, in order, against the fresh rows
+        before them.
         """
-        key = float(self._weights @ z)
-        radius = 2.0 * (
-            self._slack + self._gamma * (2.0 * float(self._weights @ np.abs(z)) + self._slack)
-        )
-        lo, hi = key - radius, key + radius
-        if math.isfinite(lo) and math.isfinite(hi):
-            rows = sorted(self._rows[bisect_left(self._keys, lo) : bisect_right(self._keys, hi)])
-        else:  # overflow: only a full scan is sure to see every match
-            rows = range(self._size)
-        for i in rows:
-            if np.abs(self._buffer[i] - z).max() <= CACHE_TOL:
-                return i
-        return None
+        size = self._size
+        keys = Z @ self._weights
+        radius = np.abs(Z) @ self._spread + self._floor
+        lo, hi = keys - radius, keys + radius
+        wide = ~np.isfinite(hi - lo)
+        first = self._keys.searchsorted(lo)
+        count = self._keys.searchsorted(hi, "right") - first
+        src = np.full(len(Z), -1)
+        one = np.flatnonzero((count == 1) & ~wide)
+        cand = self._rows[first[one]]
+        src[one] = np.where(np.abs(self._buffer[cand] - Z[one]).max(axis=1) <= CACHE_TOL, cand, -1)
+        for i in np.flatnonzero((count > 1) | wide):
+            if wide[i]:
+                rows = np.arange(size)
+            else:
+                rows = np.sort(self._rows[first[i] : first[i] + count[i]])
+            j = self._first_match(self._buffer[rows], Z[i])
+            if j >= 0:
+                src[i] = rows[j]
+        miss = np.flatnonzero(src < 0)
+        is_fresh = np.ones(len(miss), dtype=bool)
+        repeats = []  # (row, the earlier fresh row it reads)
+        if len(miss) > 1:
+            batch_keys = np.sort(keys[miss], kind="stable")
+            near = batch_keys.searchsorted(hi[miss], "right") - batch_keys.searchsorted(lo[miss])
+            for p in np.flatnonzero((near > 1) | wide[miss]):
+                earlier = miss[:p][is_fresh[:p]]
+                j = self._first_match(Z[earlier], Z[miss[p]])
+                if j >= 0:
+                    is_fresh[p] = False
+                    repeats.append((miss[p], earlier[j]))
+        fresh = miss[is_fresh]
+        src[fresh] = size + np.arange(len(fresh))
+        for i, j in repeats:
+            src[i] = src[j]
+        return src, fresh
 
-    def _reserve(self, z: np.ndarray) -> int:
-        """Put z in the next buffer row and its key in the index; returns the row."""
-        m = self._size
-        if m == self._buffer.shape[0]:
-            grown = np.empty((2 * m, z.size))
-            grown[:m] = self._buffer
-            self._buffer = grown
-        self._buffer[m] = z
-        key = float(self._weights @ z)
-        # a key that overflows stays out of the index: any site that matches
-        # it overflows the query window too, and that query scans every row
-        if math.isfinite(key):
-            pos = bisect_right(self._keys, key)
-            self._keys.insert(pos, key)
-            self._rows.insert(pos, m)
-        self._size = m + 1
-        return m
-
-    def _release(self, size: int) -> None:
-        """Give back the reserved rows from `size` on, with their keys."""
-        kept = [(key, row) for key, row in zip(self._keys, self._rows) if row < size]
-        self._keys = [key for key, _ in kept]
-        self._rows = [row for _, row in kept]
-        self._size = size
-
-    def _store(self, x: np.ndarray, vals: np.ndarray) -> None:
-        """Store the first reserved row that holds no values yet: site x, values vals."""
-        self.eval_counts[self.problem.expensive_mask] += 1
-        self.values.append(vals)
-        # last: a concurrent reader sees the row once its value and buffer row exist
-        self.sites.append(x.copy())
-
-    def _insert(self, x: np.ndarray, z: np.ndarray, vals: np.ndarray) -> None:
-        self._reserve(z)
-        self._store(x, vals)
+    def _append(self, X: np.ndarray, Z: np.ndarray, F: np.ndarray) -> None:
+        """Store the sites X, their scaled copies Z and their values F, and charge them."""
+        size, m = self._size, len(X)
+        if size + m > len(self._buffer):
+            cap = max(2 * len(self._buffer), size + m)
+            self._sites = _grown(self._sites, size, cap)
+            self._buffer = _grown(self._buffer, size, cap)
+            self._values = _grown(self._values, size, cap)
+        self._sites[size : size + m] = X
+        self._buffer[size : size + m] = Z
+        self._values[size : size + m] = F
+        keys = Z @ self._weights
+        # a key that overflows stays out of the key array (see _settle)
+        new = np.flatnonzero(np.isfinite(keys))
+        new = new[np.argsort(keys[new], kind="stable")]
+        at = self._keys.searchsorted(keys[new], "right")
+        self._keys = np.insert(self._keys, at, keys[new])
+        self._rows = np.insert(self._rows, at, size + new)
+        self._size = size + m
+        self.eval_counts[self.problem.expensive_mask] += m
 
     def _feasible_prefix(self, X: np.ndarray) -> tuple[np.ndarray, Optional[InfeasiblePoint]]:
         """The scaled rows of X before its first non-finite or infeasible row,
@@ -327,49 +375,32 @@ class EvaluationDatabase:
         ObjectiveFailure). The first row that fails raises, after every row
         before it is stored. The rows to store are evaluated together, one
         call per objective; an objective that raises stores none of them.
+        The result is a new array.
         """
         x = np.asarray(x, dtype=float)
         n = self.problem.n_vars
         if x.ndim not in (1, 2) or x.shape[-1] != n:
             raise DimensionMismatch(f"expected length {n}")
-        X = np.atleast_2d(x)
+        X = x[None] if x.ndim == 1 else x
         Z, stop = self._feasible_prefix(X)
-        room = len(X)
-        if self.max_expensive is not None and self.problem.expensive_mask.any():
-            room = self.max_expensive - self.expensive_evals
-        first = self._size
-        src: list[int] = []  # the buffer row each read row takes its values from
-        fresh: list[int] = []  # the rows to evaluate and store, in order
-        for i, z in enumerate(Z):
-            row = self._find(z)
-            if row is None:
-                if len(fresh) >= room:
-                    stop = BudgetExhausted(
-                        f"expensive budget {self.max_expensive} would be exceeded"
-                    )
-                    break
-                row = self._reserve(z)
-                fresh.append(i)
-            src.append(row)
-        if fresh:
-            try:
-                F = self.problem.evaluate_raw(X[fresh])
-            except BaseException:
-                self._release(first)
-                raise
+        src, fresh = self._settle(Z)
+        if len(fresh) and self.max_expensive is not None and self.problem.expensive_mask.any():
+            room = max(self.max_expensive - self.expensive_evals, 0)
+            if len(fresh) > room:
+                stop = BudgetExhausted(f"expensive budget {self.max_expensive} would be exceeded")
+                src, fresh = src[: fresh[room]], fresh[:room]
+        if len(fresh):
+            F = self.problem.evaluate_raw(X[fresh])
             finite = np.isfinite(F).all(axis=1)
             good = len(fresh) if finite.all() else int(np.argmin(finite))
-            for i, vals in zip(fresh[:good], F):
-                self._store(X[i], vals)
+            self._append(X[fresh[:good]], Z[fresh[:good]], F[:good])
             if good < len(fresh):
-                self._release(first + good)
                 bad = X[fresh[good]]
                 raise ObjectiveFailure(f"objective returned non-finite value at {bad!r}", site=bad)
         if stop is not None:
             raise stop
-        if x.ndim == 1:
-            return self.values[src[0]].copy()
-        return np.array([self.values[row] for row in src]).reshape(len(src), self.problem.n_objs)
+        out = self._values[src]
+        return out[0] if x.ndim == 1 else out
 
     def evaluate_scaled(self, z) -> np.ndarray:
         """evaluate at a site, or at every row of a batch, given in scaled coordinates."""
@@ -402,42 +433,70 @@ class EvaluationDatabase:
     def from_csv(cls, path, problem: MOProblem) -> "EvaluationDatabase":
         """Rebuild a database from a CSV dump; values are checked, not re-evaluated.
 
-        A site may appear once: a row whose site matches an earlier row within
-        CACHE_TOL raises ObjectiveFailure naming both rows.
+        The first row that fails a check raises: a short or non-numeric row, a
+        non-finite value (ObjectiveFailure), a non-finite or infeasible site
+        (InfeasiblePoint), or a site within CACHE_TOL of an earlier row's
+        (ObjectiveFailure naming both rows). The rows are stored together,
+        each charged once, as one read of them would store them.
         """
         db = cls(problem)
-        loaded = []
         n, k = problem.n_vars, problem.n_objs
+        lines, sites, values = [], [], []
+        unparsed = None  # the error of the first row that does not parse
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             if len(header) != n + k:
                 raise DimensionMismatch("CSV column count does not match the problem")
             for row in reader:
-                if len(row) != n + k:
-                    raise DimensionMismatch(f"CSV row {row!r} has {len(row)} fields, need {n + k}")
                 try:
-                    site = np.array([float(v) for v in row[:n]])
-                except ValueError:
-                    raise InfeasiblePoint(f"CSV row {row!r} has a non-numeric site field") from None
-                try:
-                    vals = np.array([float(v) for v in row[n:]])
-                except ValueError:
-                    raise ObjectiveFailure(
-                        f"CSV row {row!r} has a non-numeric value field", site=site
-                    ) from None
-                if not np.all(np.isfinite(vals)):
-                    raise ObjectiveFailure(f"CSV values at {site!r} are not finite", site=site)
-                Z, infeasible = db._feasible_prefix(site[None])
-                if infeasible is not None:
-                    raise infeasible
-                z = Z[0]
-                dup = db._find(z)
-                if dup is not None:
-                    raise ObjectiveFailure(
-                        f"CSV row {row!r} repeats the site of row {loaded[dup]!r}", site=site
-                    )
-                loaded.append(row)
-                db._insert(site, z, vals)
+                    site, vals = _parse_csv_row(row, n, k)
+                except ParetoTRMError as exc:
+                    unparsed = exc
+                    break
+                lines.append(row)
+                sites.append(site)
+                values.append(vals)
+        X = np.array(sites).reshape(-1, n)
+        F = np.array(values).reshape(-1, k)
+        finite = np.isfinite(F).all(axis=1)
+        good = len(F) if finite.all() else int(np.argmin(finite))
+        Z, infeasible = db._feasible_prefix(X[:good])
+        src, fresh = db._settle(Z)
+        if len(fresh) < len(Z):
+            i = int(np.flatnonzero(src != np.arange(len(Z)))[0])
+            raise ObjectiveFailure(
+                f"CSV row {lines[i]!r} repeats the site of row {lines[src[i]]!r}", site=X[i]
+            )
+        if infeasible is not None:
+            raise infeasible
+        if good < len(F):
+            raise ObjectiveFailure(f"CSV values at {X[good]!r} are not finite", site=X[good])
+        if unparsed is not None:
+            raise unparsed
+        db._append(X, Z, F)
         return db
 
+
+def _grown(buffer: np.ndarray, size: int, cap: int) -> np.ndarray:
+    """A buffer of cap rows whose first size rows are those of buffer."""
+    out = np.empty((cap, buffer.shape[1]))
+    out[:size] = buffer[:size]
+    return out
+
+
+def _parse_csv_row(row: list[str], n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The site and values of one CSV row of n + k fields."""
+    if len(row) != n + k:
+        raise DimensionMismatch(f"CSV row {row!r} has {len(row)} fields, need {n + k}")
+    try:
+        site = np.array([float(v) for v in row[:n]])
+    except ValueError:
+        raise InfeasiblePoint(f"CSV row {row!r} has a non-numeric site field") from None
+    try:
+        vals = np.array([float(v) for v in row[n:]])
+    except ValueError:
+        raise ObjectiveFailure(
+            f"CSV row {row!r} has a non-numeric value field", site=site
+        ) from None
+    return site, vals

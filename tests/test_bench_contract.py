@@ -6,6 +6,8 @@ modify it nor run the benchmark."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import numpy as np
 from pareto_trm import AlgoConfig, MODEL_SPECS, StepConfig, TestProblemSpec, cli, make_problem, run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH_DIGESTS = GOLDEN / "bench-digests.txt"
 BENCH_REPORTS = GOLDEN / "bench-reports.txt"
@@ -117,3 +120,19 @@ def test_every_workload_has_a_committed_digest():
 def test_every_workload_has_a_committed_reports_digest():
     # CI compares tools/bench_reports.py at seeds 0 and 1 with this file
     _assert_one_digest_per_workload_and_seed(BENCH_REPORTS)
+
+
+def test_package_import_loads_only_numpy_and_the_standard_library():
+    # the bench's setup_s times `import pareto_trm`; a new third-party import shows here first
+    code = (
+        "import sys; before = set(sys.modules); import pareto_trm; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    top = {name.split(".")[0] for name in out.stdout.split()}
+    assert "pareto_trm" in top
+    assert top - {"numpy", "pareto_trm"} <= set(sys.stdlib_module_names)

@@ -90,19 +90,19 @@ class TestUpdateState:
         self.cfg = AlgoConfig(nu_p=0.1, nu_pp=0.4)
 
     def test_successful_grows_capped(self):
-        new = update_state(_state(0.1), SUCCESSFUL, 0.5, np.ones(2), np.array([0.5]), self.cfg)
+        new = update_state(_state(0.1), SUCCESSFUL, np.ones(2), np.array([0.5]), self.cfg)
         assert new.delta == pytest.approx(0.2)
         np.testing.assert_array_equal(new.x, np.ones(2))
-        new = update_state(_state(0.4), SUCCESSFUL, 0.5, np.ones(2), np.array([0.5]), self.cfg)
+        new = update_state(_state(0.4), SUCCESSFUL, np.ones(2), np.array([0.5]), self.cfg)
         assert new.delta == pytest.approx(0.5)  # delta_ub cap
 
     def test_inacceptable_shrinks_hard(self):
-        new = update_state(_state(0.1), INACCEPTABLE, 0.05, np.ones(2), None, self.cfg)
+        new = update_state(_state(0.1), INACCEPTABLE, np.ones(2), None, self.cfg)
         assert new.delta == pytest.approx(0.051)
         np.testing.assert_array_equal(new.x, np.zeros(2))
 
     def test_acceptable_moves_and_shrinks_soft(self):
-        new = update_state(_state(0.1), ACCEPTABLE, 0.2, np.ones(2), np.array([0.9]), self.cfg)
+        new = update_state(_state(0.1), ACCEPTABLE, np.ones(2), np.array([0.9]), self.cfg)
         assert new.delta == pytest.approx(0.075)
         np.testing.assert_array_equal(new.x, np.ones(2))
 
@@ -509,6 +509,25 @@ def test_exhausted_backtracking_takes_a_zero_step_and_continues(monkeypatch):
     assert sum(rep.violations.values()) == 0
 
 
+@pytest.mark.parametrize("kind", ["model-critical", "backtracking"])
+def test_zero_step_is_inacceptable_and_shrinks_hard(monkeypatch, kind):
+    # rho = 0 would read acceptable against nu_p = 0, but a zero step decreases nothing
+    if kind == "model-critical":  # eps_crit = 0: omega = 0 reaches the step
+        prob, x0, cfg = two_quadratics([0.0, 0.0], [0.0, 0.0]), [0.0, 0.0], {"eps_crit": 0.0}
+    else:
+        def exhausted(*args):
+            raise BacktrackExhausted("no Armijo step within 30 halvings")
+
+        monkeypatch.setattr(driver, "compute_step", exhausted)
+        prob, x0, cfg = two_quadratics([0.1, 0.2], [0.8, 0.9]), [2.0, 2.0], {}
+    cfg = AlgoConfig(models=None, max_iters=2, **cfg)
+    rep = run(prob, cfg, x0, seed=0)
+    for rec in rep.iterations:
+        assert (rec["classification"], rec["rho"], rec["step_norm"]) == (INACCEPTABLE, 0.0, 0.0)
+        assert rec["delta_after"] == cfg.gamma_downdown * rec["delta_before"]
+    assert len(rep.iterations) == 2 and sum(rep.violations.values()) == 0
+
+
 def test_dtlz6_face_exhausts_backtracking_without_a_patch():
     # the center sits at DTLZ6's x_i = 0 face, where g = sum x_i^0.1 is not
     # Lipschitz: the cheap first objective's model slopes down along d but its
@@ -521,8 +540,12 @@ def test_dtlz6_face_exhausts_backtracking_without_a_patch():
     )
     rep = run(prob, cfg, cli._start_points(prob, 2, 3)[1], seed=0)
     outcome = (rep.stop_reason, rep.expensive_evals, len(rep.iterations))
-    assert outcome == (STOP_MAX_ITERATIONS, 24, 8)
-    assert rep.anomalies == [f"t={t}: no Armijo step within 30 halvings" for t in (5, 6, 7)]
+    assert outcome == (STOP_MAX_ITERATIONS, 26, 8)
+    # the two zero steps shrink the radius by gamma_downdown, and at t = 7 the
+    # smaller region gives a real trial step, which is rejected
+    assert rep.anomalies == [f"t={t}: no Armijo step within 30 halvings" for t in (5, 6)]
+    assert [rec["classification"] for rec in rep.iterations[5:]] == [INACCEPTABLE] * 3
+    assert [rec["rho"] == 0.0 for rec in rep.iterations[5:]] == [True, True, False]
     assert [rec["step_norm"] for rec in rep.iterations[5:]] == [0.0] * 3
     assert all(v == 0 for v in rep.violations.values())
 

@@ -225,6 +225,25 @@ def test_csv_rejects_non_finite_site(tmp_path):
         EvaluationDatabase.from_csv(path, _unit_problem())
 
 
+def _assert_index(db):
+    """The key array holds the finite keys of the stored rows, ascending, each
+    row once; a row is left out only when its key overflows."""
+    keys, rows = db._keys, db._rows
+    assert db._size == len(db) and keys.shape == rows.shape
+    assert sorted(rows.tolist()) == sorted(set(rows.tolist()) & set(range(len(db))))
+    Z = db._scaled
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(keys).all() and (np.diff(keys) >= 0).all()
+        size = np.abs(Z) @ db._weights
+        wide = ~np.isfinite(2.0 * size)  # rows whose lookup window overflows
+        # key bits may differ from the one-row dot product, within its rounding;
+        # whether a key near the overflow threshold overflows may differ too
+        gamma = (db.problem.n_vars + 2) * np.finfo(float).eps
+        close = np.abs(keys - Z[rows] @ db._weights) <= 2 * gamma * size[rows]
+        assert (close | wide[rows]).all()
+        assert wide[np.setdiff1d(np.arange(len(db)), rows)].all()
+
+
 def _scan_oracle(Z, z):
     """First row of Z within CACHE_TOL of z in the inf-norm: the linear scan."""
     hits = np.flatnonzero(np.max(np.abs(Z - z), axis=1) <= CACHE_TOL)
@@ -272,11 +291,15 @@ def test_indexed_find_matches_linear_scan(case):
     fs = FeasibleSet.box(np.zeros(n), np.ones(n)) if box else FeasibleSet.unconstrained()
     prob = MOProblem(n, 1, [lambda X: np.zeros(len(X))], np.array([True]), fs)
     db = EvaluationDatabase(prob)
-    for z in rows:  # stored as given, repeats included: the index must rank them
-        db._insert(z, z, np.zeros(1))
     Z = np.array(rows)
-    for z in queries:
-        assert db._find(z) == _scan_oracle(Z, z)
+    half = len(Z) // 2
+    for part in (Z[:half], Z[half:]):  # stored as given, repeats included: the index must rank them
+        db._append(part, part, np.zeros((len(part), 1)))
+    _assert_index(db)
+    src, _ = db._settle(np.array(queries))
+    assert [row if row < len(Z) else None for row in src.tolist()] == [
+        _scan_oracle(Z, z) for z in queries
+    ]
 
 
 def test_indexed_find_near_overflow():
@@ -285,12 +308,19 @@ def test_indexed_find_near_overflow():
         2, 1, [lambda X: np.zeros(len(X))], np.array([True]), FeasibleSet.unconstrained()
     )
     db = EvaluationDatabase(prob)
+    X = np.array([[1e308, 1e308], [-1e308, 1e308], [1.0, 0.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in ([1e308, 1e308], [-1e308, 1e308], [1.0, 0.0]):
+        for x in X:
             db.evaluate(x)
-        for i, x in enumerate(([1e308, 1e308], [-1e308, 1e308], [1.0, 0.0])):
-            assert db._find(np.array(x)) == i
-    assert len(db) == 3
+        src, fresh = db._settle(X)
+        assert src.tolist() == [0, 1, 2] and fresh.size == 0
+        # and within one batch, where each repeat reads the row stored before it
+        batch = EvaluationDatabase(prob)
+        batch.evaluate(np.vstack([X, X[::-1]]))
+        src, fresh = batch._settle(X)
+        assert src.tolist() == [0, 1, 2] and fresh.size == 0
+    assert len(db) == len(batch) == 3
+    _assert_index(batch)
 
 
 def test_buffer_keeps_rows_across_growth():
@@ -306,7 +336,7 @@ def test_buffer_keeps_rows_across_growth():
         np.testing.assert_array_equal(db._scaled, sites[: k + 1] / 2.0)
     assert len(db) == 200
     for k, x in enumerate(sites):  # every row is still a cache hit at its own index
-        assert db._find(x / 2.0) == k
+        assert db._settle(x[None] / 2.0)[0].tolist() == [k]
         db.evaluate(x)
     np.testing.assert_array_equal(db.eval_counts, [200])
 
@@ -314,43 +344,60 @@ def test_buffer_keeps_rows_across_growth():
 NAN_MARK = 0.75  # a feasible first coordinate at which the second objective is NaN
 
 
-def _counting_problem(n, expensive):
-    """Two row-independent objectives on the unit box that count their calls;
-    the second is NaN on rows whose first coordinate is NAN_MARK."""
+def _counting_problem(n, expensive, box=True):
+    """Two bounded row-independent objectives on the unit box (or R^n) that
+    count their calls; the second is NaN on rows whose first coordinate is
+    NAN_MARK."""
     calls = [0, 0]
 
     def f1(X):
         calls[0] += 1
-        return np.sum(X, axis=1)
+        return np.sum(np.arctan(X), axis=1)
 
     def f2(X):
         calls[1] += 1
-        return np.where(X[:, 0] == NAN_MARK, np.nan, 2.0 * X[:, -1] - X[:, 0])
+        return np.where(X[:, 0] == NAN_MARK, np.nan, np.arctan(X[:, -1]) - 0.5 * np.arctan(X[:, 0]))
 
-    fs = FeasibleSet.box(np.zeros(n), np.ones(n))
+    fs = FeasibleSet.box(np.zeros(n), np.ones(n)) if box else FeasibleSet.unconstrained()
     return MOProblem(n, 2, [f1, f2], np.array(expensive), fs), calls
 
 
 @st.composite
 def _batch_reads(draw):
-    """A database state and a batch: stored hits, repeats and near-repeats
-    within the batch, infeasible and non-finite rows, NaN values, a budget."""
+    """A database state and a batch: stored hits, repeats and near-repeats of
+    stored and batch rows (some share a lookup window without matching, some
+    windows hold several matches), infeasible and non-finite rows, NaN values,
+    rows on R^n whose keys overflow, and a budget."""
     n = draw(st.integers(1, 4))
+    box = draw(st.booleans())
     expensive = draw(st.sampled_from([[True, True], [True, False], [False, False]]))
     coord = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    if not box:
+        coord = coord | st.sampled_from([1e308, -1e308, 1.7e308, -8e307])
     point = st.lists(coord, min_size=n, max_size=n).map(np.array)
+
+    def near(row):
+        row = row.copy()
+        i = draw(st.integers(0, n - 1))
+        row[i] += draw(st.sampled_from([-0.9, -0.5, 0.5, 0.9, 1.5, 2.0, 3.0])) * CACHE_TOL
+        return np.clip(row, 0, 1) if box else row
+
     stored = draw(st.lists(point, max_size=4))
+    if stored:  # near-repeats of a stored site, stored apart when they do not match it
+        stored += [near(draw(st.sampled_from(stored))) for _ in range(draw(st.integers(0, 3)))]
+    stored = [x for x in stored if x[0] != NAN_MARK]
     rows = []
     for _ in range(draw(st.integers(1, 10))):
-        kind = draw(st.sampled_from(["new", "new", "stored", "repeat", "near", "out", "nan-site",
-                                     "nan-value"]))
-        if kind == "stored" and stored:
+        kind = draw(st.sampled_from(["new", "new", "stored", "stored-near", "repeat", "near",
+                                     "out", "nan-site", "nan-value"]))
+        if kind in ("stored", "stored-near") and stored:
             row = draw(st.sampled_from(stored)).copy()
+            if kind == "stored-near":
+                row = near(row)
         elif kind in ("repeat", "near") and rows:
             row = draw(st.sampled_from(rows)).copy()
             if kind == "near":
-                i = draw(st.integers(0, n - 1))
-                row[i] = np.clip(row[i] + draw(st.sampled_from([-0.5, 0.5, 3.0])) * CACHE_TOL, 0, 1)
+                row = near(row)
         elif kind == "out":
             row = draw(point)
             row[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1e-9, 1.5]))
@@ -364,11 +411,11 @@ def _batch_reads(draw):
             row = draw(point)
         rows.append(row)
     budget = draw(st.one_of(st.none(), st.integers(0, len(stored) + len(rows))))
-    return n, expensive, stored, np.array(rows), budget
+    return n, box, expensive, stored, np.array(rows), budget
 
 
-def _database(n, expensive, stored, budget):
-    prob, calls = _counting_problem(n, expensive)
+def _database(n, box, expensive, stored, budget):
+    prob, calls = _counting_problem(n, expensive, box)
     db = EvaluationDatabase(prob)
     for x in stored:
         db.evaluate(x)
@@ -380,35 +427,36 @@ def _database(n, expensive, stored, budget):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_batch_reads())
 def test_batch_read_matches_one_site_loop(case):
-    n, expensive, stored, X, budget = case
-    loop_db, _ = _database(n, expensive, stored, budget)
-    loop_out, loop_error = [], None
-    for x in X:  # the oracle: one read per row, stopping at the first error
-        try:
-            loop_out.append(loop_db.evaluate(x))
-        except ParetoTRMError as exc:
-            loop_error = exc
-            break
-    db, calls = _database(n, expensive, stored, budget)
-    if loop_error is None:
-        out = db.evaluate(X)
-        assert out.shape == (len(X), 2)
-        assert np.array_equal(out, np.array(loop_out))
-    else:
-        with pytest.raises(type(loop_error)) as info:
-            db.evaluate(X)
-        assert str(info.value) == str(loop_error)
+    n, box, expensive, stored, X, budget = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        loop_db, _ = _database(n, box, expensive, stored, budget)
+        loop_out, loop_error = [], None
+        for x in X:  # the oracle: one read per row, stopping at the first error
+            try:
+                loop_out.append(loop_db.evaluate(x))
+            except ParetoTRMError as exc:
+                loop_error = exc
+                break
+        db, calls = _database(n, box, expensive, stored, budget)
+        if loop_error is None:
+            out = db.evaluate(X)
+            assert out.shape == (len(X), 2)
+            assert np.array_equal(out, np.array(loop_out))
+        else:
+            with pytest.raises(type(loop_error)) as info:
+                db.evaluate(X)
+            assert str(info.value) == str(loop_error)
     assert len(db) == len(loop_db)
     assert np.array_equal(np.array(db.sites).reshape(-1, n), np.array(loop_db.sites).reshape(-1, n))
     assert np.array_equal(np.array(db.values).reshape(-1, 2), np.array(loop_db.values).reshape(-1, 2))
     assert np.array_equal(db.eval_counts, loop_db.eval_counts)
-    # rows reserved past a failure are given back; one call per objective
-    assert (db._keys, db._rows, db._size) == (loop_db._keys, loop_db._rows, len(loop_db))
+    # no row past a failure is indexed; one call per objective
+    _assert_index(db)
     assert calls in ([0, 0], [1, 1])
 
 
 def test_batch_read_of_stored_sites_evaluates_nothing():
-    db, calls = _database(2, [True, False], [], None)
+    db, calls = _database(2, True, [True, False], [], None)
     X = halton(5, 2, offset=3)
     first = db.evaluate(X)
     assert calls == [1, 1] and len(db) == 5
@@ -418,6 +466,29 @@ def test_batch_read_of_stored_sites_evaluates_nothing():
     np.testing.assert_array_equal(db.eval_counts, [5, 0])
 
 
+def test_a_site_matching_two_rows_reads_the_first():
+    # b sits 1.5 tolerances from a, so both are stored; c matches both
+    a = np.array([0.3, 0.6])
+    b, c = a + [1.5 * CACHE_TOL, 0.0], a + [0.9 * CACHE_TOL, 0.0]
+    db, _ = _database(2, True, [True, False], [], None)
+    out = db.evaluate(np.array([a, b, c]))  # the first fresh row of the batch
+    assert len(db) == 2 and not np.array_equal(out[0], out[1])
+    np.testing.assert_array_equal(out[2], out[0])
+    db, _ = _database(2, True, [True, False], [b, a], None)  # the smallest stored row
+    np.testing.assert_array_equal(db.evaluate(c), db.values[0])
+
+
+def test_budget_charges_no_repeat_within_a_batch():
+    db, calls = _database(2, True, [True, False], [], 2)
+    a, b, c = halton(3, 2, offset=3)
+    with pytest.raises(BudgetExhausted):
+        db.evaluate(np.array([a, a, b, a, b, c]))
+    # a and b fit the budget of 2 however often they repeat; c is the third site
+    np.testing.assert_array_equal(db.sites, [a, b])
+    assert db.eval_counts.tolist() == [2, 0] and calls == [1, 1]
+    _assert_index(db)
+
+
 def test_objective_that_raises_stores_no_row_of_its_batch():
     prob = MOProblem(
         1, 1, [lambda X: 1.0 / 0.0], np.array([True]), FeasibleSet.unconstrained()
@@ -425,7 +496,8 @@ def test_objective_that_raises_stores_no_row_of_its_batch():
     db = EvaluationDatabase(prob)
     with pytest.raises(ZeroDivisionError):
         db.evaluate(np.array([[0.0], [1.0]]))
-    assert len(db) == 0 and db._size == 0 and db._keys == []
+    assert len(db) == 0 and db._keys.size == 0
+    _assert_index(db)
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (1, 2, 2)])
