@@ -341,7 +341,7 @@ def run(
                     records.append(
                         IterationRecord(
                             t=state.t,
-                            classification=classify_iteration(0.0, cfg),
+                            classification=INACCEPTABLE,
                             rho=0.0,
                             omega_m_clamped=crit.omega_clamped,
                             delta_before=delta_before,

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, LPFailure, SingularMatrix
 
 
-def _first_primes(count: int) -> list[int]:
+def first_primes(count: int) -> list[int]:
     """The first `count` primes, by trial division."""
     primes: list[int] = []
     cand = 2
@@ -58,7 +58,7 @@ def halton(count: int, dim: int, offset: int = 0) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _halton(count: int, dim: int, offset: int) -> np.ndarray:
     out = np.empty((count, dim))
-    for j, base in enumerate(_first_primes(dim)):
+    for j, base in enumerate(first_primes(dim)):
         out[:, j] = [_radical_inverse(offset + i + 1, base) for i in range(count)]
     out.flags.writeable = False
     return out

@@ -9,7 +9,6 @@ original coordinates and dedupes / searches in scaled coordinates.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -20,8 +19,8 @@ from .errors import (
     DimensionMismatch,
     InfeasiblePoint,
     ObjectiveFailure,
-    ParetoTRMError,
 )
+from .linalg import first_primes
 
 UNCONSTRAINED = "unconstrained"
 BOX = "box"
@@ -204,14 +203,15 @@ class MOProblem:
 
 
 class EvaluationDatabase:
-    """Append-only store of evaluated sites and objective vectors.
+    """Append-only store of evaluated sites and objective vectors, filled by
+    ``evaluate`` alone.
 
     The sites (original coordinates), their scaled copies and their values
     fill the first ``len(db)`` rows of three capacity-doubling 2-D buffers.
     ``sites`` (m, n) and ``values`` (m, k) are views of the stored rows, in the
     order they were stored; a stored row never changes. Cache hits and ball
     queries work on the scaled copy. Cache lookups search a sorted array of
-    the keys w.z, one fixed projection of each scaled site, instead of
+    the keys w.z, one fixed projection of each stored scaled site, instead of
     scanning every row, and a read settles all its rows together (see
     ``_settle``); the rows it stores are written with one write per buffer
     and one insert into the key array.
@@ -226,15 +226,17 @@ class EvaluationDatabase:
         self._buffer = np.empty((8, n))  # the scaled sites
         self._values = np.empty((8, problem.n_objs))
         self._size = 0  # buffer rows in use
-        # distinct weights in [1, 2) (a Weyl sequence), so sites that differ in
-        # one coordinate, like a finite-difference stencil, get distinct keys
-        self._weights = 1.0 + np.modf(np.arange(1, n + 1) * (math.sqrt(5.0) - 1.0) / 2.0)[0]
+        # distinct weights 1 + frac(sqrt p_k) in [1, 2), p_k the first n primes:
+        # no small integer combination of them vanishes, so the rows of a
+        # finite-difference or quadratic stencil get keys far more than a
+        # lookup window apart
+        self._weights = 1.0 + np.modf(np.sqrt(first_primes(n)))[0]
         slack = (1.0 + np.finfo(float).eps) * float(self._weights.sum()) * CACHE_TOL
         gamma = (n + 2) * np.finfo(float).eps
         # the lookup radius 2 (slack + gamma (2 w.|z| + slack)) is |z|.spread + floor
         self._spread = 4.0 * gamma * self._weights
         self._floor = 2.0 * (1.0 + gamma) * slack
-        self._keys = np.empty(0)  # ascending: the finite keys of the stored rows
+        self._keys = np.empty(0)  # sorted, NaN last: the key of each stored row
         self._rows = np.empty(0, dtype=np.intp)  # the row of each key
 
     def __len__(self) -> int:
@@ -283,8 +285,8 @@ class EvaluationDatabase:
         of its exact value (gamma = (n + 2) eps bounds the error of an n-term
         dot product in any order), where w.|z_row| <= w.|z| + slack. Twice
         that sum covers the rounding of the radius and of the window ends. A
-        window that overflows is scanned in full: a row whose key overflows
-        is kept out of the key array, and any row that matches it has an
+        window that overflows is scanned in full; a key that overflows sorts
+        outside every finite window, and a row that matches its row has an
         overflowing window.
 
         A window with one stored key is settled with the other such windows
@@ -343,26 +345,12 @@ class EvaluationDatabase:
         self._buffer[size : size + m] = Z
         self._values[size : size + m] = F
         keys = Z @ self._weights
-        # a key that overflows stays out of the key array (see _settle)
-        new = np.flatnonzero(np.isfinite(keys))
-        new = new[np.argsort(keys[new], kind="stable")]
+        new = np.argsort(keys, kind="stable")
         at = self._keys.searchsorted(keys[new], "right")
         self._keys = np.insert(self._keys, at, keys[new])
         self._rows = np.insert(self._rows, at, size + new)
         self._size = size + m
         self.eval_counts[self.problem.expensive_mask] += m
-
-    def _feasible_prefix(self, X: np.ndarray) -> tuple[np.ndarray, Optional[InfeasiblePoint]]:
-        """The scaled rows of X before its first non-finite or infeasible row,
-        and the InfeasiblePoint that row raises (None when every row passes)."""
-        fs = self.problem.feasible
-        finite = np.isfinite(X).all(axis=1)
-        ok = finite & ((X >= fs.lower) & (X <= fs.upper)).all(axis=1)
-        if ok.all():
-            return self.problem.scale(X), None
-        b = int(np.argmin(ok))
-        why = "violates the hard constraints" if finite[b] else "is not finite"
-        return self.problem.scale(X[:b]), InfeasiblePoint(f"site {X[b]!r} {why}")
 
     def evaluate(self, x) -> np.ndarray:
         """f at one site (n,) -> (k,), or at every row of a batch (m, n) -> (m, k).
@@ -382,7 +370,15 @@ class EvaluationDatabase:
         if x.ndim not in (1, 2) or x.shape[-1] != n:
             raise DimensionMismatch(f"expected length {n}")
         X = x[None] if x.ndim == 1 else x
-        Z, stop = self._feasible_prefix(X)
+        fs, stop = self.problem.feasible, None
+        finite = np.isfinite(X).all(axis=1)
+        ok = finite & ((X >= fs.lower) & (X <= fs.upper)).all(axis=1)
+        if not ok.all():
+            b = int(np.argmin(ok))
+            why = "violates the hard constraints" if finite[b] else "is not finite"
+            stop = InfeasiblePoint(f"site {X[b]!r} {why}")
+            X = X[:b]
+        Z = self.problem.scale(X)
         src, fresh = self._settle(Z)
         if len(fresh) and self.max_expensive is not None and self.problem.expensive_mask.any():
             room = max(self.max_expensive - self.expensive_evals, 0)
@@ -429,74 +425,9 @@ class EvaluationDatabase:
             for site, vals in zip(self.sites, self.values):
                 writer.writerow([repr(float(v)) for v in site] + [repr(float(v)) for v in vals])
 
-    @classmethod
-    def from_csv(cls, path, problem: MOProblem) -> "EvaluationDatabase":
-        """Rebuild a database from a CSV dump; values are checked, not re-evaluated.
-
-        The first row that fails a check raises: a short or non-numeric row, a
-        non-finite value (ObjectiveFailure), a non-finite or infeasible site
-        (InfeasiblePoint), or a site within CACHE_TOL of an earlier row's
-        (ObjectiveFailure naming both rows). The rows are stored together,
-        each charged once, as one read of them would store them.
-        """
-        db = cls(problem)
-        n, k = problem.n_vars, problem.n_objs
-        lines, sites, values = [], [], []
-        unparsed = None  # the error of the first row that does not parse
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if len(header) != n + k:
-                raise DimensionMismatch("CSV column count does not match the problem")
-            for row in reader:
-                try:
-                    site, vals = _parse_csv_row(row, n, k)
-                except ParetoTRMError as exc:
-                    unparsed = exc
-                    break
-                lines.append(row)
-                sites.append(site)
-                values.append(vals)
-        X = np.array(sites).reshape(-1, n)
-        F = np.array(values).reshape(-1, k)
-        finite = np.isfinite(F).all(axis=1)
-        good = len(F) if finite.all() else int(np.argmin(finite))
-        Z, infeasible = db._feasible_prefix(X[:good])
-        src, fresh = db._settle(Z)
-        if len(fresh) < len(Z):
-            i = int(np.flatnonzero(src != np.arange(len(Z)))[0])
-            raise ObjectiveFailure(
-                f"CSV row {lines[i]!r} repeats the site of row {lines[src[i]]!r}", site=X[i]
-            )
-        if infeasible is not None:
-            raise infeasible
-        if good < len(F):
-            raise ObjectiveFailure(f"CSV values at {X[good]!r} are not finite", site=X[good])
-        if unparsed is not None:
-            raise unparsed
-        db._append(X, Z, F)
-        return db
-
 
 def _grown(buffer: np.ndarray, size: int, cap: int) -> np.ndarray:
     """A buffer of cap rows whose first size rows are those of buffer."""
     out = np.empty((cap, buffer.shape[1]))
     out[:size] = buffer[:size]
     return out
-
-
-def _parse_csv_row(row: list[str], n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The site and values of one CSV row of n + k fields."""
-    if len(row) != n + k:
-        raise DimensionMismatch(f"CSV row {row!r} has {len(row)} fields, need {n + k}")
-    try:
-        site = np.array([float(v) for v in row[:n]])
-    except ValueError:
-        raise InfeasiblePoint(f"CSV row {row!r} has a non-numeric site field") from None
-    try:
-        vals = np.array([float(v) for v in row[n:]])
-    except ValueError:
-        raise ObjectiveFailure(
-            f"CSV row {row!r} has a non-numeric value field", site=site
-        ) from None
-    return site, vals

@@ -465,13 +465,16 @@ def test_objective_failure_in_the_final_diagnostic_flags_nondifferentiable():
     )
 
 
-def test_critical_start_emits_zero_step_and_stops():
+@pytest.mark.parametrize("nu_p", [0.0, 0.1])
+def test_critical_start_emits_zero_step_and_stops(nu_p):
     prob = two_quadratics([0.0, 0.0], [0.0, 0.0])  # both minima at origin
-    cfg = AlgoConfig(models=None, n_loops=3)
+    cfg = AlgoConfig(models=None, n_loops=3, nu_p=nu_p)
     rep = run(prob, cfg, [0.0, 0.0], seed=0)
     assert rep.stop_reason == STOP_CRITICALITY_LOOP_CAP
     assert rep.final_omega_m_clamped == pytest.approx(0.0, abs=1e-12)
     assert all(rec["step_norm"] == 0.0 for rec in rep.iterations)
+    # the cap record takes no step, whatever rho the class thresholds accept
+    assert [rec["classification"] for rec in rep.iterations] == [INACCEPTABLE]
 
 
 def test_critical_start_without_criticality_test_takes_zero_steps(monkeypatch):

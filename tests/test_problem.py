@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from pareto_trm.errors import (
     ObjectiveFailure,
     ParetoTRMError,
 )
-from pareto_trm.linalg import halton
+from pareto_trm.linalg import axis_differences, halton
 from pareto_trm.problem import (
     CACHE_TOL,
     EvaluationDatabase,
@@ -21,6 +23,7 @@ from pareto_trm.problem import (
     scale_to_unit,
     unscale_from_unit,
 )
+from pareto_trm.surrogates import TAYLOR_FD_STEP, _stencil_sites
 from pareto_trm.testbed import TestProblemSpec, make_problem
 
 
@@ -218,22 +221,15 @@ def test_evaluate_rejects_non_finite_site(bad):
     np.testing.assert_array_equal(db.eval_counts, [0])
 
 
-def test_csv_rejects_non_finite_site(tmp_path):
-    path = tmp_path / "db.csv"
-    path.write_text("x_1,x_2,f_1\n0.0,0.0,0.0\nnan,0.0,1.0\n")
-    with pytest.raises(InfeasiblePoint, match="not finite"):
-        EvaluationDatabase.from_csv(path, _unit_problem())
-
-
 def _assert_index(db):
-    """The key array holds the finite keys of the stored rows, ascending, each
-    row once; a row is left out only when its key overflows."""
+    """The key array holds one key of each stored row, in numpy's sort order:
+    the finite keys ascending, between -inf and the +inf and NaN keys."""
     keys, rows = db._keys, db._rows
     assert db._size == len(db) and keys.shape == rows.shape
-    assert sorted(rows.tolist()) == sorted(set(rows.tolist()) & set(range(len(db))))
+    assert sorted(rows.tolist()) == list(range(len(db)))
     Z = db._scaled
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isfinite(keys).all() and (np.diff(keys) >= 0).all()
+        assert np.array_equal(keys, np.sort(keys), equal_nan=True)
         size = np.abs(Z) @ db._weights
         wide = ~np.isfinite(2.0 * size)  # rows whose lookup window overflows
         # key bits may differ from the one-row dot product, within its rounding;
@@ -241,7 +237,6 @@ def _assert_index(db):
         gamma = (db.problem.n_vars + 2) * np.finfo(float).eps
         close = np.abs(keys - Z[rows] @ db._weights) <= 2 * gamma * size[rows]
         assert (close | wide[rows]).all()
-        assert wide[np.setdiff1d(np.arange(len(db)), rows)].all()
 
 
 def _scan_oracle(Z, z):
@@ -320,7 +315,9 @@ def test_indexed_find_near_overflow():
         src, fresh = batch._settle(X)
         assert src.tolist() == [0, 1, 2] and fresh.size == 0
     assert len(db) == len(batch) == 3
-    _assert_index(batch)
+    for stored in (db, batch):  # the first row's key overflows, and it is kept
+        _assert_index(stored)
+        assert stored._keys[stored._rows == 0].tolist() == [np.inf]
 
 
 def test_buffer_keeps_rows_across_growth():
@@ -339,6 +336,48 @@ def test_buffer_keeps_rows_across_growth():
         assert db._settle(x[None] / 2.0)[0].tolist() == [k]
         db.evaluate(x)
     np.testing.assert_array_equal(db.eval_counts, [200])
+
+
+def _assert_windows_single(Z, monkeypatch):
+    """Each row of the stencil Z finds only its own key in a database that
+    holds every row, and no other row of Z near it in a batch read: none of
+    them takes the per-row step."""
+    n = Z.shape[1]
+    prob = MOProblem(
+        n, 1, [lambda X: np.zeros(len(X))], np.array([True]), FeasibleSet.unconstrained()
+    )
+    db = EvaluationDatabase(prob)
+
+    def shared_window(Z, z):
+        raise AssertionError(f"a window of the stencil holds another row than {z!r}")
+
+    monkeypatch.setattr(EvaluationDatabase, "_first_match", staticmethod(shared_window))
+    src, fresh = db._settle(Z)  # within one batch
+    assert src.tolist() == fresh.tolist() == list(range(len(Z)))
+    db._append(Z, Z, np.zeros((len(Z), 1)))
+    src, fresh = db._settle(Z)  # against the stored rows
+    assert src.tolist() == list(range(len(Z))) and fresh.size == 0
+
+
+@pytest.mark.parametrize("n, scale", [(5, 0.1), (5, 1e-3), (10, 0.1), (15, 0.1), (15, 1e-3)])
+def test_quadratic_stencil_rows_keep_their_windows_to_themselves(n, scale, monkeypatch):
+    # weights with integer relations, such as w_1 + w_4 = w_2 + w_3, put the
+    # rows c + h(e_1 + e_4) and c + h(e_2 + e_3) in one lookup window
+    center = 0.2 + 0.6 * halton(1, n, offset=5)[0]
+    _assert_windows_single(np.array(_stencil_sites(center, scale, 0.0, 1.0)), monkeypatch)
+
+
+@pytest.mark.parametrize("radius", [0.1, 1e-4])
+def test_fd_stencil_rows_keep_their_windows_to_themselves(radius, monkeypatch):
+    center = 0.2 + 0.6 * halton(1, 40, offset=5)[0]
+    rows = [center[None]]  # the center and the rows axis_differences reads, in order
+
+    def read(P):
+        rows.append(P)
+        return np.zeros(len(P))
+
+    axis_differences(read, center[None], TAYLOR_FD_STEP * radius, 0.0, 1.0)
+    _assert_windows_single(np.vstack(rows), monkeypatch)
 
 
 NAN_MARK = 0.75  # a feasible first coordinate at which the second objective is NaN
@@ -552,57 +591,13 @@ def test_query_ball_sorts_by_distance_and_copies():
 def test_csv_roundtrip(tmp_path):
     prob = _t6()
     db = EvaluationDatabase(prob)
-    db.evaluate([1.0, 0.0])
-    db.evaluate([2.0, 3.0])
+    db.evaluate(1.0 + 28.0 * halton(3, 2, offset=3))  # sites of 17 significant digits
     path = tmp_path / "db.csv"
     db.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x_1,x_2,f_1,f_2"
-    loaded = EvaluationDatabase.from_csv(path, prob)
-    assert len(loaded) == 2
-    np.testing.assert_allclose(loaded.sites[1], [2.0, 3.0])
-    np.testing.assert_allclose(loaded.values[0], db.values[0])
-    # cache hits must work against imported sites
-    before = loaded.eval_counts.copy()
-    loaded.evaluate([1.0, 0.0])
-    np.testing.assert_array_equal(loaded.eval_counts, before)
-
-
-def test_csv_rejects_short_row(tmp_path):
-    path = tmp_path / "db.csv"
-    path.write_text("x_1,x_2,f_1,f_2\n1.0,0.0\n")
-    with pytest.raises(DimensionMismatch):
-        EvaluationDatabase.from_csv(path, _t6())
-
-
-@pytest.mark.parametrize(
-    "second", ["1.0,0.0,1.0,1.0", "1.0,0.0,2.0,1.0"], ids=["identical", "conflicting"]
-)
-def test_csv_rejects_repeated_site(tmp_path, second):
-    path = tmp_path / "db.csv"
-    path.write_text(f"x_1,x_2,f_1,f_2\n1.0,0.0,1.0,1.0\n{second}\n")
-    with pytest.raises(ObjectiveFailure, match="repeats the site") as info:
-        EvaluationDatabase.from_csv(path, _t6())
-    assert np.array_equal(info.value.site, [1.0, 0.0])
-    message = str(info.value)
-    assert repr(second.split(",")) in message
-    assert repr("1.0,0.0,1.0,1.0".split(",")) in message
-
-
-def test_csv_rejects_non_finite_value(tmp_path):
-    path = tmp_path / "db.csv"
-    path.write_text("x_1,x_2,f_1,f_2\n1.0,0.0,nan,1.0\n")
-    with pytest.raises(ObjectiveFailure):
-        EvaluationDatabase.from_csv(path, _t6())
-
-
-@pytest.mark.parametrize(
-    "row, error",
-    [("1.0,abc,1.0,1.0", InfeasiblePoint), ("1.0,0.0,1.0,abc", ObjectiveFailure)],
-    ids=["site", "value"],
-)
-def test_csv_rejects_non_numeric_field(tmp_path, row, error):
-    path = tmp_path / "db.csv"
-    path.write_text(f"x_1,x_2,f_1,f_2\n{row}\n")
-    with pytest.raises(error, match="non-numeric"):
-        EvaluationDatabase.from_csv(path, _t6())
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["x_1", "x_2", "f_1", "f_2"]
+    table = np.array([[float(v) for v in row] for row in rows])
+    assert table.shape == (3, 4)
+    assert table[:, :2].tobytes() == db.sites.tobytes()
+    assert table[:, 2:].tobytes() == db.values.tobytes()
