@@ -9,6 +9,7 @@ original coordinates and dedupes / searches in scaled coordinates.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -210,11 +211,10 @@ class EvaluationDatabase:
     fill the first ``len(db)`` rows of three capacity-doubling 2-D buffers.
     ``sites`` (m, n) and ``values`` (m, k) are views of the stored rows, in the
     order they were stored; a stored row never changes. Cache hits and ball
-    queries work on the scaled copy. Cache lookups search a sorted array of
-    the keys w.z, one fixed projection of each stored scaled site, instead of
-    scanning every row, and a read settles all its rows together (see
-    ``_settle``); the rows it stores are written with one write per buffer
-    and one insert into the key array.
+    queries work on the scaled copy. A read settles its rows one by one (see
+    ``_settle``), finding each row's candidates by bisection in a sorted list
+    of the keys w.z, one fixed projection of each stored scaled site. The
+    rows a read stores are written with one write per buffer.
     """
 
     def __init__(self, problem: MOProblem, max_expensive: Optional[int] = None):
@@ -236,8 +236,8 @@ class EvaluationDatabase:
         # the lookup radius 2 (slack + gamma (2 w.|z| + slack)) is |z|.spread + floor
         self._spread = 4.0 * gamma * self._weights
         self._floor = 2.0 * (1.0 + gamma) * slack
-        self._keys = np.empty(0)  # sorted, NaN last: the key of each stored row
-        self._rows = np.empty(0, dtype=np.intp)  # the row of each key
+        self._keys: list[float] = []  # the key of each stored row, sorted, NaN as +inf
+        self._rows: list[int] = []  # the row of each key
 
     def __len__(self) -> int:
         return self._size
@@ -262,22 +262,13 @@ class EvaluationDatabase:
     def _scaled(self) -> np.ndarray:
         return self._buffer[: self._size]
 
-    @staticmethod
-    def _first_match(Z: np.ndarray, z: np.ndarray) -> int:
-        """The first row of Z with max|z_row - z| <= CACHE_TOL, or -1."""
-        hits = np.flatnonzero(np.abs(Z - z).max(axis=1) <= CACHE_TOL)
-        return int(hits[0]) if hits.size else -1
-
     def _settle(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where each row of a batch Z of finite scaled sites takes its values: (src, fresh).
 
-        fresh lists, in order, the rows of Z that match (max|z_row - z| <=
-        CACHE_TOL) no stored row and no earlier fresh row; storing them in that
-        order puts fresh[j] in buffer row len(self) + j. src[i] is the buffer
-        row that row i reads: the smallest stored row it matches, else the row
-        of the first fresh row it matches (itself when it is fresh). Row i
-        depends on the rows before it only, so a prefix of Z settles as the
-        same prefix of (src, fresh).
+        Row i, in order, reads buffer row src[i]: the smallest stored row it
+        matches (max|z_row - z| <= CACHE_TOL), else that of the first earlier
+        fresh row it matches, else row len(self) + j as the j-th fresh row.
+        A prefix of Z settles as a prefix of (src, fresh); nothing is stored.
 
         The lookup window of z holds every row that matches z. A match has
         |w.z_row - w.z| <= slack = |w|_1 CACHE_TOL (times 1 + eps for the
@@ -285,53 +276,33 @@ class EvaluationDatabase:
         of its exact value (gamma = (n + 2) eps bounds the error of an n-term
         dot product in any order), where w.|z_row| <= w.|z| + slack. Twice
         that sum covers the rounding of the radius and of the window ends. A
-        window that overflows is scanned in full; a key that overflows sorts
+        window that overflows takes every row; a key that overflows sorts
         outside every finite window, and a row that matches its row has an
         overflowing window.
-
-        A window with one stored key is settled with the other such windows
-        in one gather-and-compare; a window with several, or one that
-        overflows, checks its rows in order. A row that matches no stored row
-        is fresh unless its window holds the key of another such row of the
-        batch; only those rows are checked, in order, against the fresh rows
-        before them.
         """
-        size = self._size
+        size, stored_keys, stored_rows = self._size, self._keys, self._rows
         keys = Z @ self._weights
         radius = np.abs(Z) @ self._spread + self._floor
         lo, hi = keys - radius, keys + radius
-        wide = ~np.isfinite(hi - lo)
-        first = self._keys.searchsorted(lo)
-        count = self._keys.searchsorted(hi, "right") - first
-        src = np.full(len(Z), -1)
-        one = np.flatnonzero((count == 1) & ~wide)
-        cand = self._rows[first[one]]
-        src[one] = np.where(np.abs(self._buffer[cand] - Z[one]).max(axis=1) <= CACHE_TOL, cand, -1)
-        for i in np.flatnonzero((count > 1) | wide):
-            if wide[i]:
-                rows = np.arange(size)
+        windows = zip(keys.tolist(), lo.tolist(), hi.tolist(), (~np.isfinite(hi - lo)).tolist())
+        src, fresh = [], []
+        fresh_keys, fresh_rows = [], []  # sorted like _keys: the fresh rows so far
+        for i, (key, a, b, wide) in enumerate(windows):
+            if wide:
+                stored, earlier = range(size), fresh
             else:
-                rows = np.sort(self._rows[first[i] : first[i] + count[i]])
-            j = self._first_match(self._buffer[rows], Z[i])
-            if j >= 0:
-                src[i] = rows[j]
-        miss = np.flatnonzero(src < 0)
-        is_fresh = np.ones(len(miss), dtype=bool)
-        repeats = []  # (row, the earlier fresh row it reads)
-        if len(miss) > 1:
-            batch_keys = np.sort(keys[miss], kind="stable")
-            near = batch_keys.searchsorted(hi[miss], "right") - batch_keys.searchsorted(lo[miss])
-            for p in np.flatnonzero((near > 1) | wide[miss]):
-                earlier = miss[:p][is_fresh[:p]]
-                j = self._first_match(Z[earlier], Z[miss[p]])
-                if j >= 0:
-                    is_fresh[p] = False
-                    repeats.append((miss[p], earlier[j]))
-        fresh = miss[is_fresh]
-        src[fresh] = size + np.arange(len(fresh))
-        for i, j in repeats:
-            src[i] = src[j]
-        return src, fresh
+                stored = _window(stored_keys, stored_rows, a, b)
+                earlier = _window(fresh_keys, fresh_rows, a, b)
+            row = _first_match(self._buffer, stored, Z[i]) if stored else -1
+            if row < 0 and earlier:
+                j = _first_match(Z, earlier, Z[i])
+                row = src[j] if j >= 0 else -1
+            if row < 0:
+                row = size + len(fresh)
+                _insert(fresh_keys, fresh_rows, key, i)
+                fresh.append(i)
+            src.append(row)
+        return np.array(src, dtype=np.intp), np.array(fresh, dtype=np.intp)
 
     def _append(self, X: np.ndarray, Z: np.ndarray, F: np.ndarray) -> None:
         """Store the sites X, their scaled copies Z and their values F, and charge them."""
@@ -344,11 +315,8 @@ class EvaluationDatabase:
         self._sites[size : size + m] = X
         self._buffer[size : size + m] = Z
         self._values[size : size + m] = F
-        keys = Z @ self._weights
-        new = np.argsort(keys, kind="stable")
-        at = self._keys.searchsorted(keys[new], "right")
-        self._keys = np.insert(self._keys, at, keys[new])
-        self._rows = np.insert(self._rows, at, size + new)
+        for row, key in enumerate((Z @ self._weights).tolist(), size):
+            _insert(self._keys, self._rows, key, row)
         self._size = size + m
         self.eval_counts[self.problem.expensive_mask] += m
 
@@ -424,6 +392,30 @@ class EvaluationDatabase:
             writer.writerow(header)
             for site, vals in zip(self.sites, self.values):
                 writer.writerow([repr(float(v)) for v in site] + [repr(float(v)) for v in vals])
+
+
+def _insert(keys: list, rows: list, key: float, row: int) -> None:
+    """Insert key into the sorted list keys (NaN as +inf) and row into rows, at one place."""
+    key = np.inf if key != key else key
+    at = bisect_right(keys, key)
+    keys.insert(at, key)
+    rows.insert(at, row)
+
+
+def _window(keys: list, rows: list, lo: float, hi: float) -> list:
+    """The rows whose keys (sorted) lie in [lo, hi], in ascending order."""
+    first = bisect_left(keys, lo)
+    if first == len(keys) or keys[first] > hi:
+        return []
+    return sorted(rows[first : bisect_right(keys, hi, first)])
+
+
+def _first_match(Z: np.ndarray, rows, z: np.ndarray) -> int:
+    """The first of rows whose row of Z matches z (max|Z[row] - z| <= CACHE_TOL), or -1."""
+    for row in rows:
+        if np.abs(Z[row] - z).max() <= CACHE_TOL:
+            return row
+    return -1
 
 
 def _grown(buffer: np.ndarray, size: int, cap: int) -> np.ndarray:

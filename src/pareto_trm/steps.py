@@ -207,7 +207,7 @@ def exact_pareto_cauchy(
             fd = phi(d_)
     sigma = 0.5 * (a_ + b_)
     cands = [0.0, sigmas[best], sigma]
-    vals = [phi(s) for s in cands]
+    vals = [phis[0], phis[best], phi(sigma)]
     sigma = cands[int(np.argmin(vals))]
     trial = project_to_box(center + sigma * d, fs)
     m_center = bundle.values(center)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pareto_trm.problem as problem_module
 from pareto_trm.errors import (
     BudgetExhausted,
     DimensionMismatch,
@@ -222,14 +223,14 @@ def test_evaluate_rejects_non_finite_site(bad):
 
 
 def _assert_index(db):
-    """The key array holds one key of each stored row, in numpy's sort order:
-    the finite keys ascending, between -inf and the +inf and NaN keys."""
-    keys, rows = db._keys, db._rows
+    """The key list holds one key of each stored row, ascending, NaN stored as
+    +inf: the finite keys lie between -inf and the +inf keys."""
+    keys, rows = np.array(db._keys), np.array(db._rows, dtype=np.intp)
     assert db._size == len(db) and keys.shape == rows.shape
-    assert sorted(rows.tolist()) == list(range(len(db)))
+    assert sorted(db._rows) == list(range(len(db)))
+    assert not np.isnan(keys).any() and db._keys == sorted(db._keys)
     Z = db._scaled
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.array_equal(keys, np.sort(keys), equal_nan=True)
         size = np.abs(Z) @ db._weights
         wide = ~np.isfinite(2.0 * size)  # rows whose lookup window overflows
         # key bits may differ from the one-row dot product, within its rounding;
@@ -317,7 +318,44 @@ def test_indexed_find_near_overflow():
     assert len(db) == len(batch) == 3
     for stored in (db, batch):  # the first row's key overflows, and it is kept
         _assert_index(stored)
-        assert stored._keys[stored._rows == 0].tolist() == [np.inf]
+        assert stored._keys[stored._rows.index(0)] == np.inf
+
+
+def test_nan_keys_are_stored_as_inf():
+    # a key can overflow as inf - inf; stored as NaN it would break the sorted order
+    keys, rows = [-1.0, 2.0], [0, 1]
+    problem_module._insert(keys, rows, np.nan, 2)
+    problem_module._insert(keys, rows, 3.0, 3)
+    assert keys == [-1.0, 2.0, 3.0, np.inf] and rows == [0, 1, 3, 2]
+    prob = MOProblem(
+        4, 1, [lambda X: np.zeros(len(X))], np.array([True]), FeasibleSet.unconstrained()
+    )
+    db = EvaluationDatabase(prob)
+    X = np.array([[1.7e308, -1.7e308] * 2, [-1.7e308, 1.7e308] * 2, [1.0, 2.0, 3.0, 4.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        db.evaluate(X)
+        assert db._settle(X)[0].tolist() == [0, 1, 2]
+    _assert_index(db)
+
+
+def test_settle_stores_nothing():
+    # evaluate settles a batch, then stores only the prefix that passed the budget
+    prob = MOProblem(
+        2, 1, [lambda X: np.zeros(len(X))], np.array([True]), FeasibleSet.unconstrained()
+    )
+    db = EvaluationDatabase(prob)
+    a, big = np.array([0.3, 0.6]), np.array([1e308, 1e308])
+    db.evaluate(np.array([a, [1.0, 2.0]]))
+    # a stored hit, a new row and its repeat, an overflowing row and a fresh row
+    Z = np.array([a, [4.0, 5.0], [4.0, 5.0], big, [7.0, 8.0]])
+    state = [list(db._keys), list(db._rows), db._size]
+    buffers = [db._sites.tobytes(), db._buffer.tobytes(), db._values.tobytes()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        settled = [db._settle(Z) for _ in range(2)]
+    for src, fresh in settled:
+        assert src.tolist() == [0, 2, 2, 3, 4] and fresh.tolist() == [1, 3, 4]
+    assert [db._keys, db._rows, db._size] == state
+    assert [db._sites.tobytes(), db._buffer.tobytes(), db._values.tobytes()] == buffers
 
 
 def test_buffer_keeps_rows_across_growth():
@@ -339,24 +377,30 @@ def test_buffer_keeps_rows_across_growth():
 
 
 def _assert_windows_single(Z, monkeypatch):
-    """Each row of the stencil Z finds only its own key in a database that
-    holds every row, and no other row of Z near it in a batch read: none of
-    them takes the per-row step."""
+    """Each row of the stencil Z has no candidate in a batch read of Z, and
+    only its own row in a database that holds every row: no row is compared
+    with another."""
     n = Z.shape[1]
     prob = MOProblem(
         n, 1, [lambda X: np.zeros(len(X))], np.array([True]), FeasibleSet.unconstrained()
     )
     db = EvaluationDatabase(prob)
+    first_match = problem_module._first_match
+    seen = []  # per comparison: the candidate sites and the site of the row
 
-    def shared_window(Z, z):
-        raise AssertionError(f"a window of the stencil holds another row than {z!r}")
+    def recording(cands, rows, z):
+        seen.append((cands[list(rows)], z))
+        return first_match(cands, rows, z)
 
-    monkeypatch.setattr(EvaluationDatabase, "_first_match", staticmethod(shared_window))
+    monkeypatch.setattr(problem_module, "_first_match", recording)
     src, fresh = db._settle(Z)  # within one batch
     assert src.tolist() == fresh.tolist() == list(range(len(Z)))
+    assert all(len(cands) == 0 for cands, _ in seen)
+    seen.clear()
     db._append(Z, Z, np.zeros((len(Z), 1)))
     src, fresh = db._settle(Z)  # against the stored rows
     assert src.tolist() == list(range(len(Z))) and fresh.size == 0
+    assert all(np.array_equal(cands, z[None]) for cands, z in seen)
 
 
 @pytest.mark.parametrize("n, scale", [(5, 0.1), (5, 1e-3), (10, 0.1), (15, 0.1), (15, 1e-3)])
@@ -535,7 +579,7 @@ def test_objective_that_raises_stores_no_row_of_its_batch():
     db = EvaluationDatabase(prob)
     with pytest.raises(ZeroDivisionError):
         db.evaluate(np.array([[0.0], [1.0]]))
-    assert len(db) == 0 and db._keys.size == 0
+    assert len(db) == 0 and len(db._keys) == 0
     _assert_index(db)
 
 

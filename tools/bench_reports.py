@@ -4,8 +4,8 @@
 
 Runs each job of ``perfbench/workloads.build_jobs(WORKLOAD, SEED)`` once, as
 the benchmark does, writes its ``report.json``, ``iterations.csv`` and
-``db.csv`` as ``pareto-trm run`` would, and prints the sha256 of those bytes,
-run after run in job order. A refactor that keeps this digest changes no byte
+``db.csv`` with the writer of ``pareto-trm run``, and prints the sha256 of
+those bytes, run after run in job order. A refactor that keeps this digest changes no byte
 of any bench report; ``tests/golden/bench-reports.txt`` holds the committed
 digests. Run it from the root of a checkout; it imports the package from
 ``src/``.
@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from pareto_trm import run  # noqa: E402
+from pareto_trm.cli import _write_run_outputs  # noqa: E402
 from pareto_trm.problem import EvaluationDatabase  # noqa: E402
 from workloads import build_jobs  # noqa: E402
 
@@ -40,10 +41,7 @@ def reports_digest(workload: str, seed: int) -> str:
         out = Path(tmp)
         for _, prob, cfg, x0 in build_jobs(workload, seed):
             db = EvaluationDatabase(prob)
-            rep = run(prob, cfg, x0, seed=seed, db=db)
-            rep.to_json(out / "report.json")
-            rep.iterations_csv(out / "iterations.csv")
-            db.to_csv(out / "db.csv")
+            _write_run_outputs(out, run(prob, cfg, x0, seed=seed, db=db), db)
             for name in FILES:
                 digest.update((out / name).read_bytes())
     return digest.hexdigest()
