@@ -317,15 +317,18 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
 # how many consecutive halvings of every pending start one value_fn call
 # tests. A model call costs about the same at 13 rows as at 52, so testing
 # several halvings at once trades a few spare rows for fewer calls. One
-# step-solve bench pass (seed 0, 2-core Xeon) took 1.15 / 0.90 / 0.78 / 0.78 /
-# 0.81 s at 1 / 2 / 4 / 6 / 8 halvings per call.
+# seed-0 step-solve bench pass (2-core Xeon VM shared with other jobs; median
+# of 10 rounds of 3 passes) took 1.12 / 1.07 / 0.91 / 1.05 s at 2 / 4 / 6 / 8
+# halvings per call, in 7,222 / 4,394 / 4,029 / 3,880 value calls of 102k /
+# 176k / 260k / 344k rows. Rounds spread from 0.70 to 1.52 s, and no length
+# beat 4 in more than 6 of the 10 rounds.
 MAX_HALVINGS = 40
 LADDER = 4
 
 
 def box_multistart_minimize(
-    value_fn: Callable[[np.ndarray], np.ndarray],
-    grad_fn: Callable[[np.ndarray], np.ndarray],
+    value_fn: Callable[[np.ndarray], tuple[np.ndarray, Optional[np.ndarray]]],
+    grad_fn: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray],
     lo,
     hi,
     n_starts: int = 10,
@@ -336,9 +339,13 @@ def box_multistart_minimize(
 ) -> tuple[np.ndarray, float]:
     """Projected-gradient descent with Armijo backtracking from Halton starts.
 
-    value_fn / grad_fn must accept batches: (m, n) -> (m,) and (m, n) -> (m, n),
-    and be row-independent: each row of the result has the bits it has when
-    that row is evaluated alone, whatever the rest of the batch holds.
+    value_fn maps a batch U (m, n) to (values (m,), aux): aux is None, or an
+    array whose row i holds terms of row i of U that the gradient can reuse.
+    grad_fn maps (U, aux) to the gradients (m, n), where aux holds the rows
+    value_fn returned for the rows of U (None if value_fn returns None).
+    Both must be row-independent: each row of a result has the bits it has
+    when that row is evaluated alone, whatever the rest of the batch holds,
+    so the aux rows grad_fn receives have the bits value_fn gives U itself.
     grad_fn must be pure: it is called once per accepted iterate, and that
     gradient serves both the stop test and the next iteration.
 
@@ -349,8 +356,16 @@ def box_multistart_minimize(
     call holds LADDER consecutive halvings of every start still pending, row
     by row, and the starts that accept drop out before the next rung. Row
     independence makes this give the iterates of testing one halving per
-    call. Deterministic for fixed inputs; per-run objective sequences are
-    non-increasing. Returns the best point found and its value.
+    call. The ladder's steps are s_i 2^-b, products with exact powers of two,
+    so they are the repeated halvings bit for bit while they stay above
+    2^-1019, where no halving rounds.
+
+    An iteration that ends in the state it began from (iterates, values and
+    steps equal as bytes, so -0.0 never matches 0.0 and NaN matches itself)
+    ends the search before its gradient call: every later iteration, stop
+    test included, would repeat it, so the result is the one the iteration
+    cap would give. Deterministic for fixed inputs; per-run objective
+    sequences are non-increasing. Returns the best point found and its value.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -359,42 +374,52 @@ def box_multistart_minimize(
     if include is not None:
         extra = np.atleast_2d(np.asarray(include, dtype=float))
         X = np.vstack([np.clip(extra, lo, hi), X])
-    F = value_fn(X)
-    Gr = grad_fn(X)
+    F, A = value_fn(X)
+    Gr = grad_fn(X, A)
     step = np.ones(X.shape[0])
+    halves = np.ldexp(1.0, -np.arange(LADDER))
     for _ in range(max_iters):
-        Xn, Fn = X.copy(), F.copy()
+        Xn, Fn, stepn = X.copy(), F.copy(), step.copy()
+        An = None if A is None else A.copy()
         pending = np.arange(X.shape[0])
         # the pending starts' iterates, gradients, values and next halving to test
         Xp, Gp, Fp, trial = X, Gr, F, step
         for b0 in range(0, MAX_HALVINGS, LADDER):
             rungs = min(LADDER, MAX_HALVINGS - b0)
-            S = np.empty((pending.size, rungs))
-            S[:, 0] = trial
-            for b in range(1, rungs):
-                S[:, b] = S[:, b - 1] / 2.0
-            cand = np.clip(Xp[:, None, :] - S[:, :, None] * Gp[:, None, :], lo, hi)
-            Fc = value_fn(cand.reshape(-1, n)).reshape(-1, rungs)
-            moves = (Xp[:, None, :] - cand).reshape(-1, n)
-            decrease = np.einsum("ij,ij->i", np.repeat(Gp, rungs, axis=0), moves)
-            ok = Fc <= Fp[:, None] - 1e-4 * decrease.reshape(-1, rungs)
-            hit = ok.any(axis=1)
-            first = np.argmax(ok[hit], axis=1)
+            S = trial[:, None] * halves[:rungs]
+            cand = Xp[:, None, :] - S[:, :, None] * Gp[:, None, :]
+            np.maximum(cand, lo, out=cand)
+            np.minimum(cand, hi, out=cand)
+            moves = np.subtract(Xp[:, None, :], cand).reshape(-1, n)
+            cand = cand.reshape(-1, n)
+            Fc, Ac = value_fn(cand)
+            decrease = np.einsum("ij,ij->i", Gp.repeat(rungs, axis=0), moves)
+            ok = Fc.reshape(-1, rungs) <= Fp[:, None] - 1e-4 * decrease.reshape(-1, rungs)
+            # each pending start's first accepted halving, as a row of cand
+            pick = ok.argmax(axis=1)
+            pick += np.arange(0, pick.size * rungs, rungs)
+            hit = ok.ravel()[pick]
+            pick = pick[hit]
             rows = pending[hit]
-            Xn[rows] = cand[hit, first]
-            Fn[rows] = Fc[hit, first]
-            step[rows] = S[hit, first] * 2.0
+            Xn[rows] = cand[pick]
+            Fn[rows] = Fc[pick]
+            stepn[rows] = S.ravel()[pick] * 2.0
+            if An is not None:
+                An[rows] = Ac[pick]
             miss = ~hit
             pending = pending[miss]
             if pending.size == 0:
                 break
-            Xp, Gp, Fp, trial = Xp[miss], Gp[miss], Fp[miss], S[miss, -1] / 2.0
-        if pending.size == X.shape[0]:  # no start moved
-            break
-        X, F = Xn, Fn
-        Gr = grad_fn(X)  # for the stop test and the next iteration
-        proj_grad = np.max(np.abs(X - np.clip(X - Gr, lo, hi)), axis=1)
-        if np.all(proj_grad <= gtol):
+            Xp, Gp, Fp, trial = Xp[miss], Gp[miss], Fp[miss], S[miss, -1] * 0.5
+        if all(a.tobytes() == b.tobytes() for a, b in ((Xn, X), (Fn, F), (stepn, step))):
+            break  # the iteration repeats its start state, and so would every later one
+        X, F, A, step = Xn, Fn, An, stepn
+        Gr = grad_fn(X, A)  # for the stop test and the next iteration
+        D = X - Gr  # the projected gradient X - clip(X - Gr), in place
+        np.maximum(D, lo, out=D)
+        np.minimum(D, hi, out=D)
+        np.subtract(X, D, out=D)
+        if np.abs(D, out=D).max() <= gtol:
             break
     best = int(np.argmin(F))
     return X[best].copy(), float(F[best])

@@ -215,16 +215,19 @@ def exact_pareto_cauchy(
 
 
 def local_ideal_point(bundle, center, radius, fs: FeasibleSet) -> np.ndarray:
-    """Componentwise minimum of each model over the trust region (not all of X)."""
+    """Componentwise minimum of each model over the trust region (not all of X).
+
+    The center is one of the multistart's starts, and a start's value never
+    increases, so each entry is at most that model's value at the center.
+    """
     center = np.asarray(center, dtype=float)
     lo, hi = region_box(center, radius, fs)
     ideal = np.empty(bundle.k)
     for idx, model in enumerate(bundle.models):
-        _, val = box_multistart_minimize(
-            model.values, model.gradients, lo, hi,
+        _, ideal[idx] = box_multistart_minimize(
+            lambda U: (model.values(U), None), lambda U, _: model.gradients(U), lo, hi,
             n_starts=10 + center.size, seed=idx, max_iters=150, include=center[None, :],
         )
-        ideal[idx] = min(val, model.values(center)[0])
     return ideal
 
 
@@ -247,24 +250,26 @@ def pascoletti_serafini(bundle, center, radius, crit, fs, cfg: StepConfig) -> St
     r_safe = np.maximum(r, 1e-9 * r_max)
     lo, hi = region_box(center, radius, fs)
 
-    def ratios(U):
-        return (bundle.values(U) - m_center[None, :]) / r_safe[None, :]
-
     def make_smooth(temp):
+        # value returns as aux the softmax numerators E = exp((Q - max Q) / temp)
+        # of the ratios Q = (m(U) - m(center)) / r; grad normalizes them into the
+        # weights of the model gradients
         def value(U):
-            Q = ratios(U)
-            mx = np.max(Q, axis=1)
-            return mx + temp * np.log(np.sum(np.exp((Q - mx[:, None]) / temp), axis=1))
+            Q = bundle.values(U)
+            Q -= m_center
+            Q /= r_safe
+            mx = Q.max(axis=1)
+            E = np.subtract(Q, mx[:, None], out=Q)
+            E /= temp
+            np.exp(E, out=E)
+            return mx + temp * np.log(E.sum(axis=1)), E
 
-        def grad(U):
-            U = np.atleast_2d(U)
-            Q = ratios(U)
-            mx = np.max(Q, axis=1)
-            W = np.exp((Q - mx[:, None]) / temp)
-            W /= np.sum(W, axis=1, keepdims=True)
+        def grad(U, E):
+            W = E / E.sum(axis=1, keepdims=True)
+            W /= r_safe
             out = np.zeros_like(U)
             for idx, model in enumerate(bundle.models):
-                out += (W[:, idx] / r_safe[idx])[:, None] * model.gradients(U)
+                out += W[:, idx, None] * model.gradients(U)
             return out
 
         return value, grad

@@ -35,7 +35,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import axis_differences, halton, solve_linear
-from .problem import EvaluationDatabase, FeasibleSet, MOProblem, region_box
+from .problem import EvaluationDatabase, FeasibleSet, MOProblem, _check_dim, region_box
 
 PIVOT_THRESHOLD = 1e-4
 TAYLOR_FD_STEP = 1e-2  # FD-Taylor difference step, relative to the radius
@@ -145,19 +145,25 @@ class ExactCheapModel:
         self.prob = prob
         self.index = index
         fs = prob.feasible
-        self._width = fs.width()
+        self._fs, self._width = fs, fs.width()
         fss = fs.scaled()
         self._lo, self._hi = fss.lower, fss.upper
 
+    def _unscale(self, U):
+        """The batch U in original coordinates, as `prob.unscale` maps it, with
+        the box width computed once."""
+        U = np.atleast_2d(U)
+        if self._width is None:
+            return self.prob.unscale(U)
+        return self._fs.lower + _check_dim(U, self._fs) * self._width
+
     def values(self, U) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return self.prob.objective_values(self.index, self.prob.unscale(U))
+        return self.prob.objective_values(self.index, self._unscale(U))
 
     def gradients(self, U) -> np.ndarray:
-        U = np.atleast_2d(np.asarray(U, dtype=float))
         if self.prob.gradients[self.index] is None:
             return axis_differences(self.values, U, 1e-7, self._lo, self._hi)
-        G = self.prob.objective_gradients(self.index, self.prob.unscale(U))
+        G = self.prob.objective_gradients(self.index, self._unscale(U))
         return G * self._width if self._width is not None else G
 
     def hessian_norm_bound(self, lo, hi, seed=0) -> float:
@@ -260,7 +266,9 @@ class RBFModel:
 
     def _dists(self, T):
         diff = T[:, None, :] - self.T[None, :, :]
-        return np.sqrt(np.maximum(np.einsum("mkn,mkn->mk", diff, diff), 0.0)), diff
+        r = np.einsum("mkn,mkn->mk", diff, diff)
+        np.maximum(r, 0.0, out=r)
+        return np.sqrt(r, out=r), diff
 
     def values(self, U) -> np.ndarray:
         T = self._local(U)
@@ -710,7 +718,9 @@ class SurrogateBundle:
         Every model is row-independent, so a point's values have the bits of
         its row in any batch."""
         u = np.asarray(u, dtype=float)
-        V = np.column_stack([m.values(u) for m in self.models])
+        V = np.empty((len(u) if u.ndim == 2 else 1, len(self.models)))
+        for l, model in enumerate(self.models):
+            V[:, l] = model.values(u)
         return V if u.ndim == 2 else V[0]
 
     def gradients(self, u) -> np.ndarray:

@@ -139,13 +139,12 @@ def _zdt(name: str, n: int, pattern: str) -> MOProblem:
 
 
 def _dtlz1_terms(X, k):
-    """(g, pos) of every row of X: g of shape (m,), pos the first k - 1 columns."""
-    tail = X[:, k - 1:]
-    g = 100.0 * (
-        tail.shape[1]
-        + np.sum((tail - 0.5) ** 2 - np.cos(20.0 * math.pi * (tail - 0.5)), axis=1)
-    )
-    return g, X[:, : k - 1]
+    """(g, pos, t, angle) of every row of X: g of shape (m,), pos the first
+    k - 1 columns, t the last n - k + 1 columns minus 0.5 and angle 20 pi t."""
+    t = X[:, k - 1:] - 0.5
+    angle = 20.0 * math.pi * t
+    g = 100.0 * (t.shape[1] + (t**2 - np.cos(angle)).sum(axis=1))
+    return g, X[:, : k - 1], t, angle
 
 
 def _dtlz1(n: int, pattern: str) -> MOProblem:
@@ -153,23 +152,25 @@ def _dtlz1(n: int, pattern: str) -> MOProblem:
 
     def make_f(j):
         def f(X):
-            g, pos = _dtlz1_terms(X, k)
-            prod = np.prod(pos[:, : k - j], axis=1)
+            g, pos, _, _ = _dtlz1_terms(X, k)
+            prod = pos[:, : k - j].prod(axis=1)
             if j == 1:
                 return 0.5 * (1.0 + g) * prod
             return 0.5 * (1.0 + g) * prod * (1.0 - pos[:, k - j])
 
         return f
 
+    # the columns of pos whose product is d f1 / d x_i, for each i < k - 1
+    others = [[j for j in range(k - 1) if j != i] for i in range(k - 1)]
+
     def grad_f1(X):
-        g, pos = _dtlz1_terms(X, k)
+        g, pos, t, angle = _dtlz1_terms(X, k)
         G = np.zeros(X.shape)
-        for i in range(k - 1):
-            G[:, i] = 0.5 * (1.0 + g) * np.prod(np.delete(pos, i, axis=1), axis=1)
-        prod = np.prod(pos, axis=1)
-        tail = X[:, k - 1:]
-        dg = 100.0 * (2.0 * (tail - 0.5) + 20.0 * math.pi * np.sin(20.0 * math.pi * (tail - 0.5)))
-        G[:, k - 1:] = (0.5 * prod)[:, None] * dg
+        scale = 0.5 * (1.0 + g)
+        for i, cols in enumerate(others):
+            G[:, i] = scale * pos[:, cols].prod(axis=1)
+        dg = 100.0 * (2.0 * t + 20.0 * math.pi * np.sin(angle))
+        G[:, k - 1:] = (0.5 * pos.prod(axis=1))[:, None] * dg
         return G
 
     mask = _mask(pattern, k)

@@ -1,11 +1,25 @@
 """Shared oracles and problem builders for the test suite."""
 
+import importlib.util
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pareto_trm.problem import FeasibleSet, MOProblem
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py as a module, loaded by path; perfbench/ is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it runs
+    spec.loader.exec_module(module)
+    return module
 
 
 def lp_grid_oracle(G, lo, hi, res=1e-3):
@@ -93,6 +107,13 @@ def fd_gradient(fn, z, h, lo, hi, f0=None):
 def row_loop(fn):
     """A batch evaluator made from a one-point function: fn at each row of X."""
     return lambda X: np.array([fn(x) for x in X], dtype=float)
+
+
+def plain(value_fn, grad_fn):
+    """Batch value and gradient functions in box_multistart_minimize's
+    protocol: the values come with no aux rows, and the gradient ignores
+    its aux argument."""
+    return (lambda U: (value_fn(U), None)), (lambda U, aux: grad_fn(U))
 
 
 def two_quadratics(a, b, box=None):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import lp_vertex_oracle, row_loop, segment_distance, two_quadratics
+from conftest import lp_vertex_oracle, plain, row_loop, segment_distance, two_quadratics
 
 import pareto_trm.cli as cli
 from pareto_trm import (
@@ -320,7 +320,7 @@ def test_criterion_9_pascoletti_serafini_contract():
         crit = omega_of_gradients(bundle.gradients(center), center, fs)
         res = pascoletti_serafini(bundle, center, 2.0, crit, fs, cfg)
         direct, _ = box_multistart_minimize(
-            model.values, model.gradients, center - 2.0, center + 2.0,
+            *plain(model.values, model.gradients), center - 2.0, center + 2.0,
             12, seed=3, include=center[None, :],
         )
         k1_ok += float(np.max(np.abs(res.trial - direct))) <= 1e-5

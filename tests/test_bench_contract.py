@@ -5,7 +5,6 @@ modify it nor run the benchmark."""
 
 import ast
 import importlib
-import importlib.util
 import os
 import subprocess
 import sys
@@ -13,21 +12,14 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import PERFBENCH, load_perfbench
+
 from pareto_trm import AlgoConfig, MODEL_SPECS, StepConfig, TestProblemSpec, cli, make_problem, run
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = PERFBENCH.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH_DIGESTS = GOLDEN / "bench-digests.txt"
 BENCH_REPORTS = GOLDEN / "bench-reports.txt"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up while it runs
-    spec.loader.exec_module(module)
-    return module
 
 
 def _package_imports():
@@ -41,7 +33,7 @@ def _package_imports():
 
 
 def test_traced_sites_exist():
-    tracing = _load("tracing")
+    tracing = load_perfbench("tracing")
     assert tracing.SITES
     for owner, attr, name in tracing.SITES:
         # the tracer wraps owner.__dict__[attr], so the name must live on the owner itself
@@ -59,7 +51,7 @@ def test_imported_names_exist():
 
 def test_workloads_build():
     # every cell's problem, AlgoConfig and StepConfig must still construct
-    workloads = _load("workloads")
+    workloads = load_perfbench("workloads")
     for name in workloads.WORKLOADS:
         jobs = workloads.build_jobs(name, 0)
         assert len(jobs) == sum(cell.starts for cell in workloads.WORKLOADS[name])
@@ -69,7 +61,7 @@ def test_tracer_times_the_lazy_curvature_bound():
     # the bound is computed inside the step, through the module-level name the
     # tracer swaps for its wrapper; a reference captured at import would bypass it.
     # One step of this run is not certified at the curvature floor, so it reads H.
-    tracing = _load("tracing")
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     prob = make_problem(TestProblemSpec("ZDT1", 5, "first-cheap-rest-expensive"))
     cfg = AlgoConfig(
@@ -87,7 +79,7 @@ def test_tracer_times_the_lazy_curvature_bound():
 def test_tracer_times_every_builder():
     # build_bundle dispatches through the module-level builder names, which the
     # tracer swaps for its wrappers; one builder call per bundle must show up
-    tracing = _load("tracing")
+    tracing = load_perfbench("tracing")
     prob = make_problem(TestProblemSpec("ZDT1", 3))
     for model, layer in (
         ("rbf-cubic", "surrogates.build_rbf"),
@@ -104,7 +96,7 @@ def test_tracer_times_every_builder():
 
 
 def _assert_one_digest_per_workload_and_seed(path):
-    workloads = _load("workloads")
+    workloads = load_perfbench("workloads")
     rows = [line.split() for line in path.read_text(encoding="utf-8").splitlines()]
     assert sorted((name, seed) for name, seed, _ in rows) == sorted(
         (name, seed) for name in workloads.WORKLOADS for seed in ("0", "1")

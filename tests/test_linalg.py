@@ -1,11 +1,13 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient, lp_grid_oracle, lp_vertex_oracle
+from conftest import fd_gradient, load_perfbench, lp_grid_oracle, lp_vertex_oracle, plain
 
-from pareto_trm import linalg
+from pareto_trm import linalg, run, steps
 from pareto_trm.errors import DimensionMismatch, LPFailure, SingularMatrix
 from pareto_trm.linalg import (
     LPProblem,
@@ -532,6 +534,11 @@ def _quad(c):
     return val, grad
 
 
+def same_bits(a, b) -> bool:
+    """Equal as bytes: -0.0 differs from 0.0, and NaN matches the same NaN."""
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def multistart_two_gradients(value_fn, grad_fn, lo, hi, n_starts, seed, max_iters, gtol):
     """box_multistart_minimize as it was when every accepted iterate's gradient
     was computed twice (stop test, then the next iteration's head); also
@@ -572,15 +579,23 @@ def multistart_two_gradients(value_fn, grad_fn, lo, hi, n_starts, seed, max_iter
     return X[best].copy(), float(F[best]), iterations
 
 
+# one iteration of multistart_one_halving: the iterate, its values, gradient
+# and steps, the halving each start accepted (-1 for none), and the state after
+Iteration = namedtuple("Iteration", "X F G step halving Xn Fn stepn")
+
+
+def repeats(it: Iteration) -> bool:
+    """The iteration ends in the exact state it began from."""
+    return same_bits(it.X, it.Xn) and same_bits(it.F, it.Fn) and same_bits(it.step, it.stepn)
+
+
 def multistart_one_halving(
     value_fn, grad_fn, lo, hi, n_starts=10, seed=0, max_iters=200, gtol=1e-10, include=None,
     log=None,
 ):
     """box_multistart_minimize as it was before its backtracking ladder: every
     value_fn call tests one halving of every start, accepted or not. `log`
-    gets one (X, G, step, accepted, Xn) per iteration: the iterate, its
-    gradient, the steps it starts from, the halving each start accepted (-1
-    for none) and the next iterate."""
+    gets one Iteration per iteration."""
     n = lo.size
     X = lo + halton(max(1, n_starts), n, offset=1000 * seed) * (hi - lo)
     if include is not None:
@@ -612,7 +627,7 @@ def multistart_one_halving(
                 break
             trial_step = np.where(accept, trial_step, trial_step / 2.0)
         if log is not None:
-            log.append((X, Gr, start_step, halving, Xn))
+            log.append(Iteration(X, F, Gr, start_step, halving, Xn, Fn, step.copy()))
         if not moved:
             break
         X, F = Xn, Fn
@@ -624,28 +639,83 @@ def multistart_one_halving(
     return X[best].copy(), float(F[best])
 
 
+def multistart_ladder_oracle(
+    value_fn, grad_fn, lo, hi, n_starts=10, seed=0, max_iters=200, gtol=1e-10, include=None
+):
+    """box_multistart_minimize as it was before its aux protocol and its
+    fixed-point exit, on plain value_fn(U) and grad_fn(U)."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    n = lo.size
+    X = lo + halton(max(1, n_starts), n, offset=1000 * seed) * (hi - lo)
+    if include is not None:
+        extra = np.atleast_2d(np.asarray(include, dtype=float))
+        X = np.vstack([np.clip(extra, lo, hi), X])
+    F = value_fn(X)
+    Gr = grad_fn(X)
+    step = np.ones(X.shape[0])
+    for _ in range(max_iters):
+        Xn, Fn = X.copy(), F.copy()
+        pending = np.arange(X.shape[0])
+        # the pending starts' iterates, gradients, values and next halving to test
+        Xp, Gp, Fp, trial = X, Gr, F, step
+        for b0 in range(0, linalg.MAX_HALVINGS, linalg.LADDER):
+            rungs = min(linalg.LADDER, linalg.MAX_HALVINGS - b0)
+            S = np.empty((pending.size, rungs))
+            S[:, 0] = trial
+            for b in range(1, rungs):
+                S[:, b] = S[:, b - 1] / 2.0
+            cand = np.clip(Xp[:, None, :] - S[:, :, None] * Gp[:, None, :], lo, hi)
+            Fc = value_fn(cand.reshape(-1, n)).reshape(-1, rungs)
+            moves = (Xp[:, None, :] - cand).reshape(-1, n)
+            decrease = np.einsum("ij,ij->i", np.repeat(Gp, rungs, axis=0), moves)
+            ok = Fc <= Fp[:, None] - 1e-4 * decrease.reshape(-1, rungs)
+            hit = ok.any(axis=1)
+            first = np.argmax(ok[hit], axis=1)
+            rows = pending[hit]
+            Xn[rows] = cand[hit, first]
+            Fn[rows] = Fc[hit, first]
+            step[rows] = S[hit, first] * 2.0
+            miss = ~hit
+            pending = pending[miss]
+            if pending.size == 0:
+                break
+            Xp, Gp, Fp, trial = Xp[miss], Gp[miss], Fp[miss], S[miss, -1] / 2.0
+        if pending.size == X.shape[0]:  # no start moved
+            break
+        X, F = Xn, Fn
+        Gr = grad_fn(X)  # for the stop test and the next iteration
+        proj_grad = np.max(np.abs(X - np.clip(X - Gr, lo, hi)), axis=1)
+        if np.all(proj_grad <= gtol):
+            break
+    best = int(np.argmin(F))
+    return X[best].copy(), float(F[best])
+
+
 def ladder_calls(log, lo, hi):
     """The value_fn and grad_fn calls the ladder makes, derived from the
     one-halving loop's log: per iteration, one value call per rung holding
     LADDER consecutive halvings of each start still pending, row by row, then
-    the gradient of the next iterate if any start moved."""
-    calls = [("value", log[0][0]), ("grad", log[0][0])]
-    for X, G, step, halving, Xn in log:
-        pending, trial = list(range(len(X))), step.copy()
+    the gradient of the next iterate, unless the iteration repeats its start
+    state, where the ladder stops."""
+    calls = [("value", log[0].X), ("grad", log[0].X)]
+    for it in log:
+        pending, trial = list(range(len(it.X))), it.step.copy()
         for b0 in range(0, linalg.MAX_HALVINGS, linalg.LADDER):
             rows = []
             for i in pending:
                 t = trial[i]
                 for _ in range(min(linalg.LADDER, linalg.MAX_HALVINGS - b0)):
-                    rows.append(np.clip(X[i] - t * G[i], lo, hi))
+                    rows.append(np.clip(it.X[i] - t * it.G[i], lo, hi))
                     t = t / 2.0
                 trial[i] = t
             calls.append(("value", np.array(rows)))
-            pending = [i for i in pending if not 0 <= halving[i] < b0 + linalg.LADDER]
+            pending = [i for i in pending if not 0 <= it.halving[i] < b0 + linalg.LADDER]
             if not pending:
                 break
-        if np.any(halving >= 0):
-            calls.append(("grad", Xn))
+        if repeats(it):
+            break
+        calls.append(("grad", it.Xn))
     return calls
 
 
@@ -661,13 +731,14 @@ def assert_ladder_matches_one_halving(val, grad, lo, hi, **kwargs):
 
         return call
 
-    x, v = box_multistart_minimize(logged("value", val), logged("grad", grad), lo, hi, **kwargs)
+    value_fn, grad_fn = plain(logged("value", val), logged("grad", grad))
+    x, v = box_multistart_minimize(value_fn, grad_fn, lo, hi, **kwargs)
     log = []
     x_old, v_old = multistart_one_halving(val, grad, lo, hi, log=log, **kwargs)
-    assert np.array_equal(x, x_old) and v == v_old
+    assert same_bits(x, x_old) and same_bits(v, v_old)
     expected = ladder_calls(log, lo, hi)
     assert [kind for kind, _ in calls] == [kind for kind, _ in expected]
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(calls, expected))
+    assert all(same_bits(a, b) for (_, a), (_, b) in zip(calls, expected))
     # at most ceil(MAX_HALVINGS / LADDER) value calls between two gradients
     rungs = -(-linalg.MAX_HALVINGS // linalg.LADDER)
     runs = "".join("v" if kind == "value" else "g" for kind, _ in calls).split("g")
@@ -729,10 +800,44 @@ def test_ladder_matches_one_halving_loop(case):
     assert_ladder_matches_one_halving(val, grad, lo, hi, **kwargs)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(multistart_cases())
+def test_matches_ladder_oracle(case):
+    # the aux protocol, the thinner loop and the fixed-point exit keep every bit
+    val, grad, lo, hi, kwargs = case
+    x, v = box_multistart_minimize(*plain(val, grad), lo, hi, **kwargs)
+    x_old, v_old = multistart_ladder_oracle(val, grad, lo, hi, **kwargs)
+    assert same_bits(x, x_old) and same_bits(v, v_old)
+
+
+@pytest.mark.parametrize("aux_shape", ["rows", "matrix"])
+def test_grad_receives_the_aux_rows_of_its_points(aux_shape):
+    # the aux rows travel with the accepted candidates, through rungs and iterations
+    val, grad = bumpy(*TestLadder.a_c_b_w)
+
+    def value_fn(U):
+        F = val(U)
+        aux = F * 3.0 if aux_shape == "rows" else np.column_stack([U.sum(axis=1), F])
+        return F, aux
+
+    seen = []
+
+    def grad_fn(U, aux):
+        seen.append((U.copy(), aux.copy()))
+        return grad(U)
+
+    x, v = box_multistart_minimize(value_fn, grad_fn, np.zeros(3), np.ones(3), 6, seed=1)
+    x_old, v_old = multistart_ladder_oracle(val, grad, np.zeros(3), np.ones(3), 6, seed=1)
+    assert same_bits(x, x_old) and same_bits(v, v_old)
+    assert len(seen) > 2
+    assert all(same_bits(aux, value_fn(U)[1]) for U, aux in seen)
+
+
 class TestLadder:
     lo, hi = np.zeros(3), np.ones(3)
     a, c = np.array([1.0, 2.0, 0.5]), np.array([0.3, 1.4, -0.2])
     b, w = np.array([0.3, -0.2, 0.1]), np.array([5.0, 3.0, 7.0])
+    a_c_b_w = (a, c, b, w)
 
     def test_starts_on_faces(self):
         val, grad = bumpy(self.a, self.c, self.b, self.w)
@@ -754,7 +859,7 @@ class TestLadder:
     def test_uphill_rows_exhaust_every_halving(self):
         val, grad = bumpy(self.a, self.c, self.b, self.w, uphill_below=0.5)
         log = assert_ladder_matches_one_halving(val, grad, self.lo, self.hi, n_starts=8, seed=1)
-        exhausted = [halving == -1 for _, _, _, halving, _ in log]
+        exhausted = [it.halving == -1 for it in log]
         assert all(e.any() for e in exhausted) and not exhausted[0].all() and len(log) > 1
 
     @pytest.mark.parametrize("ladder", [1, 3, 6, 40])
@@ -768,19 +873,55 @@ class TestLadder:
         # every gradient uphill: one iteration of MAX_HALVINGS halvings, then the best start
         val, grad = bumpy(self.a, self.c, self.b, self.w, uphill_below=2.0)
         log = assert_ladder_matches_one_halving(val, grad, self.lo, self.hi, n_starts=4, seed=2)
-        assert len(log) == 1 and np.all(log[0][3] == -1)
+        assert len(log) == 1 and np.all(log[0].halving == -1)
+
+    def test_growing_step_is_not_a_fixed_point(self):
+        # at x = 1 the gradient is too small to move x: x and f repeat while
+        # the step doubles, until the step is long enough to move x; the start
+        # at x = 0.1 has an uphill gradient, never moves and keeps the stop
+        # test from ending the search
+        def val(X):
+            return 1e-17 * X[:, 0] + np.where(X[:, 0] < 0.5, 1.5 - X[:, 0], 0.0)
+
+        def grad(X):
+            return np.where(X < 0.5, 1.0, 1e-17)
+
+        log = assert_ladder_matches_one_halving(
+            val, grad, np.zeros(1), np.full(1, 2.0), n_starts=1, include=np.full((1, 1), 0.1),
+            max_iters=20,
+        )
+        assert same_bits(log[0].X, log[0].Xn) and same_bits(log[0].F, log[0].Fn)
+        assert not repeats(log[0]) and log[-1].Xn[1, 0] < 1.0
+
+    def test_nan_start_reaches_the_exit(self):
+        # a start whose value is NaN never moves; its NaN repeats as bytes,
+        # so the other starts' fixed point still ends the search
+        hole = 0.125
+        val0, grad = bumpy(np.array([0.5]), np.array([0.3]), np.array([-0.9]), np.array([3.0]))
+
+        def val(X):
+            F = val0(X)
+            F[X[:, 0] == hole] = np.nan
+            return F
+
+        log = assert_ladder_matches_one_halving(
+            val, grad, np.zeros(1), np.ones(1), n_starts=4, max_iters=150,
+            include=np.full((1, 1), hole),
+        )
+        exits = [i for i, it in enumerate(log) if repeats(it)]
+        assert exits and 0 < exits[0] < len(log) - 1 and np.isnan(log[0].F[0])
 
 
 class TestMultistart:
     def test_interior_quadratic(self):
         val, grad = _quad([0.3, 0.6])
-        x, v = box_multistart_minimize(val, grad, np.zeros(2), np.ones(2), 5, seed=1)
+        x, v = box_multistart_minimize(*plain(val, grad), np.zeros(2), np.ones(2), 5, seed=1)
         np.testing.assert_allclose(x, [0.3, 0.6], atol=1e-6)
         assert v <= 1e-10
 
     def test_exterior_quadratic_projects(self):
         val, grad = _quad([2.0, -1.0])
-        x, _ = box_multistart_minimize(val, grad, np.zeros(2), np.ones(2), 5, seed=1)
+        x, _ = box_multistart_minimize(*plain(val, grad), np.zeros(2), np.ones(2), 5, seed=1)
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-6)
 
     def test_rosenbrock(self):
@@ -793,7 +934,7 @@ class TestMultistart:
             return np.column_stack([gx, gy])
 
         _, v = box_multistart_minimize(
-            val, grad, -2 * np.ones(2), 2 * np.ones(2), 20, seed=3,
+            *plain(val, grad), -2 * np.ones(2), 2 * np.ones(2), 20, seed=3,
             max_iters=20000, gtol=1e-12,
         )
         assert v <= 1e-4
@@ -808,7 +949,7 @@ class TestMultistart:
             history.append(out.min())
             return out
 
-        box_multistart_minimize(spy_val, grad, np.zeros(3), np.ones(3), 1, seed=0)
+        box_multistart_minimize(*plain(spy_val, grad), np.zeros(3), np.ones(3), 1, seed=0)
         best = np.minimum.accumulate(history)
         assert np.all(np.diff(best) <= 1e-12)
 
@@ -826,7 +967,9 @@ class TestMultistart:
             calls.append(X.copy())
             return grad(X)
 
-        x, v = box_multistart_minimize(val, counted_grad, lo, hi, 4, seed=1, max_iters=max_iters)
+        x, v = box_multistart_minimize(
+            *plain(val, counted_grad), lo, hi, 4, seed=1, max_iters=max_iters
+        )
         x_old, v_old, iterations = multistart_two_gradients(
             val, grad, lo, hi, 4, 1, max_iters, 1e-10
         )
@@ -839,8 +982,53 @@ class TestMultistart:
         val, grad = _quad([0.5, 0.5])
         lo, hi = np.zeros(2), np.ones(2)
         starts = lo + halton(7, 2, offset=2000) * (hi - lo)
-        _, v = box_multistart_minimize(val, grad, lo, hi, 7, seed=2)
+        _, v = box_multistart_minimize(*plain(val, grad), lo, hi, 7, seed=2)
         assert v <= val(starts).min() + 1e-12
+
+
+class TestFixedPointExit:
+    """The stage-1 Pascoletti-Serafini multistart of the bench's seed-0 T6
+    coverage run repeats its state from its 31st iteration."""
+
+    @staticmethod
+    def t6_stage_one(monkeypatch):
+        """(value_fn, grad_fn, lo, hi, kwargs) of that call, as the step made it."""
+        calls = []
+
+        def recording(value_fn, grad_fn, lo, hi, **kwargs):
+            calls.append((value_fn, grad_fn, lo, hi, kwargs))
+            return box_multistart_minimize(value_fn, grad_fn, lo, hi, **kwargs)
+
+        monkeypatch.setattr(steps, "box_multistart_minimize", recording)
+        jobs = load_perfbench("workloads").build_jobs("step-solve", 0)
+        _, prob, cfg, x0 = next(
+            job for job in jobs if job[0].startswith("T6-n2-default-rbf-cubic-pascoletti-serafini")
+        )
+        run(prob, cfg, x0, seed=0)
+        return next(call for call in calls if call[4]["seed"] == 7)
+
+    def test_exit_returns_the_capped_result(self, monkeypatch):
+        value_fn, grad_fn, lo, hi, kwargs = self.t6_stage_one(monkeypatch)
+        assert kwargs["max_iters"] == 150
+        results = {}
+        for cap in (150, 10_000):
+            counted = []
+
+            def counted_value(U):
+                counted.append(len(U))
+                return value_fn(U)
+
+            x, v = box_multistart_minimize(
+                counted_value, grad_fn, lo, hi, **{**kwargs, "max_iters": cap}
+            )
+            results[cap] = (x.tobytes(), np.float64(v).tobytes(), len(counted))
+        assert results[150] == results[10_000]
+        assert results[150][2] < 60  # one value call or more per iteration without the exit
+        # and the old loop, run to its cap, returns the same bits
+        x_old, v_old = multistart_ladder_oracle(
+            lambda U: value_fn(U)[0], lambda U: grad_fn(U, value_fn(U)[1]), lo, hi, **kwargs
+        )
+        assert results[150][:2] == (x_old.tobytes(), np.float64(v_old).tobytes())
 
 
 class TestMaximizeAbs:

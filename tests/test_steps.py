@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import plain
+
 from pareto_trm.criticality import CriticalityResult, omega_of_gradients
 from pareto_trm.errors import ZeroDirection
 from pareto_trm.linalg import box_multistart_minimize
@@ -18,7 +20,7 @@ from pareto_trm.steps import (
     pascoletti_serafini,
     strict_pareto_cauchy,
 )
-from pareto_trm.surrogates import PolyModel, SurrogateBundle, curvature_floor
+from pareto_trm.surrogates import PolyModel, RBFModel, SurrogateBundle, curvature_floor
 
 UNC = FeasibleSet.unconstrained()
 
@@ -266,6 +268,31 @@ class TestIdealPoint:
         ideal = local_ideal_point(bundle, center, 0.25, UNC)
         assert ideal[0] == pytest.approx(model.values([0.25, 0.75])[0], abs=1e-8)
 
+    @pytest.mark.parametrize("draw", range(12))
+    def test_ideal_never_above_the_center_values(self, draw):
+        # the center is a start of every model's multistart, and a start's
+        # value never increases, so no min with the center's value is needed
+        rng = np.random.default_rng(draw)
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        center, radius = rng.random(n), float(rng.uniform(0.05, 0.5))
+        models = []
+        for _ in range(k):
+            if rng.random() < 0.5:
+                H = rng.standard_normal((n, n))  # indefinite as often as not
+                models.append(PolyModel(
+                    center, radius, rng.standard_normal(), rng.standard_normal(n), H + H.T
+                ))
+            else:
+                p = int(rng.integers(n + 1, 2 * n + 4))
+                models.append(RBFModel(
+                    center, radius, rng.uniform(-1.0, 1.0, (p, n)), rng.standard_normal(p),
+                    rng.standard_normal(), rng.standard_normal(n), "cubic", 1.0,
+                ))
+        fs = FeasibleSet.box(np.zeros(n), np.ones(n))
+        bundle = make_bundle(models, center, radius, fs)
+        ideal = local_ideal_point(bundle, center, radius, fs)
+        assert np.all(ideal <= bundle.values(center))
+
 
 class TestPascolettiSerafini:
     def test_zero_step_at_model_critical_center(self):
@@ -285,7 +312,7 @@ class TestPascolettiSerafini:
         res = pascoletti_serafini(bundle, center, 2.0, crit, UNC, StepConfig())
         lo, hi = center - 2.0, center + 2.0
         direct, _ = box_multistart_minimize(
-            model.values, model.gradients, lo, hi, 12, seed=3, include=center[None, :]
+            *plain(model.values, model.gradients), lo, hi, 12, seed=3, include=center[None, :]
         )
         assert np.max(np.abs(res.trial - direct)) <= 1e-5
 

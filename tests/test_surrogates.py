@@ -682,6 +682,16 @@ def test_cheap_model_rejects_misshapen_batch_output(value_out, grad_out):
         model.gradients(U) if grad_out is not None else model.values(U)
 
 
+@pytest.mark.parametrize("method", ["values", "gradients"])
+def test_cheap_model_rejects_points_of_the_wrong_length(method):
+    # the model unscales with its cached box, and still checks what it unscales
+    prob, calls = _counted_cheap_problem(None, None)
+    model = ExactCheapModel(prob, 0)
+    with pytest.raises(DimensionMismatch, match="expected length 2"):
+        getattr(model, method)(halton(3, 3))
+    assert calls == {"f": 0, "g": 0}
+
+
 def test_all_cheap_bundle_is_free():
     fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
     prob = MOProblem(

@@ -1,0 +1,146 @@
+"""The lines of src/pareto_trm that the gated runs leave unreached.
+
+    python3 tools/gate_coverage.py
+
+The gated runs are the ones whose bytes the repository pins: one pass of
+every bench workload at seeds 0 and 1, run as ``tools/bench_reports.py`` runs
+them (``tests/golden/bench-digests.txt`` and ``bench-reports.txt``), and the
+four golden CLI runs of ``tests/golden/`` (``tests/test_cli.py``). A refactor
+that keeps those bytes proves itself only on the lines they execute.
+
+A ``sys.settrace`` collector records every line the runs execute in the
+package, from its import on. The executable lines of a module are the line
+starts of its compiled code objects. The tool prints, per module, how many
+of them are unreached and which, as line ranges, then every function or
+lambda the runs never enter, then the totals. It fails nothing. Run it from
+the root of a checkout; it imports the package from ``src/`` and takes about
+15 s on a 2-core VM.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, as in perfbench/run.py: the LAPACK bits must not depend on it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import dis
+import io
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pareto_trm"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+WORKLOADS = ("model-build", "step-solve", "fd-highdim")
+SEEDS = (0, 1)
+# the golden CLI runs, as tests/test_cli.py::test_run_outputs_match_golden runs them
+GOLDEN_RUNS = (
+    "--problem T6 --model rbf-cubic --step strict-pc --seed 1 --budget 25",
+    "--problem DTLZ6 --n 12 --pattern all-expensive --model taylor-fd1 --step steepest"
+    " --seed 0 --budget 50",
+    "--problem ZDT1 --n 5 --model lagrange-2 --step modified-pc --seed 0 --budget 80",
+    "--problem DTLZ1 --n 6 --model lagrange-1 --step strict-pc --seed 0 --budget 60",
+)
+
+
+def key(code: types.CodeType) -> tuple[str, int, str]:
+    """A code object by where it is defined, the same for every compile of a file."""
+    return code.co_filename, code.co_firstlineno, code.co_name
+
+
+class LineCollector:
+    """The (file, line) pairs executed, and the code objects entered, in
+    files under one directory."""
+
+    def __init__(self, root: Path):
+        self.prefix = str(root) + os.sep
+        self.lines: set[tuple[str, int]] = set()
+        self.entered: set[tuple[str, int, str]] = set()
+
+    def _global(self, frame, event, arg):
+        code = frame.f_code
+        if not code.co_filename.startswith(self.prefix):
+            return None
+        self.entered.add(key(code))
+        return self._local
+
+    def _local(self, frame, event, arg):
+        if event == "line":
+            self.lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return self._local
+
+    def __enter__(self):
+        sys.settrace(self._global)
+        return self
+
+    def __exit__(self, *exc):
+        sys.settrace(None)
+
+
+def gated_runs() -> None:
+    """Every gated run, in process; imports the package."""
+    from pareto_trm import run
+    from pareto_trm.cli import main
+    from pareto_trm.problem import EvaluationDatabase
+    from workloads import build_jobs
+
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for _, prob, cfg, x0 in build_jobs(workload, seed):
+                run(prob, cfg, x0, seed=seed, db=EvaluationDatabase(prob))
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for i, argv in enumerate(GOLDEN_RUNS):
+            if main(["run", *argv.split(), "--out", str(Path(tmp) / str(i))]) != 0:
+                raise SystemExit(f"golden run failed: {argv}")
+
+
+def code_objects(code: types.CodeType):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from code_objects(const)
+
+
+def ranges(numbers: list[int]) -> str:
+    spans, start = [], None
+    for i, num in enumerate(numbers):
+        if start is None:
+            start = num
+        if i + 1 == len(numbers) or numbers[i + 1] != num + 1:
+            spans.append(str(start) if start == num else f"{start}-{num}")
+            start = None
+    return ", ".join(spans)
+
+
+def main() -> int:
+    with LineCollector(PACKAGE) as seen:
+        gated_runs()
+    total = unreached_total = 0
+    never_entered = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+        executable = set()
+        for code in code_objects(module):
+            # line 0 (a module's RESUME) and None (no source line) are never traced
+            executable.update(line for _, line in dis.findlinestarts(code) if line)
+            if code is not module and key(code) not in seen.entered:
+                never_entered.append(f"{path.name}:{code.co_firstlineno} {code.co_name}")
+        unreached = sorted(line for line in executable if (str(path), line) not in seen.lines)
+        total += len(executable)
+        unreached_total += len(unreached)
+        print(f"{path.name}: {len(unreached)} of {len(executable)} lines unreached")
+        if unreached:
+            print(f"  {ranges(unreached)}")
+    print(f"never entered: {', '.join(never_entered) or 'none'}")
+    print(f"total: {unreached_total} of {total} executable lines unreached")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
