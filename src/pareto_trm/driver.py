@@ -380,10 +380,10 @@ def run(
                 f_trial, rho, classification = state.f_current, 0.0, INACCEPTABLE
             else:
                 f_trial = db.evaluate(prob.unscale(step_res.trial))
-                m_center = bundle.values(state.x)
-                m_trial = bundle.values(step_res.trial)
                 try:
-                    rho = compute_rho(state.f_current, f_trial, m_center, m_trial, cfg.acceptance)
+                    rho = compute_rho(
+                        state.f_current, f_trial, step_res.m_center, step_res.m_trial, cfg.acceptance
+                    )
                 except DegenerateDenominator as exc:
                     anomalies.append(f"t={state.t}: {exc}")
                     rho = -np.inf

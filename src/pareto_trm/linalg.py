@@ -9,11 +9,13 @@ routine, `_eliminate`: Gaussian elimination with partial pivoting that
 rejects a pivot at or below 1e-12 max|A| (SingularMatrix). `solve_linear`
 eliminates the augmented matrix [A | b] with it and back-substitutes.
 
-The descent LP checks each simplex basis once with `_eliminate` and solves
-it once with LAPACK (`np.linalg.solve`) for the quantities its pivoting
-decisions read. LAPACK applies no pivot floor of its own and only ever sees
-a basis that `_eliminate` accepted; its bits are fixed for a given numpy
-build. The LP's final basic solution comes from `solve_linear`.
+The descent LP starts at the basis its first pivot always reaches and
+writes that basis's W = B^-1 A down. Every later basis it checks once with
+`_eliminate` and solves once with LAPACK (`np.linalg.solve`) for the
+quantities its pivoting decisions read. LAPACK applies no pivot floor of its
+own and only ever sees a basis that `_eliminate` accepted; its bits are
+fixed for a given numpy build. The LP's final basic solution comes from
+`solve_linear`.
 """
 
 from __future__ import annotations
@@ -116,20 +118,28 @@ def _eliminate(M) -> np.ndarray:
     """Gaussian elimination with partial pivoting of the first n columns of the
     finite n-row matrix M: a square A, or A augmented with right-hand sides
     [A | b]. Returns the eliminated matrix: its first n columns hold the upper
-    triangle (the strict lower part is never read), and any further columns
-    the eliminated right-hand sides. Raises SingularMatrix on a pivot at or
-    below 1e-12 max|A|. This is the package's one elimination routine."""
+    triangle, and any further columns the eliminated right-hand sides. The
+    strict lower part is never read, so it is left unswapped and unzeroed.
+    Raises SingularMatrix on a pivot at or below 1e-12 max|A|. This is the
+    package's one elimination routine."""
     U = np.array(M, dtype=float)
     n = U.shape[0]
-    piv_floor = 1e-12 * np.max(np.abs(U[:, :n]), initial=0.0)
+    piv_floor = 1e-12 * np.abs(U[:, :n]).max(initial=0.0)
     for col in range(n):
         p = col + int(np.abs(U[col:, col]).argmax())
-        if abs(U[p, col]) <= piv_floor:
-            raise SingularMatrix(f"pivot {U[p, col]!r} below threshold in column {col}")
-        if p != col:
-            U[[col, p]] = U[[p, col]]
-        factors = U[col + 1:, col] / U[col, col]
-        U[col + 1:, col:] -= factors[:, None] * U[col, col:]
+        pivot = U[p, col]
+        if abs(pivot) <= piv_floor:
+            raise SingularMatrix(f"pivot {pivot!r} below threshold in column {col}")
+        row = U[p, col:]
+        if p != col:  # swap the rows' live columns by plain slicing
+            tail = U[col, col:].copy()
+            U[col, col:] = row
+            U[p, col:] = tail
+            row = U[col, col:]
+        if col + 1 < n:
+            below = U[col + 1:]
+            factors = below[:, col] / pivot
+            below[:, col:] -= factors[:, None] * row
     return U
 
 
@@ -187,6 +197,16 @@ class LPProblem:
         object.__setattr__(self, "box_hi", np.clip(hi, 0.0, 1.0))
 
 
+def _forced_w(A) -> np.ndarray:
+    """W = B2^-1 A for the LP's second basis B2 = [1 | e_1 .. e_{k-1}] (bt and
+    every slack but the first): row 0 of A, then each row minus row 0. B2 is
+    unit lower triangular with ones in column 0, so these are LAPACK's values,
+    each one rounded subtraction; only the sign of a zero may differ."""
+    W = A - A[0]
+    W[0] = A[0]
+    return W
+
+
 def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     """Bounded-variable simplex with Bland's rule; returns (d, beta), beta <= 0.
 
@@ -200,12 +220,17 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     ratio-test entries with reduced costs in G's units, see rows of size
     about 1. Rows whose max|G| lies in [2^-1/2, 2^1/2] are solved unscaled.
 
-    Each basis B is eliminated once by `_eliminate`, whose pivot rule
-    decides that a basis is singular (LPFailure), and solved once by LAPACK
-    for W = B^-1 A. W holds every reduced cost, cost - c_B W, every
+    The first pivot is forced: from the slack basis only bt is eligible,
+    every ratio is 0, and Bland's rule swaps bt for the first slack. The
+    simplex starts after it, at B2 = [bt, s_2, .., s_k], whose W = B2^-1 A is
+    written down (`_forced_w`), and the pivot counts toward the iteration
+    cap. Every later basis B is eliminated once by `_eliminate`, whose pivot
+    rule decides that a basis is singular (LPFailure), and solved once by
+    LAPACK for W = B^-1 A. W holds every reduced cost, cost - c_B W, every
     ratio-test column W[:, j] and the basic values -W x_N of the nonbasic
-    values x_N. The returned basic solution is solve_linear(B, -A x_N) on
-    the final basis.
+    values x_N; they are read only through comparisons with +-tol and
+    max(x_B, 0), so the sign of a zero in W decides nothing. The returned
+    basic solution is solve_linear(B, -A x_N) on the final basis.
     Most iterations are bound flips, which keep the basis: the entering
     variable moves to its opposite bound. After a flip the scan for the next
     entering variable resumes after the flipped one. That is exact: W and the
@@ -234,7 +259,7 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     A[:, 2 * n] = 1.0
     A[:, 2 * n + 1:] = np.eye(k)
 
-    basis = list(range(2 * n + 1, nv))
+    basis = [2 * n, *range(2 * n + 2, nv)]  # after the forced pivot: bt in, s_1 out
     at_upper = np.zeros(nv, dtype=bool)  # nonbasic status; basics ignored
     in_basis = np.zeros(nv, dtype=bool)
     in_basis[basis] = True
@@ -244,16 +269,18 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     priced = upper > tol  # variables with room to move
     caps = upper.tolist()  # for the ratio test's scalar loop
 
-    W = None
-    max_iters = 500 + 50 * nv  # pivots and bound flips together
-    for _ in range(max_iters):
-        if W is None:  # a new basis: check it, solve it and price it once
-            B = A[:, basis]
-            try:
-                _eliminate(B)
-                W = np.linalg.solve(B, A)
-            except (SingularMatrix, np.linalg.LinAlgError) as exc:
-                raise LPFailure(f"singular basis: {exc}") from exc
+    B, W = A[:, basis], _forced_w(A)
+    candidates = None
+    max_iters = 500 + 50 * nv  # pivots and bound flips together, the forced pivot first
+    for _ in range(max_iters - 1):
+        if candidates is None:  # a new basis: check it, solve it and price it once
+            if W is None:
+                B = A[:, basis]
+                try:
+                    _eliminate(B)
+                    W = np.linalg.solve(B, A)
+                except (SingularMatrix, np.linalg.LinAlgError) as exc:
+                    raise LPFailure(f"singular basis: {exc}") from exc
             red = cost - cost[basis] @ W
             eligible = priced & ~in_basis & np.where(at_upper, red > tol, red < -tol)
             # the entering candidates in Bland's order; a flip moves to the next
@@ -296,7 +323,7 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
         at_upper[entering] = False
         xn[leaving] = upper[leaving] if leave_to_upper else 0.0
         xn[entering] = 0.0
-        W = None
+        W = candidates = None
     else:
         raise LPFailure("simplex iteration cap reached")
     x = xn  # optimal: nonbasics at their bounds, basics solved

@@ -60,6 +60,9 @@ class StepResult:
     backtracks: int = 0
     r_ratio: Optional[float] = None
     fallback: bool = False
+    # the model values at the center and the trial; the zero step has none
+    m_center: Optional[np.ndarray] = None
+    m_trial: Optional[np.ndarray] = None
 
     @property
     def is_zero(self) -> bool:
@@ -90,6 +93,8 @@ def _certified(bundle, center, trial, m_center, m_trial, crit, radius, cfg, **ex
         trial=trial,
         certificate_lhs=lhs,
         certificate_rhs=rhs,
+        m_center=m_center,
+        m_trial=m_trial,
         **extra,
     )
 

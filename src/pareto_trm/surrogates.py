@@ -332,13 +332,6 @@ def _coeffs_to_quadratic(a: np.ndarray, n: int):
     return c0, g, H
 
 
-def _near_any(point, rows) -> bool:
-    """Whether point lies within 1e-12 in the max norm of any row of `rows`."""
-    if len(rows) == 0:
-        return False
-    return bool(np.any(np.max(np.abs(np.asarray(rows) - point), axis=1) <= 1e-12))
-
-
 class _LagrangeMachine:
     """Poised-set selection and Lambda-poisedness repair for a linear model.
 
@@ -437,7 +430,8 @@ class _LagrangeMachine:
             if pool.size:
                 db_vals = np.abs(self.lagrange_values(pool)[:, worst])
                 cand = int(np.argmax(db_vals))
-                if db_vals[cand] > lam_gate and not _near_any(pool[cand], self.sites):
+                near = np.abs(np.asarray(self.sites) - pool[cand]).max(axis=1) <= 1e-12
+                if db_vals[cand] > lam_gate and not near.any():
                     site = pool[cand]
             self.sites[worst] = site
             self._normalize_and_sweep(worst, site)
@@ -456,39 +450,44 @@ class _LagrangeMachine:
         return out
 
 
-def _affine_set(db, center, local_scale, box_lo, box_hi):
+def _affine_set(db, center, local_scale, box_lo, box_hi) -> list[np.ndarray]:
     """Affinely independent seed set of n+1 points, database points first.
 
     Fresh points walk along directions orthogonal to the span so far,
     projected into the region box; the opposite sign is tried before giving up
-    on a direction.
+    on a direction. The chosen points are rows of one (n+1, n) buffer, and a
+    candidate within 1e-12 in the max norm of a chosen row is skipped; the
+    returned list holds views of those rows.
     """
     center = np.asarray(center, dtype=float)
     n = center.size
-    chosen = [center.copy()]
+    chosen = np.empty((n + 1, n))
+    chosen[0] = center
+    m = 1  # rows of `chosen` filled
     Q = np.zeros((0, n))
 
     def residual(v):
         return v - Q.T @ (Q @ v) if Q.shape[0] else v.copy()
 
     def try_accept(point):
-        nonlocal Q
-        if _near_any(point, chosen):
+        nonlocal Q, m
+        if (np.abs(chosen[:m] - point).max(axis=1) <= 1e-12).any():
             return False
         v = (point - center) / local_scale
         r = residual(v)
         nr = float(np.linalg.norm(r))
         if nr < PIVOT_THRESHOLD:
             return False
-        chosen.append(point.copy())
+        chosen[m] = point
+        m += 1
         Q = np.vstack([Q, r / nr])
         return True
 
     for site in db.query_ball(center, local_scale):
-        if len(chosen) == n + 1:
+        if m == n + 1:
             break
         try_accept(site)
-    while len(chosen) < n + 1:
+    while m < n + 1:
         proj = np.eye(n) - Q.T @ Q if Q.shape[0] else np.eye(n)
         norms = np.linalg.norm(proj, axis=0)
         placed = False
@@ -507,7 +506,35 @@ def _affine_set(db, center, local_scale, box_lo, box_hi):
             raise DegenerateGeometry(
                 "feasible region collapsed onto a lower-dimensional face"
             )
-    return chosen
+    return list(chosen)
+
+
+def _extra_sites(ball: np.ndarray, affine: np.ndarray, max_extra: int) -> np.ndarray:
+    """The first max_extra rows of `ball`, in order, that are near no row of
+    `affine` and no earlier chosen row; near is within 1e-12 in the max norm.
+
+    A near pair is within 1e-12 in coordinate 0 too, so only the pairs that
+    are close there are compared in full: every step takes O(len(ball) n)
+    memory, never a (len(ball), len(affine), n) array.
+    """
+    i, j = np.nonzero(np.abs(ball[:, :1] - affine[:, 0]) <= 1e-12)
+    far = np.ones(len(ball), dtype=bool)
+    far[i[np.abs(ball[i] - affine[j]).max(axis=1) <= 1e-12]] = False
+    rest = ball[far]
+    # the rows of `rest` with another row within 1e-12 in coordinate 0
+    order = np.argsort(rest[:, 0], kind="stable")
+    close = np.diff(rest[order, 0]) <= 1e-12
+    paired = np.zeros(len(rest), dtype=bool)
+    paired[order[1:][close]] = True
+    paired[order[:-1][close]] = True
+    keep: list[int] = []
+    for r, check in enumerate(paired.tolist()):
+        if len(keep) == max_extra:
+            break
+        if check and (np.abs(rest[keep] - rest[r]).max(axis=1) <= 1e-12).any():
+            continue
+        keep.append(r)
+    return rest[keep]
 
 
 def _read(db: EvaluationDatabase, sites) -> np.ndarray:
@@ -524,7 +551,13 @@ def build_rbf(
     fs: FeasibleSet,
 ) -> tuple[np.ndarray, list[RBFModel]]:
     """Select sites and solve the saddle interpolation system; returns the
-    (m, n) sites and one model per expensive objective."""
+    (m, n) sites and one model per expensive objective.
+
+    The sites are the affine set (`_affine_set`), then up to total_cap - (n+1)
+    extras: the database's sites in B(center; THETA2 * delta_ub), closest
+    first, that lie within 1e-12 in the max norm of no affine site and no
+    earlier extra (`_extra_sites`). If the extras make the saddle system
+    singular, the models are fitted on the affine sites alone."""
     center = np.asarray(center, dtype=float)
     n = center.size
     R1 = THETA1 * radius
@@ -533,14 +566,8 @@ def build_rbf(
 
     total_cap = (n + 1) * (n + 2) // 2 if n <= 10 else 2 * n + 1
     max_extra = max(0, total_cap - (n + 1))
-    site_rows = np.vstack(sites)
-    extras = []
-    for site in db.query_ball(center, THETA2 * delta_ub):
-        if len(extras) >= max_extra:
-            break
-        if _near_any(site, site_rows) or _near_any(site, extras):
-            continue
-        extras.append(site)
+    affine = np.vstack(sites)
+    extras = _extra_sites(db.query_ball(center, THETA2 * delta_ub), affine, max_extra)
 
     if spec.kernel == "cubic":
         alpha_user = 1.0
@@ -549,13 +576,13 @@ def build_rbf(
     else:
         alpha_user = SHAPE_ALPHA
     alpha_local = alpha_user * R1
-    candidates = sites + extras
+    candidates = np.vstack([affine, extras])
     F = _read(db, candidates)
 
     def solve(N):
         """Fit on the first N candidates: the sites, their local coordinates
         and the (N + n + 1, k) solution."""
-        S = np.vstack(candidates[:N])
+        S = candidates[:N]
         T = (S - center) / R1
         r = np.sqrt(
             np.maximum(

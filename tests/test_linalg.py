@@ -461,7 +461,7 @@ def test_singular_basis_raises_lp_failure(monkeypatch, which):
 
         def eliminate_singular(B):
             calls.append(B)
-            return real(np.zeros_like(B) if len(calls) == 2 else B)  # the second basis
+            return real(np.zeros_like(B) if len(calls) == 2 else B)  # the second factored basis
 
         monkeypatch.setattr(linalg, "_eliminate", eliminate_singular)
         message = "^singular basis: pivot"
@@ -517,9 +517,201 @@ def test_each_basis_factored_and_priced_once(monkeypatch, rng):
     assert (d.tobytes(), beta) == (expected[0].tobytes(), expected[1])
     assert len(linear) == 1
     final_basis, lp_eliminations = linear[0]
-    assert lp_eliminations == len(solves) == bases
+    # the first two bases are nonsingular by construction and written down
+    assert lp_eliminations == len(solves) == bases - 2
     assert all(np.array_equal(a, b) for a, b in zip(eliminated, solves))
     assert np.array_equal(final_basis, solves[-1])
+
+
+def eliminate_full_rows(M):
+    """_eliminate as it was before it swapped only the live columns: full-row
+    swaps, np.max and a trailing update after the last column."""
+    U = np.array(M, dtype=float)
+    n = U.shape[0]
+    piv_floor = 1e-12 * np.max(np.abs(U[:, :n]), initial=0.0)
+    for col in range(n):
+        p = col + int(np.abs(U[col:, col]).argmax())
+        if abs(U[p, col]) <= piv_floor:
+            raise SingularMatrix(f"pivot {U[p, col]!r} below threshold in column {col}")
+        if p != col:
+            U[[col, p]] = U[[p, col]]
+        factors = U[col + 1:, col] / U[col, col]
+        U[col + 1:, col:] -= factors[:, None] * U[col, col:]
+    return U
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(M, n): an n-row square A or a wide [A | b]. Grid draws tie pivots and
+    hold exact zeros and -0.0; some draws repeat a row (rank-deficient) or
+    zero a column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 9))
+    M = rng.standard_normal((n, n + draw(st.integers(0, 3))))
+    if draw(st.booleans()):
+        M = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=M.shape)
+    M *= 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    if n > 1 and draw(st.booleans()):
+        M[rng.integers(1, n)] = M[0]
+    if draw(st.booleans()):
+        M[:, rng.integers(n)] = 0.0
+    return M, n
+
+
+def _elimination_outcome(eliminate, M, n):
+    try:
+        U = eliminate(M)
+    except SingularMatrix as exc:
+        return "SingularMatrix", str(exc)
+    return np.triu(U[:, :n]).tobytes(), U[:, n:].tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(elimination_inputs())
+@example((np.array([[5.0]]), 1))
+@example((np.array([[-0.0, 1.0]]), 1))
+@example((np.array([[1.0, 2.0, 3.0], [-1.0, 2.0, -0.0]]), 2))
+def test_eliminate_matches_full_row_swaps(case):
+    # the upper triangle and the right-hand sides keep their bits, and a
+    # singular input raises the same message; the strict lower part is unread
+    M, n = case
+    assert _elimination_outcome(linalg._eliminate, M, n) == _elimination_outcome(
+        eliminate_full_rows, M, n
+    )
+
+
+def solve_descent_lp_slack_start(lp):
+    """solve_descent_lp as it was before it started at its forced second
+    basis: the simplex starts at the slack basis and factors every basis
+    (with the full-row elimination above and LAPACK)."""
+    lo, hi = lp.box_lo, lp.box_hi
+    k, n = lp.gradients.shape
+    gmax = float(np.abs(lp.gradients).max(initial=0.0))
+    e = int(np.rint(np.log2(gmax))) if gmax > 0.0 else 0
+    G = np.ldexp(lp.gradients, -e)
+    nv = 2 * n + 1 + k
+    big = max(1.0, float(np.abs(G).sum(axis=1).max()) + 1.0)
+    upper = np.concatenate([hi, -lo, [big], np.full(k, np.inf)])
+    cost = np.zeros(nv)
+    cost[2 * n] = -1.0
+    A = np.zeros((k, nv))
+    A[:, :n] = G
+    A[:, n: 2 * n] = -G
+    A[:, 2 * n] = 1.0
+    A[:, 2 * n + 1:] = np.eye(k)
+    basis = list(range(2 * n + 1, nv))
+    at_upper = np.zeros(nv, dtype=bool)
+    in_basis = np.zeros(nv, dtype=bool)
+    in_basis[basis] = True
+    xn = np.zeros(nv)
+    tol = 1e-11 * max(1.0, float(np.abs(G).max(initial=0.0)))
+    priced = upper > tol
+    caps = upper.tolist()
+    W = None
+    for _ in range(500 + 50 * nv):
+        if W is None:
+            B = A[:, basis]
+            try:
+                eliminate_full_rows(B)
+                W = np.linalg.solve(B, A)
+            except (SingularMatrix, np.linalg.LinAlgError) as exc:
+                raise LPFailure(f"singular basis: {exc}") from exc
+            red = cost - cost[basis] @ W
+            eligible = priced & ~in_basis & np.where(at_upper, red > tol, red < -tol)
+            candidates = iter(np.flatnonzero(eligible).tolist())
+        entering = next(candidates, -1)
+        if entering < 0:
+            break
+        xb = (-(W @ xn)).tolist()
+        w = (-W[:, entering] if at_upper[entering] else W[:, entering]).tolist()
+        t_best, leave_pos, leave_to_upper = np.inf, -1, False
+        for i, bi in enumerate(basis):
+            dw = w[i]
+            if dw > tol:
+                t = max(xb[i], 0.0) / dw
+                hit_upper = False
+            elif dw < -tol and caps[bi] < np.inf:
+                t = max(caps[bi] - xb[i], 0.0) / (-dw)
+                hit_upper = True
+            else:
+                continue
+            if t < t_best - 1e-13 or (
+                t <= t_best + 1e-13 and leave_pos >= 0 and bi < basis[leave_pos]
+            ):
+                t_best, leave_pos, leave_to_upper = min(t, t_best), i, hit_upper
+        if upper[entering] < t_best - 1e-13:
+            at_upper[entering] = not at_upper[entering]
+            xn[entering] = upper[entering] if at_upper[entering] else 0.0
+            continue
+        if leave_pos < 0:
+            raise LPFailure("unbounded direction encountered")
+        leaving = basis[leave_pos]
+        basis[leave_pos] = entering
+        in_basis[entering] = True
+        in_basis[leaving] = False
+        at_upper[leaving] = leave_to_upper
+        at_upper[entering] = False
+        xn[leaving] = upper[leaving] if leave_to_upper else 0.0
+        xn[entering] = 0.0
+        W = None
+    else:
+        raise LPFailure("simplex iteration cap reached")
+    x = xn
+    x[basis] = solve_linear_augmented(B, -A @ xn)
+    d = x[:n] - x[n: 2 * n]
+    beta = -float(x[2 * n])
+    gap = float(np.max(G @ d)) - beta
+    if not (np.all(d >= lo) and np.all(d <= hi) and abs(gap) <= 1e-9 * max(1.0, abs(beta))):
+        raise LPFailure(f"basic solution leaves its box or misstates beta: gap {gap!r}")
+    return d, float(np.ldexp(beta, e))
+
+
+@st.composite
+def descent_lps_with_zero_rows(draw):
+    """descent_lps draws, badly scaled ones over 13 decades, with some
+    gradient rows zeroed."""
+    G, lo, hi, badly_scaled = draw(descent_lps())
+    G = G.copy()
+    G[np.array(draw(st.lists(st.booleans(), min_size=len(G), max_size=len(G))))] = 0.0
+    return G, lo, hi, badly_scaled
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(descent_lps_with_zero_rows())
+@example((*DTLZ6_BADLY_SCALED, True))
+@example((*DTLZ1_NEAR_PARALLEL, True))
+@example((np.zeros((3, 4)), -np.ones(4), np.ones(4), False))
+def test_forced_start_keeps_every_bit(case):
+    # (d, beta) as bytes and every LPFailure message are those of the simplex
+    # that starts at the slack basis; on unit-scale rows, those of the
+    # rescanning simplex too
+    G, lo, hi, badly_scaled = case
+    lp = LPProblem(G, lo, hi)
+    outcome = _lp_outcome(solve_descent_lp, lp)
+    assert outcome == _lp_outcome(solve_descent_lp_slack_start, lp)
+    if not badly_scaled:
+        assert outcome == _lp_outcome(solve_descent_lp_rescan, lp)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_forced_w_is_the_lapack_solve(k):
+    # the second basis [bt, s_2, .., s_k] is unit lower triangular, and its
+    # written-down W = B2^-1 A equals LAPACK's value for value
+    rng = np.random.default_rng(k)
+    n = 5
+    G = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-6, 7, size=(k, 1))
+    G[rng.random(k) < 0.3] = 0.0
+    if k > 1:
+        G[-1] = G[0]
+    G = np.ldexp(G, -int(np.rint(np.log2(np.abs(G).max()))))
+    A = np.zeros((k, 2 * n + 1 + k))
+    A[:, :n] = G
+    A[:, n: 2 * n] = -G
+    A[:, 2 * n] = 1.0
+    A[:, 2 * n + 1:] = np.eye(k)
+    B2 = A[:, [2 * n, *range(2 * n + 2, 2 * n + 1 + k)]]
+    assert np.array_equal(B2, np.tril(B2)) and np.all(np.diag(B2) == 1.0)
+    assert np.array_equal(linalg._forced_w(A), np.linalg.solve(B2, A))
 
 
 def _quad(c):

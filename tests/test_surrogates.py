@@ -32,10 +32,10 @@ from pareto_trm.surrogates import (
     _affine_set,
     _basis_eval,
     _coeffs_to_quadratic,
+    _extra_sites,
     _kernel_a,
     _kernel_w,
     _LagrangeMachine,
-    _near_any,
     _stencil_sites,
     adaptive_shape,
     build_bundle,
@@ -142,7 +142,7 @@ class TestRBF:
     @pytest.mark.parametrize("model", ["rbf-multiquadric", "rbf-gaussian"])
     def test_near_coincident_extras_fall_back_to_the_affine_sites(self, model):
         # two database sites 5e-12 apart: distinct to the cache (1e-14) and to
-        # _near_any (1e-12), so both join as extras, but their kernel rows
+        # the near test (1e-12), so both join as extras, but their kernel rows
         # make the saddle system singular and the build refits on the affine set
         quad = lambda x: float(np.sum(x**2) + x[0])
         prob = scalar_problem(quad, 2, box=([0.0, 0.0], [1.0, 1.0]))
@@ -152,7 +152,7 @@ class TestRBF:
         sites, (built,) = build_rbf(db, MODEL_SPECS[model], center, 0.05, 0.5, fs)
         assert len(db) == 5  # the two extras and three fresh affine sites
         assert len(sites) == 3
-        assert not any(_near_any(s, sites) for s in db.sites[:2])
+        assert not any((np.abs(sites - s).max(axis=1) <= 1e-12).any() for s in db.sites[:2])
         # the model of a database without the extras, which selects the same affine set
         clean = EvaluationDatabase(prob)
         _, (plain,) = build_rbf(clean, MODEL_SPECS[model], center, 0.05, 0.5, fs)
@@ -919,13 +919,183 @@ def test_bundle_values_of_a_point_are_its_row_of_any_batch(pattern, model):
         assert bundle.values(u).tobytes() == bundle.values(np.vstack([u, U]))[0].tobytes()
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 5))
-def test_near_any_matches_the_row_loop(seed, m, n):
-    # rows at, within and just beyond 1e-12 of the point, and NaN entries
+# --- site selection against the row loops it replaced -----------------------
+
+
+def near_any_before(point, rows) -> bool:
+    """The one near test the selection used: within 1e-12 in the max norm."""
+    if len(rows) == 0:
+        return False
+    return bool(np.any(np.max(np.abs(np.asarray(rows) - point), axis=1) <= 1e-12))
+
+
+def affine_set_before(db, center, local_scale, box_lo, box_hi):
+    """_affine_set as it was before its chosen points shared one buffer."""
+    center = np.asarray(center, dtype=float)
+    n = center.size
+    chosen = [center.copy()]
+    Q = np.zeros((0, n))
+
+    def residual(v):
+        return v - Q.T @ (Q @ v) if Q.shape[0] else v.copy()
+
+    def try_accept(point):
+        nonlocal Q
+        if near_any_before(point, chosen):
+            return False
+        v = (point - center) / local_scale
+        r = residual(v)
+        nr = float(np.linalg.norm(r))
+        if nr < 1e-4:
+            return False
+        chosen.append(point.copy())
+        Q = np.vstack([Q, r / nr])
+        return True
+
+    for site in db.query_ball(center, local_scale):
+        if len(chosen) == n + 1:
+            break
+        try_accept(site)
+    while len(chosen) < n + 1:
+        proj = np.eye(n) - Q.T @ Q if Q.shape[0] else np.eye(n)
+        norms = np.linalg.norm(proj, axis=0)
+        placed = False
+        for j in np.argsort(-norms, kind="stable"):
+            if norms[j] < 1e-12:
+                continue
+            q = proj[:, j] / norms[j]
+            for sign in (1.0, -1.0):
+                point = np.clip(center + sign * local_scale * q, box_lo, box_hi)
+                if try_accept(point):
+                    placed = True
+                    break
+            if placed:
+                break
+        assert placed
+    return chosen
+
+
+def extras_before(ball, sites, max_extra):
+    """build_rbf's extras loop as it was: one near test per ball row against
+    the affine sites and one against the extras so far."""
+    site_rows = np.vstack(sites)
+    extras = []
+    for site in ball:
+        if len(extras) >= max_extra:
+            break
+        if near_any_before(site, site_rows) or near_any_before(site, extras):
+            continue
+        extras.append(site)
+    return np.array(extras).reshape(-1, ball.shape[1])
+
+
+NEAR_OFFSETS = [0.0, 5e-13, 1e-12, 2e-12, 5e-12, 0.1]
+
+
+@st.composite
+def selection_inputs(draw):
+    """(ball, affine, max_extra): ball rows with twins at, within and just
+    beyond 1e-12 of each other and of affine rows, twins that share only
+    coordinate 0, and NaN entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 30))
+    ball = rng.uniform(-1, 1, (m, n))
+    affine = rng.uniform(-1, 1, (n + 1, n))
+    for _ in range(draw(st.integers(0, 8))):
+        src = np.vstack([ball, affine])
+        base = src[rng.integers(len(src))]
+        twin = base + rng.choice(NEAR_OFFSETS, size=n) * rng.choice([-1.0, 1.0], size=n)
+        if draw(st.booleans()):
+            twin[1:] = rng.uniform(-1, 1, n - 1)  # shares coordinate 0 only
+        ball = np.insert(ball, rng.integers(len(ball) + 1), twin, axis=0)
+    if len(ball) and draw(st.booleans()):
+        ball[rng.integers(len(ball)), rng.integers(n)] = np.nan
+    return ball, affine, draw(st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(selection_inputs())
+def test_extra_sites_match_the_row_loop(case):
+    # the same rows in the same order, as bytes
+    ball, affine, max_extra = case
+    expected = extras_before(ball, list(affine), max_extra)
+    got = _extra_sites(ball, affine, max_extra)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def near_pair_database(prob, center, seed, offsets, count=40):
+    """A database of `count` sites around a scaled center, with twins of a
+    quarter of them and of the center at the given offsets."""
     rng = np.random.default_rng(seed)
-    point = rng.uniform(-1, 1, n)
-    offsets = rng.choice([0.0, 5e-13, 1e-12, 2e-12, 0.1, np.nan], size=(m, n))
-    rows = point + offsets * rng.choice([-1.0, 1.0], size=(m, n))
-    expected = any(np.max(np.abs(point - r)) <= 1e-12 for r in rows)
-    assert _near_any(point, list(rows)) == _near_any(point, rows) == expected
+    n = prob.n_vars
+    rows = np.clip(center + 0.3 * (2 * rng.random((count, n)) - 1), 0.0, 1.0)
+    twins = rows[: count // 4] + rng.choice(offsets, size=(count // 4, 1))
+    rows = np.vstack([rows, twins, center + offsets[0], center - offsets[-1]])
+    db = EvaluationDatabase(prob)
+    db.evaluate_scaled(np.clip(rows[rng.permutation(len(rows))], 0.0, 1.0))
+    return db
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("offsets", [[5e-13, 9e-13], [5e-13, 1e-12, 2e-12, 5e-12]])
+def test_rbf_sites_match_the_row_loops(n, seed, offsets):
+    # the affine set and the extras keep their bytes and order on a database
+    # with near pairs and more ball rows than extras fit; twins within 1e-12
+    # are left out, so the fit keeps every site, while twins at or beyond it
+    # may make the saddle system singular and the fit fall back on the affine set
+    prob = scalar_problem(lambda x: float(np.sum(x**3)), n, box=(np.zeros(n), np.ones(n)))
+    fs = prob.feasible.scaled()
+    center = np.full(n, 0.45)
+    db = near_pair_database(prob, center, seed, offsets)
+    radius, delta_ub = 0.05, 0.5
+    R1 = THETA1 * radius
+    lo1, hi1 = region_box(center, R1, fs)
+    affine = np.vstack(affine_set_before(db, center, R1, lo1, hi1))
+    assert np.vstack(_affine_set(db, center, R1, lo1, hi1)).tobytes() == affine.tobytes()
+    total_cap = (n + 1) * (n + 2) // 2 if n <= 10 else 2 * n + 1
+    ball = db.query_ball(center, THETA2 * delta_ub)
+    assert len(ball) > total_cap - (n + 1)
+    extras = extras_before(ball, list(affine), total_cap - (n + 1))
+    assert _extra_sites(ball, affine, total_cap - (n + 1)).tobytes() == extras.tobytes()
+    sites, _ = build_rbf(db, MODEL_SPECS["rbf-cubic"], center, radius, delta_ub, fs)
+    expected = np.vstack([affine, extras])
+    if max(offsets) < 1e-12:
+        assert sites.tobytes() == expected.tobytes()
+    else:
+        assert sites.tobytes() in (expected.tobytes(), affine.tobytes())
+
+
+def test_affine_set_skips_a_near_point_that_the_residual_passes():
+    # at a radius of 1e-9 a site 5e-13 from the center has a local residual
+    # of 2.5e-4, above the pivot threshold, so only the near test leaves it out
+    prob = scalar_problem(lambda x: float(np.sum(x**2)), 2, box=([0.0, 0.0], [1.0, 1.0]))
+    center, R1 = np.array([0.5, 0.5]), 2e-9
+    db = EvaluationDatabase(prob)
+    db.evaluate_scaled(np.array([center + [5e-13, 0.0], center + [0.0, 1e-9]]))
+    lo1, hi1 = region_box(center, R1, prob.feasible.scaled())
+    chosen = np.vstack(_affine_set(db, center, R1, lo1, hi1))
+    assert chosen.tobytes() == np.vstack(affine_set_before(db, center, R1, lo1, hi1)).tobytes()
+    assert not (np.abs(chosen - db.sites[0]).max(axis=1) <= 0.0).any()
+    assert np.array_equal(chosen[1], center + [0.0, 1e-9])
+
+
+def test_extra_site_selection_memory_is_linear_in_the_ball():
+    # 20,000 ball rows of n = 24: no array outgrows M (n + 1) doubles, 4 MB
+    # here, far below the 96 MB of an (M, n + 1, n) array
+    import tracemalloc
+
+    M, n = 20_000, 24
+    rng = np.random.default_rng(0)
+    ball = rng.random((M, n))
+    affine = rng.random((n + 1, n))
+    ball[::1000] = affine[0] + 5e-13
+    tracemalloc.start()
+    try:
+        extras = _extra_sites(ball, affine, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert extras.tobytes() == extras_before(ball, list(affine), n).tobytes()
+    assert peak <= 3 * M * n * 8
