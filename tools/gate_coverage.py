@@ -4,9 +4,10 @@
 
 The gated runs are the ones whose bytes the repository pins: one pass of
 every bench workload at seeds 0 and 1, run as ``tools/bench_reports.py`` runs
-them (``tests/golden/bench-digests.txt`` and ``bench-reports.txt``), and the
-four golden CLI runs of ``tests/golden/`` (``tests/test_cli.py``). A refactor
-that keeps those bytes proves itself only on the lines they execute.
+them (``tests/golden/bench-digests.txt`` and ``bench-reports.txt``), the
+library runs of ``tools/gate_reports.py`` (``tests/golden/gate-reports.txt``)
+and the four golden CLI runs of ``tests/golden/`` (``tests/test_cli.py``). A
+refactor that keeps those bytes proves itself only on the lines they execute.
 
 A ``sys.settrace`` collector records every line the runs execute in the
 package, from its import on. The executable lines of a module are the line
@@ -35,7 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pareto_trm"
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
 WORKLOADS = ("model-build", "step-solve", "fd-highdim")
 SEEDS = (0, 1)
@@ -89,11 +90,14 @@ def gated_runs() -> None:
     from pareto_trm.cli import main
     from pareto_trm.problem import EvaluationDatabase
     from workloads import build_jobs
+    from gate_reports import SEED, gate_jobs
 
     for workload in WORKLOADS:
         for seed in SEEDS:
             for _, prob, cfg, x0 in build_jobs(workload, seed):
                 run(prob, cfg, x0, seed=seed, db=EvaluationDatabase(prob))
+    for _, prob, cfg, x0 in gate_jobs():
+        run(prob, cfg, x0, seed=SEED, db=EvaluationDatabase(prob))
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for i, argv in enumerate(GOLDEN_RUNS):
             if main(["run", *argv.split(), "--out", str(Path(tmp) / str(i))]) != 0:

@@ -14,7 +14,12 @@ by job, which a comparison of two separate bench runs cannot promise.
 Every run must have the same outcome on both trees (stop reason, expensive
 evaluations, iterations, final x and f); the tool exits 1 otherwise. It
 prints each pass's two times and their ratio change / parent, then the
-median ratio, its quartiles and the number of passes the change won.
+median ratio, its quartiles and the number of passes the change won, then
+the measuring rule's verdict: the parent's and the change's median pass
+times and the distance between the parent's quartiles. A speed-up claim
+holds only with at least CLAIM_PASSES passes, at least 9 of every 10 of
+them won by the change, and a gap between the two medians larger than that
+quartile distance. With fewer passes the tool says so and claims nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import time
 from pathlib import Path
 
 PACKAGE = "pareto_trm"
+CLAIM_PASSES = 10  # the fewest passes a speed-up claim rests on
 
 
 def load_tree(root: Path, name: str):
@@ -97,6 +103,23 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(parent_walls: list, change_walls: list) -> str:
+    """The measuring rule applied to the timed passes of both trees."""
+    passes = len(parent_walls)
+    won = sum(c < p for p, c in zip(parent_walls, change_walls))
+    med_parent, med_change = statistics.median(parent_walls), statistics.median(change_walls)
+    q1, _, q3 = quartiles(parent_walls) if passes > 1 else (med_parent,) * 3
+    line = (
+        f"median pass: parent {med_parent:.3f} s change {med_change:.3f} s, "
+        f"parent quartile distance {q3 - q1:.3f} s: "
+    )
+    if passes < CLAIM_PASSES:
+        return line + f"no claim: {passes} passes, a claim needs {CLAIM_PASSES}"
+    if 10 * won >= 9 * passes and med_parent - med_change > q3 - q1:
+        return line + "claim holds"
+    return line + "claim does not hold"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -113,7 +136,7 @@ def main(argv=None) -> int:
     jobs = [build_jobs(workloads, pkg, args.workload, args.seed) for pkg in trees]
     n_jobs = len(jobs[0])
 
-    ratios = []
+    ratios, pass_walls = [], []
     for p in range(args.passes + 1):  # pass 0 warms up and is not reported
         walls = [0.0, 0.0]
         for j in range(n_jobs):
@@ -127,6 +150,7 @@ def main(argv=None) -> int:
                 return 1
         if p == 0:
             continue
+        pass_walls.append(walls)
         ratios.append(walls[1] / walls[0])
         print(f"pass {p}: parent {walls[0]:.3f} s change {walls[1]:.3f} s ratio {ratios[-1]:.3f}")
 
@@ -139,6 +163,7 @@ def main(argv=None) -> int:
         f"{args.workload} seed {args.seed}: median ratio {med:.3f} "
         f"(quartiles {q1:.3f}-{q3:.3f}), change won {won}/{len(ratios)} passes"
     )
+    print(verdict(*zip(*pass_walls)))
     return 0
 
 
