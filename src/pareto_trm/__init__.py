@@ -3,14 +3,7 @@ surrogate models (RBF, Lagrange, finite-difference Taylor)."""
 
 from .criticality import CriticalityResult, omega_of_gradients, true_omega
 from .driver import AlgoConfig, RunReport, run
-from .problem import (
-    EvaluationDatabase,
-    FeasibleSet,
-    MOProblem,
-    project_to_box,
-    scale_to_unit,
-    unscale_from_unit,
-)
+from .problem import EvaluationDatabase, FeasibleSet, MOProblem, project_to_box
 from .steps import StepConfig
 from .surrogates import MODEL_SPECS, ModelSpec, SurrogateBundle, build_bundle
 from .testbed import TestProblemSpec, make_problem
@@ -32,9 +25,7 @@ __all__ = [
     "omega_of_gradients",
     "project_to_box",
     "run",
-    "scale_to_unit",
     "true_omega",
-    "unscale_from_unit",
 ]
 
 __version__ = "0.1.0"

@@ -64,13 +64,10 @@ def _algo_config(overrides: dict, model_name: str, step_name: str) -> AlgoConfig
 
 
 def _start_points(prob, n_starts: int, seed: int) -> np.ndarray:
-    """Deterministic interior starts from low-discrepancy sampling."""
+    """Deterministic interior starts of the problem's box from low-discrepancy sampling."""
     fs = prob.feasible
-    h = halton(n_starts, prob.n_vars, offset=7919 * seed)
-    interior = 0.1 + 0.8 * h
-    if fs.is_box:
-        return fs.lower + interior * (fs.upper - fs.lower)
-    return 2.0 * interior - 1.0
+    interior = 0.1 + 0.8 * halton(n_starts, prob.n_vars, offset=7919 * seed)
+    return fs.lower + interior * (fs.upper - fs.lower)
 
 
 def _write_run_outputs(outdir: Path, rep: RunReport, db: EvaluationDatabase) -> None:

@@ -51,23 +51,20 @@ def true_omega(
     database (diagnostic use only); counter["evals"] adds up the stencil rows.
     """
     x = np.asarray(x, dtype=float)
-    fs = prob.feasible
-    fss = fs.scaled()
+    unit = prob.unit
     z = prob.scale(x)
-    width = fs.width()
     G = np.empty((prob.n_objs, prob.n_vars))
     for idx in range(prob.n_objs):
         if prob.gradients[idx] is not None:
-            gx = prob.objective_gradients(idx, x[None])[0]
-            G[idx] = gx * width if width is not None else gx
+            G[idx] = prob.unit_gradients(idx, x[None])[0]
         else:
             G[idx] = axis_differences(
                 lambda Z, i=idx: _counted_values(prob, i, Z, counter),
-                z, fd_step, fss.lower, fss.upper,
+                z, fd_step, unit.lower, unit.upper,
             )[0]
     if not np.all(np.isfinite(G)):
         raise ObjectiveFailure("non-finite finite-difference gradient", site=x)
-    return omega_of_gradients(G, z, fss)
+    return omega_of_gradients(G, z, unit)
 
 
 def _counted_values(prob: MOProblem, index: int, Z, counter: dict | None) -> np.ndarray:

@@ -227,7 +227,6 @@ def criticality_routine(
     later loops rebuild on the shrunk radius. Returns (bundle, delta, crit,
     loops, cap_hit); cap_hit means the loop budget ran out (criticality stop).
     """
-    fss = prob.feasible.scaled()
     delta_star = delta
     d_j = delta_star
     j = 1
@@ -239,7 +238,7 @@ def criticality_routine(
         j += 1
         d_j = (cfg.crit_alpha ** (j - 1)) * delta_star
         bundle = build_bundle(prob, db, cfg.models, x, d_j, cfg.delta_ub, seed)
-        crit = omega_of_gradients(bundle.gradients(x), x, fss)
+        crit = omega_of_gradients(bundle.gradients(x), x, prob.unit)
     delta_out = min(max(d_j, cfg.beta_c * crit.omega_clamped), delta_star)
     return bundle, delta_out, crit, j, cap
 
@@ -278,7 +277,6 @@ def run(
     if cfg.models is None and np.any(prob.expensive_mask):
         raise ValueError("expensive objectives present: cfg.models is required")
     budget = cfg.max_expensive if cfg.max_expensive is not None else 1000 * prob.n_vars**2
-    fss = prob.feasible.scaled()
     if db is None:
         db = EvaluationDatabase(prob, max_expensive=budget)
     else:
@@ -330,7 +328,7 @@ def run(
         crit_loops = 0
         try:
             bundle = build_bundle(prob, db, cfg.models, state.x, state.delta, cfg.delta_ub, seed)
-            crit = omega_of_gradients(bundle.gradients(state.x), state.x, fss)
+            crit = omega_of_gradients(bundle.gradients(state.x), state.x, prob.unit)
 
             # criticality step
             if crit.omega_clamped < cfg.eps_crit and state.delta > cfg.mu * crit.omega_clamped:
@@ -359,7 +357,7 @@ def run(
             step_res = None
             if crit.omega_clamped > 0.0:
                 try:
-                    step_res = compute_step(bundle, state.x, state.delta, crit, cfg.step, fss)
+                    step_res = compute_step(bundle, state.x, state.delta, crit, cfg.step, prob.unit)
                 except BacktrackExhausted as exc:
                     anomalies.append(f"t={state.t}: {exc}")
             if step_res is None:
@@ -369,7 +367,7 @@ def run(
                 min_r_ratio = r_ratio if min_r_ratio is None else min(min_r_ratio, r_ratio)
 
             # feasibility invariants, before the trial is evaluated
-            if not fss.contains(step_res.trial):
+            if not prob.unit.contains(step_res.trial):
                 violations["feasibility"] += 1
             if np.max(np.abs(step_res.trial - state.x)) > state.delta * (1 + 1e-9) + 1e-15:
                 violations["feasibility"] += 1
@@ -379,7 +377,7 @@ def run(
             if step_res.is_zero:
                 f_trial, rho, classification = state.f_current, 0.0, INACCEPTABLE
             else:
-                f_trial = db.evaluate(prob.unscale(step_res.trial))
+                f_trial = db.evaluate_scaled(step_res.trial)
                 try:
                     rho = compute_rho(
                         state.f_current, f_trial, step_res.m_center, step_res.m_trial, cfg.acceptance

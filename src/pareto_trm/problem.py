@@ -1,16 +1,20 @@
 """Heterogeneous multiobjective problems, box feasible sets and the evaluation database.
 
-All optimizer-internal geometry lives in scaled coordinates: box-constrained
-problems are mapped onto the unit hypercube [0,1]^n, unconstrained problems are
-left untouched (identity map). The database stores sites in the problem's
-original coordinates and dedupes / searches in scaled coordinates.
+All optimizer-internal geometry lives in scaled coordinates, and the problem
+owns that frame: ``MOProblem.unit`` is the feasible set there (the unit
+hypercube [0,1]^n for a box, R^n itself otherwise), ``MOProblem.width`` is the
+box's upper - lower (None on R^n), ``scale``/``unscale`` map points with that
+width (the identity on R^n) and ``unit_gradients`` carries a gradient
+evaluator's output into the frame by the chain rule. The database stores
+sites in the problem's original coordinates and dedupes / searches in scaled
+coordinates.
 """
 
 from __future__ import annotations
 
 import csv
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -72,20 +76,10 @@ class FeasibleSet:
     def is_box(self) -> bool:
         return self.kind == BOX
 
-    def width(self) -> Optional[np.ndarray]:
-        return None if not self.is_box else self.upper - self.lower
-
     def contains(self, x: np.ndarray) -> bool:
         if not self.is_box:
             return True
         return bool((x >= self.lower).all() and (x <= self.upper).all())
-
-    def scaled(self) -> "FeasibleSet":
-        """The set the optimizer works in: [0,1]^n for boxes, self otherwise."""
-        if not self.is_box:
-            return self
-        n = self.lower.size
-        return FeasibleSet.box(np.zeros(n), np.ones(n))
 
 
 def region_box(center, radius: float, fs: FeasibleSet) -> tuple[np.ndarray, np.ndarray]:
@@ -100,23 +94,6 @@ def _check_dim(x: np.ndarray, fs: FeasibleSet) -> np.ndarray:
     if fs.is_box and x.shape[-1:] != fs.lower.shape:
         raise DimensionMismatch(f"expected length {fs.lower.size}, got shape {x.shape}")
     return x
-
-
-def scale_to_unit(x, fs: FeasibleSet) -> np.ndarray:
-    """Map a feasible point, or each row of a batch, into [0,1]^n (identity for
-    unconstrained sets)."""
-    x = _check_dim(x, fs)
-    if not fs.is_box:
-        return x.copy()
-    return (x - fs.lower) / (fs.upper - fs.lower)
-
-
-def unscale_from_unit(z, fs: FeasibleSet) -> np.ndarray:
-    """Inverse of :func:`scale_to_unit`."""
-    z = _check_dim(z, fs)
-    if not fs.is_box:
-        return z.copy()
-    return fs.lower + z * (fs.upper - fs.lower)
 
 
 def project_to_box(x, fs: FeasibleSet) -> np.ndarray:
@@ -135,6 +112,13 @@ class MOProblem:
     so a batch gives the bits of its rows evaluated one at a time. A one-point
     black box f(x) -> float becomes an objective with
     ``lambda X: np.array([f(x) for x in X])``.
+
+    The problem owns the optimizer's working frame, set once from `feasible`:
+    `unit` is the feasible set in scaled coordinates ([0,1]^n for a box,
+    `feasible` itself on R^n) and `width` is upper - lower of the box (None on
+    R^n). `scale` and `unscale` map between the frames with that width, and
+    `unit_gradients` returns a gradient evaluator's rows in scaled
+    coordinates, G * width by the chain rule.
     """
 
     n_vars: int
@@ -144,6 +128,8 @@ class MOProblem:
     feasible: FeasibleSet
     gradients: Optional[Sequence[Optional[Callable[[np.ndarray], np.ndarray]]]] = None
     name: str = ""
+    unit: FeasibleSet = field(init=False, repr=False)
+    width: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.expensive_mask = np.asarray(self.expensive_mask, dtype=bool)
@@ -161,16 +147,26 @@ class MOProblem:
             raise DimensionMismatch("gradients needs one entry per objective")
         if any(g is not None and exp for g, exp in zip(self.gradients, self.expensive_mask)):
             raise ValueError("gradients are only allowed on cheap objectives")
+        fs = self.feasible
+        if fs.is_box:
+            self.unit = FeasibleSet.box(np.zeros(self.n_vars), np.ones(self.n_vars))
+            self.width = fs.upper - fs.lower
+        else:
+            self.unit, self.width = fs, None
 
     @property
     def expensive_indices(self) -> np.ndarray:
         return np.flatnonzero(self.expensive_mask)
 
     def scale(self, x) -> np.ndarray:
-        return scale_to_unit(x, self.feasible)
+        """A point, or each row of a batch, in scaled coordinates, as a new array."""
+        x = _check_dim(x, self.feasible)
+        return x.copy() if self.width is None else (x - self.feasible.lower) / self.width
 
     def unscale(self, z) -> np.ndarray:
-        return unscale_from_unit(z, self.feasible)
+        """Inverse of `scale`."""
+        z = _check_dim(z, self.feasible)
+        return z.copy() if self.width is None else self.feasible.lower + z * self.width
 
     def objective_values(self, index: int, X: np.ndarray) -> np.ndarray:
         """objectives[index] at the rows of the (m, n) array X: (m,) floats."""
@@ -179,6 +175,12 @@ class MOProblem:
     def objective_gradients(self, index: int, X: np.ndarray) -> np.ndarray:
         """gradients[index] at the rows of the (m, n) array X: (m, n) floats."""
         return self._call(self.gradients[index], index, X, X.shape)
+
+    def unit_gradients(self, index: int, X: np.ndarray) -> np.ndarray:
+        """gradients[index] at the rows of X (original coordinates) with respect
+        to the scaled coordinates: (m, n) floats."""
+        G = self.objective_gradients(index, X)
+        return G if self.width is None else G * self.width
 
     @staticmethod
     def _call(fn, index: int, X: np.ndarray, shape) -> np.ndarray:

@@ -35,7 +35,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import axis_differences, halton, solve_linear
-from .problem import EvaluationDatabase, FeasibleSet, MOProblem, _check_dim, region_box
+from .problem import EvaluationDatabase, FeasibleSet, MOProblem, region_box
 
 PIVOT_THRESHOLD = 1e-4
 TAYLOR_FD_STEP = 1e-2  # FD-Taylor difference step, relative to the radius
@@ -133,50 +133,40 @@ STENCIL_BATCH = 16384
 class ExactCheapModel:
     """Wraps a cheap objective as its own model (gradient evaluator or FD).
 
-    Every evaluation takes a batch of scaled points, unscaled in one array
-    expression, and makes one call of the problem's evaluator of the
-    objective (or of its gradient). Without a gradient evaluator, gradients
-    are axis_differences of the values (step 1e-7, one-sided at the box
-    faces). The curvature bound takes axis_differences of the gradients
-    (step 1e-5) at a batch of sample points at a time.
+    Every evaluation takes a batch of scaled points, unscaled by the
+    problem, and makes one call of the problem's evaluator of the objective
+    (or of its gradient, carried into scaled coordinates by the problem).
+    Without a gradient evaluator, gradients are axis_differences of the
+    values (step 1e-7, one-sided at the faces of `prob.unit`). The curvature
+    bound takes axis_differences of the gradients (step 1e-5) at a batch of
+    sample points at a time.
     """
 
     def __init__(self, prob: MOProblem, index: int):
         self.prob = prob
         self.index = index
-        fs = prob.feasible
-        self._fs, self._width = fs, fs.width()
-        fss = fs.scaled()
-        self._lo, self._hi = fss.lower, fss.upper
-
-    def _unscale(self, U):
-        """The batch U in original coordinates, as `prob.unscale` maps it, with
-        the box width computed once."""
-        U = np.atleast_2d(U)
-        if self._width is None:
-            return self.prob.unscale(U)
-        return self._fs.lower + _check_dim(U, self._fs) * self._width
 
     def values(self, U) -> np.ndarray:
-        return self.prob.objective_values(self.index, self._unscale(U))
+        return self.prob.objective_values(self.index, self.prob.unscale(np.atleast_2d(U)))
 
     def gradients(self, U) -> np.ndarray:
-        if self.prob.gradients[self.index] is None:
-            return axis_differences(self.values, U, 1e-7, self._lo, self._hi)
-        G = self.prob.objective_gradients(self.index, self._unscale(U))
-        return G * self._width if self._width is not None else G
+        prob = self.prob
+        if prob.gradients[self.index] is None:
+            return axis_differences(self.values, U, 1e-7, prob.unit.lower, prob.unit.upper)
+        return prob.unit_gradients(self.index, prob.unscale(np.atleast_2d(U)))
 
     def hessian_norm_bound(self, lo, hi, seed=0) -> float:
         """1.1 x the largest Frobenius norm of the symmetrized difference Hessian,
         the axis_differences of the gradients over a +-1e-5 stencil clipped into
         the feasible box, at 25 Halton points of [lo, hi]."""
         pts = lo + halton(25, lo.size, offset=17 + seed) * (hi - lo)
-        n = lo.size
+        n, unit = lo.size, self.prob.unit
         per_point = 2 * n**2 if self.prob.gradients[self.index] is not None else 4 * n**3
         per_batch = max(1, STENCIL_BATCH // per_point)
         squares = []
         for k in range(0, len(pts), per_batch):
-            H = axis_differences(self.gradients, pts[k : k + per_batch], 1e-5, self._lo, self._hi)
+            batch = pts[k : k + per_batch]
+            H = axis_differences(self.gradients, batch, 1e-5, unit.lower, unit.upper)
             H = 0.5 * (H + H.transpose(0, 2, 1))
             # h.dot(h) is the square np.linalg.norm takes the root of, without its call overhead
             squares.extend(h.dot(h) for h in H.reshape(len(H), -1))
@@ -788,7 +778,7 @@ def build_bundle(
     THETA2-enlarged region and are all routed through the database.
     """
     center = np.asarray(center, dtype=float)
-    fs = prob.feasible.scaled()
+    fs = prob.unit
     before = len(db)
     # the module-level builders, looked up at call time so they can be wrapped
     if not prob.expensive_mask.any():

@@ -134,7 +134,7 @@ class TestCheckStopping:
 def _entry_bundle(prob, db, cfg, x, delta):
     """The bundle and criticality an iteration builds on B(x; delta) before the routine."""
     bundle = build_bundle(prob, db, cfg.models, x, delta, cfg.delta_ub, 0)
-    return bundle, omega_of_gradients(bundle.gradients(x), x, prob.feasible.scaled())
+    return bundle, omega_of_gradients(bundle.gradients(x), x, prob.unit)
 
 
 class TestCriticalityRoutine:
@@ -636,7 +636,7 @@ def test_lazy_bound_matches_eager_bound(monkeypatch):
     def build_and_bound(prob, db, spec, center, radius, delta_ub, seed=0):
         bundle = build_bundle(prob, db, spec, center, radius, delta_ub, seed)
         eager = hessian_bound(
-            bundle.models, center, radius, prob.feasible.scaled(), c=prob.n_objs, seed=seed
+            bundle.models, center, radius, prob.unit, c=prob.n_objs, seed=seed
         )
         built.append((bundle, eager))
         return bundle

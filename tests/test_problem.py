@@ -21,35 +21,76 @@ from pareto_trm.problem import (
     MOProblem,
     project_to_box,
     region_box,
-    scale_to_unit,
-    unscale_from_unit,
 )
 from pareto_trm.surrogates import TAYLOR_FD_STEP, _stencil_sites
 from pareto_trm.testbed import TestProblemSpec, make_problem
 
 
+def framed(fs, n=None):
+    """A problem on fs with one cheap objective and its gradient, for the
+    working frame it owns; n is needed on R^n only."""
+    return MOProblem(
+        fs.lower.size if fs.is_box else n, 1, [lambda X: X @ np.arange(1.0, X.shape[1] + 1)],
+        np.array([False]), fs, [lambda X: np.tile(np.arange(1.0, X.shape[1] + 1), (len(X), 1))],
+    )
+
+
 def test_scale_midpoint():
-    fs = FeasibleSet.box([0.0], [10.0])
-    assert scale_to_unit([5.0], fs) == pytest.approx([0.5])
+    prob = framed(FeasibleSet.box([0.0], [10.0]))
+    assert prob.scale([5.0]) == pytest.approx([0.5])
 
 
 def test_scale_boundary_is_zero():
     fs = FeasibleSet.box([2.0, -1.0], [4.0, 1.0])
-    np.testing.assert_allclose(scale_to_unit(fs.lower, fs), np.zeros(2))
+    np.testing.assert_allclose(framed(fs).scale(fs.lower), np.zeros(2))
 
 
 def test_scale_t6_box():
-    fs = FeasibleSet.box([1e-12, 0.0], [30.0, 30.0])
-    z = scale_to_unit([15.0, 30.0], fs)
+    z = framed(FeasibleSet.box([1e-12, 0.0], [30.0, 30.0])).scale([15.0, 30.0])
     assert z[0] == pytest.approx(0.5, abs=1e-12)
     assert z[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_scale_unconstrained_identity():
-    fs = FeasibleSet.unconstrained()
+    prob = framed(FeasibleSet.unconstrained(), 2)
     x = np.array([3.0, -7.5])
-    np.testing.assert_array_equal(scale_to_unit(x, fs), x)
-    np.testing.assert_array_equal(unscale_from_unit(x, fs), x)
+    np.testing.assert_array_equal(prob.scale(x), x)
+    np.testing.assert_array_equal(prob.unscale(x), x)
+    assert not np.shares_memory(prob.scale(x), x) and not np.shares_memory(prob.unscale(x), x)
+
+
+def test_frame_of_a_box_is_the_unit_cube_and_its_width():
+    fs = FeasibleSet.box([2.0, -1.0, 1e-12], [4.0, 1.0, 30.0])
+    prob = framed(fs)
+    np.testing.assert_array_equal(prob.unit.lower, np.zeros(3))
+    np.testing.assert_array_equal(prob.unit.upper, np.ones(3))
+    assert prob.width.tobytes() == (fs.upper - fs.lower).tobytes()
+    G = prob.unit_gradients(0, np.zeros((2, 3)))
+    assert G.tobytes() == (np.tile([1.0, 2.0, 3.0], (2, 1)) * (fs.upper - fs.lower)).tobytes()
+
+
+def test_frame_of_rn_is_rn_itself():
+    fs = FeasibleSet.unconstrained()
+    prob = framed(fs, 3)
+    assert prob.unit is fs and prob.width is None
+    G = prob.unit_gradients(0, np.zeros((2, 3)))
+    np.testing.assert_array_equal(G, np.tile([1.0, 2.0, 3.0], (2, 1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(1e-9, 1e6), st.floats(0.0, 1.0)),
+             min_size=1, max_size=6),
+)
+def test_scale_and_unscale_give_the_bits_of_the_box_formulas(rows):
+    # the problem's width is the subtraction upper - lower, done once
+    lower, span, frac = (np.array(c) for c in zip(*rows))
+    upper = lower + span
+    fs = FeasibleSet.box(lower, upper)
+    prob, x = framed(fs), lower + frac * (upper - lower)
+    batch = np.vstack([x, lower, upper])
+    assert prob.scale(batch).tobytes() == ((batch - lower) / (upper - lower)).tobytes()
+    assert prob.unscale(batch).tobytes() == (lower + batch * (upper - lower)).tobytes()
 
 
 def test_unconstrained_bounds_are_infinite():
@@ -82,16 +123,17 @@ def test_rn_bounds_give_the_bits_of_the_old_rn_branches(x, radius):
 
 def test_scale_roundtrip_random(rng):
     fs = FeasibleSet.box([-3.0, 1e-12, 100.0], [5.0, 30.0, 101.0])
+    prob = framed(fs)
     for _ in range(1000):
         x = fs.lower + rng.random(3) * (fs.upper - fs.lower)
-        back = unscale_from_unit(scale_to_unit(x, fs), fs)
+        back = prob.unscale(prob.scale(x))
         np.testing.assert_allclose(back, x, rtol=1e-12, atol=1e-12)
 
 
 def test_scale_dimension_mismatch():
-    fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
+    prob = framed(FeasibleSet.box([0.0, 0.0], [1.0, 1.0]))
     with pytest.raises(DimensionMismatch):
-        scale_to_unit([0.5], fs)
+        prob.scale([0.5])
 
 
 def test_project_clamps_one_coordinate():

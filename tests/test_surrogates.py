@@ -118,7 +118,7 @@ class TestRBF:
         prob = scalar_problem(lambda x: 3.0 * x[0] + 1.0, 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
         spec = MODEL_SPECS["rbf-cubic"]
-        _, (model,) = build_rbf(db, spec, np.array([0.5]), 0.25, 0.5, prob.feasible.scaled())
+        _, (model,) = build_rbf(db, spec, np.array([0.5]), 0.25, 0.5, prob.unit)
         xs = np.linspace(0.0, 1.0, 21)[:, None]
         np.testing.assert_allclose(model.values(xs), 3.0 * xs[:, 0] + 1.0, atol=1e-8)
         assert np.max(np.abs(model.coeffs)) <= 1e-8  # kernel part vanishes
@@ -134,7 +134,7 @@ class TestRBF:
             db.evaluate(z)
         spec = MODEL_SPECS["rbf-cubic"]
         center = np.array([0.5, 0.5])
-        sites, (model,) = build_rbf(db, spec, center, 0.2, 0.5, prob.feasible.scaled())
+        sites, (model,) = build_rbf(db, spec, center, 0.2, 0.5, prob.unit)
         for site in sites:
             f = db.evaluate(site)[0]
             assert abs(model.values(site)[0] - f) <= 1e-7 * (1 + abs(f))
@@ -146,7 +146,7 @@ class TestRBF:
         # make the saddle system singular and the build refits on the affine set
         quad = lambda x: float(np.sum(x**2) + x[0])
         prob = scalar_problem(quad, 2, box=([0.0, 0.0], [1.0, 1.0]))
-        center, fs = np.array([0.5, 0.5]), prob.feasible.scaled()
+        center, fs = np.array([0.5, 0.5]), prob.unit
         db = EvaluationDatabase(prob)
         db.evaluate(np.array([[0.7, 0.7], [0.7 + 5e-12, 0.7]]))
         sites, (built,) = build_rbf(db, MODEL_SPECS[model], center, 0.05, 0.5, fs)
@@ -186,7 +186,7 @@ class TestRBF:
         for name in ("rbf-cubic", "rbf-multiquadric", "rbf-gaussian"):
             _, (model,) = build_rbf(
                 db, MODEL_SPECS[name], np.array([0.4, 0.6]), 0.2, 0.5,
-                prob.feasible.scaled(),
+                prob.unit,
             )
             u = np.array([0.45, 0.55])
             h = 1e-6
@@ -206,7 +206,7 @@ class TestRBF:
             db.evaluate([x0 - 0.0, 0.0] if x0 else [0.0, 0.0])
         sites, _ = build_rbf(
             db, MODEL_SPECS["rbf-cubic"], np.zeros(2), 0.2, 0.5,
-            prob.feasible.scaled(),
+            prob.unit,
         )
         spans = sites[1:] - sites[0]
         assert np.linalg.matrix_rank(spans, tol=1e-8) == 2
@@ -217,7 +217,7 @@ class TestRBF:
         with pytest.raises(BudgetExhausted):
             build_rbf(
                 db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.1, 0.5,
-                prob.feasible.scaled(),
+                prob.unit,
             )
 
 
@@ -238,7 +238,7 @@ class TestLagrange:
             db.evaluate([v])
         _, (model,) = build_lagrange(
             db, MODEL_SPECS["lagrange-2"], np.array([0.5]), 0.3,
-            prob.feasible.scaled(),
+            prob.unit,
         )
         xs = np.linspace(0, 1, 31)[:, None]
         np.testing.assert_allclose(model.values(xs), xs[:, 0] ** 2, atol=1e-8)
@@ -284,7 +284,7 @@ class TestLagrange:
         center = np.full(n, 0.5)
         for z in np.clip(center + 0.2 * (2 * halton(30, n, offset=11) - 1), 0, 1):
             db.evaluate(z)
-        fs = prob.feasible.scaled()
+        fs = prob.unit
         sites, (model,) = build_lagrange(db, spec, center, 0.1, fs)
         lo, hi = region_box(center, THETA1 * 0.1, fs)
         assert lagrange_basis_max_on_vertices(sites, model, lo, hi) <= LAMBDA_POISED * (1 + 1e-9)
@@ -296,7 +296,7 @@ class TestLagrange:
         db = EvaluationDatabase(prob)
         sites, (model,) = build_lagrange(
             db, MODEL_SPECS["lagrange-2"], np.array([0.3, 0.7]), 0.15,
-            prob.feasible.scaled(),
+            prob.unit,
         )
         for site in sites:
             f = db.evaluate(site)[0]
@@ -310,7 +310,7 @@ class TestLagrange:
         db = EvaluationDatabase(prob)
         sites, (model,) = build_lagrange(
             db, MODEL_SPECS["lagrange-2"], np.full(n, 0.5), 0.1,
-            prob.feasible.scaled(),
+            prob.unit,
         )
         assert len(sites) == (n + 1) * (n + 2) // 2
         pts = 0.4 + 0.2 * halton(20, n, offset=3)
@@ -325,7 +325,7 @@ class TestLagrange:
         db = EvaluationDatabase(prob)
         center = np.array([2e-8, 0.5, 0.5])
         sites, (model,) = build_lagrange(
-            db, MODEL_SPECS["lagrange-2"], center, 0.1, prob.feasible.scaled()
+            db, MODEL_SPECS["lagrange-2"], center, 0.1, prob.unit
         )
         assert len(sites) == (n + 1) * (n + 2) // 2
         assert all(prob.feasible.contains(s) for s in sites)
@@ -347,7 +347,7 @@ class TestLagrange:
         prob = scalar_problem(quad, 2, box=([0.0, 0.0], [1.0, 1.0]))
         db = EvaluationDatabase(prob)
         sites, (model,) = build_lagrange(
-            db, MODEL_SPECS["lagrange-2"], center, 0.1, prob.feasible.scaled()
+            db, MODEL_SPECS["lagrange-2"], center, 0.1, prob.unit
         )
         assert all(prob.feasible.contains(s) for s in sites)
         assert np.all(sites[1:3, 0] < 1.0)
@@ -360,7 +360,7 @@ class TestLagrange:
         before = len(db)
         sites, (model,) = build_lagrange(
             db, MODEL_SPECS["lagrange-2"], np.array([0.5, 0.5]), 0.1,
-            prob.feasible.scaled(),
+            prob.unit,
         )
         assert len(db) - before == len(sites)
         assert db.eval_counts[0] == len(sites)
@@ -370,26 +370,26 @@ class TestTaylor:
     def test_linear_exactness(self):
         prob = scalar_problem(lambda x: float(2 * x[0] - 1.0), 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
-        _, (model,) = build_taylor_fd(db, np.array([0.4]), 0.2, prob.feasible.scaled())
+        _, (model,) = build_taylor_fd(db, np.array([0.4]), 0.2, prob.unit)
         xs = np.linspace(0, 1, 11)[:, None]
         np.testing.assert_allclose(model.values(xs), 2 * xs[:, 0] - 1.0, atol=1e-10)
 
     def test_quadratic_slope_exact_central(self):
         prob = scalar_problem(lambda x: float(x[0] ** 2), 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
-        _, (model,) = build_taylor_fd(db, np.array([0.5]), 0.2, prob.feasible.scaled())
+        _, (model,) = build_taylor_fd(db, np.array([0.5]), 0.2, prob.unit)
         assert model.gradients(np.array([0.5]))[0][0] == pytest.approx(1.0, abs=1e-9)
 
     def test_one_sided_at_face_keeps_db_feasible(self):
         prob = scalar_problem(lambda x: float(x[0] + x[1]), 2, box=([0, 0], [1, 1]))
         db = EvaluationDatabase(prob)
-        build_taylor_fd(db, np.array([0.0, 0.5]), 0.2, prob.feasible.scaled())
+        build_taylor_fd(db, np.array([0.0, 0.5]), 0.2, prob.unit)
         for site in db.sites:
             assert prob.feasible.contains(site)
 
     def test_budget_stop_inside_the_stencil_keeps_the_read_order(self):
         prob = scalar_problem(lambda x: float(np.sum(x**2)), 3, box=(np.zeros(3), np.ones(3)))
-        center, fs = np.array([0.5, 0.0, 1.0]), prob.feasible.scaled()  # two faces
+        center, fs = np.array([0.5, 0.0, 1.0]), prob.unit  # two faces
         full = EvaluationDatabase(prob)
         build_taylor_fd(full, center, 0.2, fs)
         for budget in range(1, len(full)):
@@ -401,7 +401,7 @@ class TestTaylor:
     def test_cost_is_2n_plus_1(self):
         prob = scalar_problem(lambda x: float(np.sum(x)), 3, box=(np.zeros(3), np.ones(3)))
         db = EvaluationDatabase(prob)
-        build_taylor_fd(db, np.full(3, 0.5), 0.2, prob.feasible.scaled())
+        build_taylor_fd(db, np.full(3, 0.5), 0.2, prob.unit)
         assert db.eval_counts[0] == 2 * 3 + 1
 
 
@@ -409,8 +409,8 @@ class TestHessianBound:
     def test_linear_model_clamps(self):
         prob = scalar_problem(lambda x: float(x[0]), 1, box=([0.0], [1.0]))
         db = EvaluationDatabase(prob)
-        _, (model,) = build_taylor_fd(db, np.array([0.5]), 0.2, prob.feasible.scaled())
-        H = hessian_bound([model], np.array([0.5]), 0.2, prob.feasible.scaled(), c=2.0)
+        _, (model,) = build_taylor_fd(db, np.array([0.5]), 0.2, prob.unit)
+        H = hessian_bound([model], np.array([0.5]), 0.2, prob.unit, c=2.0)
         assert H == pytest.approx(1.01 / 2.0)
 
     def test_quadratic_exact_before_clamp(self):
@@ -427,7 +427,7 @@ class TestHessianBound:
             db.evaluate(z)
         _, (model,) = build_rbf(
             db, MODEL_SPECS["rbf-cubic"], np.array([0.5, 0.5]), 0.2, 0.5,
-            prob.feasible.scaled(),
+            prob.unit,
         )
         lo, hi = np.array([0.3, 0.3]), np.array([0.7, 0.7])
         bound = model.hessian_norm_bound(lo, hi)
@@ -459,7 +459,7 @@ def test_rbf_bound_matches_the_u_space_sites(kernel, seed):
     # a center on two faces: the affine sites clipped into the region box and
     # the center itself lie on those faces
     prob = make_problem(TestProblemSpec("DTLZ6", 6, ALL_EXPENSIVE))
-    center, radius, fs = np.array([0.0, 1.0, 0.4, 0.5, 0.6, 0.5]), 0.1, prob.feasible.scaled()
+    center, radius, fs = np.array([0.0, 1.0, 0.4, 0.5, 0.6, 0.5]), 0.1, prob.unit
     db = seeded_database(prob, center)
     sites, models = build_rbf(db, MODEL_SPECS[f"rbf-{kernel}"], center, radius, 0.5, fs)
     assert np.any(sites[1:, 0] == 0.0) and np.any(sites[1:, 1] == 1.0)
@@ -558,9 +558,8 @@ def row_loop_gradient(prob, idx, u):
     """Scaled-space gradient of a cheap objective at one point of the unit box:
     its gradient evaluator, or fd_gradient over one objective call per stencil
     point."""
-    width = prob.feasible.width()
     if prob.gradients[idx] is not None:
-        return one_point(prob.gradients[idx], prob, u) * width
+        return one_point(prob.gradients[idx], prob, u) * prob.width
     n = u.size
     return fd_gradient(
         lambda z: one_point(prob.objectives[idx], prob, z), u, 1e-7, np.zeros(n), np.ones(n)
@@ -612,7 +611,7 @@ def cheap_model_boxes(draw):
     coord = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     center = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
     radius = 10.0 ** draw(st.floats(-8.0, math.log10(0.3)))
-    lo, hi = region_box(center, radius, prob.feasible.scaled())
+    lo, hi = region_box(center, radius, prob.unit)
     flat = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     lo = np.where(flat, hi, lo)  # zero-width sides: lo_i = hi_i
     return prob, lo, hi, draw(st.integers(0, 2))
@@ -795,7 +794,7 @@ def per_objective_taylor_fd(obj_index, db, spec, center, radius, fs):
 def per_objective_models(prob, db, name, center, radius, delta_ub):
     """(sites, model) of every expensive objective built on its own, in
     objective order."""
-    spec, fs = MODEL_SPECS[name], prob.feasible.scaled()
+    spec, fs = MODEL_SPECS[name], prob.unit
     out = []
     for idx in prob.expensive_indices:
         if spec.kind == "rbf":
@@ -1046,7 +1045,7 @@ def test_rbf_sites_match_the_row_loops(n, seed, offsets):
     # are left out, so the fit keeps every site, while twins at or beyond it
     # may make the saddle system singular and the fit fall back on the affine set
     prob = scalar_problem(lambda x: float(np.sum(x**3)), n, box=(np.zeros(n), np.ones(n)))
-    fs = prob.feasible.scaled()
+    fs = prob.unit
     center = np.full(n, 0.45)
     db = near_pair_database(prob, center, seed, offsets)
     radius, delta_ub = 0.05, 0.5
@@ -1074,7 +1073,7 @@ def test_affine_set_skips_a_near_point_that_the_residual_passes():
     center, R1 = np.array([0.5, 0.5]), 2e-9
     db = EvaluationDatabase(prob)
     db.evaluate_scaled(np.array([center + [5e-13, 0.0], center + [0.0, 1e-9]]))
-    lo1, hi1 = region_box(center, R1, prob.feasible.scaled())
+    lo1, hi1 = region_box(center, R1, prob.unit)
     chosen = np.vstack(_affine_set(db, center, R1, lo1, hi1))
     assert chosen.tobytes() == np.vstack(affine_set_before(db, center, R1, lo1, hi1)).tobytes()
     assert not (np.abs(chosen - db.sites[0]).max(axis=1) <= 0.0).any()

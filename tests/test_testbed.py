@@ -348,7 +348,7 @@ def test_batch_evaluators_match_scalar_functions_in_bulk(name, n, rng):
         Z = rng.random((m, n))
         face = rng.random((m, n))
         Z = np.where(face < 1 / 6, 0.0, np.where(face > 5 / 6, 1.0, Z))
-        assert_matches_scalar_formulas(prob, prob.feasible.lower + Z * prob.feasible.width())
+        assert_matches_scalar_formulas(prob, prob.feasible.lower + Z * prob.width)
 
 
 def test_t6_domain_safety():

@@ -10,10 +10,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
 
 
-def _tool(name, *args, cwd=ROOT):
+def _tool(name, *args):
     return subprocess.run(
         [sys.executable, str(TOOLS / name), *map(str, args)],
-        cwd=cwd, capture_output=True, text=True, timeout=600,
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
 
 
