@@ -8,6 +8,12 @@ from pareto_trm import cli, criticality, driver
 from pareto_trm.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# (directory under GOLDEN, `pareto-trm run` arguments) of each golden CLI run
+GOLDEN_RUNS = [
+    tuple(line.split(" ", 1))
+    for line in (GOLDEN / "cli-runs.txt").read_text(encoding="utf-8").splitlines()
+    if line and not line.startswith("#")
+]
 
 
 def test_run_smoke(tmp_path, capsys):
@@ -29,29 +35,7 @@ def test_run_smoke(tmp_path, capsys):
     assert data["meta"]["model"] == "rbf-cubic"
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        # the README example
-        ("t6-rbf-cubic", "--problem T6 --model rbf-cubic --step strict-pc --seed 1 --budget 25"),
-        # two bundles of FD-Taylor stencil reads, in order; the budget runs out at the next trial
-        (
-            "dtlz6-taylor-fd1",
-            "--problem DTLZ6 --n 12 --pattern all-expensive --model taylor-fd1 --step steepest"
-            " --seed 0 --budget 50",
-        ),
-        # quadratic Lagrange models on the box-fitted stencil, three iterations
-        (
-            "zdt1-lagrange-2",
-            "--problem ZDT1 --n 5 --model lagrange-2 --step modified-pc --seed 0 --budget 80",
-        ),
-        # 42 iterations of poised-set selection and repair for linear Lagrange models
-        (
-            "dtlz1-lagrange-1",
-            "--problem DTLZ1 --n 6 --model lagrange-1 --step strict-pc --seed 0 --budget 60",
-        ),
-    ],
-)
+@pytest.mark.parametrize("name, argv", GOLDEN_RUNS)
 def test_run_outputs_match_golden(tmp_path, name, argv):
     assert main(["run", *argv.split(), "--out", str(tmp_path)]) == 0
     for output in ("report.json", "iterations.csv", "db.csv"):

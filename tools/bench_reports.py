@@ -5,10 +5,11 @@
 Runs each job of ``perfbench/workloads.build_jobs(WORKLOAD, SEED)`` once, as
 the benchmark does, writes its ``report.json``, ``iterations.csv`` and
 ``db.csv`` with the writer of ``pareto-trm run``, and prints the sha256 of
-those bytes, run after run in job order. A refactor that keeps this digest changes no byte
-of any bench report; ``tests/golden/bench-reports.txt`` holds the committed
-digests. Run it from the root of a checkout; it imports the package from
-``src/``.
+those bytes, run after run in job order. A refactor that keeps this digest
+changes no byte of any bench report; ``tests/golden/bench-reports.txt`` holds
+the committed digests. ``tools/gate_reports.py`` hashes its runs with the
+same ``digest``. Run it from the root of a checkout; it imports the package
+from ``src/``.
 """
 
 from __future__ import annotations
@@ -35,16 +36,23 @@ from workloads import build_jobs  # noqa: E402
 FILES = ("report.json", "iterations.csv", "db.csv")
 
 
-def reports_digest(workload: str, seed: int) -> str:
-    digest = hashlib.sha256()
+def digest(runs) -> str:
+    """sha256 over the FILES bytes of every (problem, AlgoConfig, x0, seed)
+    run, run after run in order."""
+    sha = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        for _, prob, cfg, x0 in build_jobs(workload, seed):
+        for prob, cfg, x0, seed in runs:
             db = EvaluationDatabase(prob)
             _write_run_outputs(out, run(prob, cfg, x0, seed=seed, db=db), db)
             for name in FILES:
-                digest.update((out / name).read_bytes())
-    return digest.hexdigest()
+                sha.update((out / name).read_bytes())
+    return sha.hexdigest()
+
+
+def bench_runs(workload: str, seed: int) -> list:
+    """(problem, AlgoConfig, x0, seed) of every job of one bench pass, in job order."""
+    return [(prob, cfg, x0, seed) for _, prob, cfg, x0 in build_jobs(workload, seed)]
 
 
 def main(argv=None) -> int:
@@ -52,7 +60,7 @@ def main(argv=None) -> int:
     if len(args) != 2:
         print("usage: python3 tools/bench_reports.py WORKLOAD SEED", file=sys.stderr)
         return 1
-    print(reports_digest(args[0], int(args[1])))
+    print(digest(bench_runs(args[0], int(args[1]))))
     return 0
 
 

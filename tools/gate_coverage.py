@@ -2,12 +2,13 @@
 
     python3 tools/gate_coverage.py
 
-The gated runs are the ones whose bytes the repository pins: one pass of
-every bench workload at seeds 0 and 1, run as ``tools/bench_reports.py`` runs
-them (``tests/golden/bench-digests.txt`` and ``bench-reports.txt``), the
-library runs of ``tools/gate_reports.py`` (``tests/golden/gate-reports.txt``)
-and the four golden CLI runs of ``tests/golden/`` (``tests/test_cli.py``). A
-refactor that keeps those bytes proves itself only on the lines they execute.
+The gated runs are the ones whose bytes the repository pins, each run the
+way its gate runs it: one pass of every bench workload at seeds 0 and 1
+through ``tools/bench_reports.py`` (``tests/golden/bench-digests.txt`` and
+``bench-reports.txt``), the library runs of ``tools/gate_reports.py``
+(``tests/golden/gate-reports.txt``) and the golden CLI runs listed in
+``tests/golden/cli-runs.txt`` (``tests/test_cli.py``). A refactor that keeps
+those bytes proves itself only on the lines they execute.
 
 A ``sys.settrace`` collector records every line the runs execute in the
 package, from its import on. The executable lines of a module are the line
@@ -40,14 +41,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
 WORKLOADS = ("model-build", "step-solve", "fd-highdim")
 SEEDS = (0, 1)
-# the golden CLI runs, as tests/test_cli.py::test_run_outputs_match_golden runs them
-GOLDEN_RUNS = (
-    "--problem T6 --model rbf-cubic --step strict-pc --seed 1 --budget 25",
-    "--problem DTLZ6 --n 12 --pattern all-expensive --model taylor-fd1 --step steepest"
-    " --seed 0 --budget 50",
-    "--problem ZDT1 --n 5 --model lagrange-2 --step modified-pc --seed 0 --budget 80",
-    "--problem DTLZ1 --n 6 --model lagrange-1 --step strict-pc --seed 0 --budget 60",
-)
+# the golden CLI runs, one per line after the comments: directory, arguments
+GOLDEN_RUNS = ROOT / "tests" / "golden" / "cli-runs.txt"
 
 
 def key(code: types.CodeType) -> tuple[str, int, str]:
@@ -85,23 +80,22 @@ class LineCollector:
 
 
 def gated_runs() -> None:
-    """Every gated run, in process; imports the package."""
-    from pareto_trm import run
+    """Every gated run, in process, as its gate runs it; imports the package."""
     from pareto_trm.cli import main
-    from pareto_trm.problem import EvaluationDatabase
-    from workloads import build_jobs
-    from gate_reports import SEED, gate_jobs
+    from bench_reports import bench_runs, digest
+    from gate_reports import gate_runs
 
     for workload in WORKLOADS:
         for seed in SEEDS:
-            for _, prob, cfg, x0 in build_jobs(workload, seed):
-                run(prob, cfg, x0, seed=seed, db=EvaluationDatabase(prob))
-    for _, prob, cfg, x0 in gate_jobs():
-        run(prob, cfg, x0, seed=SEED, db=EvaluationDatabase(prob))
+            digest(bench_runs(workload, seed))
+    digest(gate_runs())
+    lines = GOLDEN_RUNS.read_text(encoding="utf-8").splitlines()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        for i, argv in enumerate(GOLDEN_RUNS):
-            if main(["run", *argv.split(), "--out", str(Path(tmp) / str(i))]) != 0:
-                raise SystemExit(f"golden run failed: {argv}")
+        for line in lines:
+            if line and not line.startswith("#"):
+                name, argv = line.split(" ", 1)
+                if main(["run", *argv.split(), "--out", str(Path(tmp) / name)]) != 0:
+                    raise SystemExit(f"golden run failed: {argv}")
 
 
 def code_objects(code: types.CodeType):

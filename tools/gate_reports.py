@@ -3,52 +3,54 @@
     python3 tools/gate_reports.py
 
 Every bench job comes from the testbed, whose feasible sets are boxes, so no
-bench run reaches the optimizer's R^n frame. These library runs do:
+bench run reaches the optimizer's R^n frame, and no bench run reaches a zero
+step, the ``radius-min`` stop or the Pascoletti-Serafini fallback. These
+library runs do:
 
 - ``rn-rbf``: an unconstrained problem (n = 3) with one cheap objective that
   has a gradient evaluator and one expensive objective modelled ``rbf-cubic``,
   under ``strict-pc``, with the per-iteration true criticality on;
 - ``rn-cheap-pair``: the all-cheap pair of ``tests/conftest.py:two_quadratics``
-  (unconstrained, analytic gradients) under ``modified-pc``.
+  (unconstrained, analytic gradients) under ``modified-pc``;
+- ``rn-critical-pair``: the same pair with ``eps_crit = 0``, started on its
+  Pareto segment, so every step is the zero step at a model-critical center
+  until the radius falls to ``delta_min`` (``radius-min``, 18 iterations);
+- ``dtlz6-face``: DTLZ6 (n = 6, ``rbf-gaussian-adaptive``, ``strict-pc``)
+  from a start whose iterate reaches the x_i = 0 face, where backtracking runs
+  out at t = 5 and t = 6;
+- ``dtlz1-ps-fallback``: DTLZ1 (n = 6, ``rbf-cubic``, Pascoletti-Serafini),
+  where one trial misses the sufficient-decrease bound and falls back to the
+  strict Pareto-Cauchy step.
 
 Each run's ``report.json``, ``iterations.csv`` and ``db.csv`` are written with
-the writer of ``pareto-trm run``, and the tool prints the sha256 of those
-bytes, run after run in order. ``tests/golden/gate-reports.txt`` holds the
-committed digest. Run it from the root of a checkout; it imports the package
-from ``src/`` and takes well under a second.
+the writer of ``pareto-trm run`` and hashed by ``tools/bench_reports.py``'s
+``digest``, run after run in order. ``tests/golden/gate-reports.txt`` holds
+the committed digest. Run it from the root of a checkout; it imports the
+package from ``src/`` and takes about 1 s on a 2-core VM.
 """
 
 from __future__ import annotations
 
-import os
-
-# one BLAS thread, as in perfbench/run.py: the LAPACK bits must not depend on it
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import hashlib
 import sys
-import tempfile
-from pathlib import Path
+
+# first: it sets one BLAS thread before numpy loads, and puts src/ on the path
+from bench_reports import digest
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from pareto_trm import (  # noqa: E402
+from pareto_trm import (
     MODEL_SPECS,
     AlgoConfig,
-    EvaluationDatabase,
     FeasibleSet,
     MOProblem,
     StepConfig,
-    run,
+    TestProblemSpec,
+    make_problem,
 )
-from pareto_trm.cli import _write_run_outputs  # noqa: E402
+from pareto_trm.cli import _start_points
 
-FILES = ("report.json", "iterations.csv", "db.csv")
 SEED = 0
+FIRST_CHEAP = "first-cheap-rest-expensive"
 
 
 def _rn_rbf() -> tuple:
@@ -71,12 +73,12 @@ def _rn_rbf() -> tuple:
         max_expensive=40,
         compute_true_omega=True,
     )
-    return "rn-rbf", prob, cfg, np.array([1.0, -1.0, 0.5])
+    return prob, cfg, np.array([1.0, -1.0, 0.5]), SEED
 
 
-def _rn_cheap_pair() -> tuple:
+def _cheap_pair() -> MOProblem:
     a, b = np.array([0.2, 0.3]), np.array([0.9, 0.7])
-    prob = MOProblem(
+    return MOProblem(
         2,
         2,
         [lambda X: np.sum((X - a) ** 2, axis=1), lambda X: np.sum((X - b) ** 2, axis=1)],
@@ -85,26 +87,43 @@ def _rn_cheap_pair() -> tuple:
         [lambda X: 2.0 * (X - a), lambda X: 2.0 * (X - b)],
         name="two-quadratics",
     )
+
+
+def _rn_cheap_pair() -> tuple:
     cfg = AlgoConfig(models=None, step=StepConfig(method="modified-pc"))
-    return "rn-cheap-pair", prob, cfg, np.array([3.0, -2.0])
+    return _cheap_pair(), cfg, np.array([3.0, -2.0]), SEED
 
 
-def gate_jobs() -> list:
-    """(label, problem, AlgoConfig, x0) of every gate run, in digest order;
-    each runs with seed SEED."""
-    return [_rn_rbf(), _rn_cheap_pair()]
+def _rn_critical_pair() -> tuple:
+    cfg = AlgoConfig(
+        models=None, step=StepConfig(method="modified-pc"), eps_crit=0.0, delta_crit=1e-7
+    )
+    return _cheap_pair(), cfg, np.array([0.55, 0.5]), SEED
 
 
-def reports_digest() -> str:
-    digest = hashlib.sha256()
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        for _, prob, cfg, x0 in gate_jobs():
-            db = EvaluationDatabase(prob)
-            _write_run_outputs(out, run(prob, cfg, x0, seed=SEED, db=db), db)
-            for name in FILES:
-                digest.update((out / name).read_bytes())
-    return digest.hexdigest()
+def _dtlz6_face() -> tuple:
+    prob = make_problem(TestProblemSpec("DTLZ6", 6, FIRST_CHEAP))
+    cfg = AlgoConfig(
+        models=MODEL_SPECS["rbf-gaussian-adaptive"],
+        step=StepConfig(method="strict-pc"),
+        max_iters=8,
+    )
+    return prob, cfg, _start_points(prob, 2, 3)[1], SEED
+
+
+def _dtlz1_ps_fallback() -> tuple:
+    prob = make_problem(TestProblemSpec("DTLZ1", 6, FIRST_CHEAP))
+    cfg = AlgoConfig(
+        models=MODEL_SPECS["rbf-cubic"],
+        step=StepConfig(method="pascoletti-serafini"),
+        max_iters=6,
+    )
+    return prob, cfg, _start_points(prob, 6, 0)[5], SEED
+
+
+def gate_runs() -> list:
+    """(problem, AlgoConfig, x0, seed) of every gate run, in digest order."""
+    return [_rn_rbf(), _rn_cheap_pair(), _rn_critical_pair(), _dtlz6_face(), _dtlz1_ps_fallback()]
 
 
 def main(argv=None) -> int:
@@ -112,7 +131,7 @@ def main(argv=None) -> int:
     if args:
         print("usage: python3 tools/gate_reports.py", file=sys.stderr)
         return 1
-    print(reports_digest())
+    print(digest(gate_runs()))
     return 0
 
 
