@@ -19,7 +19,6 @@ import numpy as np
 
 from .criticality import CriticalityResult, omega_of_gradients, true_omega
 from .errors import (
-    BacktrackExhausted,
     BudgetExhausted,
     DegenerateDenominator,
     InfeasiblePoint,
@@ -27,7 +26,7 @@ from .errors import (
     ParetoTRMError,
 )
 from .problem import EvaluationDatabase, MOProblem, project_to_box
-from .steps import StepConfig, compute_step, zero_step
+from .steps import StepConfig, compute_step
 from .surrogates import ModelSpec, SurrogateBundle, build_bundle
 
 SUCCESSFUL = "successful"
@@ -353,15 +352,10 @@ def run(
                     continue
 
             # descent step; the zero step at a model-critical center or when
-            # backtracking runs out
-            step_res = None
-            if crit.omega_clamped > 0.0:
-                try:
-                    step_res = compute_step(bundle, state.x, state.delta, crit, cfg.step, prob.unit)
-                except BacktrackExhausted as exc:
-                    anomalies.append(f"t={state.t}: {exc}")
-            if step_res is None:
-                step_res = zero_step(state.x)
+            # backtracking runs out, which is an anomaly
+            step_res = compute_step(bundle, state.x, state.delta, crit, cfg.step, prob.unit)
+            if step_res.failure:
+                anomalies.append(f"t={state.t}: {step_res.failure}")
             r_ratio = step_res.r_ratio
             if r_ratio is not None:
                 min_r_ratio = r_ratio if min_r_ratio is None else min(min_r_ratio, r_ratio)

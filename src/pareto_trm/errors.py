@@ -41,14 +41,6 @@ class BudgetExhausted(ParetoTRMError):
     """The expensive-evaluation budget would be exceeded."""
 
 
-class BacktrackExhausted(ParetoTRMError):
-    """Armijo backtracking used up its steps.MAX_BACKTRACKS halvings without success."""
-
-
-class ZeroDirection(ParetoTRMError):
-    """A step-size rule was asked for a zero direction."""
-
-
 class DegenerateDenominator(ParetoTRMError):
     """A predicted-reduction denominator vanished for a nonzero step."""
 

@@ -16,6 +16,11 @@ Pascoletti-Serafini fallback) comes out as it would with H. The
 Pascoletti-Serafini step falls back to the strict Pareto-Cauchy step when
 its subsolver does not reach that bound, so the certificate holds regardless
 of subsolver quality.
+
+compute_step decides every zero step: at a model-critical center (w~ = 0)
+before any method runs, and when Armijo backtracking runs out, as a value
+whose `failure` says why. Methods run only at w~ > 0, where the LP
+direction d is nonzero: d = 0 gives the LP a zero right-hand side, so beta = 0.
 """
 
 from __future__ import annotations
@@ -26,13 +31,11 @@ from typing import Optional
 import numpy as np
 
 from .criticality import CriticalityResult
-from .errors import BacktrackExhausted, ZeroDirection
 from .linalg import box_multistart_minimize
 from .problem import FeasibleSet, project_to_box, region_box
 from .surrogates import SurrogateBundle, curvature_floor
 
-STEP_METHODS = ("modified-pc", "strict-pc", "pascoletti-serafini", "exact-pc")
-MAX_BACKTRACKS = 30  # Armijo halvings before BacktrackExhausted
+MAX_BACKTRACKS = 30  # Armijo halvings before the zero step
 GRID_POINTS = 64  # exact-pc ray grid before the golden-section refine
 
 
@@ -63,6 +66,8 @@ class StepResult:
     # the model values at the center and the trial; the zero step has none
     m_center: Optional[np.ndarray] = None
     m_trial: Optional[np.ndarray] = None
+    # why a method took the zero step (backtracking ran out); None otherwise
+    failure: Optional[str] = None
 
     @property
     def is_zero(self) -> bool:
@@ -99,19 +104,18 @@ def _certified(bundle, center, trial, m_center, m_trial, crit, radius, cfg, **ex
     )
 
 
-def zero_step(center) -> StepResult:
+def zero_step(center, failure: Optional[str] = None) -> StepResult:
     """No move: the trial is the center, certified by (0, 0)."""
     center = np.asarray(center, dtype=float)
     return StepResult(
-        step=np.zeros_like(center), trial=center.copy(), certificate_lhs=0.0, certificate_rhs=0.0
+        step=np.zeros_like(center), trial=center.copy(), certificate_lhs=0.0,
+        certificate_rhs=0.0, failure=failure,
     )
 
 
 def bar_sigma(d, radius: float) -> float:
     """Step-length cap along d: min(Delta, |d|) in the short/small regime, else Delta."""
     nd = float(np.max(np.abs(np.asarray(d, dtype=float))))
-    if nd == 0.0:
-        raise ZeroDirection("bar_sigma needs a nonzero direction")
     if nd < 1.0 or radius <= 1.0:
         return min(radius, nd)
     return radius
@@ -126,12 +130,8 @@ def _backtrack(
     fs: FeasibleSet,
     strict: bool,
 ) -> StepResult:
-    if crit.omega <= 0.0:
-        raise ValueError("backtracking requires a non-critical center (omega > 0)")
     d = crit.direction
     nd = float(np.max(np.abs(d)))
-    if nd == 0.0:
-        raise ZeroDirection("descent direction is zero")
     sigma = bar_sigma(d, radius)
     if fs.is_box:
         # keep x + t d inside X by convexity: t <= 1 along the LP direction
@@ -152,7 +152,7 @@ def _backtrack(
             return _certified(
                 bundle, center, trial, m_center, m_trial, crit, radius, cfg, backtracks=j
             )
-    raise BacktrackExhausted(f"no Armijo step within {MAX_BACKTRACKS} halvings")
+    return zero_step(center, f"no Armijo step within {MAX_BACKTRACKS} halvings")
 
 
 def modified_pareto_cauchy(bundle, center, radius, crit, cfg, fs) -> StepResult:
@@ -173,14 +173,9 @@ def _sigma_box_exit(center, d, fs: FeasibleSet) -> float:
     return float(ratios[np.argmin(ratios)]) if ratios.size else np.inf
 
 
-def exact_pareto_cauchy(
-    bundle, center, radius, crit, fs, cfg: Optional[StepConfig] = None
-) -> StepResult:
+def exact_pareto_cauchy(bundle, center, radius, crit, cfg, fs) -> StepResult:
     """Best point along the steepest-descent ray: grid + golden-section refine."""
-    cfg = cfg or StepConfig()
     center = np.asarray(center, dtype=float)
-    if crit.omega <= 0.0:
-        raise ValueError("exact Pareto-Cauchy step requires omega > 0")
     d = crit.direction
     nd = float(np.max(np.abs(d)))
     sigma_max = min(radius / nd, _sigma_box_exit(center, d, fs))
@@ -236,13 +231,13 @@ def local_ideal_point(bundle, center, radius, fs: FeasibleSet) -> np.ndarray:
     return ideal
 
 
-def pascoletti_serafini(bundle, center, radius, crit, fs, cfg: StepConfig) -> StepResult:
+def pascoletti_serafini(bundle, center, radius, crit, cfg, fs) -> StepResult:
     """Scalarized trial step toward the local model ideal point.
 
     Minimizes max_l (m_l(x) - m_l(center)) / r_l over the region via annealed
     log-sum-exp smoothing; degenerate r (model-critical center) returns the
     zero step, and a trial below the standard-form bound is replaced by the
-    strict Pareto-Cauchy step.
+    strict Pareto-Cauchy step, or by its zero step, unchanged, if that fails.
     """
     center = np.asarray(center, dtype=float)
     ideal = local_ideal_point(bundle, center, radius, fs)
@@ -291,19 +286,23 @@ def pascoletti_serafini(bundle, center, radius, crit, fs, cfg: StepConfig) -> St
     res = _certified(
         bundle, center, trial, m_center, bundle.values(trial), crit, radius, cfg, r_ratio=r_ratio
     )
-    if res.certificate_lhs < res.certificate_rhs and crit.omega > 0.0:
+    if res.certificate_lhs < res.certificate_rhs:
         res = strict_pareto_cauchy(bundle, center, radius, crit, cfg, fs)
-        res.r_ratio = r_ratio
-        res.fallback = True
+        if res.failure is None:
+            res.r_ratio, res.fallback = r_ratio, True
     return res
 
 
+STEP_METHODS = {
+    "modified-pc": modified_pareto_cauchy,
+    "strict-pc": strict_pareto_cauchy,
+    "pascoletti-serafini": pascoletti_serafini,
+    "exact-pc": exact_pareto_cauchy,
+}
+
+
 def compute_step(bundle, center, radius, crit, cfg: StepConfig, fs: FeasibleSet) -> StepResult:
-    """Dispatch on cfg.method."""
-    if cfg.method == "modified-pc":
-        return modified_pareto_cauchy(bundle, center, radius, crit, cfg, fs)
-    if cfg.method == "strict-pc":
-        return strict_pareto_cauchy(bundle, center, radius, crit, cfg, fs)
-    if cfg.method == "exact-pc":
-        return exact_pareto_cauchy(bundle, center, radius, crit, fs, cfg)
-    return pascoletti_serafini(bundle, center, radius, crit, fs, cfg)
+    """The trial step of cfg.method, or the zero step at a model-critical center."""
+    if crit.omega_clamped <= 0.0:
+        return zero_step(center)
+    return STEP_METHODS[cfg.method](bundle, center, radius, crit, cfg, fs)

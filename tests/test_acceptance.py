@@ -293,7 +293,7 @@ def test_criterion_9_pascoletti_serafini_contract():
         center = rng.uniform(-1, 1, size=2)
         bundle = _bundle([_quad_model(center), _quad_model(center, 2.0)], center, 0.3)
         crit = omega_of_gradients(bundle.gradients(center), center, fs)
-        res = pascoletti_serafini(bundle, center, 0.3, crit, fs, cfg)
+        res = pascoletti_serafini(bundle, center, 0.3, crit, cfg, fs)
         zero_ok += res.is_zero and res.certificate_lhs == res.certificate_rhs == 0.0
     # 50 random non-critical bundles: certificate must hold (fallback allowed)
     cert_ok, tried = 0, 0
@@ -308,7 +308,7 @@ def test_criterion_9_pascoletti_serafini_contract():
         if crit.omega <= 1e-10:
             continue
         tried += 1
-        res = pascoletti_serafini(bundle, center, 0.4, crit, fs, cfg)
+        res = pascoletti_serafini(bundle, center, 0.4, crit, cfg, fs)
         cert_ok += res.certificate_lhs >= res.certificate_rhs - 1e-12
     # k = 1: PS reduces to direct model minimization
     k1_ok = 0
@@ -318,7 +318,7 @@ def test_criterion_9_pascoletti_serafini_contract():
         center = rng.uniform(0.5, 1.0, size=2)
         bundle = _bundle([model], center, 2.0)
         crit = omega_of_gradients(bundle.gradients(center), center, fs)
-        res = pascoletti_serafini(bundle, center, 2.0, crit, fs, cfg)
+        res = pascoletti_serafini(bundle, center, 2.0, crit, cfg, fs)
         direct, _ = box_multistart_minimize(
             *plain(model.values, model.gradients), center - 2.0, center + 2.0,
             12, seed=3, include=center[None, :],

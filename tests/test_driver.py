@@ -28,7 +28,6 @@ from pareto_trm.driver import (
     update_state,
 )
 from pareto_trm.errors import (
-    BacktrackExhausted,
     BudgetExhausted,
     DegenerateDenominator,
     InfeasiblePoint,
@@ -478,11 +477,12 @@ def test_critical_start_emits_zero_step_and_stops(nu_p):
 
 
 def test_critical_start_without_criticality_test_takes_zero_steps(monkeypatch):
-    # eps_crit = 0 never enters the criticality routine, so omega = 0 reaches the step
+    # eps_crit = 0 never enters the criticality routine, so omega = 0 reaches
+    # compute_step, which takes the zero step without running the step method
     def no_step(*args):
-        raise AssertionError("compute_step called at a critical point")
+        raise AssertionError("strict-pc called at a critical point")
 
-    monkeypatch.setattr(driver, "compute_step", no_step)
+    monkeypatch.setitem(steps.STEP_METHODS, "strict-pc", no_step)
     prob = two_quadratics([0.0, 0.0], [0.0, 0.0])
     cfg = AlgoConfig(models=None, eps_crit=0.0, max_iters=4)
     rep = run(prob, cfg, [0.0, 0.0], seed=0)
@@ -495,11 +495,11 @@ def test_exhausted_backtracking_takes_a_zero_step_and_continues(monkeypatch):
     real_step = driver.compute_step
     calls = []
 
-    def exhausted_once(*args):
+    def exhausted_once(bundle, center, *args):
         calls.append(1)
         if len(calls) == 1:
-            raise BacktrackExhausted("no Armijo step within 30 halvings")
-        return real_step(*args)
+            return steps.zero_step(center, "no Armijo step within 30 halvings")
+        return real_step(bundle, center, *args)
 
     monkeypatch.setattr(driver, "compute_step", exhausted_once)
     prob = two_quadratics([0.1, 0.2], [0.8, 0.9])
@@ -518,8 +518,8 @@ def test_zero_step_is_inacceptable_and_shrinks_hard(monkeypatch, kind):
     if kind == "model-critical":  # eps_crit = 0: omega = 0 reaches the step
         prob, x0, cfg = two_quadratics([0.0, 0.0], [0.0, 0.0]), [0.0, 0.0], {"eps_crit": 0.0}
     else:
-        def exhausted(*args):
-            raise BacktrackExhausted("no Armijo step within 30 halvings")
+        def exhausted(bundle, center, *args):
+            return steps.zero_step(center, "no Armijo step within 30 halvings")
 
         monkeypatch.setattr(driver, "compute_step", exhausted)
         prob, x0, cfg = two_quadratics([0.1, 0.2], [0.8, 0.9]), [2.0, 2.0], {}

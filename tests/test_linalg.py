@@ -417,6 +417,26 @@ def test_small_lps_match_the_vertex_oracle_at_any_row_scale(case, j):
     assert _lp_outcome(solve_descent_lp, LPProblem(G, lo, hi))[0] != "LPFailure"
 
 
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(descent_lps(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_positive_omega_comes_with_a_nonzero_direction(case, critical, seed):
+    # the step methods divide by max|d| wherever omega > 0; a zero d leaves
+    # the basic solution a zero right-hand side, so beta is exactly 0. Half of
+    # the draws add the row -w G (w > 0), which makes the center critical.
+    G, lo, hi, _ = case
+    if critical:
+        w = np.random.default_rng(seed).uniform(0.1, 1.0, len(G))
+        G = np.vstack([G, -(w @ G)])
+    try:
+        d, beta = solve_descent_lp(LPProblem(G, lo, hi))
+    except LPFailure:
+        return
+    if -beta > 0.0:
+        assert np.max(np.abs(d)) > 0.0
+    else:
+        assert beta == 0.0
+
+
 def test_badly_scaled_rows_keep_their_recorded_answer():
     # the unscaled simplex returned beta = -9109436.58 with d2 = -57187.8 < 0 = lo2;
     # solved on the rows G 2^-21 the LP finds the vertex optimum

@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 from conftest import plain
 
 from pareto_trm.criticality import CriticalityResult, omega_of_gradients
-from pareto_trm.errors import ZeroDirection
 from pareto_trm.linalg import box_multistart_minimize
 from pareto_trm.problem import FeasibleSet
 from pareto_trm.steps import (
+    STEP_METHODS,
     StepConfig,
     _sigma_box_exit,
     bar_sigma,
     certificate_rhs,
+    compute_step,
     exact_pareto_cauchy,
     local_ideal_point,
     modified_pareto_cauchy,
@@ -59,10 +60,6 @@ class TestBarSigma:
 
     def test_small_radius(self):
         assert bar_sigma([1.0], 0.3) == pytest.approx(0.3)
-
-    def test_zero_direction(self):
-        with pytest.raises(ZeroDirection):
-            bar_sigma([0.0, 0.0], 1.0)
 
 
 class TestModifiedPC:
@@ -169,11 +166,45 @@ class TestStrictPC:
             res = strict_pareto_cauchy(bundle, center, 0.4, crit, cfg, UNC)
             assert np.all(bundle.values(center) - bundle.values(res.trial) > 0.0)
 
-    def test_rejects_critical_center(self):
-        bundle = make_bundle([quad_model([0.0])], [0.0], 1.0)
-        crit = crit_at(bundle, [0.0])
-        with pytest.raises(ValueError):
-            strict_pareto_cauchy(bundle, [0.0], 1.0, crit, StepConfig(), UNC)
+
+@pytest.mark.parametrize("method", STEP_METHODS)
+def test_compute_step_takes_the_zero_step_at_a_model_critical_center(monkeypatch, method):
+    # the center lies on the segment between the two minimizers, where the
+    # gradients oppose: omega~ = 0, and no step method runs
+    def no_step(*args):
+        raise AssertionError(f"{method} called at a model-critical center")
+
+    monkeypatch.setitem(STEP_METHODS, method, no_step)
+    center = np.array([0.5, 0.0])
+    bundle = make_bundle([quad_model([0.0, 0.0], 2), quad_model([1.0, 0.0], 2)], center, 0.3)
+    crit = crit_at(bundle, center)
+    assert crit.omega_clamped == 0.0
+    res = compute_step(bundle, center, 0.3, crit, StepConfig(method=method), UNC)
+    assert res.is_zero and np.array_equal(res.trial, center)
+    assert (res.certificate_lhs, res.certificate_rhs, res.failure) == (0.0, 0.0, None)
+
+
+# an uphill direction with omega > 0: no Armijo halving decreases m(x) = x^2
+UPHILL = CriticalityResult(np.array([1.0]), 1.0, 1.0)
+NO_ARMIJO_STEP = "no Armijo step within 30 halvings"
+
+
+@pytest.mark.parametrize("method", ["modified-pc", "strict-pc"])
+def test_exhausted_backtracking_returns_the_failed_zero_step(method):
+    bundle = make_bundle([quad_model([0.0])], [0.01], 0.3)
+    res = compute_step(bundle, [0.01], 0.3, UPHILL, StepConfig(method=method), UNC)
+    assert res.is_zero and res.trial.tolist() == [0.01]
+    assert (res.certificate_lhs, res.certificate_rhs, res.backtracks) == (0.0, 0.0, 0)
+    assert res.failure == NO_ARMIJO_STEP
+
+
+def test_pascoletti_serafini_fallback_that_runs_out_is_returned_unchanged():
+    # the PS trial decreases m by about 1e-4, below the rhs at omega~ = 1, so
+    # it falls back to the strict step, whose backtracking runs out uphill
+    bundle = make_bundle([quad_model([0.0])], [0.01], 0.3)
+    res = compute_step(bundle, [0.01], 0.3, UPHILL, StepConfig("pascoletti-serafini"), UNC)
+    assert res.is_zero and res.failure == NO_ARMIJO_STEP
+    assert (res.r_ratio, res.fallback) == (None, False)
 
 
 def sigma_box_exit_loop(center, d, fs):
@@ -212,14 +243,14 @@ class TestExactPC:
         model = quad_model([0.0])
         bundle = make_bundle([model], [1.0], 5.0)
         crit = crit_at(bundle, [1.0])
-        res = exact_pareto_cauchy(bundle, [1.0], 5.0, crit, UNC)
+        res = exact_pareto_cauchy(bundle, [1.0], 5.0, crit, StepConfig(), UNC)
         np.testing.assert_allclose(res.trial, [0.0], atol=1e-6)
 
     def test_boundary_when_radius_small(self):
         model = quad_model([0.0])
         bundle = make_bundle([model], [1.0], 0.3)
         crit = crit_at(bundle, [1.0])
-        res = exact_pareto_cauchy(bundle, [1.0], 0.3, crit, UNC)
+        res = exact_pareto_cauchy(bundle, [1.0], 0.3, crit, StepConfig(), UNC)
         np.testing.assert_allclose(res.trial, [0.7], atol=1e-6)
 
     def test_crossing_quadratics_match_dense_grid(self):
@@ -228,7 +259,7 @@ class TestExactPC:
         center = np.array([1.0])
         bundle = make_bundle([m1, m2], center, 1.0)
         crit = crit_at(bundle, center)
-        res = exact_pareto_cauchy(bundle, center, 1.0, crit, UNC)
+        res = exact_pareto_cauchy(bundle, center, 1.0, crit, StepConfig(), UNC)
         d = crit.direction
         sigmas = np.linspace(0, 1.0 / np.max(np.abs(d)), 100001)
         pts = center[None, :] + sigmas[:, None] * d[None, :]
@@ -248,7 +279,7 @@ class TestExactPC:
             if crit.omega <= 1e-10:
                 continue
             mod = modified_pareto_cauchy(bundle, center, 0.5, crit, cfg, UNC)
-            exact = exact_pareto_cauchy(bundle, center, 0.5, crit, UNC)
+            exact = exact_pareto_cauchy(bundle, center, 0.5, crit, StepConfig(), UNC)
             assert exact.certificate_lhs >= mod.certificate_lhs - 1e-9
             assert mod.certificate_lhs >= 0.0
 
@@ -299,7 +330,7 @@ class TestPascolettiSerafini:
         center = np.array([0.4, 0.6])
         bundle = make_bundle([quad_model(center, 2)], center, 0.3)
         crit = crit_at(bundle, center)
-        res = pascoletti_serafini(bundle, center, 0.3, crit, UNC, StepConfig())
+        res = pascoletti_serafini(bundle, center, 0.3, crit, StepConfig(), UNC)
         assert res.is_zero
         assert (res.certificate_lhs, res.certificate_rhs) == (0.0, 0.0)
 
@@ -309,7 +340,7 @@ class TestPascolettiSerafini:
         center = np.array([0.8, 0.9])
         bundle = make_bundle([model], center, 2.0)
         crit = crit_at(bundle, center)
-        res = pascoletti_serafini(bundle, center, 2.0, crit, UNC, StepConfig())
+        res = pascoletti_serafini(bundle, center, 2.0, crit, StepConfig(), UNC)
         lo, hi = center - 2.0, center + 2.0
         direct, _ = box_multistart_minimize(
             *plain(model.values, model.gradients), lo, hi, 12, seed=3, include=center[None, :]
@@ -321,7 +352,7 @@ class TestPascolettiSerafini:
         center = np.array([0.5, 0.8])  # equidistant from a and b
         bundle = make_bundle([quad_model(a, 2), quad_model(b, 2)], center, 0.5)
         crit = crit_at(bundle, center)
-        res = pascoletti_serafini(bundle, center, 0.5, crit, UNC, StepConfig())
+        res = pascoletti_serafini(bundle, center, 0.5, crit, StepConfig(), UNC)
         assert res.trial[1] < center[1]  # moved toward the segment
         assert res.certificate_lhs >= res.certificate_rhs - 1e-12
         # the trial's scalarized value tau against a dense grid over the region
@@ -350,7 +381,7 @@ class TestPascolettiSerafini:
             crit = crit_at(bundle, center)
             if crit.omega <= 1e-10:
                 continue
-            res = pascoletti_serafini(bundle, center, 0.4, crit, UNC, cfg)
+            res = pascoletti_serafini(bundle, center, 0.4, crit, cfg, UNC)
             assert res.certificate_lhs >= res.certificate_rhs - 1e-12
             assert UNC.contains(res.trial)
             assert np.max(np.abs(res.trial - center)) <= 0.4 + 1e-10
