@@ -25,6 +25,14 @@ def test_gate_reports_match_their_committed_digest():
     assert out.stdout == golden
 
 
+def test_campaign_reports_match_their_committed_digest():
+    # campaign and summarize on tests/golden/campaign.json; CI runs the same comparison
+    out = _tool("campaign_reports.py")
+    assert out.returncode == 0, out.stderr
+    golden = (ROOT / "tests" / "golden" / "campaign-reports.txt").read_text(encoding="utf-8")
+    assert out.stdout == golden
+
+
 def test_pair_timing_on_two_copies_of_one_tree_claims_nothing(tmp_path):
     # equal trees give equal outcomes (the tool exits 1 otherwise), and two
     # passes are too few for the measuring rule to back any claim

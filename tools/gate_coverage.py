@@ -6,8 +6,10 @@ The gated runs are the ones whose bytes the repository pins, each run the
 way its gate runs it: one pass of every bench workload at seeds 0 and 1
 through ``tools/bench_reports.py`` (``tests/golden/bench-digests.txt`` and
 ``bench-reports.txt``), the library runs of ``tools/gate_reports.py``
-(``tests/golden/gate-reports.txt``) and the golden CLI runs listed in
-``tests/golden/cli-runs.txt`` (``tests/test_cli.py``). A refactor that keeps
+(``tests/golden/gate-reports.txt``), the golden campaign and its summarize
+through ``tools/campaign_reports.py`` (``tests/golden/campaign-reports.txt``)
+and the golden CLI runs listed in ``tests/golden/cli-runs.txt``
+(``tests/test_cli.py``). A refactor that keeps
 those bytes proves itself only on the lines they execute.
 
 A ``sys.settrace`` collector records every line the runs execute in the
@@ -83,12 +85,14 @@ def gated_runs() -> None:
     """Every gated run, in process, as its gate runs it; imports the package."""
     from pareto_trm.cli import main
     from bench_reports import bench_runs, digest
+    from campaign_reports import campaign_digest
     from gate_reports import gate_runs
 
     for workload in WORKLOADS:
         for seed in SEEDS:
             digest(bench_runs(workload, seed))
     digest(gate_runs())
+    campaign_digest()
     lines = GOLDEN_RUNS.read_text(encoding="utf-8").splitlines()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for line in lines:
