@@ -20,7 +20,12 @@ library runs do:
   out at t = 5 and t = 6;
 - ``dtlz1-ps-fallback``: DTLZ1 (n = 6, ``rbf-cubic``, Pascoletti-Serafini),
   where one trial misses the sufficient-decrease bound and falls back to the
-  strict Pareto-Cauchy step.
+  strict Pareto-Cauchy step;
+- ``rn-ps-shared-minimizer``: an all-cheap R^n pair, |x - a|^2 and
+  2 |x - a|^2 + 1, under Pascoletti-Serafini with ``eps_crit = 0``, started
+  1e-7 from the shared minimizer a: omega is about 4e-7, yet both local ideal
+  points lie within 1e-12 of the center values, so every iteration takes
+  Pascoletti-Serafini's own zero step.
 
 Each run's ``report.json``, ``iterations.csv`` and ``db.csv`` are written with
 the writer of ``pareto-trm run`` and hashed by ``tools/bench_reports.py``'s
@@ -121,9 +126,36 @@ def _dtlz1_ps_fallback() -> tuple:
     return prob, cfg, _start_points(prob, 6, 0)[5], SEED
 
 
+def _rn_ps_shared_minimizer() -> tuple:
+    a = np.array([0.2, 0.3])
+    prob = MOProblem(
+        2,
+        2,
+        [
+            lambda X: np.sum((X - a) ** 2, axis=1),
+            lambda X: 2.0 * np.sum((X - a) ** 2, axis=1) + 1.0,
+        ],
+        np.array([False, False]),
+        FeasibleSet.unconstrained(),
+        [lambda X: 2.0 * (X - a), lambda X: 4.0 * (X - a)],
+        name="shared-minimizer",
+    )
+    cfg = AlgoConfig(
+        models=None, step=StepConfig(method="pascoletti-serafini"), eps_crit=0.0, max_iters=5
+    )
+    return prob, cfg, a + 1e-7, SEED
+
+
 def gate_runs() -> list:
     """(problem, AlgoConfig, x0, seed) of every gate run, in digest order."""
-    return [_rn_rbf(), _rn_cheap_pair(), _rn_critical_pair(), _dtlz6_face(), _dtlz1_ps_fallback()]
+    return [
+        _rn_rbf(),
+        _rn_cheap_pair(),
+        _rn_critical_pair(),
+        _dtlz6_face(),
+        _dtlz1_ps_fallback(),
+        _rn_ps_shared_minimizer(),
+    ]
 
 
 def main(argv=None) -> int:
