@@ -3,13 +3,13 @@
     python3 tools/gate_coverage.py
 
 The gated runs are the ones whose bytes the repository pins, each run the
-way its gate runs it: one pass of every bench workload at seeds 0 and 1
-through ``tools/bench_reports.py`` (``tests/golden/bench-digests.txt`` and
-``bench-reports.txt``), the library runs of ``tools/gate_reports.py``
-(``tests/golden/gate-reports.txt``), the golden campaign and its summarize
-through ``tools/campaign_reports.py`` (``tests/golden/campaign-reports.txt``)
-and the golden CLI runs listed in ``tests/golden/cli-runs.txt``
-(``tests/test_cli.py``). A refactor that keeps
+way its gate runs it: one pass of each (workload, seed) that
+``tests/golden/bench-reports.txt`` lists, through ``tools/bench_reports.py``
+(``bench-digests.txt`` pins the outcomes of the same passes), the library
+runs of ``tools/gate_reports.py`` (``tests/golden/gate-reports.txt``), the
+golden campaign and its summarize through ``tools/campaign_reports.py``
+(``tests/golden/campaign-reports.txt``) and the golden CLI runs listed in
+``tests/golden/cli-runs.txt`` (``tests/test_cli.py``). A refactor that keeps
 those bytes proves itself only on the lines they execute.
 
 A ``sys.settrace`` collector records every line the runs execute in the
@@ -41,10 +41,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pareto_trm"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
-WORKLOADS = ("model-build", "step-solve", "fd-highdim")
-SEEDS = (0, 1)
+GOLDEN = ROOT / "tests" / "golden"
+# the gated bench passes, one per line: workload, seed, reports digest
+BENCH_REPORTS = GOLDEN / "bench-reports.txt"
 # the golden CLI runs, one per line after the comments: directory, arguments
-GOLDEN_RUNS = ROOT / "tests" / "golden" / "cli-runs.txt"
+GOLDEN_RUNS = GOLDEN / "cli-runs.txt"
 
 
 def key(code: types.CodeType) -> tuple[str, int, str]:
@@ -88,9 +89,9 @@ def gated_runs() -> None:
     from campaign_reports import campaign_digest
     from gate_reports import gate_runs
 
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            digest(bench_runs(workload, seed))
+    for line in BENCH_REPORTS.read_text(encoding="utf-8").splitlines():
+        workload, seed, _ = line.split()
+        digest(bench_runs(workload, int(seed)))
     digest(gate_runs())
     campaign_digest()
     lines = GOLDEN_RUNS.read_text(encoding="utf-8").splitlines()
