@@ -2,8 +2,13 @@
 
 Subcommands:
   run        one optimizer run, writes report.json / iterations.csv / db.csv
-  campaign   problem x n x model x step matrix from a JSON config
+  campaign   problem x n x model x step matrix from a JSON config; writes each
+             run's files under runs/<cell>/ and summary.csv
   summarize  regenerate summary.csv from a directory of report.json files
+
+summary.csv holds one row per (problem, n, model, step), in SUMMARY_COLUMNS
+order and sorted by that key; the rows of one (model, step) are its series of
+mean expensive evaluations over problems and n.
 
 Campaign cells are independent; PARETO_TRM_THREADS > 1 runs them in a process
 pool. All outputs are byte-deterministic for a fixed (config, seed).
@@ -81,8 +86,8 @@ def _summary_line(rep: RunReport) -> str:
     omega = rep.final_omega_true_clamped
     omega_s = "n/a" if omega is None else f"{omega:.6g}"
     return (
-        f"{rep.meta.get('problem', rep.problem_name)} n={rep.n_vars} "
-        f"model={rep.meta.get('model', '?')} step={rep.meta.get('step', '?')} "
+        f"{rep.meta['problem']} n={rep.n_vars} "
+        f"model={rep.meta['model']} step={rep.meta['step']} "
         f"stop={rep.stop_reason} evals={rep.expensive_evals} "
         f"iters={len(rep.iterations)} omega_final={omega_s}"
     )
@@ -90,7 +95,7 @@ def _summary_line(rep: RunReport) -> str:
 
 def cmd_run(args) -> int:
     try:
-        spec = TestProblemSpec(args.problem, args.n or 0, args.pattern or "")
+        spec = TestProblemSpec(args.problem, args.n, args.pattern)
         prob = make_problem(spec)
         overrides = json.loads(Path(args.config).read_text()) if args.config else {}
         if args.budget is not None:
@@ -126,9 +131,9 @@ def cmd_run(args) -> int:
 
 def _campaign_job(job: dict) -> dict:
     """Run one campaign cell start; returns a picklable result record."""
-    spec = TestProblemSpec(job["problem"], job["n"], job.get("pattern", ""))
+    spec = TestProblemSpec(job["problem"], job["n"], job["pattern"])
     prob = make_problem(spec)
-    cfg = _algo_config(job.get("algo", {}), job["model"], job["step"])
+    cfg = _algo_config(job["algo"], job["model"], job["step"])
     x0 = _start_points(prob, job["n_starts"], job["seed"])[job["start_index"]]
     db = EvaluationDatabase(prob)
     try:
@@ -197,8 +202,9 @@ def _campaign_jobs(config: dict) -> list[dict]:
     return jobs
 
 
-def _aggregate(report_paths) -> tuple[list[dict], dict]:
-    """Summary rows keyed by (problem, n, model, step), plus plot series."""
+def _aggregate(report_paths) -> list[list]:
+    """summary.csv rows, one per (problem, n, model, step) in sorted order,
+    each in SUMMARY_COLUMNS order with its statistics as float reprs."""
     groups: dict = {}
     for path in sorted(str(p) for p in report_paths):
         try:
@@ -221,53 +227,21 @@ def _aggregate(report_paths) -> tuple[list[dict], dict]:
         groups[key]["evals"].append(data.get("expensive_evals", 0))
         groups[key]["omega"].append(float(omega))
     rows = []
-    plot: dict = {}
     for key in sorted(groups):
         evals = np.array(groups[key]["evals"], dtype=float)
         omegas = np.array(groups[key]["omega"], dtype=float)
-        row = {
-            "problem": key[0],
-            "n": key[1],
-            "model": key[2],
-            "step": key[3],
-            "mean_evals": float(evals.mean()),
-            "median_evals": float(np.median(evals)),
-            "mean_final_omega": float(omegas.mean()),
-            "solved_frac": float(np.mean(omegas <= SOLVED_THRESHOLD)),
-        }
-        rows.append(row)
-        plot.setdefault((key[2], key[3]), []).append((key[0], key[1], row["mean_evals"]))
-    return rows, plot
+        stats = (
+            evals.mean(), np.median(evals), omegas.mean(), np.mean(omegas <= SOLVED_THRESHOLD)
+        )
+        rows.append([*key, *(repr(float(v)) for v in stats)])
+    return rows
 
 
 def _write_summary(rows, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["problem"],
-                    row["n"],
-                    row["model"],
-                    row["step"],
-                    repr(row["mean_evals"]),
-                    repr(row["median_evals"]),
-                    repr(row["mean_final_omega"]),
-                    repr(row["solved_frac"]),
-                ]
-            )
-
-
-def _write_plotdata(plot, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    for (model, step), series in sorted(plot.items()):
-        path = outdir / f"{model}__{step}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["problem", "n", "mean_evals"])
-            for problem, n, mean_evals in sorted(series):
-                writer.writerow([problem, n, repr(mean_evals)])
+        writer.writerows(rows)
 
 
 def cmd_campaign(args) -> int:
@@ -292,9 +266,7 @@ def cmd_campaign(args) -> int:
         results = [_campaign_job(job) for job in jobs]
     failures = [r for r in results if "error" in r]
     reports = [r["report"] for r in results if "report" in r]
-    rows, plot = _aggregate(reports)
-    _write_summary(rows, outdir / "summary.csv")
-    _write_plotdata(plot, outdir / "plotdata")
+    _write_summary(_aggregate(reports), outdir / "summary.csv")
     if failures:
         with open(outdir / "failures.json", "w", encoding="utf-8") as fh:
             json.dump(sorted(failures, key=lambda r: r["id"]), fh, sort_keys=True, indent=2)
@@ -309,11 +281,9 @@ def cmd_summarize(args) -> int:
     if not root.is_dir():
         return _usage_error(f"{root} is not a directory")
     reports = sorted(root.rglob("report.json"))
-    rows, plot = _aggregate(reports)
+    rows = _aggregate(reports)
     out = Path(args.out) if args.out else root / "summary.csv"
     _write_summary(rows, out)
-    if args.plotdata:
-        _write_plotdata(plot, Path(args.plotdata))
     print(f"wrote {out} ({len(rows)} rows from {len(reports)} reports)")
     return 0
 
@@ -345,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum = sub.add_parser("summarize", help="regenerate summary.csv from reports")
     p_sum.add_argument("--reports", required=True)
     p_sum.add_argument("--out", default="")
-    p_sum.add_argument("--plotdata", default="")
     p_sum.set_defaults(func=cmd_summarize)
     return parser
 

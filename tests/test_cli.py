@@ -131,8 +131,8 @@ def test_campaign_and_summary(tmp_path, capsys):
     assert len(summary) == 3  # 1 problem x 1 n x 2 models x 1 step
     runs = list((outdir / "runs").iterdir())
     assert len(runs) == 4  # 2 cells x 2 starts
-    plots = sorted(p.name for p in (outdir / "plotdata").iterdir())
-    assert plots == ["lagrange-1__steepest.csv", "rbf-cubic__steepest.csv"]
+    # summary.csv is the one summary; its rows for one (model, step) are that series
+    assert sorted(p.name for p in outdir.iterdir()) == ["runs", "summary.csv"]
     for row in summary[1:]:
         fields = row.split(",")
         solved = float(fields[-1])

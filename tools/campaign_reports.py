@@ -43,13 +43,14 @@ def campaign_digest() -> str:
     sha256 of the files they write."""
     config = json.loads(CONFIG.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
-        out, cfgfile, regen = Path(tmp, "campaign"), Path(tmp, "campaign.json"), Path(tmp, "regen.csv")
+        out, cfgfile, regen = (Path(tmp, name) for name in ("out", "campaign.json", "regen.csv"))
         cfgfile.write_text(json.dumps({**config, "output_dir": str(out)}), encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()):
             if cli_main(["campaign", "--config", str(cfgfile)]) != 0:
                 raise SystemExit("the golden campaign failed")
-            if (out / "failures.json").exists():
-                raise SystemExit("a golden campaign run failed: " + (out / "failures.json").read_text())
+            failures = out / "failures.json"
+            if failures.exists():
+                raise SystemExit(f"a golden campaign run failed: {failures.read_text()}")
             if cli_main(["summarize", "--reports", str(out), "--out", str(regen)]) != 0:
                 raise SystemExit("summarize failed on the golden campaign")
         paths = [out / "summary.csv", regen]
