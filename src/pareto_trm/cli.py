@@ -165,6 +165,8 @@ def _load_campaign_config(path) -> dict:
 
 
 def _campaign_jobs(config: dict) -> list[dict]:
+    """Every run of the campaign, cell by cell; builds each cell's problem and
+    AlgoConfig once, so that a bad cell raises before anything runs."""
     n_starts = int(config.get("n_starts_per_cell", 4))
     seed = int(config.get("seed", 0))
     algo = config.get("algo", {})
@@ -182,6 +184,8 @@ def _campaign_jobs(config: dict) -> list[dict]:
     for name, n, pattern in cells:
         for model in config["models"]:
             for step in config["steps"]:
+                _algo_config(algo, model, step)
+                make_problem(TestProblemSpec(name, n, pattern))
                 for s in range(n_starts):
                     cell_id = f"{name}-n{n}-{model}-{step}-s{s}"
                     jobs.append(
@@ -248,9 +252,6 @@ def cmd_campaign(args) -> int:
     try:
         config = _load_campaign_config(args.config)
         jobs = _campaign_jobs(config)
-        for job in jobs:
-            _algo_config(job["algo"], job["model"], job["step"])
-            make_problem(TestProblemSpec(job["problem"], job["n"], job["pattern"]))
     except (
         KeyError, ValueError, TypeError, OSError, json.JSONDecodeError, ParetoTRMError
     ) as exc:

@@ -239,6 +239,18 @@ def test_campaign_dict_problem_entries(tmp_path):
     assert rows[1].startswith("T6,2,rbf-cubic,strict-pc,")
 
 
+def test_readme_campaign_config_passes_the_up_front_checks(tmp_path):
+    # the README's example config builds every cell's problem and AlgoConfig
+    readme = (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Campaign config schema", 1)[1].split("```json\n", 1)[1]
+    cfgfile = tmp_path / "campaign.json"
+    cfgfile.write_text(block.split("```", 1)[0], encoding="utf-8")
+    jobs = cli._campaign_jobs(cli._load_campaign_config(cfgfile))
+    cells = {(job["problem"], job["n"]) for job in jobs}
+    assert cells == {("ZDT1", 5), ("ZDT1", 10), ("T6", 2)}
+    assert len(jobs) == 3 * 2 * 1 * 4  # cells x models x steps x starts
+
+
 def test_campaign_rejects_bad_schema(tmp_path, capsys):
     cfgfile = tmp_path / "bad.json"
     cfg = _campaign_config(tmp_path, tmp_path / "x")
