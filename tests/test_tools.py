@@ -1,6 +1,8 @@
 """The scripts in tools/ run as documented: each is started the way its
-docstring says, as a separate process from the root of a checkout."""
+docstring says, as a separate process from the root of a checkout. The
+coverage tool's allowlist checks are also called in process."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -15,6 +17,18 @@ def _tool(name, *args):
         [sys.executable, str(TOOLS / name), *map(str, args)],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
+
+
+def _gate_coverage(monkeypatch):
+    """tools/gate_coverage.py as a module; the path entries and BLAS variables
+    it sets on import are undone after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("gate_coverage", TOOLS / "gate_coverage.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_gate_reports_match_their_committed_digest():
@@ -44,3 +58,29 @@ def test_pair_timing_on_two_copies_of_one_tree_claims_nothing(tmp_path):
     out = _tool("pair_timing.py", *roots, "--workload", "fd-highdim", "--passes", "2")
     assert out.returncode == 0, out.stderr
     assert "no claim: 2 passes, a claim needs 10" in out.stdout.splitlines()[-1]
+
+
+def test_gate_allowlist_entries_name_executable_lines_of_the_package(monkeypatch):
+    # CI's coverage step fails on an entry whose line was edited or deleted;
+    # this catches it without the gated runs
+    cov = _gate_coverage(monkeypatch)
+    lines = {
+        (path.name, *owner_text)
+        for path in cov.PACKAGE.glob("*.py")
+        for owner_text in cov.executable_lines(path)[0].values()
+    }
+    assert sorted(set(cov.load_allowlist()) - lines) == []
+
+
+def test_gate_coverage_fails_unlisted_lines_and_stale_entries(monkeypatch):
+    cov = _gate_coverage(monkeypatch)
+    check = ("steps.py", 50, "StepConfig.__post_init__", "raise ValueError(msg)")
+    entry = ("steps.py", "StepConfig.__post_init__", "raise ValueError(msg)")
+    allowlist = {entry: "argument check"}
+    assert cov.unlisted_and_stale([check], allowlist) == ([], [])
+    # the same text elsewhere in the function is listed by the same entry
+    moved = ("steps.py", 61, *check[2:])
+    assert cov.unlisted_and_stale([check, moved], allowlist) == ([], [])
+    new = ("steps.py", 70, "compute_step", "return zero_step(center)")
+    assert cov.unlisted_and_stale([check, new], allowlist) == ([new], [])
+    assert cov.unlisted_and_stale([], allowlist) == ([], [entry])

@@ -16,9 +16,14 @@ A ``sys.settrace`` collector records every line the runs execute in the
 package, from its import on. The executable lines of a module are the line
 starts of its compiled code objects. The tool prints, per module, how many
 of them are unreached and which, as line ranges, then every function or
-lambda the runs never enter, then the totals. It fails nothing. Run it from
-the root of a checkout; it imports the package from ``src/`` and takes about
-15 s on a 2-core VM.
+lambda the runs never enter, then the totals.
+
+It exits 1 on any unreached line that no entry of ``tools/gate_allowlist.txt``
+lists, and on any entry that lists no unreached line, so the list shrinks as
+the gates grow. An entry names a line by module, innermost function and
+stripped source text, not by number, so an edit elsewhere in the module keeps
+it valid. Run it from the root of a checkout; it imports the package from
+``src/`` and takes about 20 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ GOLDEN = ROOT / "tests" / "golden"
 BENCH_REPORTS = GOLDEN / "bench-reports.txt"
 # the golden CLI runs, one per line after the comments: directory, arguments
 GOLDEN_RUNS = GOLDEN / "cli-runs.txt"
+# the unreached lines that may stay so: module, function, stripped line, reason
+ALLOWLIST = ROOT / "tools" / "gate_allowlist.txt"
 
 
 def key(code: types.CodeType) -> tuple[str, int, str]:
@@ -121,28 +128,69 @@ def ranges(numbers: list[int]) -> str:
     return ", ".join(spans)
 
 
+def executable_lines(path: Path) -> tuple[dict[int, tuple[str, str]], list[types.CodeType]]:
+    """Each executable line of a module, with the qualified name of the
+    innermost function that holds it (``<module>`` at top level) and its
+    stripped source text, and the module's code objects."""
+    source = path.read_text(encoding="utf-8")
+    text = source.splitlines()
+    codes = list(code_objects(compile(source, str(path), "exec")))
+    lines = {}
+    for code in codes:  # outer before inner, so the innermost function wins
+        # line 0 (a module's RESUME) and None (no source line) are never traced
+        for _, line in dis.findlinestarts(code):
+            if line:
+                lines[line] = (code.co_qualname, text[line - 1].strip())
+    return lines, codes
+
+
+def load_allowlist(path: Path = ALLOWLIST) -> dict[tuple[str, str, str], str]:
+    """(module, function, stripped source line) -> reason, for every entry."""
+    entries = {}
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if line and not line.startswith("#"):
+            fields = line.split("\t")
+            if len(fields) != 4 or not all(fields):
+                raise SystemExit(f"{path.name}:{number}: want 4 tab-separated fields")
+            entries[tuple(fields[:3])] = fields[3]
+    return entries
+
+
+def unlisted_and_stale(unreached: list[tuple], allowlist: dict) -> tuple[list, list]:
+    """The unreached (module, line, function, text) no entry lists, and the
+    entries that list no unreached line."""
+    keys = {(module, function, text) for module, _, function, text in unreached}
+    unlisted = [u for u in unreached if (u[0], u[2], u[3]) not in allowlist]
+    return unlisted, sorted(set(allowlist) - keys)
+
+
 def main() -> int:
     with LineCollector(PACKAGE) as seen:
         gated_runs()
-    total = unreached_total = 0
-    never_entered = []
+    total = 0
+    unreached, never_entered = [], []
     for path in sorted(PACKAGE.glob("*.py")):
-        module = compile(path.read_text(encoding="utf-8"), str(path), "exec")
-        executable = set()
-        for code in code_objects(module):
-            # line 0 (a module's RESUME) and None (no source line) are never traced
-            executable.update(line for _, line in dis.findlinestarts(code) if line)
-            if code is not module and key(code) not in seen.entered:
-                never_entered.append(f"{path.name}:{code.co_firstlineno} {code.co_name}")
-        unreached = sorted(line for line in executable if (str(path), line) not in seen.lines)
-        total += len(executable)
-        unreached_total += len(unreached)
-        print(f"{path.name}: {len(unreached)} of {len(executable)} lines unreached")
-        if unreached:
-            print(f"  {ranges(unreached)}")
+        lines, codes = executable_lines(path)
+        never_entered += [
+            f"{path.name}:{code.co_firstlineno} {code.co_name}"
+            for code in codes[1:]
+            if key(code) not in seen.entered
+        ]
+        missed = sorted(line for line in lines if (str(path), line) not in seen.lines)
+        unreached += [(path.name, line, *lines[line]) for line in missed]
+        total += len(lines)
+        print(f"{path.name}: {len(missed)} of {len(lines)} lines unreached")
+        if missed:
+            print(f"  {ranges(missed)}")
     print(f"never entered: {', '.join(never_entered) or 'none'}")
-    print(f"total: {unreached_total} of {total} executable lines unreached")
-    return 0
+    print(f"total: {len(unreached)} of {total} executable lines unreached")
+    unlisted, stale = unlisted_and_stale(unreached, load_allowlist())
+    for module, line, function, text in unlisted:
+        print(f"unlisted: {module}:{line} {function}: {text}")
+    for module, function, text in stale:
+        print(f"stale entry: {module} {function}: {text}")
+    print(f"{len(unlisted)} unlisted unreached lines, {len(stale)} stale allowlist entries")
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":
