@@ -259,7 +259,6 @@ def cmd_campaign(args) -> int:
     outdir = Path(config["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     threads = int(os.environ.get("PARETO_TRM_THREADS", "1"))
-    results = []
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_campaign_job, jobs))
