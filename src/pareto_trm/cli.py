@@ -165,8 +165,8 @@ def _load_campaign_config(path) -> dict:
 
 
 def _campaign_jobs(config: dict) -> list[dict]:
-    """Every run of the campaign, cell by cell; builds each cell's problem and
-    AlgoConfig once, so that a bad cell raises before anything runs."""
+    """Every run of the campaign, cell by cell; builds every cell's problem and
+    AlgoConfig first, so that a bad cell raises before anything runs."""
     n_starts = int(config.get("n_starts_per_cell", 4))
     seed = int(config.get("seed", 0))
     algo = config.get("algo", {})
@@ -182,10 +182,10 @@ def _campaign_jobs(config: dict) -> list[dict]:
             cells.append((name, int(n), pattern))
     jobs = []
     for name, n, pattern in cells:
+        make_problem(TestProblemSpec(name, n, pattern))
         for model in config["models"]:
             for step in config["steps"]:
                 _algo_config(algo, model, step)
-                make_problem(TestProblemSpec(name, n, pattern))
                 for s in range(n_starts):
                     cell_id = f"{name}-n{n}-{model}-{step}-s{s}"
                     jobs.append(
