@@ -250,6 +250,7 @@ def _write_summary(rows, path) -> None:
 
 def cmd_campaign(args) -> int:
     try:
+        threads = int(os.environ.get("PARETO_TRM_THREADS", "1"))
         config = _load_campaign_config(args.config)
         jobs = _campaign_jobs(config)
     except (
@@ -258,7 +259,6 @@ def cmd_campaign(args) -> int:
         return _usage_error(str(exc))
     outdir = Path(config["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    threads = int(os.environ.get("PARETO_TRM_THREADS", "1"))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_campaign_job, jobs))

@@ -19,7 +19,8 @@ from pareto_trm import AlgoConfig, MODEL_SPECS, StepConfig, TestProblemSpec, cli
 SRC = PERFBENCH.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH_DIGESTS = GOLDEN / "bench-digests.txt"
-BENCH_REPORTS = GOLDEN / "bench-reports.txt"
+# the pinned-run digests; its bench lines are: bench WORKLOAD SEED SHA
+GATES = GOLDEN / "gates.txt"
 
 
 def _package_imports():
@@ -95,9 +96,8 @@ def test_tracer_times_every_builder():
         assert summary[layer]["calls"] == summary["surrogates.build_bundle"]["calls"], model
 
 
-def _assert_one_digest_per_workload_and_seed(path):
+def _assert_one_digest_per_workload_and_seed(rows):
     workloads = load_perfbench("workloads")
-    rows = [line.split() for line in path.read_text(encoding="utf-8").splitlines()]
     assert sorted((name, seed) for name, seed, _ in rows) == sorted(
         (name, seed) for name in workloads.WORKLOADS for seed in ("0", "1")
     )
@@ -106,12 +106,16 @@ def _assert_one_digest_per_workload_and_seed(path):
 
 def test_every_workload_has_a_committed_digest():
     # CI compares each workload's outcome digest at seeds 0 and 1 with this file
-    _assert_one_digest_per_workload_and_seed(BENCH_DIGESTS)
+    lines = BENCH_DIGESTS.read_text(encoding="utf-8").splitlines()
+    _assert_one_digest_per_workload_and_seed([line.split() for line in lines])
 
 
 def test_every_workload_has_a_committed_reports_digest():
-    # CI compares tools/bench_reports.py at seeds 0 and 1 with this file
-    _assert_one_digest_per_workload_and_seed(BENCH_REPORTS)
+    # tools/gates.py runs the bench pass of each bench line and compares its digest
+    lines = GATES.read_text(encoding="utf-8").splitlines()
+    _assert_one_digest_per_workload_and_seed(
+        [line.split()[1:] for line in lines if line.startswith("bench ")]
+    )
 
 
 def test_package_import_loads_only_numpy_and_the_standard_library():

@@ -259,6 +259,16 @@ def test_campaign_rejects_bad_schema(tmp_path, capsys):
     assert main(["campaign", "--config", str(cfgfile)]) == 1
 
 
+def test_campaign_rejects_unparsable_threads_before_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PARETO_TRM_THREADS", "two")
+    cfgfile, outdir = tmp_path / "camp.json", tmp_path / "camp-out"
+    cfgfile.write_text(json.dumps(_campaign_config(tmp_path, outdir)))
+    assert main(["campaign", "--config", str(cfgfile)]) == 1
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert "'two'" in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "patch",
     [

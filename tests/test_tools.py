@@ -1,6 +1,6 @@
-"""The scripts in tools/ run as documented: each is started the way its
-docstring says, as a separate process from the root of a checkout. The
-coverage tool's allowlist checks are also called in process."""
+"""The scripts in tools/: pair_timing.py is started the way its docstring
+says, as a separate process from the root of a checkout; the checks of
+gates.py are called in process."""
 
 import importlib.util
 import shutil
@@ -19,32 +19,43 @@ def _tool(name, *args):
     )
 
 
-def _gate_coverage(monkeypatch):
-    """tools/gate_coverage.py as a module; the path entries and BLAS variables
+def _gates(monkeypatch):
+    """tools/gates.py as a module; the path entries and environment variables
     it sets on import are undone after the test."""
     monkeypatch.setattr(sys, "path", list(sys.path))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "PARETO_TRM_THREADS"):
         monkeypatch.setenv(var, "1")
-    spec = importlib.util.spec_from_file_location("gate_coverage", TOOLS / "gate_coverage.py")
+    spec = importlib.util.spec_from_file_location("gates", TOOLS / "gates.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_gate_reports_match_their_committed_digest():
-    # the R^n library runs no bench run reaches; CI runs the same comparison
-    out = _tool("gate_reports.py")
-    assert out.returncode == 0, out.stderr
-    golden = (ROOT / "tests" / "golden" / "gate-reports.txt").read_text(encoding="utf-8")
-    assert out.stdout == golden
+def test_gate_and_campaign_runs_match_their_golden_lines(monkeypatch):
+    # CI's gate step runs these and the bench passes, under its line collector
+    gates = _gates(monkeypatch)
+    golden = [row for row in gates.read_golden() if not row[1].startswith("bench ")]
+    assert gates.mismatches(golden, gates.run_digests([])) == []
 
 
-def test_campaign_reports_match_their_committed_digest():
-    # campaign and summarize on tests/golden/campaign.json; CI runs the same comparison
-    out = _tool("campaign_reports.py")
-    assert out.returncode == 0, out.stderr
-    golden = (ROOT / "tests" / "golden" / "campaign-reports.txt").read_text(encoding="utf-8")
-    assert out.stdout == golden
+def test_gates_name_the_golden_line_of_a_wrong_digest(tmp_path, monkeypatch):
+    gates = _gates(monkeypatch)
+    golden = gates.read_golden()
+    digests = {run_key: sha for _, run_key, sha in golden}
+    number, run_key, sha = next(row for row in golden if row[1] == "gate rn-rbf")
+    lines = gates.GATES.read_text(encoding="utf-8").splitlines()
+    lines[number - 1] = f"{run_key} {'0' * 64}"
+    wrong = tmp_path / "gates.txt"
+    wrong.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert gates.mismatches(gates.read_golden(wrong), digests) == [
+        f"gates.txt:{number}: gate rn-rbf {'0' * 64}: got {sha}"
+    ]
+    # a line that names no run, and a run that no line names
+    del digests[run_key]
+    assert gates.mismatches(golden, {**digests, "gate new": sha}) == [
+        f"gates.txt:{number}: gate rn-rbf {sha}: no such run",
+        f"no golden line: gate new {sha}",
+    ]
 
 
 def test_pair_timing_on_two_copies_of_one_tree_claims_nothing(tmp_path):
@@ -61,9 +72,9 @@ def test_pair_timing_on_two_copies_of_one_tree_claims_nothing(tmp_path):
 
 
 def test_gate_allowlist_entries_name_executable_lines_of_the_package(monkeypatch):
-    # CI's coverage step fails on an entry whose line was edited or deleted;
-    # this catches it without the gated runs
-    cov = _gate_coverage(monkeypatch)
+    # tools/gates.py fails on an entry whose line was edited or deleted; this
+    # catches it without the gated runs
+    cov = _gates(monkeypatch)
     lines = {
         (path.name, *owner_text)
         for path in cov.PACKAGE.glob("*.py")
@@ -73,7 +84,7 @@ def test_gate_allowlist_entries_name_executable_lines_of_the_package(monkeypatch
 
 
 def test_gate_coverage_fails_unlisted_lines_and_stale_entries(monkeypatch):
-    cov = _gate_coverage(monkeypatch)
+    cov = _gates(monkeypatch)
     check = ("steps.py", 50, "StepConfig.__post_init__", "raise ValueError(msg)")
     entry = ("steps.py", "StepConfig.__post_init__", "raise ValueError(msg)")
     allowlist = {entry: "argument check"}
