@@ -31,11 +31,17 @@ def _gates(monkeypatch):
     return module
 
 
-def test_gate_and_campaign_runs_match_their_golden_lines(monkeypatch):
-    # CI's gate step runs these and the bench passes, under its line collector
+# CI's gate step runs these and the bench passes, under its line collector
+def test_gate_reports_match_their_committed_digest(monkeypatch):
     gates = _gates(monkeypatch)
-    golden = [row for row in gates.read_golden() if not row[1].startswith("bench ")]
-    assert gates.mismatches(golden, gates.run_digests([])) == []
+    golden = [row for row in gates.read_golden() if row[1].startswith("gate ")]
+    assert gates.mismatches(golden, gates.gate_digests()) == []
+
+
+def test_campaign_reports_match_their_committed_digest(monkeypatch):
+    gates = _gates(monkeypatch)
+    golden = [row for row in gates.read_golden() if row[1] == "campaign"]
+    assert gates.mismatches(golden, {"campaign": gates.campaign_digest()}) == []
 
 
 def test_gates_name_the_golden_line_of_a_wrong_digest(tmp_path, monkeypatch):

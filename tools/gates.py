@@ -318,6 +318,11 @@ def read_golden(path: Path = GATES) -> list[tuple[int, str, str]]:
     return rows
 
 
+def gate_digests() -> dict[str, str]:
+    """Run key -> digest of each gate run."""
+    return {f"gate {name}": digest([build()]) for name, build in GATE_RUNS.items()}
+
+
 def run_digests(keys) -> dict[str, str]:
     """Run key -> digest of each bench pass that one of keys names, of every
     gate run and of the golden campaign, in that order."""
@@ -326,8 +331,7 @@ def run_digests(keys) -> dict[str, str]:
         if run_key.startswith("bench "):
             _, workload, seed = run_key.split()
             digests[run_key] = digest(bench_runs(workload, int(seed)))
-    for name, build in GATE_RUNS.items():
-        digests[f"gate {name}"] = digest([build()])
+    digests.update(gate_digests())
     digests["campaign"] = campaign_digest()
     return digests
 
