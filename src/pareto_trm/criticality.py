@@ -30,8 +30,12 @@ def omega_of_gradients(gradients, x, fs: FeasibleSet) -> CriticalityResult:
 
     The direction box is the intersection of the unit inf-ball with the
     shifted feasible set: max(-1, lower - x) <= d <= min(1, upper - x).
+    Raises ObjectiveFailure naming the first gradient row that is not finite.
     """
     G = np.atleast_2d(np.asarray(gradients, dtype=float))
+    finite = np.isfinite(G).all(axis=1)
+    if not finite.all():
+        raise ObjectiveFailure(f"gradient of objective {int(np.argmin(finite))} is not finite")
     x = project_to_box(np.asarray(x, dtype=float), fs)
     lo = np.maximum(-1.0, fs.lower - x)
     hi = np.minimum(1.0, fs.upper - x)
@@ -62,8 +66,6 @@ def true_omega(
                 lambda Z, i=idx: _counted_values(prob, i, Z, counter),
                 z, fd_step, unit.lower, unit.upper,
             )[0]
-    if not np.all(np.isfinite(G)):
-        raise ObjectiveFailure("non-finite finite-difference gradient", site=x)
     return omega_of_gradients(G, z, unit)
 
 

@@ -42,7 +42,7 @@ TAYLOR_FD_STEP = 1e-2  # FD-Taylor difference step, relative to the radius
 THETA1 = 2.0  # sites are selected in B(center; THETA1 * radius)
 THETA2 = 5.0  # RBF extra sites come from B(center; THETA2 * delta_ub)
 LAMBDA_POISED = 1.5  # degree-1 Lagrange bound on every |l_i| over the region
-SHAPE_ALPHA = 1.0  # fixed RBF shape parameter (multiquadric, gaussian)
+SHAPE_ALPHA = 1.0  # fixed RBF shape parameter; the cubic kernel ignores it
 C_ALPHA, ALPHA_LO, ALPHA_HI = 20.0, 1e-2, 1e3  # adaptive shape c / radius, clamped
 KERNELS = ("cubic", "multiquadric", "gaussian")
 KINDS = ("taylor-fd1", "lagrange", "rbf")
@@ -257,7 +257,6 @@ class RBFModel:
     def _dists(self, T):
         diff = T[:, None, :] - self.T[None, :, :]
         r = np.einsum("mkn,mkn->mk", diff, diff)
-        np.maximum(r, 0.0, out=r)
         return np.sqrt(r, out=r), diff
 
     def values(self, U) -> np.ndarray:
@@ -360,10 +359,7 @@ class _LagrangeMachine:
     def _normalize_and_sweep(self, i, site):
         t = ((np.asarray(site, dtype=float) - self.center) / self.R)[None, :]
         vals = self.L @ _basis_eval(t, 1)[0]  # every row at the site
-        pivot = float(vals[i])
-        if abs(pivot) < 1e-14:
-            raise DegenerateGeometry("zero pivot during Lagrange sweep")
-        self.L[i] /= pivot
+        self.L[i] /= vals[i]
         mask = np.arange(self.p) != i
         self.L[mask] -= np.outer(vals[mask], self.L[i])
 
@@ -559,12 +555,7 @@ def build_rbf(
     affine = np.vstack(sites)
     extras = _extra_sites(db.query_ball(center, THETA2 * delta_ub), affine, max_extra)
 
-    if spec.kernel == "cubic":
-        alpha_user = 1.0
-    elif spec.shape_mode == "adaptive":
-        alpha_user = adaptive_shape(radius)
-    else:
-        alpha_user = SHAPE_ALPHA
+    alpha_user = adaptive_shape(radius) if spec.shape_mode == "adaptive" else SHAPE_ALPHA
     alpha_local = alpha_user * R1
     candidates = np.vstack([affine, extras])
     F = _read(db, candidates)
@@ -574,11 +565,7 @@ def build_rbf(
         and the (N + n + 1, k) solution."""
         S = candidates[:N]
         T = (S - center) / R1
-        r = np.sqrt(
-            np.maximum(
-                np.sum((T[:, None, :] - T[None, :, :]) ** 2, axis=2), 0.0
-            )
-        )
+        r = np.sqrt(np.sum((T[:, None, :] - T[None, :, :]) ** 2, axis=2))
         Phi = kernel_value(spec.kernel, r, alpha_local)
         p = n + 1
         P = np.ones((p, N))

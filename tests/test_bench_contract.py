@@ -18,7 +18,6 @@ from pareto_trm import AlgoConfig, MODEL_SPECS, StepConfig, TestProblemSpec, cli
 
 SRC = PERFBENCH.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-BENCH_DIGESTS = GOLDEN / "bench-digests.txt"
 # the pinned-run digests; its bench lines are: bench WORKLOAD SEED SHA
 GATES = GOLDEN / "gates.txt"
 
@@ -96,26 +95,15 @@ def test_tracer_times_every_builder():
         assert summary[layer]["calls"] == summary["surrogates.build_bundle"]["calls"], model
 
 
-def _assert_one_digest_per_workload_and_seed(rows):
+def test_every_workload_has_a_committed_reports_digest():
+    # tools/gates.py runs the bench pass of each bench line and compares its digest
+    lines = GATES.read_text(encoding="utf-8").splitlines()
+    rows = [line.split()[1:] for line in lines if line.startswith("bench ")]
     workloads = load_perfbench("workloads")
     assert sorted((name, seed) for name, seed, _ in rows) == sorted(
         (name, seed) for name in workloads.WORKLOADS for seed in ("0", "1")
     )
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, _, digest in rows)
-
-
-def test_every_workload_has_a_committed_digest():
-    # CI compares each workload's outcome digest at seeds 0 and 1 with this file
-    lines = BENCH_DIGESTS.read_text(encoding="utf-8").splitlines()
-    _assert_one_digest_per_workload_and_seed([line.split() for line in lines])
-
-
-def test_every_workload_has_a_committed_reports_digest():
-    # tools/gates.py runs the bench pass of each bench line and compares its digest
-    lines = GATES.read_text(encoding="utf-8").splitlines()
-    _assert_one_digest_per_workload_and_seed(
-        [line.split()[1:] for line in lines if line.startswith("bench ")]
-    )
 
 
 def test_package_import_loads_only_numpy_and_the_standard_library():

@@ -4,6 +4,7 @@ import pytest
 from conftest import lp_vertex_oracle, two_quadratics
 
 from pareto_trm.criticality import CriticalityResult, omega_of_gradients, true_omega
+from pareto_trm.errors import ObjectiveFailure
 from pareto_trm.linalg import LPProblem, solve_descent_lp
 from pareto_trm.problem import FeasibleSet
 
@@ -30,6 +31,13 @@ def test_rn_direction_box_has_the_bits_of_the_unit_ball(seed):
     res = omega_of_gradients(G, x, UNC)
     d, beta = solve_descent_lp(LPProblem(G, -np.ones(n), np.ones(n)))
     assert (res.direction.tobytes(), res.omega) == (d.tobytes(), -beta)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_gradient_that_is_not_finite_names_its_first_row(bad):
+    G = np.array([[1.0, 0.0], [0.0, bad], [bad, 1.0]])
+    with pytest.raises(ObjectiveFailure, match="^gradient of objective 1 is not finite$"):
+        omega_of_gradients(G, [0.5, 0.5], UNC)
 
 
 def test_boundary_blocks_descent():

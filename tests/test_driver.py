@@ -752,6 +752,24 @@ def test_every_phase_maps_an_error_to_the_same_stop(monkeypatch, phase, exc, sto
     assert (rep.stop_reason, rep.anomalies, rep.iterations) == (stop, anomalies, kept)
 
 
+def test_a_cheap_gradient_that_is_not_finite_stops_the_run_as_objective_failure():
+    # f1 = sqrt(x0) + x1^2 has an infinite partial derivative on the face x0 = 0
+    def grad(X):
+        with np.errstate(divide="ignore"):
+            return np.column_stack([0.5 / np.sqrt(X[:, 0]), 2.0 * X[:, 1]])
+
+    prob = MOProblem(
+        2, 2,
+        [lambda X: np.sqrt(X[:, 0]) + X[:, 1] ** 2, lambda X: (X[:, 0] - 1.0) ** 2 + X[:, 1]],
+        np.array([False, True]), FeasibleSet.box([0.0, 0.0], [1.0, 1.0]), [grad, None],
+    )
+    cfg = AlgoConfig(models=MODEL_SPECS["rbf-cubic"], step=StepConfig(method="strict-pc"))
+    rep = run(prob, cfg, [0.0, 0.5], seed=0)
+    assert rep.stop_reason == "error:ObjectiveFailure"
+    assert rep.anomalies == ["t=0: gradient of objective 0 is not finite"]
+    assert rep.iterations == []
+
+
 def test_a_step_that_stays_at_its_center_is_checked_like_any_other(monkeypatch):
     # a zero step certifies (0, 0); a step method that returns its own center
     # with a positive bound has not certified its decrease

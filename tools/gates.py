@@ -8,8 +8,8 @@ The pinned runs are the ones whose bytes the repository fixes:
 - each bench pass that a ``bench WORKLOAD SEED`` line of
   ``tests/golden/gates.txt`` names: every job of
   ``perfbench/workloads.build_jobs(WORKLOAD, SEED)``, run once as the
-  benchmark runs it (``bench-digests.txt`` pins the outcomes of the same
-  passes);
+  benchmark runs it; its report bytes fix the benchmark's outcomes (stop
+  reason, expensive evaluations, iterations) of every job;
 - each gate run below, named by one ``gate NAME`` line;
 - the golden campaign, ``pareto-trm campaign`` on
   ``tests/golden/campaign.json``, serially, and ``pareto-trm summarize`` on
