@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ObjectiveFailure
-from .linalg import LPProblem, axis_differences, solve_descent_lp
+from .linalg import axis_differences, solve_descent_lp
 from .problem import FeasibleSet, MOProblem, project_to_box
 
 
@@ -39,7 +39,7 @@ def omega_of_gradients(gradients, x, fs: FeasibleSet) -> CriticalityResult:
     x = project_to_box(np.asarray(x, dtype=float), fs)
     lo = np.maximum(-1.0, fs.lower - x)
     hi = np.minimum(1.0, fs.upper - x)
-    d, beta = solve_descent_lp(LPProblem(G, lo, hi))
+    d, beta = solve_descent_lp(G, lo, hi)
     omega = -beta
     return CriticalityResult(d, omega, min(omega, 1.0))
 

@@ -4,23 +4,22 @@ Everything here is deterministic: the simplex uses Bland's rule, all sampling
 is Halton-based, and no global RNG state is touched. These routines are pure
 functions of their inputs and safe to call from multiple threads.
 
-Every test of whether a matrix is singular goes through one elimination
-routine, `_eliminate`: Gaussian elimination with partial pivoting that
-rejects a pivot at or below 1e-12 max|A| (SingularMatrix). `solve_linear`
-eliminates the augmented matrix [A | b] with it and back-substitutes.
+The package's one pivot rule lives in one elimination routine,
+`_eliminate`: Gaussian elimination with partial pivoting that rejects a
+pivot at or below 1e-12 max|A| (SingularMatrix). `solve_linear` eliminates
+the augmented matrix [A | b] with it and back-substitutes.
 
 The descent LP starts at the basis its first pivot always reaches and
-writes that basis's W = B^-1 A down. Every later basis it checks once with
-`_eliminate` and solves once with LAPACK (`np.linalg.solve`) for the
-quantities its pivoting decisions read. LAPACK applies no pivot floor of its
-own and only ever sees a basis that `_eliminate` accepted; its bits are
-fixed for a given numpy build. The LP's final basic solution comes from
-`solve_linear`.
+writes that basis's W = B^-1 A down. Every later basis it solves once with
+LAPACK (`np.linalg.solve`) for the quantities its pivoting decisions read;
+LAPACK's bits are fixed for a given numpy build. Only the final basis, the
+one the answer is read from, meets the pivot rule: its basic solution is
+eliminated once with `_eliminate` and back-substituted as `solve_linear`
+does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -160,41 +159,18 @@ def solve_linear(A, b) -> np.ndarray:
         raise DimensionMismatch("b must have one row per row of A")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("entries must be finite")
-    U = _eliminate(np.hstack([A, b.reshape(n, -1)]))
+    X = _back_substitute(_eliminate(np.hstack([A, b.reshape(n, -1)])))
+    return X.T if b.ndim == 2 else X[0]
+
+
+def _back_substitute(U) -> np.ndarray:
+    """The solutions of an eliminated [U | c], one row per column of c."""
+    n = U.shape[0]
     X = np.zeros((U.shape[1] - n, n))
     for x, rhs in zip(X, U[:, n:].T):
         for i in range(n - 1, -1, -1):
             x[i] = (rhs[i] - U[i, i + 1: n] @ x[i + 1:]) / U[i, i]
-    return X.T if b.ndim == 2 else X[0]
-
-
-@dataclass(frozen=True)
-class LPProblem:
-    """min beta s.t. g_l . d <= beta for all l, box_lo <= d <= box_hi.
-
-    The box is the intersection of the unit inf-norm ball with the shifted
-    feasible set, so 0 is always feasible and |d_i| <= 1.
-    """
-
-    gradients: np.ndarray
-    box_lo: np.ndarray
-    box_hi: np.ndarray
-
-    def __post_init__(self):
-        G = np.atleast_2d(np.asarray(self.gradients, dtype=float))
-        lo = np.asarray(self.box_lo, dtype=float)
-        hi = np.asarray(self.box_hi, dtype=float)
-        if lo.shape != hi.shape or G.shape[1] != lo.size:
-            raise DimensionMismatch("gradient/box shapes disagree")
-        if not np.all(np.isfinite(G)):
-            raise ValueError("gradients must be finite")
-        if np.any(lo > 0) or np.any(hi < 0):
-            raise ValueError("d = 0 must be feasible (box_lo <= 0 <= box_hi)")
-        if np.any(lo < -1 - 1e-12) or np.any(hi > 1 + 1e-12):
-            raise ValueError("box must lie inside the unit ball")
-        object.__setattr__(self, "gradients", G)
-        object.__setattr__(self, "box_lo", np.clip(lo, -1.0, 0.0))
-        object.__setattr__(self, "box_hi", np.clip(hi, 0.0, 1.0))
+    return X
 
 
 def _forced_w(A) -> np.ndarray:
@@ -207,8 +183,11 @@ def _forced_w(A) -> np.ndarray:
     return W
 
 
-def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
-    """Bounded-variable simplex with Bland's rule; returns (d, beta), beta <= 0.
+def solve_descent_lp(gradients, box_lo, box_hi) -> tuple[np.ndarray, float]:
+    """min beta s.t. g_l . d <= beta for all l, box_lo <= d <= box_hi, by a
+    bounded-variable simplex with Bland's rule; returns (d, beta), beta <= 0.
+    The box is the unit inf-norm ball cut by the shifted feasible set, so it
+    holds 0 and |d_i| <= 1; the input is checked once, here.
 
     Variables are split d = dp - dm with dp, dm >= 0 and beta = -bt with
     bt in [0, B], so the initial all-zero point is basic feasible with the
@@ -224,13 +203,14 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     every ratio is 0, and Bland's rule swaps bt for the first slack. The
     simplex starts after it, at B2 = [bt, s_2, .., s_k], whose W = B2^-1 A is
     written down (`_forced_w`), and the pivot counts toward the iteration
-    cap. Every later basis B is eliminated once by `_eliminate`, whose pivot
-    rule decides that a basis is singular (LPFailure), and solved once by
-    LAPACK for W = B^-1 A. W holds every reduced cost, cost - c_B W, every
-    ratio-test column W[:, j] and the basic values -W x_N of the nonbasic
-    values x_N; they are read only through comparisons with +-tol and
-    max(x_B, 0), so the sign of a zero in W decides nothing. The returned
-    basic solution is solve_linear(B, -A x_N) on the final basis.
+    cap. Every later basis B is solved once by LAPACK for W = B^-1 A. W
+    holds every reduced cost, cost - c_B W, every ratio-test column W[:, j]
+    and the basic values -W x_N of the nonbasic values x_N; they are read
+    only through comparisons with +-tol and max(x_B, 0), so the sign of a
+    zero in W decides nothing. Only the final basis meets the pivot rule:
+    its basic solution is solve_linear's arithmetic on B x_B = -A x_N, and
+    the floor is taken over B's columns, so a basis LAPACK or the rule finds
+    singular raises LPFailure("singular basis: ...").
     Most iterations are bound flips, which keep the basis: the entering
     variable moves to its opposite bound. After a flip the scan for the next
     entering variable resumes after the flipped one. That is exact: W and the
@@ -243,13 +223,25 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     max(2^e, |beta|), that is 1e-9 max(1, |beta|) on the scaled rows;
     otherwise the LP raises LPFailure rather than return a wrong direction.
     """
-    lo, hi = lp.box_lo, lp.box_hi
-    k, n = lp.gradients.shape
-    gmax = float(np.abs(lp.gradients).max(initial=0.0))
+    G = np.atleast_2d(np.asarray(gradients, dtype=float))
+    lo = np.asarray(box_lo, dtype=float)
+    hi = np.asarray(box_hi, dtype=float)
+    if lo.shape != hi.shape or G.shape[1] != lo.size:
+        raise DimensionMismatch("gradient/box shapes disagree")
+    if not np.isfinite(G).all():
+        raise ValueError("gradients must be finite")
+    if (lo > 0).any() or (hi < 0).any():
+        raise ValueError("d = 0 must be feasible (box_lo <= 0 <= box_hi)")
+    if (lo < -1 - 1e-12).any() or (hi > 1 + 1e-12).any():
+        raise ValueError("box must lie inside the unit ball")
+    lo, hi = np.clip(lo, -1.0, 0.0), np.clip(hi, 0.0, 1.0)
+    k, n = G.shape
+    gmax = float(np.abs(G).max(initial=0.0))
     e = int(np.rint(np.log2(gmax))) if gmax > 0.0 else 0
-    G = np.ldexp(lp.gradients, -e)
+    G = np.ldexp(G, -e)
+    abs_g = np.abs(G)
     nv = 2 * n + 1 + k  # dp, dm, bt, slacks
-    big = max(1.0, float(np.abs(G).sum(axis=1).max()) + 1.0)
+    big = max(1.0, float(abs_g.sum(axis=1).max()) + 1.0)
     upper = np.concatenate([hi, -lo, [big], np.full(k, np.inf)])
     cost = np.zeros(nv)
     cost[2 * n] = -1.0
@@ -265,21 +257,20 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
     in_basis[basis] = True
     xn = np.zeros(nv)  # nonbasic values, 0 at basics
 
-    tol = 1e-11 * max(1.0, float(np.abs(G).max(initial=0.0)))
+    tol = 1e-11 * max(1.0, float(abs_g.max(initial=0.0)))
     priced = upper > tol  # variables with room to move
-    caps = upper.tolist()  # for the ratio test's scalar loop
+    caps = upper.tolist()  # for the scalar ratio and flip tests
 
     B, W = A[:, basis], _forced_w(A)
     candidates = None
     max_iters = 500 + 50 * nv  # pivots and bound flips together, the forced pivot first
     for _ in range(max_iters - 1):
-        if candidates is None:  # a new basis: check it, solve it and price it once
+        if candidates is None:  # a new basis: solve it and price it once
             if W is None:
                 B = A[:, basis]
                 try:
-                    _eliminate(B)
                     W = np.linalg.solve(B, A)
-                except (SingularMatrix, np.linalg.LinAlgError) as exc:
+                except np.linalg.LinAlgError as exc:
                     raise LPFailure(f"singular basis: {exc}") from exc
             red = cost - cost[basis] @ W
             eligible = priced & ~in_basis & np.where(at_upper, red > tol, red < -tol)
@@ -307,11 +298,11 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
                 t <= t_best + 1e-13 and leave_pos >= 0 and bi < basis[leave_pos]
             ):
                 t_best, leave_pos, leave_to_upper = min(t, t_best), i, hit_upper
-        if upper[entering] < t_best - 1e-13:
+        if caps[entering] < t_best - 1e-13:
             # entering variable reaches its opposite bound first: flip, no pivot;
             # no column up to it is eligible now, so the scan resumes after it
             at_upper[entering] = not at_upper[entering]
-            xn[entering] = upper[entering] if at_upper[entering] else 0.0
+            xn[entering] = caps[entering] if at_upper[entering] else 0.0
             continue
         if leave_pos < 0:
             raise LPFailure("unbounded direction encountered")
@@ -326,16 +317,16 @@ def solve_descent_lp(lp: LPProblem) -> tuple[np.ndarray, float]:
         W = candidates = None
     else:
         raise LPFailure("simplex iteration cap reached")
+    try:
+        U = _eliminate(np.column_stack([B, -A @ xn]))
+    except SingularMatrix as exc:
+        raise LPFailure(f"singular basis: {exc}") from exc
     x = xn  # optimal: nonbasics at their bounds, basics solved
-    x[basis] = solve_linear(B, -A @ xn)
+    x[basis] = _back_substitute(U)[0]
     d = x[:n] - x[n: 2 * n]
     beta = -float(x[2 * n])
-    gap = float(np.max(G @ d)) - beta
-    if not (
-        np.all(d >= lo)
-        and np.all(d <= hi)
-        and abs(gap) <= 1e-9 * max(1.0, abs(beta))
-    ):
+    gap = float((G @ d).max()) - beta
+    if not ((d >= lo).all() and (d <= hi).all() and abs(gap) <= 1e-9 * max(1.0, abs(beta))):
         raise LPFailure(f"basic solution leaves its box or misstates beta: gap {gap!r}")
     return d, float(np.ldexp(beta, e))
 

@@ -23,7 +23,7 @@ from pareto_trm import (
     run,
 )
 from pareto_trm.criticality import omega_of_gradients
-from pareto_trm.linalg import LPProblem, box_multistart_minimize, halton, solve_descent_lp
+from pareto_trm.linalg import box_multistart_minimize, halton, solve_descent_lp
 from pareto_trm.problem import EvaluationDatabase, FeasibleSet, MOProblem
 from pareto_trm.steps import StepConfig as SC, pascoletti_serafini
 from pareto_trm.surrogates import PolyModel, SurrogateBundle, build_lagrange, build_rbf
@@ -164,7 +164,7 @@ def test_criterion_5_lp_oracle_equivalence():
         G = rng.uniform(-1, 1, size=(k, n))
         lo = -rng.uniform(0.1, 1.0, size=n)
         hi = rng.uniform(0.1, 1.0, size=n)
-        _, beta = solve_descent_lp(LPProblem(G, lo, hi))
+        _, beta = solve_descent_lp(G, lo, hi)
         _, beta_oracle = lp_vertex_oracle(G, lo, hi)
         worst = max(worst, abs(beta - beta_oracle))
     elapsed = time.time() - t0

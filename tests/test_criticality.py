@@ -5,7 +5,7 @@ from conftest import lp_vertex_oracle, two_quadratics
 
 from pareto_trm.criticality import CriticalityResult, omega_of_gradients, true_omega
 from pareto_trm.errors import ObjectiveFailure
-from pareto_trm.linalg import LPProblem, solve_descent_lp
+from pareto_trm.linalg import solve_descent_lp
 from pareto_trm.problem import FeasibleSet
 
 
@@ -29,7 +29,7 @@ def test_rn_direction_box_has_the_bits_of_the_unit_ball(seed):
     lo, hi = np.maximum(-1.0, UNC.lower - x), np.minimum(1.0, UNC.upper - x)
     assert (lo.tobytes(), hi.tobytes()) == ((-np.ones(n)).tobytes(), np.ones(n).tobytes())
     res = omega_of_gradients(G, x, UNC)
-    d, beta = solve_descent_lp(LPProblem(G, -np.ones(n), np.ones(n)))
+    d, beta = solve_descent_lp(G, -np.ones(n), np.ones(n))
     assert (res.direction.tobytes(), res.omega) == (d.tobytes(), -beta)
 
 

@@ -10,7 +10,6 @@ from conftest import fd_gradient, load_perfbench, lp_grid_oracle, lp_vertex_orac
 from pareto_trm import linalg, run, steps
 from pareto_trm.errors import DimensionMismatch, LPFailure, SingularMatrix
 from pareto_trm.linalg import (
-    LPProblem,
     axis_differences,
     box_multistart_minimize,
     halton,
@@ -93,19 +92,17 @@ def test_multi_rhs_columns_match_single_solves(system):
 
 class TestDescentLP:
     def test_steepest_descent_1d(self):
-        d, beta = solve_descent_lp(LPProblem([[2.0]], [-1.0], [1.0]))
+        d, beta = solve_descent_lp([[2.0]], [-1.0], [1.0])
         assert beta == pytest.approx(-2.0)
         np.testing.assert_allclose(d, [-1.0])
 
     def test_opposing_gradients_critical(self):
-        lp = LPProblem([[1.0, 0.0], [-1.0, 0.0]], -np.ones(2), np.ones(2))
-        d, beta = solve_descent_lp(lp)
+        d, beta = solve_descent_lp([[1.0, 0.0], [-1.0, 0.0]], -np.ones(2), np.ones(2))
         assert beta == pytest.approx(0.0, abs=1e-12)
         assert max(d @ np.array([1.0, 0.0]), d @ np.array([-1.0, 0.0])) <= 1e-12
 
     def test_two_gradients_vertex(self):
-        lp = LPProblem([[1.0, 2.0], [2.0, 1.0]], -np.ones(2), np.ones(2))
-        d, beta = solve_descent_lp(lp)
+        d, beta = solve_descent_lp([[1.0, 2.0], [2.0, 1.0]], -np.ones(2), np.ones(2))
         assert beta == pytest.approx(-3.0)
         np.testing.assert_allclose(d, [-1.0, -1.0])
 
@@ -115,7 +112,7 @@ class TestDescentLP:
             G = rng.uniform(-1, 1, size=(k, 2))
             lo = -rng.uniform(0.2, 1.0, size=2)
             hi = rng.uniform(0.2, 1.0, size=2)
-            _, beta = solve_descent_lp(LPProblem(G, lo, hi))
+            _, beta = solve_descent_lp(G, lo, hi)
             _, beta_grid = lp_grid_oracle(G, lo, hi, res=1e-3)
             assert abs(beta - beta_grid) <= 2e-3
 
@@ -126,41 +123,55 @@ class TestDescentLP:
             G = rng.uniform(-1, 1, size=(k, n))
             lo = -rng.uniform(0.1, 1.0, size=n)
             hi = rng.uniform(0.1, 1.0, size=n)
-            _, beta = solve_descent_lp(LPProblem(G, lo, hi))
+            _, beta = solve_descent_lp(G, lo, hi)
             _, beta_exact = lp_vertex_oracle(G, lo, hi)
             assert abs(beta - beta_exact) <= 1e-9
 
     def test_beta_never_positive(self, rng):
         for _ in range(50):
             G = rng.standard_normal((3, 4))
-            _, beta = solve_descent_lp(LPProblem(G, -np.ones(4), np.ones(4)))
+            _, beta = solve_descent_lp(G, -np.ones(4), np.ones(4))
             assert beta <= 0.0
 
     def test_weak_duality_on_feasible_points(self, rng):
         for _ in range(10):
             G = rng.uniform(-1, 1, size=(3, 3))
             lo, hi = -np.ones(3), np.ones(3)
-            _, beta = solve_descent_lp(LPProblem(G, lo, hi))
+            _, beta = solve_descent_lp(G, lo, hi)
             for _ in range(100):
                 d = lo + rng.random(3) * (hi - lo)
                 assert np.max(G @ d) >= beta - 1e-10
 
     def test_deterministic(self, rng):
         G = rng.standard_normal((4, 3))
-        lp = LPProblem(G, -np.ones(3), np.ones(3))
-        d1, b1 = solve_descent_lp(lp)
-        d2, b2 = solve_descent_lp(lp)
+        d1, b1 = solve_descent_lp(G, -np.ones(3), np.ones(3))
+        d2, b2 = solve_descent_lp(G, -np.ones(3), np.ones(3))
         assert b1 == b2
         np.testing.assert_array_equal(d1, d2)
 
     def test_asymmetric_box(self):
         # descent blocked downward: optimum pinned at d = 0
-        d, beta = solve_descent_lp(LPProblem([[1.0]], [0.0], [1.0]))
+        d, beta = solve_descent_lp([[1.0]], [0.0], [1.0])
         assert beta == pytest.approx(0.0, abs=1e-15)
-        d, beta = solve_descent_lp(LPProblem([[-1.0]], [0.0], [1.0]))
+        d, beta = solve_descent_lp([[-1.0]], [0.0], [1.0])
         assert beta == pytest.approx(-1.0)
         np.testing.assert_allclose(d, [1.0])
 
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (([[1.0, 2.0]], [-1.0], [1.0]), DimensionMismatch, "gradient/box shapes disagree"),
+        (([[np.inf]], [-1.0], [1.0]), ValueError, "gradients must be finite"),
+        (([[1.0]], [0.5], [1.0]), ValueError, "d = 0 must be feasible"),
+        (([[1.0]], [-1.5], [1.0]), ValueError, "box must lie inside the unit ball"),
+    ],
+    ids=["shapes", "non-finite", "zero-outside", "outside-unit-ball"],
+)
+def test_descent_lp_checks_its_input(args, error, message):
+    with pytest.raises(error, match=message):
+        solve_descent_lp(*args)
 
 def solve_linear_augmented(A, b):
     """solve_linear as it was before the factorization was kept: one elimination
@@ -185,11 +196,10 @@ def solve_linear_augmented(A, b):
     return X.T if b.ndim == 2 else X[0]
 
 
-def solve_descent_lp_rescan(lp, stats=None):
+def solve_descent_lp_rescan(G, lo, hi, stats=None):
     """solve_descent_lp as it was before each basis was factored once: three
     augmented solves per iteration and a reduced-cost scan from j = 0. `stats`,
     if given, receives the counts of pivots, bound flips and reduced-cost dots."""
-    G, lo, hi = lp.gradients, lp.box_lo, lp.box_hi
     k, n = G.shape
     nv = 2 * n + 1 + k
     big = max(1.0, float(np.abs(G).sum(axis=1).max()) + 1.0)
@@ -366,7 +376,7 @@ def descent_lps(draw, max_k=8, max_n=40):
 
 
 def _lp_outcome(solve, lp):
-    out = _outcome(solve, lp)
+    out = _outcome(solve, *lp)
     # a singular basis in the primal solve used to escape as a bare SingularMatrix
     if out[0] == "SingularMatrix":
         return "LPFailure", f"singular basis: {out[1]}"
@@ -377,8 +387,8 @@ def assert_scaled_lp_contract(G, lo, hi, j):
     """What the LP promises on any rows: exact covariance under G -> 2^j G, and
     a (d, beta) with d in its box and beta = max G d to 1e-9 max(2^e, |beta|),
     or LPFailure; for k <= 4 and n <= 3, the vertex oracle's beta."""
-    outcome = _lp_outcome(solve_descent_lp, LPProblem(G, lo, hi))
-    scaled = _lp_outcome(solve_descent_lp, LPProblem(np.ldexp(G, j), lo, hi))
+    outcome = _lp_outcome(solve_descent_lp, (G, lo, hi))
+    scaled = _lp_outcome(solve_descent_lp, (np.ldexp(G, j), lo, hi))
     if outcome[0] == "LPFailure":
         assert scaled == outcome
         return
@@ -405,7 +415,7 @@ def test_descent_lp_matches_rescanning_simplex(case, j):
     if badly_scaled:
         assert_scaled_lp_contract(G, lo, hi, j)
     else:
-        lp = LPProblem(G, lo, hi)
+        lp = (G, lo, hi)
         assert _lp_outcome(solve_descent_lp, lp) == _lp_outcome(solve_descent_lp_rescan, lp)
 
 
@@ -414,7 +424,7 @@ def test_descent_lp_matches_rescanning_simplex(case, j):
 def test_small_lps_match_the_vertex_oracle_at_any_row_scale(case, j):
     G, lo, hi, _ = case
     assert_scaled_lp_contract(G, lo, hi, j)
-    assert _lp_outcome(solve_descent_lp, LPProblem(G, lo, hi))[0] != "LPFailure"
+    assert _lp_outcome(solve_descent_lp, (G, lo, hi))[0] != "LPFailure"
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -428,7 +438,7 @@ def test_positive_omega_comes_with_a_nonzero_direction(case, critical, seed):
         w = np.random.default_rng(seed).uniform(0.1, 1.0, len(G))
         G = np.vstack([G, -(w @ G)])
     try:
-        d, beta = solve_descent_lp(LPProblem(G, lo, hi))
+        d, beta = solve_descent_lp(G, lo, hi)
     except LPFailure:
         return
     if -beta > 0.0:
@@ -441,7 +451,7 @@ def test_badly_scaled_rows_keep_their_recorded_answer():
     # the unscaled simplex returned beta = -9109436.58 with d2 = -57187.8 < 0 = lo2;
     # solved on the rows G 2^-21 the LP finds the vertex optimum
     G, lo, hi = DTLZ6_BADLY_SCALED
-    d, beta = solve_descent_lp(LPProblem(G, lo, hi))
+    d, beta = solve_descent_lp(G, lo, hi)
     _, beta_oracle = lp_vertex_oracle(G, lo, hi)
     assert beta == pytest.approx(beta_oracle, abs=1e-12)
     assert beta == pytest.approx(-0.0657279690065179, abs=1e-12)
@@ -452,36 +462,80 @@ def test_near_parallel_rows_are_solved():
     # the unscaled simplex rejected a basis of these rows as singular in its
     # multipliers solve, although the LP is well posed
     G, lo, hi = DTLZ1_NEAR_PARALLEL
-    d, beta = solve_descent_lp(LPProblem(G, lo, hi))
+    d, beta = solve_descent_lp(G, lo, hi)
     _, beta_oracle = lp_vertex_oracle(G, lo, hi)
     assert beta == pytest.approx(beta_oracle, rel=1e-12)
     assert beta == pytest.approx(-930.3069253891053, rel=1e-12)
     assert np.all(lo <= d) and np.all(d <= hi)
 
 
+def wide_scale_draw(seed, index):
+    """Draw `index` of the stream default_rng(seed): k in 2..8 gradient rows
+    over n in 2..12 variables, each row scaled by 10^U(-6, 7), box [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        k, n = rng.integers(2, 9), rng.integers(2, 13)
+        G = rng.standard_normal((k, n)) * 10 ** rng.uniform(-6, 7, (k, 1))
+    return G, -np.ones(n), np.ones(n)
+
+
+# (seed, index, max_l g_l.d at the optimum of scipy.optimize.linprog(method=
+# "highs"), clipped to the box, computed once; scipy is not a dependency).
+# The LP used to reject an intermediate basis of each by the pivot rule.
+WIDE_SCALE_SOLVED = [
+    (0, 837, -0.00018468144894265054),
+    (1, 633, -7.842785635148175e-06),
+    (1, 905, -0.00023783732554782944),
+    (1, 909, -3.2443266860264783e-06),
+    (2, 85, -0.0012412246433086693),
+    (2, 552, -3.68857363355346e-05),
+    (2, 931, -1.1151398120147294e-05),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, index, reference", WIDE_SCALE_SOLVED, ids=[f"s{s}-{i}" for s, i, _ in WIDE_SCALE_SOLVED]
+)
+def test_wide_scale_draw_is_solved(seed, index, reference):
+    G, lo, hi = wide_scale_draw(seed, index)
+    d, beta = solve_descent_lp(G, lo, hi)
+    top = float(np.abs(G).max())
+    assert np.all(lo <= d) and np.all(d <= hi)
+    assert abs(np.max(G @ d) - beta) <= 1e-9 * max(2.0 ** round(np.log2(top)), abs(beta))
+    # on max|G|'s scale, the tolerance-scale FOUND in CHANGES.md
+    assert np.max(G @ d) <= reference + 3e-11 * top
+
+
+@pytest.mark.parametrize("seed, index", [(0, 140), (2, 201)], ids=["s0-140", "s2-201"])
+def test_wide_scale_draw_fails_its_postcondition(seed, index):
+    with pytest.raises(LPFailure, match="basic solution leaves its box"):
+        solve_descent_lp(*wide_scale_draw(seed, index))
+
+
 def test_wrong_basic_solution_raises_lp_failure(monkeypatch):
     # a basic solution that leaves its box is rejected, never returned
-    real = linalg.solve_linear
+    real = linalg._back_substitute
 
-    def off_by_one(A, b):
-        return real(A, b) + 1.0
+    def off_by_one(U):
+        return real(U) + 1.0
 
-    monkeypatch.setattr(linalg, "solve_linear", off_by_one)
-    lp = LPProblem([[1.0, 2.0], [2.0, 1.0]], -np.ones(2), np.ones(2))
+    monkeypatch.setattr(linalg, "_back_substitute", off_by_one)
+    lp = ([[1.0, 2.0], [2.0, 1.0]], -np.ones(2), np.ones(2))
     with pytest.raises(LPFailure, match="basic solution"):
-        solve_descent_lp(lp)
+        solve_descent_lp(*lp)
 
 
 @pytest.mark.parametrize("which", ["primal", "lapack"])
 def test_singular_basis_raises_lp_failure(monkeypatch, which):
-    # every basis is checked by the elimination (primal) and then solved by LAPACK
+    # LAPACK solves every basis after the forced one; only the final basic
+    # solution meets the elimination's pivot rule (primal)
     calls = []
     if which == "primal":
         real = linalg._eliminate
 
-        def eliminate_singular(B):
-            calls.append(B)
-            return real(np.zeros_like(B) if len(calls) == 2 else B)  # the second factored basis
+        def eliminate_singular(M):
+            calls.append(M)
+            return real(np.zeros_like(M))  # the final basis is singular
 
         monkeypatch.setattr(linalg, "_eliminate", eliminate_singular)
         message = "^singular basis: pivot"
@@ -496,9 +550,11 @@ def test_singular_basis_raises_lp_failure(monkeypatch, which):
 
         monkeypatch.setattr(np.linalg, "solve", solve_singular)
         message = "^singular basis: Singular matrix"
-    lp = LPProblem([[1.0, 2.0], [2.0, 1.0]], -np.ones(2), np.ones(2))
+    lp = ([[1.0, 2.0], [2.0, 1.0]], -np.ones(2), np.ones(2))
     with pytest.raises(LPFailure, match=message):
-        solve_descent_lp(lp)
+        solve_descent_lp(*lp)
+    if which == "primal":
+        assert len(calls) == 1
 
 
 def test_each_basis_factored_and_priced_once(monkeypatch, rng):
@@ -506,41 +562,39 @@ def test_each_basis_factored_and_priced_once(monkeypatch, rng):
     G = np.zeros((2, 40))
     G[0, 0], G[1, 0], G[1, 1:] = 1.0, -1.04, 0.175
     lo = -rng.uniform(0.1, 0.5, 40)
-    lp = LPProblem(G, lo, 1.0 + lo)
+    lp = (G, lo, 1.0 + lo)
     stats = {}
-    expected = solve_descent_lp_rescan(lp, stats)
+    expected = solve_descent_lp_rescan(*lp, stats)
     nv = 2 * 40 + 1 + 2
     bases = stats["pivots"] + 1
     assert stats["flips"] > stats["pivots"]
     assert stats["dots"] > bases * nv  # rescanning after every flip breaks the bound
 
-    eliminated, solves, linear = [], [], []
-    real_eliminate, real_solve, real_linear = linalg._eliminate, np.linalg.solve, linalg.solve_linear
+    eliminated, solves = [], []
+    real_eliminate, real_solve = linalg._eliminate, np.linalg.solve
 
-    def counted_eliminate(B):
-        eliminated.append(B)
-        return real_eliminate(B)
+    def counted_eliminate(M):
+        eliminated.append((M, len(solves)))
+        return real_eliminate(M)
 
     def counted_solve(B, A):
         solves.append(B)
         return real_solve(B, A)
 
-    def counted_linear(B, b):
-        # the LP's own eliminations all come before the final basic solution's
-        linear.append((B, len(eliminated)))
-        return real_linear(B, b)
-
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(linalg, "solve_linear", counted_linear)
-    d, beta = solve_descent_lp(lp)
+    d, beta = solve_descent_lp(*lp)
     assert (d.tobytes(), beta) == (expected[0].tobytes(), expected[1])
-    assert len(linear) == 1
-    final_basis, lp_eliminations = linear[0]
-    # the first two bases are nonsingular by construction and written down
-    assert lp_eliminations == len(solves) == bases - 2
-    assert all(np.array_equal(a, b) for a, b in zip(eliminated, solves))
-    assert np.array_equal(final_basis, solves[-1])
+    # the first two bases are nonsingular by construction and written down;
+    # LAPACK solves each later basis once
+    assert len(solves) == bases - 2
+    assert not any(np.array_equal(a, b) for a, b in zip(solves, solves[1:]))
+    # one elimination per LP: the final basic solution [B | -A x_N], after
+    # the last LAPACK solve and on its basis
+    assert len(eliminated) == 1
+    final, solved_before = eliminated[0]
+    assert solved_before == len(solves)
+    assert np.array_equal(final[:, :2], solves[-1])
 
 
 def eliminate_full_rows(M):
@@ -600,15 +654,14 @@ def test_eliminate_matches_full_row_swaps(case):
     )
 
 
-def solve_descent_lp_slack_start(lp):
+def solve_descent_lp_slack_start(gradients, lo, hi):
     """solve_descent_lp as it was before it started at its forced second
     basis: the simplex starts at the slack basis and factors every basis
     (with the full-row elimination above and LAPACK)."""
-    lo, hi = lp.box_lo, lp.box_hi
-    k, n = lp.gradients.shape
-    gmax = float(np.abs(lp.gradients).max(initial=0.0))
+    k, n = gradients.shape
+    gmax = float(np.abs(gradients).max(initial=0.0))
     e = int(np.rint(np.log2(gmax))) if gmax > 0.0 else 0
-    G = np.ldexp(lp.gradients, -e)
+    G = np.ldexp(gradients, -e)
     nv = 2 * n + 1 + k
     big = max(1.0, float(np.abs(G).sum(axis=1).max()) + 1.0)
     upper = np.concatenate([hi, -lo, [big], np.full(k, np.inf)])
@@ -706,7 +759,7 @@ def test_forced_start_keeps_every_bit(case):
     # that starts at the slack basis; on unit-scale rows, those of the
     # rescanning simplex too
     G, lo, hi, badly_scaled = case
-    lp = LPProblem(G, lo, hi)
+    lp = (G, lo, hi)
     outcome = _lp_outcome(solve_descent_lp, lp)
     assert outcome == _lp_outcome(solve_descent_lp_slack_start, lp)
     if not badly_scaled:
