@@ -26,7 +26,7 @@ from .errors import (
     ParetoTRMError,
 )
 from .problem import EvaluationDatabase, MOProblem, project_to_box
-from .steps import StepConfig, compute_step
+from .steps import StepConfig, compute_step, zero_step
 from .surrogates import ModelSpec, SurrogateBundle, build_bundle
 
 SUCCESSFUL = "successful"
@@ -97,22 +97,6 @@ class TrustRegionState:
     delta: float
     t: int
     f_current: np.ndarray
-
-
-@dataclass
-class IterationRecord:
-    t: int
-    classification: str
-    rho: float
-    omega_m_clamped: float
-    delta_before: float
-    delta_after: float
-    step_norm: float
-    expensive_evals_cum: int
-    criticality_loops: int
-    backtracks: int = 0
-    fully_linear: bool = True  # every bundle is certified fully linear when it is built
-    omega_true_clamped: Optional[float] = None
 
 
 @dataclass
@@ -269,6 +253,12 @@ def run(
     afterwards; its budget field is overwritten. `seed` only shifts the
     Halton sample of the model Hessian bound, which is computed when the
     curvature floor cannot certify a step's sufficient decrease.
+
+    Each iteration appends one record, a dict with the keys that report.json
+    lists under "iterations". An iteration whose criticality routine runs
+    out of loops takes the zero step through the same checks and record,
+    keeps the radius the routine returned, runs no true-omega diagnostic and
+    stops the run as criticality-loop-cap.
     """
     x0 = np.asarray(x0, dtype=float)
     if not prob.feasible.contains(x0):
@@ -283,7 +273,8 @@ def run(
             raise ValueError("database belongs to a different problem")
         db.max_expensive = budget
     diag_counter: dict = {"evals": 0}
-    records: list[IterationRecord] = []
+    # one dict per iteration, with the keys report.json lists under "iterations"
+    records: list[dict] = []
     anomalies: list[str] = []
     violations = {"sufficient_decrease": 0, "monotonicity": 0, "feasibility": 0, "radius_cap": 0}
     min_r_ratio: Optional[float] = None
@@ -295,7 +286,7 @@ def run(
             n_vars=prob.n_vars,
             n_objs=prob.n_objs,
             stop_reason=stop_reason,
-            iterations=[asdict(r) for r in records],
+            iterations=records,
             final_x=[float(v) for v in final_x],
             final_f=[float(v) for v in final_f],
             final_omega_m_clamped=float(final_omega_m),
@@ -324,7 +315,7 @@ def run(
 
     while stop is None:
         delta_before = state.delta
-        crit_loops = 0
+        crit_loops, cap = 0, False
         try:
             bundle = build_bundle(prob, db, cfg.models, state.x, state.delta, cfg.delta_ub, seed)
             crit = omega_of_gradients(bundle.gradients(state.x), state.x, prob.unit)
@@ -334,26 +325,14 @@ def run(
                 bundle, state.delta, crit, crit_loops, cap = criticality_routine(
                     prob, db, cfg, state.x, state.delta, seed, bundle, crit
                 )
-                if cap:
-                    records.append(
-                        IterationRecord(
-                            t=state.t,
-                            classification=INACCEPTABLE,
-                            rho=0.0,
-                            omega_m_clamped=crit.omega_clamped,
-                            delta_before=delta_before,
-                            delta_after=state.delta,
-                            step_norm=0.0,
-                            expensive_evals_cum=db.expensive_evals,
-                            criticality_loops=crit_loops,
-                        )
-                    )
-                    stop = STOP_CRITICALITY_LOOP_CAP
-                    continue
 
-            # descent step; the zero step at a model-critical center or when
-            # backtracking runs out, which is an anomaly
-            step_res = compute_step(bundle, state.x, state.delta, crit, cfg.step, prob.unit)
+            # descent step; the zero step at a model-critical center, when
+            # backtracking runs out, which is an anomaly, or when the
+            # criticality routine ran out of loops
+            if cap:
+                step_res = zero_step(state.x)
+            else:
+                step_res = compute_step(bundle, state.x, state.delta, crit, cfg.step, prob.unit)
             if step_res.failure:
                 anomalies.append(f"t={state.t}: {step_res.failure}")
             r_ratio = step_res.r_ratio
@@ -404,7 +383,7 @@ def run(
                     violations["monotonicity"] += 1
 
         omega_true_val = None
-        if cfg.compute_true_omega:
+        if cfg.compute_true_omega and not cap:
             try:
                 omega_true_val = true_omega(
                     prob, prob.unscale(state.x), counter=diag_counter
@@ -414,26 +393,34 @@ def run(
             except ParetoTRMError as exc:  # e.g. LPFailure: the diagnostic has no value
                 anomalies.append(f"t={state.t}: true_omega diagnostic: {exc}")
 
-        new_state = update_state(state, classification, step_res.trial, f_trial, cfg)
+        if cap:  # the criticality routine has set the radius
+            new_state = TrustRegionState(state.x, state.delta, state.t + 1, state.f_current)
+        else:
+            new_state = update_state(state, classification, step_res.trial, f_trial, cfg)
         # s^t is the displacement of the iterate: zero when the trial is rejected
         step_norm = float(np.max(np.abs(new_state.x - state.x)))
         records.append(
-            IterationRecord(
-                t=state.t,
-                classification=classification,
-                rho=float(rho),
-                omega_m_clamped=crit.omega_clamped,
-                delta_before=delta_before,
-                delta_after=new_state.delta,
-                step_norm=step_norm,
-                expensive_evals_cum=db.expensive_evals,
-                criticality_loops=crit_loops,
-                backtracks=step_res.backtracks,
-                omega_true_clamped=omega_true_val,
-            )
+            {
+                "t": state.t,
+                "classification": classification,
+                "rho": float(rho),
+                "omega_m_clamped": crit.omega_clamped,
+                "delta_before": delta_before,
+                "delta_after": new_state.delta,
+                "step_norm": step_norm,
+                "expensive_evals_cum": db.expensive_evals,
+                "criticality_loops": crit_loops,
+                "backtracks": step_res.backtracks,
+                # every bundle is certified fully linear when it is built
+                "fully_linear": True,
+                "omega_true_clamped": omega_true_val,
+            }
         )
         state = new_state
-        stop = check_stopping(state, step_norm, cfg, db.expensive_evals, budget)
+        if cap:
+            stop = STOP_CRITICALITY_LOOP_CAP
+        else:
+            stop = check_stopping(state, step_norm, cfg, db.expensive_evals, budget)
 
     final_x = prob.unscale(state.x)
     nondiff = False

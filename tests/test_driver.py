@@ -476,6 +476,32 @@ def test_critical_start_emits_zero_step_and_stops(nu_p):
     assert [rec["classification"] for rec in rep.iterations] == [INACCEPTABLE]
 
 
+def test_the_cap_record_keeps_the_routine_radius_and_runs_no_diagnostic():
+    # the routine shrinks 0.1 to 0.025 in its 3 loops; the cap iteration keeps
+    # that radius (no gamma_downdown shrink) and reads no true omega
+    prob = two_quadratics([0.0, 0.0], [0.0, 0.0])
+    cfg = AlgoConfig(models=None, n_loops=3, compute_true_omega=True)
+    rep = run(prob, cfg, [0.0, 0.0], seed=0)
+    assert rep.stop_reason == STOP_CRITICALITY_LOOP_CAP
+    assert sum(rep.violations.values()) == 0
+    assert rep.iterations == [
+        {
+            "t": 0,
+            "classification": INACCEPTABLE,
+            "rho": 0.0,
+            "omega_m_clamped": 0.0,
+            "delta_before": 0.1,
+            "delta_after": 0.025,
+            "step_norm": 0.0,
+            "expensive_evals_cum": 0,
+            "criticality_loops": 3,
+            "backtracks": 0,
+            "fully_linear": True,
+            "omega_true_clamped": None,
+        }
+    ]
+
+
 def test_critical_start_without_criticality_test_takes_zero_steps(monkeypatch):
     # eps_crit = 0 never enters the criticality routine, so omega = 0 reaches
     # compute_step, which takes the zero step without running the step method

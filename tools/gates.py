@@ -26,8 +26,8 @@ every run's files, run directory after run directory in sorted order.
 
 Every bench job comes from the testbed, whose feasible sets are boxes, so no
 bench run reaches the optimizer's R^n frame, and no bench run reaches a zero
-step, the ``radius-min`` stop or the Pascoletti-Serafini fallback. The gate
-runs do:
+step other than the criticality-loop cap's, the ``radius-min`` stop or the
+Pascoletti-Serafini fallback. The gate runs do:
 
 - ``rn-rbf``: an unconstrained problem (n = 3) with one cheap objective that
   has a gradient evaluator and one expensive objective modelled ``rbf-cubic``,
@@ -50,7 +50,10 @@ runs do:
   Pascoletti-Serafini's own zero step;
 - ``rn-wide-radius``: the cheap pair from (3, -2) under ``strict-pc`` with
   ``delta0 = 2`` and ``delta_ub = 4``, so the radius exceeds 1 while the step
-  direction is long and ``steps.bar_sigma`` caps the step at the radius.
+  direction is long and ``steps.bar_sigma`` caps the step at the radius;
+- ``zdt1-lagrange2-upper-face``: ZDT1 (n = 3, ``lagrange-2``, ``modified-pc``)
+  from (0.5, 1, 0.5), whose x_2 lies on the upper face, so the first
+  quadratic stencil takes its one-sided offset toward the lower face.
 
 A ``sys.settrace`` collector records every package line the runs execute,
 from the package's import on. The executable lines of a module are the line
@@ -272,6 +275,14 @@ def _rn_wide_radius() -> tuple:
     return _cheap_pair(), cfg, np.array([3.0, -2.0]), SEED
 
 
+def _zdt1_lagrange2_upper_face() -> tuple:
+    prob = make_problem(TestProblemSpec("ZDT1", 3, FIRST_CHEAP))
+    cfg = AlgoConfig(
+        models=MODEL_SPECS["lagrange-2"], step=StepConfig(method="modified-pc"), max_iters=3
+    )
+    return prob, cfg, np.array([0.5, 1.0, 0.5]), SEED
+
+
 # name -> (problem, AlgoConfig, x0, seed) of each gate run; a new run goes last
 GATE_RUNS = {
     "rn-rbf": _rn_rbf,
@@ -281,6 +292,7 @@ GATE_RUNS = {
     "dtlz1-ps-fallback": _dtlz1_ps_fallback,
     "rn-ps-shared-minimizer": _rn_ps_shared_minimizer,
     "rn-wide-radius": _rn_wide_radius,
+    "zdt1-lagrange2-upper-face": _zdt1_lagrange2_upper_face,
 }
 
 
