@@ -21,7 +21,6 @@ from .criticality import CriticalityResult, omega_of_gradients, true_omega
 from .errors import (
     BudgetExhausted,
     DegenerateDenominator,
-    InfeasiblePoint,
     ObjectiveFailure,
     ParetoTRMError,
 )
@@ -246,13 +245,14 @@ def run(
 ) -> RunReport:
     """Run the trust-region method from x0 (original coordinates).
 
-    Every iteration has one failure boundary: BudgetExhausted stops the run
-    as budget-exhausted, and any other package error stops it as
-    error:<Type> with one anomaly; the partial report is always returned.
-    Passing a database lets the caller inspect or export the evaluated sites
-    afterwards; its budget field is overwritten. `seed` only shifts the
-    Halton sample of the model Hessian bound, which is computed when the
-    curvature floor cannot certify a step's sufficient decrease.
+    x0 is admitted by its database read, as any site. Every iteration has
+    one failure boundary: BudgetExhausted stops the run as budget-exhausted,
+    and any other package error stops it as error:<Type> with one anomaly;
+    the partial report is always returned. Passing a database lets the
+    caller inspect or export the evaluated sites afterwards; its budget
+    field is overwritten. `seed` only shifts the Halton sample of the model
+    Hessian bound, which is computed when the curvature floor cannot certify
+    a step's sufficient decrease.
 
     Each iteration appends one record, a dict with the keys that report.json
     lists under "iterations". An iteration whose criticality routine runs
@@ -261,17 +261,14 @@ def run(
     stops the run as criticality-loop-cap.
     """
     x0 = np.asarray(x0, dtype=float)
-    if not prob.feasible.contains(x0):
-        raise InfeasiblePoint("x0 violates the hard constraints")
     if cfg.models is None and np.any(prob.expensive_mask):
         raise ValueError("expensive objectives present: cfg.models is required")
     budget = cfg.max_expensive if cfg.max_expensive is not None else 1000 * prob.n_vars**2
     if db is None:
-        db = EvaluationDatabase(prob, max_expensive=budget)
-    else:
-        if db.problem is not prob:
-            raise ValueError("database belongs to a different problem")
-        db.max_expensive = budget
+        db = EvaluationDatabase(prob)
+    elif db.problem is not prob:
+        raise ValueError("database belongs to a different problem")
+    db.max_expensive = budget
     diag_counter: dict = {"evals": 0}
     # one dict per iteration, with the keys report.json lists under "iterations"
     records: list[dict] = []

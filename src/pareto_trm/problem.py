@@ -216,13 +216,13 @@ class EvaluationDatabase:
     queries work on the scaled copy. A read settles its rows one by one (see
     ``_settle``), finding each row's candidates by bisection in a sorted list
     of the keys w.z, one fixed projection of each stored scaled site. The
-    rows a read stores are written with one write per buffer.
+    rows a read stores are written with one write per buffer. Each stored
+    row evaluated every objective, so len(db) counts expensive evaluation.
     """
 
     def __init__(self, problem: MOProblem, max_expensive: Optional[int] = None):
         self.problem = problem
         self.max_expensive = max_expensive
-        self.eval_counts = np.zeros(problem.n_objs, dtype=int)
         n = problem.n_vars
         self._sites = np.empty((8, n))
         self._buffer = np.empty((8, n))  # the scaled sites
@@ -256,9 +256,13 @@ class EvaluationDatabase:
 
     @property
     def expensive_evals(self) -> int:
-        """What the budget is charged: the most evaluations of any expensive objective."""
-        exp = self.problem.expensive_mask
-        return int(self.eval_counts[exp].max()) if exp.any() else 0
+        """What the budget is charged: the stored rows, if any objective is expensive."""
+        return self._size if self.problem.expensive_mask.any() else 0
+
+    @property
+    def eval_counts(self) -> np.ndarray:
+        """Evaluations of each objective that count: len(db) if it is expensive, else 0."""
+        return np.where(self.problem.expensive_mask, self._size, 0)
 
     @property
     def _scaled(self) -> np.ndarray:
@@ -307,7 +311,7 @@ class EvaluationDatabase:
         return np.array(src, dtype=np.intp), np.array(fresh, dtype=np.intp)
 
     def _append(self, X: np.ndarray, Z: np.ndarray, F: np.ndarray) -> None:
-        """Store the sites X, their scaled copies Z and their values F, and charge them."""
+        """Store the sites X, their scaled copies Z and their values F."""
         size, m = self._size, len(X)
         if size + m > len(self._buffer):
             cap = max(2 * len(self._buffer), size + m)
@@ -320,7 +324,6 @@ class EvaluationDatabase:
         for row, key in enumerate((Z @ self._weights).tolist(), size):
             _insert(self._keys, self._rows, key, row)
         self._size = size + m
-        self.eval_counts[self.problem.expensive_mask] += m
 
     def evaluate(self, x) -> np.ndarray:
         """f at one site (n,) -> (k,), or at every row of a batch (m, n) -> (m, k).

@@ -103,6 +103,18 @@ def test_run_explicit_x0(tmp_path):
     np.testing.assert_allclose(data["x0"], [0.5, 0.5, 0.5])
 
 
+def test_run_wrong_length_x0_aborts_with_one_line(tmp_path, capsys):
+    code = main(
+        [
+            "run", "--problem", "T6", "--model", "rbf-cubic", "--step", "strict-pc",
+            "--x0", "1,2,3", "--out", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "run aborted: expected length 2\n" and captured.out == ""
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 1
 

@@ -30,6 +30,7 @@ from pareto_trm.driver import (
 from pareto_trm.errors import (
     BudgetExhausted,
     DegenerateDenominator,
+    DimensionMismatch,
     InfeasiblePoint,
     LPFailure,
     ObjectiveFailure,
@@ -221,6 +222,12 @@ class TestRunT6:
         cfg = AlgoConfig(models=MODEL_SPECS["rbf-cubic"])
         with pytest.raises(InfeasiblePoint):
             run(prob, cfg, [-1.0, 0.0])
+
+    def test_wrong_length_start_rejected(self):
+        prob = make_problem(TestProblemSpec("T6"))
+        cfg = AlgoConfig(models=MODEL_SPECS["rbf-cubic"])
+        with pytest.raises(DimensionMismatch, match="expected length 2"):
+            run(prob, cfg, [1.0, 2.0, 3.0])
 
     def test_zero_budget_stops_immediately(self):
         prob = make_problem(TestProblemSpec("T6"))

@@ -227,6 +227,7 @@ def test_budget_exhausted():
     with pytest.raises(BudgetExhausted):
         db.evaluate([2.0, 0.0])
     assert len(db) == 1
+    np.testing.assert_array_equal(db.eval_counts, [len(db), 0])
 
 
 def test_objective_failure_carries_site():
@@ -575,6 +576,7 @@ def test_batch_read_matches_one_site_loop(case):
     assert np.array_equal(np.array(db.sites).reshape(-1, n), np.array(loop_db.sites).reshape(-1, n))
     assert np.array_equal(np.array(db.values).reshape(-1, 2), np.array(loop_db.values).reshape(-1, 2))
     assert np.array_equal(db.eval_counts, loop_db.eval_counts)
+    assert db.eval_counts.tolist() == [len(db) if e else 0 for e in expensive]
     # no row past a failure is indexed; one call per objective
     _assert_index(db)
     assert calls in ([0, 0], [1, 1])

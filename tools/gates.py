@@ -53,7 +53,14 @@ Pascoletti-Serafini fallback. The gate runs do:
   direction is long and ``steps.bar_sigma`` caps the step at the radius;
 - ``zdt1-lagrange2-upper-face``: ZDT1 (n = 3, ``lagrange-2``, ``modified-pc``)
   from (0.5, 1, 0.5), whose x_2 lies on the upper face, so the first
-  quadratic stencil takes its one-sided offset toward the lower face.
+  quadratic stencil takes its one-sided offset toward the lower face;
+- ``t6-multiquadric-curvature``: T6 (``rbf-multiquadric``, ``strict-pc``)
+  from the third of four starts, where the curvature floor cannot certify a
+  step, so the Hessian bound reads the multiquadric kernel's curvature;
+- ``zdt3-lagrange2-curvature``: ZDT3 (n = 3, ``lagrange-2``,
+  Pascoletti-Serafini) from the first of four starts, where the curvature
+  floor cannot certify a step, so the Hessian bound reads a degree-2 model's
+  curvature bound.
 
 A ``sys.settrace`` collector records every package line the runs execute,
 from the package's import on. The executable lines of a module are the line
@@ -283,6 +290,24 @@ def _zdt1_lagrange2_upper_face() -> tuple:
     return prob, cfg, np.array([0.5, 1.0, 0.5]), SEED
 
 
+def _t6_multiquadric_curvature() -> tuple:
+    prob = make_problem(TestProblemSpec("T6", pattern=FIRST_CHEAP))
+    cfg = AlgoConfig(
+        models=MODEL_SPECS["rbf-multiquadric"], step=StepConfig(method="strict-pc"), max_iters=5
+    )
+    return prob, cfg, _start_points(prob, 4, 0)[2], SEED
+
+
+def _zdt3_lagrange2_curvature() -> tuple:
+    prob = make_problem(TestProblemSpec("ZDT3", 3))
+    cfg = AlgoConfig(
+        models=MODEL_SPECS["lagrange-2"],
+        step=StepConfig(method="pascoletti-serafini"),
+        max_iters=4,
+    )
+    return prob, cfg, _start_points(prob, 4, 0)[0], SEED
+
+
 # name -> (problem, AlgoConfig, x0, seed) of each gate run; a new run goes last
 GATE_RUNS = {
     "rn-rbf": _rn_rbf,
@@ -293,6 +318,8 @@ GATE_RUNS = {
     "rn-ps-shared-minimizer": _rn_ps_shared_minimizer,
     "rn-wide-radius": _rn_wide_radius,
     "zdt1-lagrange2-upper-face": _zdt1_lagrange2_upper_face,
+    "t6-multiquadric-curvature": _t6_multiquadric_curvature,
+    "zdt3-lagrange2-curvature": _zdt3_lagrange2_curvature,
 }
 
 
